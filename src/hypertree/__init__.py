@@ -37,7 +37,6 @@ from .projection import (
     divergence_decomposed,
     divergence_direct,
     log_likelihood,
-    model_log_prob,
     project,
 )
 from .solvers import SolverResult, chow_liu, exact_search, greedy, local_search
@@ -52,8 +51,6 @@ from .weights import (
     WeightFunction,
     attachment_gain,
     compute_weights,
-    monotone_deficit,
-    weight_inclusion_exclusion,
 )
 
 __version__ = "0.1.0"

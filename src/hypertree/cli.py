@@ -3,19 +3,21 @@
 Subcommands: ``weights`` (CSV -> weight dump), ``learn`` (CSV or weight dump
 -> structure + report), ``eval`` (data + structure -> divergence/likelihood
 report), ``gen-parity`` (bias or weight-target prescription -> sample CSV +
-provenance). Exit codes: 0 success, 2 validation error, 3 guard refusal,
+provenance). Exit codes: 0 success, 2 validation error (including a
+malformed input file, named with the field at fault), 3 guard refusal,
 4 I/O error. All file outputs are in nats; ``--display-base 2`` converts the
 printed summary only.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import click
+import numpy as np
 
 from . import dataset as ds
 from . import paritygen, projection, solvers, structure, weights
@@ -26,36 +28,7 @@ EXIT_GUARD = 3
 EXIT_IO = 4
 
 SOLVER_NAMES = ("chow_liu", "exact", "greedy", "local")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options for one CLI invocation."""
-
-    command: str
-    input_path: str
-    k: int | None = None
-    out_path: str | None = None
-    solver: str = "greedy"
-    exact_limit: int | None = None
-    max_iters: int = solvers.DEFAULT_MAX_ITERS
-    display_base: str = "e"
-    arities_path: str | None = None
-    structure_path: str | None = None
-    model_out: str | None = None
-    cube_limit: int = paritygen.DEFAULT_CUBE_LIMIT
-
-    def __post_init__(self):
-        if self.k is not None and self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.max_iters < 1:
-            raise ValueError("max-iters must be positive")
-        if self.exact_limit is not None and self.exact_limit < 1:
-            raise ValueError("exact-limit must be positive")
-        if self.cube_limit < 1:
-            raise ValueError("cube-limit must be positive")
-        if self.display_base not in ("e", "2"):
-            raise ValueError(f"display base must be 'e' or '2', got {self.display_base}")
+POSITIVE = click.IntRange(min=1)
 
 
 def _fail(code: int, message: str):
@@ -63,25 +36,60 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _guarded(body):
+def _guarded(command):
+    """Map library errors raised by a command to exit codes and a message."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            command(*args, **kwargs)
+        except GuardLimitError as exc:
+            _fail(EXIT_GUARD, str(exc))
+        except OSError as exc:
+            _fail(EXIT_IO, str(exc))
+        except (ValueError, RuntimeError) as exc:
+            _fail(EXIT_VALIDATION, str(exc))
+
+    return run
+
+
+def _read_json(path: str, parse):
+    """Parse the JSON object in a file once and convert it with parse(doc).
+
+    A missing field or a value of the wrong type found while converting
+    becomes a ValueError that names the file.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     try:
-        body()
-    except GuardLimitError as exc:
-        _fail(EXIT_GUARD, str(exc))
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
-    except (ValueError, RuntimeError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+        return parse(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed field: {exc}") from None
+
+
+def _joint_table(doc: dict) -> ds.JointTable:
+    """A joint table document: {"arities": [...], "probs": [...]} row-major."""
+    arities = tuple(int(a) for a in doc["arities"])
+    return ds.JointTable(arities, np.reshape(doc["probs"], arities))
+
+
+def _weights_or_table(doc: dict):
+    if "weights" in doc:
+        return weights.weights_from_dict(doc)
+    return _joint_table(doc)
 
 
 def _load_provider(path: str, arities_path: str | None = None):
-    """CSV files become Datasets; JSON files with a probs field, JointTables."""
+    """CSV files become Datasets; JSON files, JointTables."""
     if path.endswith(".json"):
-        return ds.load_joint_table(path)
+        return _read_json(path, _joint_table)
     sidecar = None
     if arities_path is not None:
-        with open(arities_path, "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)["arities"]
+        sidecar = _read_json(arities_path, lambda doc: doc["arities"])
     return ds.load_dataset(path, arities=sidecar)
 
 
@@ -111,93 +119,69 @@ def cli():
 
 @cli.command("weights")
 @click.argument("data_path", metavar="DATA")
-@click.option("--k", type=int, required=True, help="Width bound (cliques up to k+1 vertices).")
+@click.option("--k", type=POSITIVE, required=True,
+              help="Width bound (cliques up to k+1 vertices).")
 @click.option("--arities", "arities_path", default=None,
               help='JSON sidecar {"arities": {"name": m, ...}} declaring arities.')
 @click.option("--display-base", type=click.Choice(["e", "2"]), default="e")
 @click.option("--out", "out_path", default=None, help="Output path (default: stdout).")
+@_guarded
 def weights_cmd(data_path, k, arities_path, display_base, out_path):
     """Compute clique weights for all vertex subsets of size 1..k+1."""
-
-    def body():
-        cfg = RunConfig(command="weights", input_path=data_path, k=k,
-                        out_path=out_path, display_base=display_base,
-                        arities_path=arities_path)
-        cmd_weights(cfg)
-
-    _guarded(body)
-
-
-def cmd_weights(cfg: RunConfig) -> None:
-    provider = _load_provider(cfg.input_path, cfg.arities_path)
-    wf = weights.compute_weights(provider, cfg.k)
-    _write_json(weights.weights_to_dict(wf), cfg.out_path)
-    if cfg.out_path is not None:
+    provider = _load_provider(data_path, arities_path)
+    wf = weights.compute_weights(provider, k)
+    _write_json(weights.weights_to_dict(wf), out_path)
+    if out_path is not None:
         top = max((h for h in wf.weights if len(h) >= 2),
                   key=lambda h: wf.weights[h], default=None)
         note = ""
         if top is not None:
             note = (f"; max non-singleton weight {list(top)} = "
-                    f"{_display(wf.weights[top], cfg.display_base):.6f} "
-                    f"(base {cfg.display_base})")
+                    f"{_display(wf.weights[top], display_base):.6f} "
+                    f"(base {display_base})")
         click.echo(f"wrote {len(wf.weights)} weights (n={wf.n}, k={wf.k}) "
-                   f"to {cfg.out_path}{note}")
+                   f"to {out_path}{note}")
 
 
 @cli.command("learn")
 @click.argument("input_path", metavar="DATA_OR_WEIGHTS")
-@click.option("--k", type=int, default=None,
+@click.option("--k", type=POSITIVE, default=None,
               help="Width bound; required for CSV input, optional check for weight files.")
 @click.option("--solver", type=click.Choice(SOLVER_NAMES), default="greedy")
-@click.option("--exact-limit", type=int, default=None,
+@click.option("--exact-limit", type=POSITIVE, default=None,
               help="Override the n guard of the exact solver.")
-@click.option("--max-iters", type=int, default=solvers.DEFAULT_MAX_ITERS)
+@click.option("--max-iters", type=POSITIVE, default=solvers.DEFAULT_MAX_ITERS)
 @click.option("--arities", "arities_path", default=None)
 @click.option("--display-base", type=click.Choice(["e", "2"]), default="e")
 @click.option("--out", "out_path", default=None, help="Output path (default: stdout).")
+@_guarded
 def learn_cmd(input_path, k, solver, exact_limit, max_iters, arities_path,
               display_base, out_path):
     """Find a high-weight width-k structure for data or a weight file."""
-
-    def body():
-        cfg = RunConfig(command="learn", input_path=input_path, k=k,
-                        out_path=out_path, solver=solver,
-                        exact_limit=exact_limit, max_iters=max_iters,
-                        display_base=display_base, arities_path=arities_path)
-        cmd_learn(cfg)
-
-    _guarded(body)
-
-
-def _looks_like_weight_file(path: str) -> bool:
-    if not path.endswith(".json"):
-        return False
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return "weights" in doc
-
-
-def cmd_learn(cfg: RunConfig) -> None:
-    provider = None
-    if _looks_like_weight_file(cfg.input_path):
-        wf = weights.load_weights(cfg.input_path)
-        if cfg.k is not None and cfg.k != wf.k:
-            raise ValueError(f"--k={cfg.k} conflicts with weight file k={wf.k}")
+    source = None  # a JSON input: weight function or joint table
+    if input_path.endswith(".json"):
+        source = _read_json(input_path, _weights_or_table)
+    if isinstance(source, weights.WeightFunction):
+        wf, provider = source, None
+        if k is not None and k != wf.k:
+            raise ValueError(f"--k={k} conflicts with weight file k={wf.k}")
     else:
-        if cfg.k is None:
+        if k is None:
             raise ValueError("--k is required when learning from data")
-        provider = _load_provider(cfg.input_path, cfg.arities_path)
-        wf = weights.compute_weights(provider, cfg.k)
+        provider = source
+        if provider is None:
+            provider = _load_provider(input_path, arities_path)
+        wf = weights.compute_weights(provider, k)
 
-    if cfg.solver == "chow_liu":
+    if solver == "chow_liu":
         result = solvers.chow_liu(wf)
-    elif cfg.solver == "exact":
-        result = solvers.exact_search(wf, exact_limit=cfg.exact_limit)
-    elif cfg.solver == "greedy":
+    elif solver == "exact":
+        result = solvers.exact_search(wf, exact_limit=exact_limit)
+    elif solver == "greedy":
         result = solvers.greedy(wf)
     else:
         result = solvers.local_search(wf, solvers.greedy(wf).tree,
-                                      max_iters=cfg.max_iters)
+                                      max_iters=max_iters)
 
     doc = structure.ktree_to_dict(result.tree)
     doc["score"] = result.score
@@ -209,11 +193,11 @@ def cmd_learn(cfg: RunConfig) -> None:
             provider, wf, result.tree)
     else:
         doc["note"] = "divergence omitted: learned from a weight file, not data"
-    _write_json(doc, cfg.out_path)
-    if cfg.out_path is not None:
+    _write_json(doc, out_path)
+    if out_path is not None:
         click.echo(
-            f"{result.method}: score {_display(result.score, cfg.display_base):.6f} "
-            f"(base {cfg.display_base}, k={wf.k}) -> {cfg.out_path}")
+            f"{result.method}: score {_display(result.score, display_base):.6f} "
+            f"(base {display_base}, k={wf.k}) -> {out_path}")
 
 
 @cli.command("eval")
@@ -223,23 +207,12 @@ def cmd_learn(cfg: RunConfig) -> None:
 @click.option("--display-base", type=click.Choice(["e", "2"]), default="e")
 @click.option("--model-out", default=None, help="Also write the projected model JSON here.")
 @click.option("--out", "out_path", default=None, help="Output path (default: stdout).")
+@_guarded
 def eval_cmd(data_path, structure_path, arities_path, display_base, model_out,
              out_path):
     """Score a structure against data: divergences and log likelihood."""
-
-    def body():
-        cfg = RunConfig(command="eval", input_path=data_path,
-                        structure_path=structure_path, out_path=out_path,
-                        display_base=display_base, arities_path=arities_path,
-                        model_out=model_out)
-        cmd_eval(cfg)
-
-    _guarded(body)
-
-
-def cmd_eval(cfg: RunConfig) -> None:
-    provider = _load_provider(cfg.input_path, cfg.arities_path)
-    tree = structure.load_ktree(cfg.structure_path)
+    provider = _load_provider(data_path, arities_path)
+    tree = _read_json(structure_path, structure.ktree_from_dict)
     if tree.n != provider.n_vars:
         raise ValueError(
             f"structure spans {tree.n} variables, data has {provider.n_vars}")
@@ -266,50 +239,42 @@ def cmd_eval(cfg: RunConfig) -> None:
     if isinstance(provider, ds.Dataset):
         ll = projection.log_likelihood(model, provider)
         report["loglik_per_row"] = _json_float(ll / provider.n_rows)
-    if cfg.model_out is not None:
-        projection.dump_model(model, cfg.model_out)
-    _write_json(report, cfg.out_path)
-    if cfg.out_path is not None:
+    if model_out is not None:
+        projection.dump_model(model, model_out)
+    _write_json(report, out_path)
+    if out_path is not None:
         click.echo(
-            f"divergence {_display(report['divergence_decomposed'], cfg.display_base):.6f} "
-            f"(base {cfg.display_base}, k={tree.k}) -> {cfg.out_path}")
+            f"divergence {_display(report['divergence_decomposed'], display_base):.6f} "
+            f"(base {display_base}, k={tree.k}) -> {out_path}")
 
 
-@cli.command("gen-parity")
-@click.argument("spec_path", metavar="BIASES_OR_TARGETS")
-@click.option("--cube-limit", type=int, default=paritygen.DEFAULT_CUBE_LIMIT,
-              help="Refuse generation above this variable count.")
-@click.option("--out", "out_path", default="sample.csv",
-              help="Sample CSV path; provenance goes next to it.")
-def gen_parity_cmd(spec_path, cube_limit, out_path):
-    """Generate a parity-biased sample from a bias or weight-target file."""
-
-    def body():
-        cfg = RunConfig(command="gen-parity", input_path=spec_path,
-                        out_path=out_path, cube_limit=cube_limit)
-        cmd_gen_parity(cfg)
-
-    _guarded(body)
-
-
-def cmd_gen_parity(cfg: RunConfig) -> None:
-    with open(cfg.input_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    realization = None
+def _parity_spec(doc: dict):
+    """(biases, realization) of a bias document or a weight-target document."""
     if "biases" in doc:
-        tb = paritygen.biases_from_dict(doc)
-    elif "targets" in doc:
+        return paritygen.biases_from_dict(doc), None
+    if "targets" in doc:
         targets = {
             tuple(entry["vars"]): float(entry["w"]) for entry in doc["targets"]
         }
         realization = paritygen.realize_weights(
             targets, n=int(doc["n"]), k=int(doc["k"]),
             q_grid=int(doc["q_grid"]), scale=doc.get("scale"))
-        tb = realization.biases
-    else:
-        raise ValueError("input must contain either a 'biases' or a 'targets' list")
-    sample = paritygen.generate(tb, cube_limit=cfg.cube_limit)
-    ds.dump_dataset(sample.dataset, cfg.out_path)
+        return realization.biases, realization
+    raise ValueError("input must contain either a 'biases' or a 'targets' list")
+
+
+@cli.command("gen-parity")
+@click.argument("spec_path", metavar="BIASES_OR_TARGETS")
+@click.option("--cube-limit", type=POSITIVE, default=paritygen.DEFAULT_CUBE_LIMIT,
+              help="Refuse generation above this variable count.")
+@click.option("--out", "out_path", default="sample.csv",
+              help="Sample CSV path; provenance goes next to it.")
+@_guarded
+def gen_parity_cmd(spec_path, cube_limit, out_path):
+    """Generate a parity-biased sample from a bias or weight-target file."""
+    tb, realization = _read_json(spec_path, _parity_spec)
+    sample = paritygen.generate(tb, cube_limit=cube_limit)
+    ds.dump_dataset(sample.dataset, out_path)
     prov = paritygen.biases_to_dict(tb)
     prov["rows"] = sample.dataset.n_rows
     prov["rows_per_block"] = 1 << tb.n
@@ -324,9 +289,9 @@ def cmd_gen_parity(cfg: RunConfig) -> None:
             for h, e in sorted(realization.per_set_error.items())
         ]
         prov["total_abs_error"] = realization.total_abs_error
-    prov_path = _provenance_path(cfg.out_path)
+    prov_path = _provenance_path(out_path)
     _write_json(prov, prov_path)
-    click.echo(f"wrote {sample.dataset.n_rows} rows to {cfg.out_path}, "
+    click.echo(f"wrote {sample.dataset.n_rows} rows to {out_path}, "
                f"provenance to {prov_path}")
 
 

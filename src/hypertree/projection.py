@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +30,6 @@ __all__ = [
     "NEG_INFINITY",
     "ProjectedModel",
     "project",
-    "model_log_prob",
     "model_joint",
     "log_likelihood",
     "divergence_decomposed",
@@ -48,12 +46,11 @@ JOINT_CELL_GUARD = 2 ** 20
 
 @dataclass(frozen=True, eq=False)
 class ProjectedModel:
-    """A k-tree structure with per-clique factors and target marginals."""
+    """A k-tree structure with per-clique factors."""
 
     tree: KTree
     arities: tuple[int, ...]
     factors: dict[tuple[int, ...], np.ndarray]
-    clique_marginals: dict[tuple[int, ...], ds.MarginalTable]
 
 
 def _all_cliques_with_singletons(tree: KTree) -> list[tuple[int, ...]]:
@@ -78,10 +75,8 @@ def project(provider, tree: KTree) -> ProjectedModel:
     if tree.n != n:
         raise ValueError(f"tree spans {tree.n} vertices, provider has {n}")
     factors: dict[tuple[int, ...], np.ndarray] = {}
-    marginals: dict[tuple[int, ...], ds.MarginalTable] = {}
     for h in _all_cliques_with_singletons(tree):
         mt = ds.marginal(provider, h)
-        marginals[h] = mt
         shape = mt.probs.shape
         denom = np.ones(shape)
         for size in range(1, len(h)):
@@ -101,30 +96,7 @@ def project(provider, tree: KTree) -> ProjectedModel:
         tree=tree,
         arities=tuple(provider.arities),
         factors=factors,
-        clique_marginals=marginals,
     )
-
-
-def model_log_prob(model: ProjectedModel, x) -> float:
-    """Log probability of a full assignment, or NEG_INFINITY.
-
-    Returns the negative-infinity sentinel when any clique factor (hence any
-    clique marginal of the target) is zero at the assignment.
-    """
-    x = tuple(int(v) for v in x)
-    if len(x) != len(model.arities):
-        raise ValueError(f"assignment has {len(x)} entries, expected "
-                         f"{len(model.arities)}")
-    for i, (val, arity) in enumerate(zip(x, model.arities)):
-        if not 0 <= val < arity:
-            raise ValueError(f"assignment entry {i} = {val} outside [0, {arity})")
-    total = 0.0
-    for h in sorted(model.factors, key=lambda h: (len(h), h)):
-        val = float(model.factors[h][tuple(x[i] for i in h)])
-        if val == 0.0:
-            return NEG_INFINITY
-        total += math.log(val)
-    return total
 
 
 def model_joint(model: ProjectedModel, cell_guard: int = JOINT_CELL_GUARD) -> np.ndarray:
@@ -222,13 +194,11 @@ def model_from_dict(doc: dict) -> ProjectedModel:
     tree = ktree_from_dict(doc)
     arities = tuple(int(a) for a in doc["arities"])
     factors: dict[tuple[int, ...], np.ndarray] = {}
-    marginals: dict[tuple[int, ...], ds.MarginalTable] = {}
     for entry in doc["factors"]:
         h = tuple(int(v) for v in entry["vars"])
         shape = tuple(arities[i] for i in h)
         factors[h] = np.asarray(entry["table"], dtype=float).reshape(shape)
-    return ProjectedModel(tree=tree, arities=arities, factors=factors,
-                          clique_marginals=marginals)
+    return ProjectedModel(tree=tree, arities=arities, factors=factors)
 
 
 def dump_model(model: ProjectedModel, target) -> None:

@@ -14,7 +14,8 @@ import time
 from dataclasses import dataclass
 
 from .errors import GuardLimitError
-from .structure import KTree, ktree_edges, ktree_from_graph, score
+from .structure import KTree, clique_total, ktree_from_graph, score
+from .weights import attachment_gain
 
 __all__ = [
     "SolverResult",
@@ -42,25 +43,11 @@ def default_exact_limit(k: int) -> int:
     return 9 if k <= 2 else 8
 
 
-def _attach_gain(wf, v: int, anchor: tuple[int, ...]) -> float:
-    """Total weight of the cliques created by attaching v to an anchor.
-
-    The new cliques are exactly the sets S + {v} for nonempty S inside the
-    anchor, since v's only neighbors are the anchor vertices.
-    """
-    total = 0.0
-    for size in range(1, len(anchor) + 1):
-        for sub in itertools.combinations(anchor, size):
-            total += wf[tuple(sorted(sub + (v,)))]
-    return total
-
-
-def _seed_score(wf, seed: tuple[int, ...]) -> float:
-    total = 0.0
-    for size in range(2, len(seed) + 1):
-        for sub in itertools.combinations(seed, size):
-            total += wf[sub]
-    return total
+def _result(tree: KTree, wf, method: str, t0: float, nodes_explored: int,
+            iterations: int) -> SolverResult:
+    stats = {"nodes_explored": nodes_explored, "iterations": iterations,
+             "elapsed_s": time.perf_counter() - t0}
+    return SolverResult(tree, score(tree, wf), method, stats)
 
 
 class _DSU:
@@ -93,10 +80,7 @@ def chow_liu(wf) -> SolverResult:
     t0 = time.perf_counter()
     n = wf.n
     if n == 1:
-        tree = KTree(k=1, n=1, seed=(0,))
-        stats = {"nodes_explored": 0, "iterations": 0,
-                 "elapsed_s": time.perf_counter() - t0}
-        return SolverResult(tree, score(tree, wf), "chow_liu", stats)
+        return _result(KTree(k=1, n=1, seed=(0,)), wf, "chow_liu", t0, 0, 0)
     edges = sorted(itertools.combinations(range(n), 2),
                    key=lambda e: (-wf[e], e))
     dsu = _DSU(n)
@@ -108,10 +92,8 @@ def chow_liu(wf) -> SolverResult:
             chosen.append((u, v))
             if len(chosen) == n - 1:
                 break
-    tree = _tree_from_edges(chosen, n)
-    stats = {"nodes_explored": examined, "iterations": len(chosen),
-             "elapsed_s": time.perf_counter() - t0}
-    return SolverResult(tree, score(tree, wf), "chow_liu", stats)
+    return _result(_tree_from_edges(chosen, n), wf, "chow_liu", t0, examined,
+                   len(chosen))
 
 
 def _tree_from_edges(edges: list[tuple[int, int]], n: int) -> KTree:
@@ -156,17 +138,14 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
         )
     t0 = time.perf_counter()
     if n <= k + 1:
-        tree = KTree(k=k, n=n, seed=tuple(range(n)))
-        stats = {"nodes_explored": 1, "iterations": 0,
-                 "elapsed_s": time.perf_counter() - t0}
-        return SolverResult(tree, score(tree, wf), "exact", stats)
+        return _result(KTree(k=k, n=n, seed=tuple(range(n))), wf, "exact", t0, 1, 0)
 
     gain: dict[tuple[int, tuple[int, ...]], float] = {}
     for anchor in itertools.combinations(range(n), k):
         aset = set(anchor)
         for v in range(n):
             if v not in aset:
-                gain[(v, anchor)] = _attach_gain(wf, v, anchor)
+                gain[(v, anchor)] = attachment_gain(wf, v, anchor)
 
     ksubs_cache: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
@@ -234,7 +213,7 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
     best_seed = None
     for seed in itertools.combinations(range(n), k + 1):
         rmask = full ^ _mask(seed)
-        val = _seed_score(wf, seed) + solve_forest(seed, rmask)
+        val = clique_total((seed,), wf) + solve_forest(seed, rmask)
         if best_total is None or val > best_total:
             best_total = val
             best_seed = seed
@@ -251,12 +230,8 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
             stack.append((child, r1 & ~(1 << v)))
             rmask ^= r1
     tree = KTree(k=k, n=n, seed=best_seed, attachments=tuple(attachments))
-    stats = {
-        "nodes_explored": len(best_forest) + len(best_subtree),
-        "iterations": len(attachments),
-        "elapsed_s": time.perf_counter() - t0,
-    }
-    return SolverResult(tree, score(tree, wf), "exact", stats)
+    return _result(tree, wf, "exact", t0, len(best_forest) + len(best_subtree),
+                   len(attachments))
 
 
 def _mask(vertices) -> int:
@@ -288,14 +263,11 @@ def greedy(wf) -> SolverResult:
     n, k = wf.n, wf.k
     evaluated = 0
     if n <= k + 1:
-        tree = KTree(k=k, n=n, seed=tuple(range(n)))
-        stats = {"nodes_explored": 1, "iterations": 0,
-                 "elapsed_s": time.perf_counter() - t0}
-        return SolverResult(tree, score(tree, wf), "greedy", stats)
+        return _result(KTree(k=k, n=n, seed=tuple(range(n))), wf, "greedy", t0, 1, 0)
     best_seed = None
     best_val = None
     for seed in itertools.combinations(range(n), k + 1):
-        val = _seed_score(wf, seed)
+        val = clique_total((seed,), wf)
         evaluated += 1
         if best_val is None or val > best_val:
             best_val = val
@@ -310,7 +282,7 @@ def greedy(wf) -> SolverResult:
             if v in placed:
                 continue
             for a in sorted(anchors):
-                g = _attach_gain(wf, v, a)
+                g = attachment_gain(wf, v, a)
                 evaluated += 1
                 if best_gain is None or g > best_gain:
                     best_gain = g
@@ -323,9 +295,7 @@ def greedy(wf) -> SolverResult:
             if v in s:
                 anchors.add(s)
     tree = KTree(k=k, n=n, seed=best_seed, attachments=tuple(attachments))
-    stats = {"nodes_explored": evaluated, "iterations": len(attachments),
-             "elapsed_s": time.perf_counter() - t0}
-    return SolverResult(tree, score(tree, wf), "greedy", stats)
+    return _result(tree, wf, "greedy", t0, evaluated, len(attachments))
 
 
 def local_search(wf, start: KTree, max_iters: int = DEFAULT_MAX_ITERS) -> SolverResult:
@@ -337,47 +307,47 @@ def local_search(wf, start: KTree, max_iters: int = DEFAULT_MAX_ITERS) -> Solver
     and another vertex, exchanging their structural roles. Only strictly
     improving moves (by more than 1e-12) are accepted, so the final score
     never drops below the start. The move set is this library's own design.
+
+    The search state is the list of maximal cliques; a changed graph is
+    encoded as a k-tree once, by ``ktree_from_graph``, when the search ends.
     """
     t0 = time.perf_counter()
     n, k = start.n, start.k
     if wf.n != n:
         raise ValueError(f"weight function covers {wf.n} vertices, tree has {n}")
+    if n <= k + 1:
+        return _result(start, wf, "local_search", t0, 0, 0)
     gain_cache: dict[tuple[int, tuple[int, ...]], float] = {}
 
     def cached_gain(v: int, anchor: tuple[int, ...]) -> float:
         key = (v, anchor)
         got = gain_cache.get(key)
         if got is None:
-            got = _attach_gain(wf, v, anchor)
+            got = attachment_gain(wf, v, anchor)
             gain_cache[key] = got
         return got
 
-    cur_tree = start
-    cur_score = score(start, wf)
+    maximal = list(start.maximal_cliques())
+    changed = False
     iterations = 0
     moves_evaluated = 0
-    if n <= k + 1:
-        stats = {"nodes_explored": 0, "iterations": 0,
-                 "elapsed_s": time.perf_counter() - t0}
-        return SolverResult(start, cur_score, "local_search", stats)
-
     while iterations < max_iters:
         iterations += 1
-        edges = ktree_edges(cur_tree)
         adj = [set() for _ in range(n)]
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        maximal = cur_tree.maximal_cliques()
-        cur_score = _clique_total(maximal, wf)  # drift-free baseline
+        for mc in maximal:
+            for a, b in itertools.combinations(mc, 2):
+                adj[a].add(b)
+                adj[b].add(a)
+        cur_score = clique_total(maximal, wf)  # drift-free baseline
         removable = [
             v for v in range(n)
             if len(adj[v]) == k
             and all(b in adj[a] for a, b in itertools.combinations(sorted(adj[v]), 2))
         ]
-        improved = False
+        improved = None
 
-        # (a) re-anchor a removable vertex elsewhere
+        # (a) re-anchor a removable vertex elsewhere; v lies in exactly one
+        # maximal clique, which the move replaces
         for v in removable:
             old_anchor = tuple(sorted(adj[v]))
             loss = cached_gain(v, old_anchor)
@@ -387,46 +357,37 @@ def local_search(wf, start: KTree, max_iters: int = DEFAULT_MAX_ITERS) -> Solver
             } - {old_anchor})
             for a in candidates:
                 moves_evaluated += 1
-                delta = cached_gain(v, a) - loss
-                if delta > IMPROVE_EPS:
-                    new_edges = set(edges)
-                    new_edges -= {tuple(sorted((v, x))) for x in old_anchor}
-                    new_edges |= {tuple(sorted((v, x))) for x in a}
-                    cur_tree = ktree_from_graph(sorted(new_edges), k, n)
-                    cur_score += delta
-                    improved = True
+                if cached_gain(v, a) - loss > IMPROVE_EPS:
+                    improved = [tuple(sorted(a + (v,))) if v in mc else mc
+                                for mc in maximal]
                     break
-            if improved:
+            if improved is not None:
                 break
 
         # (b) swap the labels of a removable vertex and another vertex
-        if not improved:
+        if improved is None:
             for v in removable:
                 for u in range(n):
                     if u == v:
                         continue
                     moves_evaluated += 1
                     swapped = _swap_labels(maximal, u, v)
-                    new_score = _clique_total(swapped, wf)
-                    if new_score - cur_score > IMPROVE_EPS:
-                        new_edges = {
-                            tuple(sorted(e))
-                            for mc in swapped
-                            for e in itertools.combinations(mc, 2)
-                        }
-                        cur_tree = ktree_from_graph(sorted(new_edges), k, n)
-                        cur_score = new_score
-                        improved = True
+                    if clique_total(swapped, wf) - cur_score > IMPROVE_EPS:
+                        improved = swapped
                         break
-                if improved:
+                if improved is not None:
                     break
 
-        if not improved:
+        if improved is None:
             break
+        maximal = improved
+        changed = True
 
-    stats = {"nodes_explored": moves_evaluated, "iterations": iterations,
-             "elapsed_s": time.perf_counter() - t0}
-    return SolverResult(cur_tree, score(cur_tree, wf), "local_search", stats)
+    tree = start
+    if changed:
+        edges = {e for mc in maximal for e in itertools.combinations(mc, 2)}
+        tree = ktree_from_graph(sorted(edges), k, n)
+    return _result(tree, wf, "local_search", t0, moves_evaluated, iterations)
 
 
 def _swap_labels(maximal_cliques, u: int, v: int):
@@ -438,11 +399,3 @@ def _swap_labels(maximal_cliques, u: int, v: int):
         return x
 
     return [tuple(sorted(relabel(x) for x in mc)) for mc in maximal_cliques]
-
-
-def _clique_total(maximal_cliques, wf) -> float:
-    cliques: set[tuple[int, ...]] = set()
-    for mc in maximal_cliques:
-        for size in range(2, len(mc) + 1):
-            cliques.update(itertools.combinations(mc, size))
-    return float(sum(wf[h] for h in sorted(cliques)))

@@ -23,6 +23,7 @@ __all__ = [
     "WidthReport",
     "cliques_of",
     "ktree_edges",
+    "clique_total",
     "score",
     "verify_width",
     "ktree_from_graph",
@@ -118,26 +119,38 @@ class WidthReport:
     oversized_clique: tuple[int, ...] | None = None
 
 
+def _sub_cliques(maximal_cliques, max_size: int | None = None) -> set[tuple[int, ...]]:
+    """Subsets of size 2..max_size of the given cliques, deduplicated."""
+    out: set[tuple[int, ...]] = set()
+    for mc in maximal_cliques:
+        top = len(mc) if max_size is None else min(max_size, len(mc))
+        for size in range(2, top + 1):
+            out.update(itertools.combinations(mc, size))
+    return out
+
+
 def cliques_of(tree: KTree) -> CliqueSet:
     """All subsets of size >= 2 of every maximal clique, deduplicated."""
-    out: set[tuple[int, ...]] = set()
-    for mc in tree.maximal_cliques():
-        for size in range(2, len(mc) + 1):
-            out.update(itertools.combinations(mc, size))
-    return CliqueSet(frozenset(out))
+    return CliqueSet(frozenset(_sub_cliques(tree.maximal_cliques())))
 
 
 def ktree_edges(tree: KTree) -> frozenset[tuple[int, int]]:
     """Edge set of the k-tree graph as sorted vertex pairs."""
-    edges: set[tuple[int, int]] = set()
-    for mc in tree.maximal_cliques():
-        edges.update(itertools.combinations(mc, 2))
-    return frozenset(edges)
+    return frozenset(_sub_cliques(tree.maximal_cliques(), 2))
+
+
+def clique_total(maximal_cliques, wf) -> float:
+    """Total weight of the cliques of size >= 2 inside the given cliques.
+
+    Each clique counts once however many of the given cliques contain it;
+    the terms are summed in lexicographic order of the sorted cliques.
+    """
+    return float(sum(wf[h] for h in sorted(_sub_cliques(maximal_cliques))))
 
 
 def score(tree: KTree, wf) -> float:
     """Total weight of all cliques of size >= 2 (singletons excluded)."""
-    return float(sum(wf[h] for h in sorted(cliques_of(tree).cliques)))
+    return clique_total(tree.maximal_cliques(), wf)
 
 
 def _build_adjacency(edges, n: int | None):

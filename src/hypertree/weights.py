@@ -8,15 +8,16 @@ triangulated graph (singletons excluded), these weights measure how much the
 graph reduces divergence from the fully independent baseline, which is what
 the solvers maximize.
 
-Two equivalent formulas are implemented: a bottom-up recursion
-(``compute_weights``) and a direct inclusion-exclusion sum
-(``weight_inclusion_exclusion``) kept as an independent cross-check.
+``compute_weights`` builds the weights bottom-up by subset size.
+``attachment_gain`` is the one place that scores a k-tree attachment: the
+total weight of the cliques that attaching a vertex to an anchor creates.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,9 +26,7 @@ from . import dataset as ds
 __all__ = [
     "WeightFunction",
     "compute_weights",
-    "weight_inclusion_exclusion",
     "attachment_gain",
-    "monotone_deficit",
     "weights_to_dict",
     "weights_from_dict",
     "dump_weights",
@@ -53,7 +52,7 @@ class WeightFunction:
         if self.k < 1 or self.n < 1:
             raise ValueError("need k >= 1 and n >= 1")
         expected = sum(
-            _comb(self.n, s) for s in range(1, min(self.k + 1, self.n) + 1)
+            math.comb(self.n, s) for s in range(1, min(self.k + 1, self.n) + 1)
         )
         if len(self.weights) != expected:
             raise ValueError(
@@ -79,12 +78,6 @@ class WeightFunction:
             raise ValueError(f"no weight entry for subset {key}") from None
 
 
-def _comb(n: int, r: int) -> int:
-    import math
-
-    return math.comb(n, r)
-
-
 def compute_weights(provider, k: int) -> WeightFunction:
     """Weights for all subsets of size 1..k+1, built bottom-up by size.
 
@@ -105,59 +98,23 @@ def compute_weights(provider, k: int) -> WeightFunction:
     return WeightFunction(k=k, n=n, weights=w)
 
 
-def weight_inclusion_exclusion(provider, h) -> float:
-    """The same weight as an alternating entropy sum over subsets of h.
+def attachment_gain(wf: WeightFunction, v: int, anchor) -> float:
+    """Total weight of the cliques created by attaching v to an anchor.
 
-    w(h) = -sum over nonempty subsets h' of h of (-1)^(|h|-|h'|) H(h').
-    Serves as an independent oracle for the recursion in compute_weights.
+    The new cliques are exactly the sets S + {v} for nonempty S inside the
+    anchor, since v's only neighbors are the anchor vertices. Terms are
+    summed by size, then in lexicographic order of S. For weights computed
+    from a distribution the gain equals I(X_v; X_anchor), so it is
+    nonnegative up to rounding.
     """
-    h = tuple(sorted(int(v) for v in h))
-    if not h:
-        raise ValueError("subset must be nonempty")
+    anchor = tuple(sorted(anchor))
+    if v in anchor:
+        raise ValueError(f"vertex {v} is in its own anchor {anchor}")
     total = 0.0
-    for size in range(1, len(h) + 1):
-        sign = (-1) ** (len(h) - size)
-        for hp in itertools.combinations(h, size):
-            total -= sign * ds.scope_entropy(provider, hp)
+    for size in range(1, len(anchor) + 1):
+        for sub in itertools.combinations(anchor, size):
+            total += wf[sub + (v,)]
     return total
-
-
-def attachment_gain(wf: WeightFunction, h, v: int) -> float:
-    """Sum of weights of all subsets of h that contain v and have size >= 2.
-
-    This is the total-weight change from extending a graph whose cliques are
-    the subsets of h minus v to one whose cliques are the subsets of h; for
-    weights computed from a distribution it equals I(X_v; X_{h minus v}) and
-    is therefore nonnegative up to rounding.
-    """
-    h = tuple(sorted(int(x) for x in h))
-    v = int(v)
-    if v not in h:
-        raise ValueError(f"vertex {v} not in subset {h}")
-    if len(h) < 2:
-        raise ValueError("subset must have at least 2 vertices")
-    rest = tuple(x for x in h if x != v)
-    total = 0.0
-    for size in range(1, len(rest) + 1):
-        for sub in itertools.combinations(rest, size):
-            total += wf[tuple(sorted(sub + (v,)))]
-    return total
-
-
-def monotone_deficit(wf: WeightFunction, h, v: int) -> float:
-    """Raw sum of weights of all subsets of h containing v (singleton too).
-
-    Equals H(X_{h minus v}) - H(X_h), i.e. minus the conditional entropy of
-    X_v given the rest of h; always <= 0 up to rounding for weights computed
-    from a distribution.
-    """
-    h = tuple(sorted(int(x) for x in h))
-    v = int(v)
-    if v not in h:
-        raise ValueError(f"vertex {v} not in subset {h}")
-    if len(h) < 2:
-        raise ValueError("subset must have at least 2 vertices")
-    return attachment_gain(wf, h, v) + wf[(v,)]
 
 
 def weights_to_dict(wf: WeightFunction) -> dict:

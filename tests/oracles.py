@@ -9,9 +9,26 @@ import itertools
 
 import numpy as np
 
-from hypertree.dataset import Dataset, JointTable, VariableSpec
+from hypertree.dataset import Dataset, JointTable, VariableSpec, scope_entropy
 from hypertree.structure import KTree
 from hypertree.weights import WeightFunction
+
+
+def weight_inclusion_exclusion(provider, h) -> float:
+    """A clique weight as an alternating entropy sum over subsets of h.
+
+    w(h) = -sum over nonempty subsets h' of h of (-1)^(|h|-|h'|) H(h').
+    Serves as an independent oracle for the recursion in compute_weights.
+    """
+    h = tuple(sorted(int(v) for v in h))
+    if not h:
+        raise ValueError("subset must be nonempty")
+    total = 0.0
+    for size in range(1, len(h) + 1):
+        sign = (-1) ** (len(h) - size)
+        for hp in itertools.combinations(h, size):
+            total -= sign * scope_entropy(provider, hp)
+    return total
 
 
 def random_dataset(rng, n, t, arities=None):

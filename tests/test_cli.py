@@ -255,3 +255,47 @@ def test_display_base_two(runner, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["score"] == pytest.approx(math.log(2), abs=1e-12)
     assert "1.000000" in res.output and "base 2" in res.output
+
+
+@pytest.mark.parametrize("filename, text, args, field", [
+    ("arr.json", "[1, 2]", ["learn", "{bad}", "--k", "1"], "JSON object"),
+    ("s.json", json.dumps({"k": 1, "n": 3, "attachments": []}),
+     ["eval", "{csv}", "{bad}"], "'seed'"),
+    ("w.json", json.dumps({"k": 1, "n": 3, "weights": [{"vars": [0, 1]}]}),
+     ["learn", "{bad}"], "'w'"),
+    ("t.json", json.dumps(
+        {"k": 1, "q_grid": 8, "targets": [{"vars": [0, 1], "w": 0.5}]}),
+     ["gen-parity", "{bad}", "--out", "{out}"], "'n'"),
+    ("a.json", json.dumps({"names": {"x0": 2}}),
+     ["weights", "{csv}", "--k", "1", "--arities", "{bad}"], "'arities'"),
+], ids=["learn-array", "eval-no-seed", "learn-entry-no-w", "gen-parity-no-n",
+        "arities-no-key"])
+def test_malformed_json_input_is_validation(runner, tmp_path, filename, text,
+                                            args, field):
+    csv_path = tmp_path / "xor.csv"
+    _write_xor_csv(csv_path)
+    bad = tmp_path / filename
+    bad.write_text(text)
+    args = [a.format(csv=csv_path, bad=bad, out=tmp_path / "sample.csv")
+            for a in args]
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 2, res.output
+    assert str(bad) in res.output and field in res.output
+
+
+@pytest.mark.parametrize("args, option", [
+    (["weights", "{csv}", "--k", "0"], "--k"),
+    (["learn", "{csv}", "--k", "1", "--max-iters", "0"], "--max-iters"),
+    (["learn", "{csv}", "--k", "1", "--solver", "exact",
+      "--exact-limit", "0"], "--exact-limit"),
+    (["gen-parity", "{biases}", "--cube-limit", "0"], "--cube-limit"),
+], ids=["k", "max-iters", "exact-limit", "cube-limit"])
+def test_positive_integer_options(runner, tmp_path, args, option):
+    csv_path = tmp_path / "xor.csv"
+    _write_xor_csv(csv_path)
+    bpath = tmp_path / "biases.json"
+    bpath.write_text(json.dumps({"k": 1, "n": 3, "Q": 4, "biases": []}))
+    args = [a.format(csv=csv_path, biases=bpath) for a in args]
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 2, res.output
+    assert option in res.output

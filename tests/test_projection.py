@@ -15,7 +15,6 @@ from hypertree.projection import (
     log_likelihood,
     model_from_dict,
     model_joint,
-    model_log_prob,
     model_to_dict,
     project,
 )
@@ -32,6 +31,13 @@ from oracles import (
     random_ktree,
     xor_triple_joint,
 )
+
+
+def _row_log_prob(model, x):
+    """Log probability of one assignment: the log likelihood of a one-row
+    dataset over the model's variables."""
+    specs = tuple(VariableSpec(f"x{i}", a) for i, a in enumerate(model.arities))
+    return log_likelihood(model, Dataset(specs, np.array([x])))
 
 
 def test_single_vertex_factor_is_marginal():
@@ -74,7 +80,7 @@ def test_factor_reconstruction_identity():
     t = random_ktree(rng, 4, 2)
     m = project(jt, t)
     for h in cliques_of(t).cliques:
-        target = m.clique_marginals[h].probs
+        target = marginal(jt, h).probs
         rebuilt = np.ones_like(target)
         for size in range(1, len(h) + 1):
             for sub in itertools.combinations(h, size):
@@ -91,7 +97,7 @@ def test_model_log_prob_uniform():
     t = KTree(k=1, n=3, seed=(0, 1), attachments=((2, (0,)),))
     m = project(jt, t)
     for x in itertools.product(range(2), repeat=3):
-        assert model_log_prob(m, x) == pytest.approx(-3 * math.log(2), abs=1e-12)
+        assert _row_log_prob(m, x) == pytest.approx(-3 * math.log(2), abs=1e-12)
 
 
 def test_model_log_prob_generalizes_beyond_support():
@@ -100,7 +106,7 @@ def test_model_log_prob_generalizes_beyond_support():
                 np.array([[0, 0], [0, 1], [1, 1]]))
     t = KTree(k=1, n=2, seed=(0, 1))
     m = project(d, t)
-    lp = model_log_prob(m, (1, 0))
+    lp = _row_log_prob(m, (1, 0))
     assert lp == NEG_INFINITY  # pair marginal of (1,0) is zero
     d3 = Dataset((VariableSpec("a", 2), VariableSpec("b", 2),
                   VariableSpec("c", 2)),
@@ -108,16 +114,16 @@ def test_model_log_prob_generalizes_beyond_support():
     t3 = KTree(k=1, n=3, seed=(0, 1), attachments=((2, (0,)),))
     m3 = project(d3, t3)
     # (1,0,1) never observed, but all clique marginals of it are positive
-    assert math.isfinite(model_log_prob(m3, (1, 0, 1)))
+    assert math.isfinite(_row_log_prob(m3, (1, 0, 1)))
 
 
 def test_model_log_prob_validation():
     d = Dataset((VariableSpec("a", 2),), np.array([[0], [1]]))
     m = project(d, KTree(k=1, n=1, seed=(0,)))
     with pytest.raises(ValueError):
-        model_log_prob(m, (2,))
+        _row_log_prob(m, (2,))
     with pytest.raises(ValueError):
-        model_log_prob(m, (0, 0))
+        _row_log_prob(m, (0, 0))
 
 
 def test_divergence_decomposed_examples():
@@ -178,7 +184,7 @@ def test_clique_marginals_match_and_normalize():
         for h in cliques_of(t).cliques:
             axes = tuple(i for i in range(n) if i not in h)
             got = joint.sum(axis=axes) if axes else joint
-            assert np.max(np.abs(got - m.clique_marginals[h].probs)) <= 1e-10
+            assert np.max(np.abs(got - marginal(jt, h).probs)) <= 1e-10
 
 
 def test_log_likelihood_training_identity():
@@ -288,7 +294,7 @@ def test_model_json_roundtrip(tmp_path):
     for h, phi in m.factors.items():
         assert np.array_equal(back.factors[h], phi)
     for x in itertools.product(range(2), range(3), range(2)):
-        a, b = model_log_prob(m, x), model_log_prob(back, x)
+        a, b = _row_log_prob(m, x), _row_log_prob(back, x)
         if a == NEG_INFINITY:
             assert b == NEG_INFINITY
         else:

@@ -11,7 +11,7 @@ from hypertree.solvers import (
     greedy,
     local_search,
 )
-from hypertree.structure import KTree, ktree_edges, score
+from hypertree.structure import KTree, ktree_edges, ktree_from_graph, score
 from hypertree.weights import WeightFunction, compute_weights
 
 from oracles import (
@@ -174,12 +174,12 @@ class TestLocalSearch:
         res = local_search(wf, opt.tree)
         assert res.score == pytest.approx(opt.score, abs=1e-12)
         assert ktree_edges(res.tree) == ktree_edges(opt.tree)
+        assert res.tree == opt.tree
 
     def test_escapes_worst_two_tree(self):
         wf = triples_wf(4, [(0, 1, 2), (0, 1, 3)])
         scores = brute_ktree_scores(wf)
         worst_edges = min(scores, key=lambda e: (scores[e], sorted(e)))
-        from hypertree.structure import ktree_from_graph
         start = ktree_from_graph(sorted(worst_edges), k=2, n=4)
         res = local_search(wf, start)
         assert res.score == pytest.approx(2.0, abs=1e-12)
@@ -193,6 +193,10 @@ class TestLocalSearch:
             start = random_ktree(rng, n, k)
             res = local_search(wf, start)
             assert res.score >= score(start, wf) - 1e-12
+            if res.tree != start:
+                # a moved tree is encoded from its graph
+                assert res.tree == ktree_from_graph(
+                    sorted(ktree_edges(res.tree)), k, n)
 
     def test_respects_max_iters(self):
         rng = np.random.default_rng(12)

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypertree.dataset import mutual_information, scope_entropy
+from hypertree.structure import clique_total, score
 from hypertree.weights import (
     WeightFunction,
     attachment_gain,
     compute_weights,
     dump_weights,
     load_weights,
-    monotone_deficit,
-    weight_inclusion_exclusion,
     weights_to_dict,
 )
 
@@ -24,6 +23,9 @@ from oracles import (
     product_joint,
     random_dataset,
     random_joint,
+    random_ktree,
+    random_weight_function,
+    weight_inclusion_exclusion,
     xor_triple_joint,
 )
 
@@ -123,28 +125,36 @@ def test_attachment_gain_is_mutual_information(seed):
                 rest = tuple(x for x in h if x != v)
                 expect = (scope_entropy(d, (v,)) + scope_entropy(d, rest)
                           - scope_entropy(d, h))
-                got = attachment_gain(wf, h, v)
+                got = attachment_gain(wf, v, rest)
                 assert got == pytest.approx(expect, abs=1e-9)
                 assert got >= -1e-9
+    # a k-tree's score is its seed clique's total plus one gain per attachment
+    for t, w in ((random_ktree(rng, 4, 2), wf),
+                 (random_ktree(rng, 7, 2), random_weight_function(rng, 7, 2))):
+        total = clique_total((t.seed,), w) + sum(
+            attachment_gain(w, v, a) for v, a in t.attachments)
+        assert score(t, w) == pytest.approx(total, abs=1e-12)
 
 
 def test_monotone_deficit_examples():
+    # the deficit of v in h: attachment gain of v onto h minus v, plus w(v)
     rng = np.random.default_rng(5)
     indep = product_joint(rng, [2, 3])
     wf = compute_weights(indep, 1)
     # independent pair: only the singleton survives
-    assert monotone_deficit(wf, (0, 1), 1) == pytest.approx(
+    assert attachment_gain(wf, 1, (0,)) + wf[(1,)] == pytest.approx(
         wf[(1,)], abs=1e-10)
     # perfectly correlated bits: -H(v) + ln2 = 0
     from hypertree.dataset import Dataset, VariableSpec
     copies = Dataset((VariableSpec("a", 2), VariableSpec("b", 2)),
                      np.array([[0, 0], [1, 1]]))
     wfc = compute_weights(copies, 1)
-    assert monotone_deficit(wfc, (0, 1), 1) == pytest.approx(0.0, abs=1e-12)
+    assert attachment_gain(wfc, 1, (0,)) + wfc[(1,)] == pytest.approx(
+        0.0, abs=1e-12)
     # fully independent triple: everything above the singleton vanishes
     indep3 = product_joint(rng, [2, 2, 2])
     wf3 = compute_weights(indep3, 2)
-    assert monotone_deficit(wf3, (0, 1, 2), 2) == pytest.approx(
+    assert attachment_gain(wf3, 2, (0, 1)) + wf3[(2,)] == pytest.approx(
         wf3[(2,)], abs=1e-10)
 
 
@@ -156,9 +166,10 @@ def test_monotone_deficit_is_negative_conditional_entropy():
         for v in h:
             rest = tuple(x for x in h if x != v)
             expect = scope_entropy(d, rest) - scope_entropy(d, h)
-            assert monotone_deficit(wf, h, v) == pytest.approx(expect, abs=1e-9)
-    with pytest.raises(ValueError):
-        monotone_deficit(wf, (0, 1), 3)
+            deficit = attachment_gain(wf, v, rest) + wf[(v,)]
+            assert deficit == pytest.approx(expect, abs=1e-9)
+    with pytest.raises(ValueError, match="anchor"):
+        attachment_gain(wf, 1, (0, 1))
 
 
 def test_zero_law_on_product_distributions():
