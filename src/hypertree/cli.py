@@ -17,7 +17,6 @@ import math
 import sys
 
 import click
-import numpy as np
 
 from . import dataset as ds
 from . import paritygen, projection, solvers, structure, weights
@@ -56,8 +55,8 @@ def _guarded(command):
 def _read_json(path: str, parse):
     """Parse the JSON object in a file once and convert it with parse(doc).
 
-    A missing field or a value of the wrong type found while converting
-    becomes a ValueError that names the file.
+    A missing field, a value of the wrong type or an invalid value found
+    while converting becomes a ValueError that names the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -69,27 +68,31 @@ def _read_json(path: str, parse):
         raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
     except TypeError as exc:
         raise ValueError(f"{path}: malformed field: {exc}") from None
-
-
-def _joint_table(doc: dict) -> ds.JointTable:
-    """A joint table document: {"arities": [...], "probs": [...]} row-major."""
-    arities = tuple(int(a) for a in doc["arities"])
-    return ds.JointTable(arities, np.reshape(doc["probs"], arities))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _weights_or_table(doc: dict):
     if "weights" in doc:
         return weights.weights_from_dict(doc)
-    return _joint_table(doc)
+    return ds.joint_table_from_dict(doc)
+
+
+def _sidecar_arities(doc: dict) -> dict[str, int]:
+    arities = doc["arities"]
+    if not isinstance(arities, dict):
+        raise TypeError(f"'arities' must map names to arities, "
+                        f"got {type(arities).__name__}")
+    return {name: int(m) for name, m in arities.items()}
 
 
 def _load_provider(path: str, arities_path: str | None = None):
     """CSV files become Datasets; JSON files, JointTables."""
     if path.endswith(".json"):
-        return _read_json(path, _joint_table)
+        return _read_json(path, ds.joint_table_from_dict)
     sidecar = None
     if arities_path is not None:
-        sidecar = _read_json(arities_path, lambda doc: doc["arities"])
+        sidecar = _read_json(arities_path, _sidecar_arities)
     return ds.load_dataset(path, arities=sidecar)
 
 
@@ -249,17 +252,16 @@ def eval_cmd(data_path, structure_path, arities_path, display_base, model_out,
 
 
 def _parity_spec(doc: dict):
-    """(biases, realization) of a bias document or a weight-target document."""
+    """(biases, None) of a bias document; (None, realize_weights arguments)
+    of a weight-target document."""
     if "biases" in doc:
         return paritygen.biases_from_dict(doc), None
     if "targets" in doc:
         targets = {
             tuple(entry["vars"]): float(entry["w"]) for entry in doc["targets"]
         }
-        realization = paritygen.realize_weights(
-            targets, n=int(doc["n"]), k=int(doc["k"]),
-            q_grid=int(doc["q_grid"]), scale=doc.get("scale"))
-        return realization.biases, realization
+        return None, dict(targets=targets, n=int(doc["n"]), k=int(doc["k"]),
+                          q_grid=int(doc["q_grid"]), scale=doc.get("scale"))
     raise ValueError("input must contain either a 'biases' or a 'targets' list")
 
 
@@ -272,7 +274,11 @@ def _parity_spec(doc: dict):
 @_guarded
 def gen_parity_cmd(spec_path, cube_limit, out_path):
     """Generate a parity-biased sample from a bias or weight-target file."""
-    tb, realization = _read_json(spec_path, _parity_spec)
+    tb, targets = _read_json(spec_path, _parity_spec)
+    realization = None
+    if targets is not None:
+        realization = paritygen.realize_weights(**targets)
+        tb = realization.biases
     sample = paritygen.generate(tb, cube_limit=cube_limit)
     ds.dump_dataset(sample.dataset, out_path)
     prov = paritygen.biases_to_dict(tb)

@@ -227,15 +227,11 @@ def dump_dataset(data: Dataset, target) -> None:
     writer.writerows(data.rows.tolist())
 
 
-def load_joint_table(source) -> JointTable:
-    """Read a JointTable from JSON: {"arities": [...], "probs": [...]}.
+def joint_table_from_dict(doc: dict) -> JointTable:
+    """Parse a joint table document: {"arities": [...], "probs": [...]}.
 
     ``probs`` is flat row-major with the last variable fastest.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_joint_table(fh)
-    doc = json.load(source)
     arities = tuple(int(a) for a in doc["arities"])
     flat = np.asarray(doc["probs"], dtype=float)
     expect = int(np.prod(arities))
@@ -244,6 +240,14 @@ def load_joint_table(source) -> JointTable:
             f"probs has {flat.size} entries, expected {expect} for {arities}"
         )
     return JointTable(arities, flat.reshape(arities))
+
+
+def load_joint_table(source) -> JointTable:
+    """Read a JointTable from a JSON path or open text stream."""
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as fh:
+            return load_joint_table(fh)
+    return joint_table_from_dict(json.load(source))
 
 
 def _check_scope(scope, n: int) -> tuple[int, ...]:

@@ -119,14 +119,13 @@ class WidthReport:
     oversized_clique: tuple[int, ...] | None = None
 
 
-def _sub_cliques(maximal_cliques, max_size: int | None = None) -> set[tuple[int, ...]]:
-    """Subsets of size 2..max_size of the given cliques, deduplicated."""
-    out: set[tuple[int, ...]] = set()
-    for mc in maximal_cliques:
-        top = len(mc) if max_size is None else min(max_size, len(mc))
-        for size in range(2, top + 1):
-            out.update(itertools.combinations(mc, size))
-    return out
+def _sub_cliques(maximal_cliques):
+    """Subsets of size >= 2 of each given clique, repeats across cliques kept."""
+    return itertools.chain.from_iterable(
+        itertools.combinations(mc, size)
+        for mc in maximal_cliques
+        for size in range(2, len(mc) + 1)
+    )
 
 
 def cliques_of(tree: KTree) -> CliqueSet:
@@ -136,7 +135,10 @@ def cliques_of(tree: KTree) -> CliqueSet:
 
 def ktree_edges(tree: KTree) -> frozenset[tuple[int, int]]:
     """Edge set of the k-tree graph as sorted vertex pairs."""
-    return frozenset(_sub_cliques(tree.maximal_cliques(), 2))
+    edges: set[tuple[int, int]] = set()
+    for mc in tree.maximal_cliques():
+        edges.update(itertools.combinations(mc, 2))
+    return frozenset(edges)
 
 
 def clique_total(maximal_cliques, wf) -> float:
@@ -145,7 +147,10 @@ def clique_total(maximal_cliques, wf) -> float:
     Each clique counts once however many of the given cliques contain it;
     the terms are summed in lexicographic order of the sorted cliques.
     """
-    return float(sum(wf[h] for h in sorted(_sub_cliques(maximal_cliques))))
+    subs = _sub_cliques(maximal_cliques)
+    if len(maximal_cliques) > 1:  # one clique repeats no subset
+        subs = set(subs)
+    return float(sum(wf[h] for h in sorted(subs)))
 
 
 def score(tree: KTree, wf) -> float:

@@ -268,8 +268,15 @@ def test_display_base_two(runner, tmp_path):
      ["gen-parity", "{bad}", "--out", "{out}"], "'n'"),
     ("a.json", json.dumps({"names": {"x0": 2}}),
      ["weights", "{csv}", "--k", "1", "--arities", "{bad}"], "'arities'"),
+    ("a.json", json.dumps({"arities": ["x0"]}),
+     ["weights", "{csv}", "--k", "1", "--arities", "{bad}"], "'arities'"),
+    ("a.json", json.dumps({"arities": {"x0": [2]}}),
+     ["weights", "{csv}", "--k", "1", "--arities", "{bad}"], "int()"),
+    ("jt.json", json.dumps({"arities": [2, 2], "probs": [1.0]}),
+     ["learn", "{bad}", "--k", "1"], "probs"),
 ], ids=["learn-array", "eval-no-seed", "learn-entry-no-w", "gen-parity-no-n",
-        "arities-no-key"])
+        "arities-no-key", "arities-not-object", "arity-not-integer",
+        "joint-table-probs-size"])
 def test_malformed_json_input_is_validation(runner, tmp_path, filename, text,
                                             args, field):
     csv_path = tmp_path / "xor.csv"
