@@ -7,6 +7,10 @@ provenance). Exit codes: 0 success, 2 validation error (including a
 malformed input file, named with the field at fault), 3 guard refusal,
 4 I/O error. All file outputs are in nats; ``--display-base 2`` converts the
 printed summary only.
+
+Only the commands and branches that compute on arrays import ``dataset``,
+``projection`` and ``paritygen`` (and with them NumPy), so ``--help`` and
+``learn`` on a weight file start without it.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ import sys
 
 import click
 
-from . import dataset as ds
-from . import paritygen, projection, solvers, structure, weights
-from .errors import GuardLimitError
+from . import solvers, structure, weights
+from .errors import DEFAULT_CUBE_LIMIT, GuardLimitError
 
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
@@ -75,7 +78,9 @@ def _read_json(path: str, parse):
 def _weights_or_table(doc: dict):
     if "weights" in doc:
         return weights.weights_from_dict(doc)
-    return ds.joint_table_from_dict(doc)
+    from .dataset import joint_table_from_dict
+
+    return joint_table_from_dict(doc)
 
 
 def _sidecar_arities(doc: dict) -> dict[str, int]:
@@ -88,6 +93,8 @@ def _sidecar_arities(doc: dict) -> dict[str, int]:
 
 def _load_provider(path: str, arities_path: str | None = None):
     """CSV files become Datasets; JSON files, JointTables."""
+    from . import dataset as ds
+
     if path.endswith(".json"):
         return _read_json(path, ds.joint_table_from_dict)
     sidecar = None
@@ -192,6 +199,8 @@ def learn_cmd(input_path, k, solver, exact_limit, max_iters, arities_path,
     doc["stats"] = result.stats
     doc["log_base"] = "e"
     if provider is not None:
+        from . import projection
+
         doc["divergence_decomposed"] = projection.divergence_decomposed(
             provider, wf, result.tree)
     else:
@@ -214,6 +223,9 @@ def learn_cmd(input_path, k, solver, exact_limit, max_iters, arities_path,
 def eval_cmd(data_path, structure_path, arities_path, display_base, model_out,
              out_path):
     """Score a structure against data: divergences and log likelihood."""
+    from . import projection
+    from .dataset import Dataset
+
     provider = _load_provider(data_path, arities_path)
     tree = _read_json(structure_path, structure.ktree_from_dict)
     if tree.n != provider.n_vars:
@@ -239,7 +251,7 @@ def eval_cmd(data_path, structure_path, arities_path, display_base, model_out,
         report["note"] = (
             f"divergence_direct omitted: joint not enumerable "
             f"({cells} cells exceeds {projection.JOINT_CELL_GUARD})")
-    if isinstance(provider, ds.Dataset):
+    if isinstance(provider, Dataset):
         ll = projection.log_likelihood(model, provider)
         report["loglik_per_row"] = _json_float(ll / provider.n_rows)
     if model_out is not None:
@@ -254,33 +266,41 @@ def eval_cmd(data_path, structure_path, arities_path, display_base, model_out,
 def _parity_spec(doc: dict):
     """(biases, None) of a bias document; (None, realize_weights arguments)
     of a weight-target document."""
+    from .paritygen import biases_from_dict
+
     if "biases" in doc:
-        return paritygen.biases_from_dict(doc), None
+        return biases_from_dict(doc), None
     if "targets" in doc:
         targets = {
             tuple(entry["vars"]): float(entry["w"]) for entry in doc["targets"]
         }
+        scale = doc.get("scale")
+        if not isinstance(scale, (int, float, type(None))):
+            raise TypeError(f"'scale' must be a number, got {type(scale).__name__}")
         return None, dict(targets=targets, n=int(doc["n"]), k=int(doc["k"]),
-                          q_grid=int(doc["q_grid"]), scale=doc.get("scale"))
+                          q_grid=int(doc["q_grid"]), scale=scale)
     raise ValueError("input must contain either a 'biases' or a 'targets' list")
 
 
 @cli.command("gen-parity")
 @click.argument("spec_path", metavar="BIASES_OR_TARGETS")
-@click.option("--cube-limit", type=POSITIVE, default=paritygen.DEFAULT_CUBE_LIMIT,
+@click.option("--cube-limit", type=POSITIVE, default=DEFAULT_CUBE_LIMIT,
               help="Refuse generation above this variable count.")
 @click.option("--out", "out_path", default="sample.csv",
               help="Sample CSV path; provenance goes next to it.")
 @_guarded
 def gen_parity_cmd(spec_path, cube_limit, out_path):
     """Generate a parity-biased sample from a bias or weight-target file."""
+    from . import paritygen
+    from .dataset import dump_dataset
+
     tb, targets = _read_json(spec_path, _parity_spec)
     realization = None
     if targets is not None:
         realization = paritygen.realize_weights(**targets)
         tb = realization.biases
     sample = paritygen.generate(tb, cube_limit=cube_limit)
-    ds.dump_dataset(sample.dataset, out_path)
+    dump_dataset(sample.dataset, out_path)
     prov = paritygen.biases_to_dict(tb)
     prov["rows"] = sample.dataset.n_rows
     prov["rows_per_block"] = 1 << tb.n

@@ -177,9 +177,12 @@ def load_dataset(source, arities: dict[str, int] | None = None) -> Dataset:
     except StopIteration:
         raise ValueError("empty CSV: missing header row") from None
     names = [h.strip() for h in header]
-    rows = []
+    # Line numbers of skipped empty records: a list per row would cost
+    # memory on every load just to name the line of a rare bad cell.
+    rows, blank = [], []
     for lineno, rec in enumerate(reader, start=2):
         if not rec:
+            blank.append(lineno)
             continue
         if len(rec) != len(names):
             raise ValueError(
@@ -198,7 +201,22 @@ def load_dataset(source, arities: dict[str, int] | None = None) -> Dataset:
         rows.append(vals)
     if not rows:
         raise ValueError("empty CSV body: no data rows")
-    data = np.asarray(rows, dtype=np.int64)
+    try:
+        data = np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        info = np.iinfo(np.int64)
+        row, col, cell = next(
+            (row, col, v)
+            for row, vals in enumerate(rows)
+            for col, v in enumerate(vals)
+            if not info.min <= v <= info.max)
+        lineno = row + 2
+        for b in blank:  # ascending: each blank line up to it shifts it down
+            lineno += b <= lineno
+        raise ValueError(
+            f"line {lineno}, column {names[col]!r}: cell {cell} "
+            f"outside the int64 range"
+        ) from None
     specs = []
     for i, name in enumerate(names):
         observed = int(data[:, i].max()) + 1

@@ -1,4 +1,10 @@
-"""Shared exception types."""
+"""Shared exception types and guard defaults.
+
+Guard defaults live here, beside the error they raise, so the command line
+can show them without importing the modules that enforce them.
+"""
+
+DEFAULT_CUBE_LIMIT = 14
 
 
 class GuardLimitError(RuntimeError):

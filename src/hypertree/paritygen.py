@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, VariableSpec
-from .errors import GuardLimitError
+from .errors import DEFAULT_CUBE_LIMIT, GuardLimitError
 
 __all__ = [
     "TargetBiases",
@@ -43,7 +43,6 @@ __all__ = [
     "load_biases",
 ]
 
-DEFAULT_CUBE_LIMIT = 14
 BIAS_CAP = 1.0 - 1e-12
 
 
@@ -184,10 +183,16 @@ def realize_weights(
     for h, w in targets.items():
         if len(h) != k + 1:
             raise ValueError(f"target subset {h} must have {k + 1} vertices")
+        if len(set(h)) != len(h):
+            raise ValueError(f"target subset {h} repeats a vertex")
+        if h[0] < 0 or h[-1] >= n:
+            raise ValueError(f"target subset {h} outside [0, {n})")
         if not (w >= 0.0 and math.isfinite(w)):
             raise ValueError(f"target weight for {h} must be finite and >= 0")
     n_sets = math.comb(n, k + 1)
     max_w = max(targets.values(), default=0.0)
+    if scale is not None and not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and > 0, got {scale}")
     if scale is None:
         if max_w == 0.0:
             scale = 1.0

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import dataset as ds
-
 __all__ = [
     "WeightFunction",
     "compute_weights",
@@ -84,6 +82,8 @@ def compute_weights(provider, k: int) -> WeightFunction:
     w(h) = -H(h) - sum of w over all proper nonempty subsets of h, so that
     the weights of all nonempty subsets of h telescope to -H(h).
     """
+    from . import dataset as ds  # NumPy, needed only to compute weights
+
     n = provider.n_vars
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1; got k={k}, n={n}")
@@ -147,6 +147,8 @@ def weights_from_dict(doc: dict) -> WeightFunction:
         if h not in w:
             raise ValueError(f"subset {h} outside the size-1..{k + 1} domain")
         w[h] = float(entry["w"])
+        if not math.isfinite(w[h]):
+            raise ValueError(f"weight for subset {h} is not finite: {w[h]}")
     return WeightFunction(k=k, n=n, weights=w)
 
 

@@ -78,6 +78,14 @@ def test_weights_parse_error_is_validation(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def test_csv_cell_outside_int64_is_validation(runner, tmp_path):
+    bad = tmp_path / "huge.csv"
+    bad.write_text("a,b\n0,99999999999999999999\n1,0\n")
+    res = runner.invoke(cli, ["learn", str(bad), "--k", "1"])
+    assert res.exit_code == 2, res.output
+    assert "line 2, column 'b'" in res.output
+
+
 def test_learn_chain_chow_liu_matches_exact(runner, tmp_path):
     csv_path = tmp_path / "chain.csv"
     _write_chain_csv(csv_path)
@@ -236,6 +244,22 @@ def test_gen_parity_guard(runner, tmp_path):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize("extra, vars_, why", [
+    ({}, [0, 1, 9], "outside [0, 4)"),
+    ({}, [0, 1, 1], "repeats a vertex"),
+    ({"scale": 0}, [0, 1, 2], "scale must be finite and > 0"),
+], ids=["vertex-outside", "repeated-vertex", "zero-scale"])
+def test_gen_parity_invalid_targets(runner, tmp_path, extra, vars_, why):
+    tpath = tmp_path / "targets.json"
+    tpath.write_text(json.dumps(dict(
+        k=2, n=4, q_grid=8, targets=[{"vars": vars_, "w": 0.5}], **extra)))
+    out_csv = tmp_path / "sample.csv"
+    res = runner.invoke(cli, ["gen-parity", str(tpath), "--out", str(out_csv)])
+    assert res.exit_code == 2, res.output
+    assert why in res.output
+    assert not out_csv.exists()
+
+
 def test_gen_parity_unknown_schema(runner, tmp_path):
     bpath = tmp_path / "junk.json"
     bpath.write_text(json.dumps({"foo": 1}))
@@ -274,9 +298,16 @@ def test_display_base_two(runner, tmp_path):
      ["weights", "{csv}", "--k", "1", "--arities", "{bad}"], "int()"),
     ("jt.json", json.dumps({"arities": [2, 2], "probs": [1.0]}),
      ["learn", "{bad}", "--k", "1"], "probs"),
+    ("w.json", json.dumps({"k": 1, "n": 3,
+                           "weights": [{"vars": [0, 1], "w": "inf"}]}),
+     ["learn", "{bad}"], "not finite"),
+    ("t.json", json.dumps({"k": 1, "n": 3, "q_grid": 8, "scale": [1],
+                           "targets": [{"vars": [0, 1], "w": 0.5}]}),
+     ["gen-parity", "{bad}", "--out", "{out}"], "'scale' must be a number"),
 ], ids=["learn-array", "eval-no-seed", "learn-entry-no-w", "gen-parity-no-n",
         "arities-no-key", "arities-not-object", "arity-not-integer",
-        "joint-table-probs-size"])
+        "joint-table-probs-size", "learn-weight-not-finite",
+        "gen-parity-scale-not-number"])
 def test_malformed_json_input_is_validation(runner, tmp_path, filename, text,
                                             args, field):
     csv_path = tmp_path / "xor.csv"

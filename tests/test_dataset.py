@@ -63,6 +63,11 @@ def test_load_dataset_errors():
         load_dataset(io.StringIO("a,b\n0,1\n0\n"))
     with pytest.raises(ValueError, match="empty"):
         load_dataset(io.StringIO("a,b\n"))
+    # the blank line 3 is skipped but still counted
+    with pytest.raises(ValueError, match="line 4, column 'b'.*int64"):
+        load_dataset(io.StringIO("a,b\n0,1\n\n1,99999999999999999999\n"))
+    with pytest.raises(ValueError, match="line 2, column 'a'.*int64"):
+        load_dataset(io.StringIO("a,b\n-9223372036854775809,1\n"))
 
 
 def test_variable_spec_validation():

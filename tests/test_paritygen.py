@@ -195,6 +195,19 @@ class TestRealizeWeights:
         with pytest.raises(ValueError):
             realize_weights({(0, 1): -0.5}, n=3, k=1, q_grid=8)
 
+    @pytest.mark.parametrize("subset, why", [
+        ((0, 1, 9), "outside"), ((-1, 0, 1), "outside"),
+        ((0, 1, 1), "repeats"),
+    ])
+    def test_rejects_invalid_target_subsets(self, subset, why):
+        with pytest.raises(ValueError, match=why):
+            realize_weights({subset: 0.5}, n=4, k=2, q_grid=8)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_invalid_scale(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            realize_weights({(0, 1): 0.5}, n=4, k=1, q_grid=8, scale=scale)
+
 
 def test_biases_json_roundtrip(tmp_path):
     tb = TargetBiases(k=2, n=5, q=8, entries={(0, 1, 4): 3, (1, 2, 3): 7})

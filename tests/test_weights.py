@@ -216,6 +216,16 @@ def test_load_external_sparse_weights():
     assert wf[(0,)] == 0.0
 
 
+@pytest.mark.parametrize("w", ['"inf"', '"-inf"', '"nan"', "1e999", "NaN"],
+                         ids=["inf", "minus-inf", "nan", "overflow",
+                              "nan-literal"])
+def test_weight_file_rejects_non_finite(w):
+    doc = io.StringIO(
+        '{"k": 1, "n": 3, "weights": [{"vars": [0, 2], "w": %s}]}' % w)
+    with pytest.raises(ValueError, match=r"subset \(0, 2\) is not finite"):
+        load_weights(doc)
+
+
 def test_compute_weights_k_range():
     rng = np.random.default_rng(9)
     d = random_dataset(rng, 3, 20)
