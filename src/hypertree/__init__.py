@@ -22,14 +22,11 @@ _EXPORTS = {
     "dataset": (
         "Dataset",
         "JointTable",
-        "MarginalTable",
         "VariableSpec",
         "entropy",
         "joint_entropy",
         "load_dataset",
-        "load_joint_table",
         "marginal",
-        "mutual_information",
     ),
     "errors": ("GuardLimitError",),
     "paritygen": (

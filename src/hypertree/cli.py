@@ -240,17 +240,13 @@ def eval_cmd(data_path, structure_path, arities_path, display_base, model_out,
         "score": structure.score(tree, wf),
         "divergence_decomposed": projection.divergence_decomposed(provider, wf, tree),
     }
-    cells = 1
-    for a in provider.arities:
-        cells *= a
-    if cells <= projection.JOINT_CELL_GUARD:
+    try:
         direct = projection.divergence_direct(provider, model)
+    except GuardLimitError as exc:
+        report["note"] = f"divergence_direct omitted: {exc}"
+    else:
         report["divergence_direct"] = direct
         report["identity_residual"] = abs(direct - report["divergence_decomposed"])
-    else:
-        report["note"] = (
-            f"divergence_direct omitted: joint not enumerable "
-            f"({cells} cells exceeds {projection.JOINT_CELL_GUARD})")
     if isinstance(provider, Dataset):
         ll = projection.log_likelihood(model, provider)
         report["loglik_per_row"] = _json_float(ll / provider.n_rows)

@@ -11,7 +11,6 @@ sample size; no smoothing is applied.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,19 +21,14 @@ __all__ = [
     "VariableSpec",
     "Dataset",
     "JointTable",
-    "MarginalTable",
     "load_dataset",
     "dump_dataset",
-    "load_joint_table",
     "marginal",
     "count_table",
     "entropy",
     "scope_entropy",
-    "mutual_information",
     "joint_entropy",
 ]
-
-MI_ZERO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -135,31 +129,6 @@ class JointTable:
         return len(self.arities)
 
 
-@dataclass(frozen=True, eq=False)
-class MarginalTable:
-    """A probability table over a sorted subset of variables."""
-
-    scope: tuple[int, ...]
-    probs: np.ndarray
-
-    def __post_init__(self):
-        scope = tuple(self.scope)
-        object.__setattr__(self, "scope", scope)
-        if not scope:
-            raise ValueError("marginal scope must be nonempty")
-        if any(b <= a for a, b in zip(scope, scope[1:])):
-            raise ValueError(f"scope must be strictly increasing, got {scope}")
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != len(scope):
-            raise ValueError("probs rank must equal scope size")
-        if probs.min() < 0:
-            raise ValueError("marginal entries must be nonnegative")
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"marginal sums to {total}, expected 1")
-        object.__setattr__(self, "probs", probs)
-
-
 def load_dataset(source, arities: dict[str, int] | None = None) -> Dataset:
     """Read a Dataset from CSV text (path or open text stream).
 
@@ -167,6 +136,8 @@ def load_dataset(source, arities: dict[str, int] | None = None) -> Dataset:
     outcome codes. Arities are inferred as max(observed code + 1, 2) unless
     ``arities`` supplies an explicit value for a column, in which case codes
     must stay below it (declared arities permit never-observed outcomes).
+    Every name in ``arities`` must be a column of the header. Errors name
+    the 1-based file line, counting blank lines.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
@@ -177,6 +148,11 @@ def load_dataset(source, arities: dict[str, int] | None = None) -> Dataset:
     except StopIteration:
         raise ValueError("empty CSV: missing header row") from None
     names = [h.strip() for h in header]
+    if arities is not None:
+        unknown = sorted(set(arities) - set(names))
+        if unknown:
+            raise ValueError(f"arities given for columns not in the header: "
+                             f"{unknown}")
     # Line numbers of skipped empty records: a list per row would cost
     # memory on every load just to name the line of a rare bad cell.
     rows, blank = [], []
@@ -201,6 +177,13 @@ def load_dataset(source, arities: dict[str, int] | None = None) -> Dataset:
         rows.append(vals)
     if not rows:
         raise ValueError("empty CSV body: no data rows")
+
+    def line_of(row: int) -> int:
+        lineno = row + 2
+        for b in blank:  # ascending: each blank line up to it shifts it down
+            lineno += b <= lineno
+        return lineno
+
     try:
         data = np.asarray(rows, dtype=np.int64)
     except OverflowError:
@@ -210,27 +193,26 @@ def load_dataset(source, arities: dict[str, int] | None = None) -> Dataset:
             for row, vals in enumerate(rows)
             for col, v in enumerate(vals)
             if not info.min <= v <= info.max)
-        lineno = row + 2
-        for b in blank:  # ascending: each blank line up to it shifts it down
-            lineno += b <= lineno
         raise ValueError(
-            f"line {lineno}, column {names[col]!r}: cell {cell} "
+            f"line {line_of(row)}, column {names[col]!r}: cell {cell} "
             f"outside the int64 range"
         ) from None
     specs = []
     for i, name in enumerate(names):
-        observed = int(data[:, i].max()) + 1
+        col = data[:, i]
+        observed = int(col.max()) + 1
         if arities is not None and name in arities:
-            declared = int(arities[name])
-            if observed > declared:
-                bad = int(np.argmax(data[:, i] >= declared))
-                raise ValueError(
-                    f"row {bad}, column {name!r}: outcome "
-                    f"{int(data[bad, i])} >= declared arity {declared}"
-                )
-            specs.append(VariableSpec(name, declared))
+            arity = int(arities[name])
         else:
-            specs.append(VariableSpec(name, max(observed, 2)))
+            arity = max(observed, 2)
+        if col.min() < 0 or observed > arity:
+            row = int(np.argmax((col < 0) | (col >= arity)))
+            code = int(col[row])
+            why = (f">= declared arity {arity}" if code >= 0
+                   else f"outside [0, {arity})")
+            raise ValueError(
+                f"line {line_of(row)}, column {name!r}: outcome {code} {why}")
+        specs.append(VariableSpec(name, arity))
     return Dataset(tuple(specs), data)
 
 
@@ -252,20 +234,12 @@ def joint_table_from_dict(doc: dict) -> JointTable:
     """
     arities = tuple(int(a) for a in doc["arities"])
     flat = np.asarray(doc["probs"], dtype=float)
-    expect = int(np.prod(arities))
+    expect = math.prod(arities)
     if flat.size != expect:
         raise ValueError(
             f"probs has {flat.size} entries, expected {expect} for {arities}"
         )
     return JointTable(arities, flat.reshape(arities))
-
-
-def load_joint_table(source) -> JointTable:
-    """Read a JointTable from a JSON path or open text stream."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_joint_table(fh)
-    return joint_table_from_dict(json.load(source))
 
 
 def _check_scope(scope, n: int) -> tuple[int, ...]:
@@ -288,42 +262,27 @@ def count_table(data: Dataset, scope) -> np.ndarray:
     return counts.reshape(dims)
 
 
-def marginal(provider, scope) -> MarginalTable:
-    """Exact marginal distribution of a Dataset or JointTable over a scope."""
+def marginal(provider, scope) -> np.ndarray:
+    """Exact marginal distribution of a Dataset or JointTable over a sorted
+    scope, as a probability array shaped by the scope's arities."""
     if isinstance(provider, Dataset):
-        scope = _check_scope(scope, provider.n_vars)
-        probs = count_table(provider, scope) / provider.n_rows
-    elif isinstance(provider, JointTable):
+        return count_table(provider, scope) / provider.n_rows
+    if isinstance(provider, JointTable):
         scope = _check_scope(scope, provider.n_vars)
         drop = tuple(i for i in range(provider.n_vars) if i not in scope)
-        probs = provider.probs.sum(axis=drop) if drop else provider.probs
-    else:
-        raise TypeError(f"not a marginal provider: {type(provider).__name__}")
-    return MarginalTable(scope, probs)
+        return provider.probs.sum(axis=drop) if drop else provider.probs
+    raise TypeError(f"not a marginal provider: {type(provider).__name__}")
 
 
-def entropy(table: MarginalTable) -> float:
-    """Shannon entropy of a marginal table in nats (0*ln 0 = 0)."""
-    p = table.probs[table.probs > 0]
+def entropy(probs: np.ndarray) -> float:
+    """Shannon entropy of a probability array in nats (0*ln 0 = 0)."""
+    p = probs[probs > 0]
     return float(-(p * np.log(p)).sum())
 
 
 def scope_entropy(provider, scope) -> float:
     """Entropy of the marginal over a scope, in nats."""
     return entropy(marginal(provider, scope))
-
-
-def mutual_information(provider, u: int, v: int) -> float:
-    """I(X_u; X_v) = H(u) + H(v) - H(u, v), clamped to 0 near zero."""
-    if u == v:
-        raise ValueError("mutual information requires two distinct variables")
-    lo, hi = min(u, v), max(u, v)
-    val = (
-        scope_entropy(provider, (lo,))
-        + scope_entropy(provider, (hi,))
-        - scope_entropy(provider, (lo, hi))
-    )
-    return 0.0 if abs(val) <= MI_ZERO_TOL else val
 
 
 def joint_entropy(provider) -> float:
@@ -335,9 +294,7 @@ def joint_entropy(provider) -> float:
     """
     if isinstance(provider, Dataset):
         _, counts = np.unique(provider.rows, axis=0, return_counts=True)
-        p = counts / provider.n_rows
-        return float(-(p * np.log(p)).sum())
+        return entropy(counts / provider.n_rows)
     if isinstance(provider, JointTable):
-        p = provider.probs[provider.probs > 0]
-        return float(-(p * np.log(p)).sum())
+        return entropy(provider.probs)
     raise TypeError(f"not a marginal provider: {type(provider).__name__}")

@@ -19,10 +19,8 @@ subset's parity never disturbs the rest.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -39,8 +37,6 @@ __all__ = [
     "realize_weights",
     "biases_to_dict",
     "biases_from_dict",
-    "dump_biases",
-    "load_biases",
 ]
 
 BIAS_CAP = 1.0 - 1e-12
@@ -250,19 +246,3 @@ def biases_from_dict(doc: dict) -> TargetBiases:
             tuple(entry["vars"]): int(entry["p"]) for entry in doc["biases"]
         },
     )
-
-
-def dump_biases(tb: TargetBiases, target) -> None:
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8") as fh:
-            dump_biases(tb, fh)
-        return
-    json.dump(biases_to_dict(tb), target, indent=2)
-    target.write("\n")
-
-
-def load_biases(source) -> TargetBiases:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_biases(fh)
-    return biases_from_dict(json.load(source))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import dataset as ds
 from .errors import GuardLimitError
-from .structure import KTree, cliques_of, ktree_from_dict, ktree_to_dict, score
+from .structure import KTree, cliques_of, ktree_to_dict, score
 
 __all__ = [
     "NEG_INFINITY",
@@ -35,9 +36,7 @@ __all__ = [
     "divergence_decomposed",
     "divergence_direct",
     "model_to_dict",
-    "model_from_dict",
     "dump_model",
-    "load_model",
 ]
 
 NEG_INFINITY = float("-inf")
@@ -76,21 +75,21 @@ def project(provider, tree: KTree) -> ProjectedModel:
         raise ValueError(f"tree spans {tree.n} vertices, provider has {n}")
     factors: dict[tuple[int, ...], np.ndarray] = {}
     for h in _all_cliques_with_singletons(tree):
-        mt = ds.marginal(provider, h)
-        shape = mt.probs.shape
+        probs = ds.marginal(provider, h)
+        shape = probs.shape
         denom = np.ones(shape)
         for size in range(1, len(h)):
             for sub in itertools.combinations(h, size):
                 denom = denom * factors[sub].reshape(
                     _broadcast_shape(sub, h, shape)
                 )
-        pos = mt.probs > 0
+        pos = probs > 0
         if np.any(pos & (denom == 0)):
             raise RuntimeError(
                 f"inconsistent marginals: zero sub-factor under a positive "
                 f"marginal in clique {h}"
             )
-        phi = np.where(pos, mt.probs / np.where(denom == 0, 1.0, denom), 0.0)
+        phi = np.where(pos, probs / np.where(denom == 0, 1.0, denom), 0.0)
         factors[h] = phi
     return ProjectedModel(
         tree=tree,
@@ -100,12 +99,11 @@ def project(provider, tree: KTree) -> ProjectedModel:
 
 
 def model_joint(model: ProjectedModel, cell_guard: int = JOINT_CELL_GUARD) -> np.ndarray:
-    """Full joint table of the model (small n only)."""
-    cells = int(np.prod(model.arities))
+    """Full joint table of the model; refuses more than cell_guard cells."""
+    cells = math.prod(model.arities)
     if cells > cell_guard:
         raise GuardLimitError(
-            f"joint enumeration refused: {cells} cells exceeds guard {cell_guard}"
-        )
+            f"joint not enumerable ({cells} cells exceeds {cell_guard})")
     n = len(model.arities)
     table = np.ones(model.arities)
     for h, phi in model.factors.items():
@@ -155,23 +153,18 @@ def divergence_direct(provider, model: ProjectedModel,
                       cell_guard: int = JOINT_CELL_GUARD) -> float:
     """Direct KL divergence from the target to the projected model.
 
-    Enumerates the full joint, so it is guarded; serves as the oracle for
-    divergence_decomposed.
+    Enumerates the full joint, so it is guarded by ``model_joint``; serves
+    as the oracle for divergence_decomposed.
     """
     arities = tuple(provider.arities)
     if arities != model.arities:
         raise ValueError("provider and model arities differ")
-    cells = int(np.prod(arities))
-    if cells > cell_guard:
-        raise GuardLimitError(
-            f"joint enumeration refused: {cells} cells exceeds guard {cell_guard}"
-        )
+    phat = model_joint(model, cell_guard)
     if isinstance(provider, ds.JointTable):
         target = provider.probs
     else:
         target = np.zeros(arities)
         np.add.at(target, tuple(provider.rows.T), 1.0 / provider.n_rows)
-    phat = model_joint(model, cell_guard)
     mask = target > 0
     if np.any(phat[mask] == 0):
         raise RuntimeError("model assigns zero probability inside the target support")
@@ -190,17 +183,6 @@ def model_to_dict(model: ProjectedModel) -> dict:
     return doc
 
 
-def model_from_dict(doc: dict) -> ProjectedModel:
-    tree = ktree_from_dict(doc)
-    arities = tuple(int(a) for a in doc["arities"])
-    factors: dict[tuple[int, ...], np.ndarray] = {}
-    for entry in doc["factors"]:
-        h = tuple(int(v) for v in entry["vars"])
-        shape = tuple(arities[i] for i in h)
-        factors[h] = np.asarray(entry["table"], dtype=float).reshape(shape)
-    return ProjectedModel(tree=tree, arities=arities, factors=factors)
-
-
 def dump_model(model: ProjectedModel, target) -> None:
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8") as fh:
@@ -208,10 +190,3 @@ def dump_model(model: ProjectedModel, target) -> None:
         return
     json.dump(model_to_dict(model), target, indent=2)
     target.write("\n")
-
-
-def load_model(source) -> ProjectedModel:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_model(fh)
-    return model_from_dict(json.load(source))

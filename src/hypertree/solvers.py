@@ -79,8 +79,6 @@ def chow_liu(wf) -> SolverResult:
         raise ValueError(f"chow_liu requires a k=1 weight function, got k={wf.k}")
     t0 = time.perf_counter()
     n = wf.n
-    if n == 1:
-        return _result(KTree(k=1, n=1, seed=(0,)), wf, "chow_liu", t0, 0, 0)
     edges = sorted(itertools.combinations(range(n), 2),
                    key=lambda e: (-wf[e], e))
     dsu = _DSU(n)
@@ -92,29 +90,8 @@ def chow_liu(wf) -> SolverResult:
             chosen.append((u, v))
             if len(chosen) == n - 1:
                 break
-    return _result(_tree_from_edges(chosen, n), wf, "chow_liu", t0, examined,
-                   len(chosen))
-
-
-def _tree_from_edges(edges: list[tuple[int, int]], n: int) -> KTree:
-    """Deterministic 1-tree encoding of a spanning tree edge list."""
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seed = min(edges)
-    placed = set(seed)
-    attachments = []
-    while len(placed) < n:
-        for v in range(n):
-            if v in placed:
-                continue
-            touching = adj[v] & placed
-            if touching:
-                attachments.append((v, (min(touching),)))
-                placed.add(v)
-                break
-    return KTree(k=1, n=n, seed=seed, attachments=tuple(attachments))
+    return _result(ktree_from_graph(chosen, 1, n), wf, "chow_liu", t0,
+                   examined, len(chosen))
 
 
 def exact_search(wf, exact_limit: int | None = None) -> SolverResult:

@@ -29,7 +29,6 @@ __all__ = [
     "ktree_from_graph",
     "ktree_to_dict",
     "ktree_from_dict",
-    "dump_ktree",
     "load_ktree",
 ]
 
@@ -335,15 +334,6 @@ def ktree_from_dict(doc: dict) -> KTree:
             (int(a["v"]), tuple(a["anchor"])) for a in doc.get("attachments", [])
         ),
     )
-
-
-def dump_ktree(tree: KTree, target) -> None:
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8") as fh:
-            dump_ktree(tree, fh)
-        return
-    json.dump(ktree_to_dict(tree), target, indent=2)
-    target.write("\n")
 
 
 def load_ktree(source) -> KTree:

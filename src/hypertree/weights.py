@@ -27,7 +27,6 @@ __all__ = [
     "attachment_gain",
     "weights_to_dict",
     "weights_from_dict",
-    "dump_weights",
     "load_weights",
 ]
 
@@ -150,16 +149,6 @@ def weights_from_dict(doc: dict) -> WeightFunction:
         if not math.isfinite(w[h]):
             raise ValueError(f"weight for subset {h} is not finite: {w[h]}")
     return WeightFunction(k=k, n=n, weights=w)
-
-
-def dump_weights(wf: WeightFunction, target) -> None:
-    """Write a weight dump as JSON to a path or open text stream."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8") as fh:
-            dump_weights(wf, fh)
-        return
-    json.dump(weights_to_dict(wf), target, indent=2)
-    target.write("\n")
 
 
 def load_weights(source) -> WeightFunction:

@@ -13,6 +13,8 @@ from hypertree.dataset import Dataset, JointTable, VariableSpec, scope_entropy
 from hypertree.structure import KTree
 from hypertree.weights import WeightFunction
 
+MI_ZERO_TOL = 1e-12
+
 
 def weight_inclusion_exclusion(provider, h) -> float:
     """A clique weight as an alternating entropy sum over subsets of h.
@@ -29,6 +31,19 @@ def weight_inclusion_exclusion(provider, h) -> float:
         for hp in itertools.combinations(h, size):
             total -= sign * scope_entropy(provider, hp)
     return total
+
+
+def mutual_information(provider, u: int, v: int) -> float:
+    """I(X_u; X_v) = H(u) + H(v) - H(u, v), clamped to 0 near zero."""
+    if u == v:
+        raise ValueError("mutual information requires two distinct variables")
+    lo, hi = min(u, v), max(u, v)
+    val = (
+        scope_entropy(provider, (lo,))
+        + scope_entropy(provider, (hi,))
+        - scope_entropy(provider, (lo, hi))
+    )
+    return 0.0 if abs(val) <= MI_ZERO_TOL else val
 
 
 def random_dataset(rng, n, t, arities=None):

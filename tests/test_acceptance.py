@@ -144,7 +144,7 @@ def test_criterion_4_projection_correctness():
             for h in cliques_of(tree).cliques:
                 axes = tuple(i for i in range(n) if i not in h)
                 got = joint.sum(axis=axes) if axes else joint
-                target = marginal(jt, h).probs
+                target = marginal(jt, h)
                 assert np.max(np.abs(got - target)) <= 1e-10
 
 

@@ -86,6 +86,17 @@ def test_csv_cell_outside_int64_is_validation(runner, tmp_path):
     assert "line 2, column 'b'" in res.output
 
 
+def test_sidecar_unknown_column_is_validation(runner, tmp_path):
+    csv_path = tmp_path / "xor.csv"
+    _write_xor_csv(csv_path)
+    sidecar = tmp_path / "arities.json"
+    sidecar.write_text(json.dumps({"arities": {"zzz": 3}}))
+    res = runner.invoke(cli, ["weights", str(csv_path), "--k", "1",
+                              "--arities", str(sidecar)])
+    assert res.exit_code == 2, res.output
+    assert "not in the header: ['zzz']" in res.output
+
+
 def test_learn_chain_chow_liu_matches_exact(runner, tmp_path):
     csv_path = tmp_path / "chain.csv"
     _write_chain_csv(csv_path)

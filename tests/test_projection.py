@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,18 +9,23 @@ from hypertree.dataset import Dataset, JointTable, VariableSpec, marginal
 from hypertree.errors import GuardLimitError
 from hypertree.projection import (
     NEG_INFINITY,
+    ProjectedModel,
     divergence_decomposed,
     divergence_direct,
     dump_model,
-    load_model,
     log_likelihood,
-    model_from_dict,
     model_joint,
-    model_to_dict,
     project,
 )
 from hypertree.solvers import exact_search
-from hypertree.structure import KTree, cliques_of, ktree_edges, score
+from hypertree.structure import (
+    KTree,
+    cliques_of,
+    ktree_edges,
+    ktree_from_dict,
+    ktree_from_graph,
+    score,
+)
 from hypertree.weights import compute_weights
 
 from oracles import (
@@ -62,10 +68,10 @@ def test_chain_factorization_matches_conditionals():
     path = KTree(k=1, n=3, seed=(0, 1), attachments=((2, (1,)),))
     m = project(jt, path)
     joint = model_joint(m)
-    p0 = marginal(jt, (0,)).probs
-    p01 = marginal(jt, (0, 1)).probs
-    p12 = marginal(jt, (1, 2)).probs
-    p1 = marginal(jt, (1,)).probs
+    p0 = marginal(jt, (0,))
+    p01 = marginal(jt, (0, 1))
+    p12 = marginal(jt, (1, 2))
+    p1 = marginal(jt, (1,))
     for a, b, c in itertools.product(range(2), repeat=3):
         expect = p0[a] * (p01[a, b] / p0[a]) * (p12[b, c] / p1[b])
         assert joint[a, b, c] == pytest.approx(expect, abs=1e-12)
@@ -80,7 +86,7 @@ def test_factor_reconstruction_identity():
     t = random_ktree(rng, 4, 2)
     m = project(jt, t)
     for h in cliques_of(t).cliques:
-        target = marginal(jt, h).probs
+        target = marginal(jt, h)
         rebuilt = np.ones_like(target)
         for size in range(1, len(h) + 1):
             for sub in itertools.combinations(h, size):
@@ -184,7 +190,7 @@ def test_clique_marginals_match_and_normalize():
         for h in cliques_of(t).cliques:
             axes = tuple(i for i in range(n) if i not in h)
             got = joint.sum(axis=axes) if axes else joint
-            assert np.max(np.abs(got - marginal(jt, h).probs)) <= 1e-10
+            assert np.max(np.abs(got - marginal(jt, h))) <= 1e-10
 
 
 def test_log_likelihood_training_identity():
@@ -262,7 +268,6 @@ def test_likelihood_divergence_duality():
     scores = brute_ktree_scores(wf)
     best_by_score = max(scores.values())
     divs = {}
-    from hypertree.structure import ktree_from_graph
     for edges, sc in scores.items():
         t = ktree_from_graph(sorted(edges), k=2, n=5)
         divs[edges] = divergence_decomposed(jt, wf, t)
@@ -281,6 +286,16 @@ def test_divergence_direct_guard():
         divergence_direct(d, m, cell_guard=8)
 
 
+def test_divergence_direct_guard_counts_cells_exactly():
+    # 2**64 cells must not wrap around to 0 and slip past the guard
+    rng = np.random.default_rng(11)
+    d = random_dataset(rng, 64, 10, arities=[2] * 64)
+    t = ktree_from_graph([(v, v + 1) for v in range(63)], 1, 64)
+    m = project(d, t)
+    with pytest.raises(GuardLimitError, match="18446744073709551616 cells"):
+        divergence_direct(d, m)
+
+
 def test_model_json_roundtrip(tmp_path):
     rng = np.random.default_rng(10)
     d = random_dataset(rng, 3, 30, arities=[2, 3, 2])
@@ -288,7 +303,16 @@ def test_model_json_roundtrip(tmp_path):
     m = project(d, t)
     path = tmp_path / "model.json"
     dump_model(m, path)
-    back = load_model(path)
+    doc = json.loads(path.read_text())
+    back = ProjectedModel(
+        tree=ktree_from_dict(doc),
+        arities=tuple(doc["arities"]),
+        factors={
+            tuple(e["vars"]): np.asarray(e["table"]).reshape(
+                [doc["arities"][i] for i in e["vars"]])
+            for e in doc["factors"]
+        },
+    )
     assert back.tree == m.tree
     assert back.arities == m.arities
     for h, phi in m.factors.items():
