@@ -75,12 +75,16 @@ def _read_json(path: str, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _weights_or_table(doc: dict):
-    if "weights" in doc:
-        return weights.weights_from_dict(doc)
+def _joint_table(doc: dict):
     from .dataset import joint_table_from_dict
 
     return joint_table_from_dict(doc)
+
+
+def _weights_or_table(doc: dict):
+    if "weights" in doc:
+        return weights.weights_from_dict(doc)
+    return _joint_table(doc)
 
 
 def _sidecar_arities(doc: dict) -> dict[str, int]:
@@ -91,12 +95,19 @@ def _sidecar_arities(doc: dict) -> dict[str, int]:
     return {name: int(m) for name, m in arities.items()}
 
 
-def _load_provider(path: str, arities_path: str | None = None):
-    """CSV files become Datasets; JSON files, JointTables."""
+def _load_input(path: str, arities_path: str | None, parse_json=_joint_table):
+    """CSV files become Datasets; JSON files are converted by parse_json.
+
+    Only CSV data takes an ``--arities`` sidecar; a JSON input carries its
+    own domain, so a sidecar given with one is refused.
+    """
+    if path.endswith(".json"):
+        if arities_path is not None:
+            raise ValueError(f"--arities applies to CSV data only; {path} is a "
+                             "JSON input")
+        return _read_json(path, parse_json)
     from . import dataset as ds
 
-    if path.endswith(".json"):
-        return _read_json(path, ds.joint_table_from_dict)
     sidecar = None
     if arities_path is not None:
         sidecar = _read_json(arities_path, _sidecar_arities)
@@ -138,7 +149,7 @@ def cli():
 @_guarded
 def weights_cmd(data_path, k, arities_path, display_base, out_path):
     """Compute clique weights for all vertex subsets of size 1..k+1."""
-    provider = _load_provider(data_path, arities_path)
+    provider = _load_input(data_path, arities_path)
     wf = weights.compute_weights(provider, k)
     _write_json(weights.weights_to_dict(wf), out_path)
     if out_path is not None:
@@ -168,9 +179,7 @@ def weights_cmd(data_path, k, arities_path, display_base, out_path):
 def learn_cmd(input_path, k, solver, exact_limit, max_iters, arities_path,
               display_base, out_path):
     """Find a high-weight width-k structure for data or a weight file."""
-    source = None  # a JSON input: weight function or joint table
-    if input_path.endswith(".json"):
-        source = _read_json(input_path, _weights_or_table)
+    source = _load_input(input_path, arities_path, _weights_or_table)
     if isinstance(source, weights.WeightFunction):
         wf, provider = source, None
         if k is not None and k != wf.k:
@@ -179,8 +188,6 @@ def learn_cmd(input_path, k, solver, exact_limit, max_iters, arities_path,
         if k is None:
             raise ValueError("--k is required when learning from data")
         provider = source
-        if provider is None:
-            provider = _load_provider(input_path, arities_path)
         wf = weights.compute_weights(provider, k)
 
     if solver == "chow_liu":
@@ -226,7 +233,7 @@ def eval_cmd(data_path, structure_path, arities_path, display_base, model_out,
     from . import projection
     from .dataset import Dataset
 
-    provider = _load_provider(data_path, arities_path)
+    provider = _load_input(data_path, arities_path)
     tree = _read_json(structure_path, structure.ktree_from_dict)
     if tree.n != provider.n_vars:
         raise ValueError(

@@ -11,6 +11,7 @@ class GuardLimitError(RuntimeError):
     """Raised when an operation would exceed a configured size guard.
 
     Guards protect against exponential blowups (exact search on too many
-    vertices, full-joint enumeration over too many cells, parity cubes that
-    are too wide). The limits can be raised explicitly by the caller.
+    vertices, full-joint enumeration over too many cells, parity samples
+    with too many rows). The exact-search and cube limits can be raised
+    explicitly by the caller.
     """

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 BIAS_CAP = 1.0 - 1e-12
+SAMPLE_CELL_GUARD = 2 ** 27  # rows x variables of the pooled sample: 1 GiB of int64
 
 
 @dataclass(frozen=True)
@@ -137,11 +138,20 @@ def generate(tb: TargetBiases, cube_limit: int = DEFAULT_CUBE_LIMIT) -> ParitySa
     blocks of 2^n rows: q - p_h full cubes and p_h odd-parity slices (each
     odd vector twice). Pooling keeps every marginal of size <= k exactly
     uniform and gives parity of h the exact bias (p_h / q) / C(n, k+1).
+    Refuses before allocating when n exceeds cube_limit or the sample would
+    hold more than SAMPLE_CELL_GUARD cells.
     """
     if tb.n > cube_limit:
         raise GuardLimitError(
             f"parity generation refused: n={tb.n} exceeds cube limit "
             f"{cube_limit} (blocks have 2^n rows)"
+        )
+    rows = math.comb(tb.n, tb.k + 1) * tb.q << tb.n
+    if rows * tb.n > SAMPLE_CELL_GUARD:
+        raise GuardLimitError(
+            f"parity generation refused: {rows} rows x n={tb.n} is "
+            f"{rows * tb.n * 8} bytes of int64, over the limit of "
+            f"{SAMPLE_CELL_GUARD * 8} bytes"
         )
     cube = _cube(tb.n)
     blocks: list[np.ndarray] = []

@@ -98,12 +98,12 @@ def project(provider, tree: KTree) -> ProjectedModel:
     )
 
 
-def model_joint(model: ProjectedModel, cell_guard: int = JOINT_CELL_GUARD) -> np.ndarray:
-    """Full joint table of the model; refuses more than cell_guard cells."""
+def model_joint(model: ProjectedModel) -> np.ndarray:
+    """Full joint table of the model; refuses more than JOINT_CELL_GUARD cells."""
     cells = math.prod(model.arities)
-    if cells > cell_guard:
+    if cells > JOINT_CELL_GUARD:
         raise GuardLimitError(
-            f"joint not enumerable ({cells} cells exceeds {cell_guard})")
+            f"joint not enumerable ({cells} cells exceeds {JOINT_CELL_GUARD})")
     n = len(model.arities)
     table = np.ones(model.arities)
     for h, phi in model.factors.items():
@@ -149,8 +149,7 @@ def divergence_decomposed(provider, wf, tree: KTree) -> float:
     return float(base - score(tree, wf))
 
 
-def divergence_direct(provider, model: ProjectedModel,
-                      cell_guard: int = JOINT_CELL_GUARD) -> float:
+def divergence_direct(provider, model: ProjectedModel) -> float:
     """Direct KL divergence from the target to the projected model.
 
     Enumerates the full joint, so it is guarded by ``model_joint``; serves
@@ -159,7 +158,7 @@ def divergence_direct(provider, model: ProjectedModel,
     arities = tuple(provider.arities)
     if arities != model.arities:
         raise ValueError("provider and model arities differ")
-    phat = model_joint(model, cell_guard)
+    phat = model_joint(model)
     if isinstance(provider, ds.JointTable):
         target = provider.probs
     else:

@@ -9,6 +9,7 @@ All solvers are deterministic under fixed tie-breaking.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -50,30 +51,14 @@ def _result(tree: KTree, wf, method: str, t0: float, nodes_explored: int,
     return SolverResult(tree, score(tree, wf), method, stats)
 
 
-class _DSU:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 def chow_liu(wf) -> SolverResult:
     """Maximum-weight spanning tree over the pair weights (k=1 only).
 
     Greedy forest merge over all vertex pairs sorted by descending weight,
-    ties broken by the lexicographically smallest edge. Zero- or
-    negative-weight edges are still used where needed to span.
+    ties broken by the lexicographically smallest edge. Each vertex carries
+    a component label, and an accepted edge relabels one of the two
+    components. Zero- or negative-weight edges are still used where needed
+    to span.
     """
     if wf.k != 1:
         raise ValueError(f"chow_liu requires a k=1 weight function, got k={wf.k}")
@@ -81,12 +66,14 @@ def chow_liu(wf) -> SolverResult:
     n = wf.n
     edges = sorted(itertools.combinations(range(n), 2),
                    key=lambda e: (-wf[e], e))
-    dsu = _DSU(n)
+    component = list(range(n))
     chosen: list[tuple[int, int]] = []
     examined = 0
     for u, v in edges:
         examined += 1
-        if dsu.union(u, v):
+        cu, cv = component[u], component[v]
+        if cu != cv:
+            component = [cu if c == cv else c for c in component]
             chosen.append((u, v))
             if len(chosen) == n - 1:
                 break
@@ -102,9 +89,11 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
     to. The best arrangement of a remaining vertex set below a given clique
     decomposes by which vertices share the subtree of the lowest remaining
     vertex, giving a dynamic program over (clique, vertex-bitmask) states.
-    The optimum is reconstructed by replaying stored choices; ties fall to
-    the first optimum in a fixed scan order (seeds and anchors
-    lexicographic, vertices ascending).
+    Two ``functools.cache`` functions hold the states, each caching its
+    value together with its best choice; the optimum is reconstructed by
+    replaying those choices, and ``nodes_explored`` counts the cached
+    states. Ties fall to the first optimum in a fixed scan order (seeds and
+    anchors lexicographic, vertices ascending).
     """
     n, k = wf.n, wf.k
     limit = default_exact_limit(k) if exact_limit is None else exact_limit
@@ -117,80 +106,51 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
     if n <= k + 1:
         return _result(KTree(k=k, n=n, seed=tuple(range(n))), wf, "exact", t0, 1, 0)
 
-    gain: dict[tuple[int, tuple[int, ...]], float] = {}
-    for anchor in itertools.combinations(range(n), k):
-        aset = set(anchor)
-        for v in range(n):
-            if v not in aset:
-                gain[(v, anchor)] = attachment_gain(wf, v, anchor)
+    gain = functools.cache(functools.partial(attachment_gain, wf))
 
-    ksubs_cache: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-
-    def ksubs(clique: tuple[int, ...]) -> list[tuple[int, ...]]:
-        got = ksubs_cache.get(clique)
-        if got is None:
-            got = list(itertools.combinations(clique, k))
-            ksubs_cache[clique] = got
-        return got
-
-    # best_forest[(C, R)]: max gain from hanging all vertices of bitmask R in
-    # subtrees below clique C. best_subtree[(C, R)]: same but as one subtree
-    # whose root vertex is anchored to a k-subset of C.
-    best_forest: dict[tuple[tuple[int, ...], int], float] = {}
-    forest_choice: dict[tuple[tuple[int, ...], int], int] = {}
-    best_subtree: dict[tuple[tuple[int, ...], int], float] = {}
-    subtree_choice: dict[tuple[tuple[int, ...], int], tuple[int, tuple[int, ...]]] = {}
-
-    def solve_subtree(clique: tuple[int, ...], rmask: int) -> float:
-        key = (clique, rmask)
-        got = best_subtree.get(key)
-        if got is not None:
-            return got
-        best = None
-        choice = None
+    # subtree(C, R): best (gain, (v, anchor)) for hanging all vertices of the
+    # nonempty bitmask R as one subtree whose root v is anchored to a
+    # k-subset of clique C. forest(C, R): best (gain, R1) for hanging R as
+    # subtrees below C, where R1 is the part that shares the subtree of R's
+    # lowest vertex. Neither is called with an empty R, so the two cache
+    # sizes count the DP states.
+    @functools.cache
+    def subtree(clique: tuple[int, ...], rmask: int):
+        best = choice = None
+        anchors = list(itertools.combinations(clique, k))
         for v in _bits(rmask):
             rest = rmask & ~(1 << v)
-            for s in ksubs(clique):
-                child = tuple(sorted(s + (v,)))
-                val = gain[(v, s)] + solve_forest(child, rest)
+            for s in anchors:
+                val = gain(v, s)
+                if rest:
+                    val += forest(tuple(sorted(s + (v,))), rest)[0]
                 if best is None or val > best:
-                    best = val
-                    choice = (v, s)
-        best_subtree[key] = best
-        subtree_choice[key] = choice
-        return best
+                    best, choice = val, (v, s)
+        return best, choice
 
-    def solve_forest(clique: tuple[int, ...], rmask: int) -> float:
-        if rmask == 0:
-            return 0.0
-        key = (clique, rmask)
-        got = best_forest.get(key)
-        if got is not None:
-            return got
+    @functools.cache
+    def forest(clique: tuple[int, ...], rmask: int):
         low = rmask & -rmask
         rest = rmask ^ low
-        best = None
-        choice = None
+        best = choice = None
         sub = rest
         while True:
             r1 = sub | low
-            val = solve_subtree(clique, r1) + solve_forest(clique, rmask ^ r1)
+            val = subtree(clique, r1)[0]
+            if r1 != rmask:
+                val += forest(clique, rmask ^ r1)[0]
             if best is None or val > best:
-                best = val
-                choice = r1
+                best, choice = val, r1
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-        best_forest[key] = best
-        forest_choice[key] = choice
-        return best
+        return best, choice
 
     full = (1 << n) - 1
     best_total = None
     best_seed = None
     for seed in itertools.combinations(range(n), k + 1):
-        rmask = full ^ _mask(seed)
-        val = clique_total((seed,), wf) + solve_forest(seed, rmask)
+        val = clique_total((seed,), wf) + forest(seed, full ^ _mask(seed))[0]
         if best_total is None or val > best_total:
             best_total = val
             best_seed = seed
@@ -200,15 +160,14 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
     while stack:
         clique, rmask = stack.pop()
         while rmask:
-            r1 = forest_choice[(clique, rmask)]
-            v, s = subtree_choice[(clique, r1)]
+            r1 = forest(clique, rmask)[1]
+            v, s = subtree(clique, r1)[1]
             attachments.append((v, s))
-            child = tuple(sorted(s + (v,)))
-            stack.append((child, r1 & ~(1 << v)))
+            stack.append((tuple(sorted(s + (v,))), r1 & ~(1 << v)))
             rmask ^= r1
     tree = KTree(k=k, n=n, seed=best_seed, attachments=tuple(attachments))
-    return _result(tree, wf, "exact", t0, len(best_forest) + len(best_subtree),
-                   len(attachments))
+    states = forest.cache_info().currsize + subtree.cache_info().currsize
+    return _result(tree, wf, "exact", t0, states, len(attachments))
 
 
 def _mask(vertices) -> int:
@@ -235,6 +194,11 @@ def greedy(wf) -> SolverResult:
     k-cliques. Ties break to the smallest vertex, then the smallest anchor.
     Negative-gain attachments are still made: a k-tree must span every
     vertex.
+
+    A gain never changes, so each unplaced vertex keeps its best
+    (gain, anchor) and is offered only new anchors: the seed's k-subsets,
+    then the k anchors each attachment creates. Every (vertex, anchor) gain
+    is evaluated once.
     """
     t0 = time.perf_counter()
     n, k = wf.n, wf.k
@@ -249,28 +213,22 @@ def greedy(wf) -> SolverResult:
         if best_val is None or val > best_val:
             best_val = val
             best_seed = seed
-    placed = set(best_seed)
-    anchors = set(itertools.combinations(best_seed, k))
+    best: dict[int, tuple[float, tuple[int, ...]] | None] = {
+        v: None for v in range(n) if v not in best_seed}
+    new_anchors = list(itertools.combinations(best_seed, k))
     attachments: list[tuple[int, tuple[int, ...]]] = []
-    while len(placed) < n:
-        best_move = None
-        best_gain = None
-        for v in range(n):
-            if v in placed:
-                continue
-            for a in sorted(anchors):
+    while best:
+        for a in new_anchors:
+            for v, cur in best.items():
                 g = attachment_gain(wf, v, a)
                 evaluated += 1
-                if best_gain is None or g > best_gain:
-                    best_gain = g
-                    best_move = (v, a)
-        v, a = best_move
+                if cur is None or g > cur[0] or (g == cur[0] and a < cur[1]):
+                    best[v] = (g, a)
+        v = max(best, key=lambda u: (best[u][0], -u))
+        a = best.pop(v)[1]
         attachments.append((v, a))
-        placed.add(v)
-        new_clique = tuple(sorted(a + (v,)))
-        for s in itertools.combinations(new_clique, k):
-            if v in s:
-                anchors.add(s)
+        new_anchors = [s for s in itertools.combinations(sorted(a + (v,)), k)
+                       if v in s]
     tree = KTree(k=k, n=n, seed=best_seed, attachments=tuple(attachments))
     return _result(tree, wf, "greedy", t0, evaluated, len(attachments))
 
@@ -285,8 +243,11 @@ def local_search(wf, start: KTree, max_iters: int = DEFAULT_MAX_ITERS) -> Solver
     improving moves (by more than 1e-12) are accepted, so the final score
     never drops below the start. The move set is this library's own design.
 
-    The search state is the list of maximal cliques; a changed graph is
-    encoded as a k-tree once, by ``ktree_from_graph``, when the search ends.
+    The search state is the list of maximal cliques. In a k-tree with
+    n >= k+2 a vertex is removable exactly when it lies in one maximal
+    clique, and its anchor is the rest of that clique, so both are read off
+    the list. Attachment gains are cached. A changed graph is encoded as a
+    k-tree once, by ``ktree_from_graph``, when the search ends.
     """
     t0 = time.perf_counter()
     n, k = start.n, start.k
@@ -294,47 +255,33 @@ def local_search(wf, start: KTree, max_iters: int = DEFAULT_MAX_ITERS) -> Solver
         raise ValueError(f"weight function covers {wf.n} vertices, tree has {n}")
     if n <= k + 1:
         return _result(start, wf, "local_search", t0, 0, 0)
-    gain_cache: dict[tuple[int, tuple[int, ...]], float] = {}
-
-    def cached_gain(v: int, anchor: tuple[int, ...]) -> float:
-        key = (v, anchor)
-        got = gain_cache.get(key)
-        if got is None:
-            got = attachment_gain(wf, v, anchor)
-            gain_cache[key] = got
-        return got
-
+    gain = functools.cache(functools.partial(attachment_gain, wf))
     maximal = list(start.maximal_cliques())
     changed = False
     iterations = 0
     moves_evaluated = 0
     while iterations < max_iters:
         iterations += 1
-        adj = [set() for _ in range(n)]
-        for mc in maximal:
-            for a, b in itertools.combinations(mc, 2):
-                adj[a].add(b)
-                adj[b].add(a)
         cur_score = clique_total(maximal, wf)  # drift-free baseline
-        removable = [
-            v for v in range(n)
-            if len(adj[v]) == k
-            and all(b in adj[a] for a, b in itertools.combinations(sorted(adj[v]), 2))
-        ]
+        home: dict[int, tuple[int, ...] | None] = {}
+        for mc in maximal:
+            for x in mc:
+                home[x] = mc if x not in home else None
+        removable = [v for v in range(n) if home[v] is not None]
         improved = None
 
         # (a) re-anchor a removable vertex elsewhere; v lies in exactly one
         # maximal clique, which the move replaces
         for v in removable:
-            old_anchor = tuple(sorted(adj[v]))
-            loss = cached_gain(v, old_anchor)
+            old_anchor = tuple(x for x in home[v] if x != v)
+            loss = gain(v, old_anchor)
             candidates = sorted({
                 s for mc in maximal for s in itertools.combinations(mc, k)
                 if v not in s
             } - {old_anchor})
             for a in candidates:
                 moves_evaluated += 1
-                if cached_gain(v, a) - loss > IMPROVE_EPS:
+                if gain(v, a) - loss > IMPROVE_EPS:
                     improved = [tuple(sorted(a + (v,))) if v in mc else mc
                                 for mc in maximal]
                     break
@@ -348,7 +295,9 @@ def local_search(wf, start: KTree, max_iters: int = DEFAULT_MAX_ITERS) -> Solver
                     if u == v:
                         continue
                     moves_evaluated += 1
-                    swapped = _swap_labels(maximal, u, v)
+                    relabel = {u: v, v: u}
+                    swapped = [tuple(sorted(relabel.get(x, x) for x in mc))
+                               for mc in maximal]
                     if clique_total(swapped, wf) - cur_score > IMPROVE_EPS:
                         improved = swapped
                         break
@@ -365,14 +314,3 @@ def local_search(wf, start: KTree, max_iters: int = DEFAULT_MAX_ITERS) -> Solver
         edges = {e for mc in maximal for e in itertools.combinations(mc, 2)}
         tree = ktree_from_graph(sorted(edges), k, n)
     return _result(tree, wf, "local_search", t0, moves_evaluated, iterations)
-
-
-def _swap_labels(maximal_cliques, u: int, v: int):
-    def relabel(x: int) -> int:
-        if x == u:
-            return v
-        if x == v:
-            return u
-        return x
-
-    return [tuple(sorted(relabel(x) for x in mc)) for mc in maximal_cliques]

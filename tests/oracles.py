@@ -10,8 +10,8 @@ import itertools
 import numpy as np
 
 from hypertree.dataset import Dataset, JointTable, VariableSpec, scope_entropy
-from hypertree.structure import KTree
-from hypertree.weights import WeightFunction
+from hypertree.structure import KTree, clique_total
+from hypertree.weights import WeightFunction, attachment_gain
 
 MI_ZERO_TOL = 1e-12
 
@@ -81,6 +81,48 @@ def random_weight_function(rng, n, k, lo=-0.3, hi=1.0):
         for h in itertools.combinations(range(n), size):
             w[h] = 0.0 if size == 1 else float(rng.uniform(lo, hi))
     return WeightFunction(k=k, n=n, weights=w)
+
+
+def greedy_reference(wf):
+    """The k-tree ``solvers.greedy`` must build, by a full rescan per step.
+
+    Every step scores each (unplaced vertex, current anchor) pair, vertices
+    ascending and anchors sorted, and takes the first strict maximum. This
+    is the library's original greedy, kept as the differential oracle for
+    the incremental one.
+    """
+    n, k = wf.n, wf.k
+    if n <= k + 1:
+        return KTree(k=k, n=n, seed=tuple(range(n)))
+    best_seed = None
+    best_val = None
+    for seed in itertools.combinations(range(n), k + 1):
+        val = clique_total((seed,), wf)
+        if best_val is None or val > best_val:
+            best_val = val
+            best_seed = seed
+    placed = set(best_seed)
+    anchors = set(itertools.combinations(best_seed, k))
+    attachments = []
+    while len(placed) < n:
+        best_move = None
+        best_gain = None
+        for v in range(n):
+            if v in placed:
+                continue
+            for a in sorted(anchors):
+                g = attachment_gain(wf, v, a)
+                if best_gain is None or g > best_gain:
+                    best_gain = g
+                    best_move = (v, a)
+        v, a = best_move
+        attachments.append((v, a))
+        placed.add(v)
+        new_clique = tuple(sorted(a + (v,)))
+        for s in itertools.combinations(new_clique, k):
+            if v in s:
+                anchors.add(s)
+    return KTree(k=k, n=n, seed=best_seed, attachments=tuple(attachments))
 
 
 def brute_ktree_scores(wf):

@@ -97,6 +97,31 @@ def test_sidecar_unknown_column_is_validation(runner, tmp_path):
     assert "not in the header: ['zzz']" in res.output
 
 
+@pytest.mark.parametrize("args, json_input", [
+    (["weights", "{jt}", "--k", "1", "--arities", "{side}"], "{jt}"),
+    (["learn", "{jt}", "--k", "1", "--arities", "{side}"], "{jt}"),
+    (["learn", "{w}", "--arities", "{side}"], "{w}"),
+    (["learn", "{w}", "--arities", "{missing}"], "{w}"),
+    (["eval", "{jt}", "{s}", "--arities", "{side}"], "{jt}"),
+], ids=["weights-joint-table", "learn-joint-table", "learn-weight-file",
+        "learn-missing-sidecar", "eval-joint-table"])
+def test_arities_with_json_input_is_validation(runner, tmp_path, args,
+                                               json_input):
+    paths = {name: tmp_path / f"{name}.json"
+             for name in ("jt", "w", "s", "side", "missing")}
+    paths["jt"].write_text(json.dumps({"arities": [2, 2, 2],
+                                       "probs": [0.125] * 8}))
+    paths["w"].write_text(json.dumps({"k": 1, "n": 3, "weights": []}))
+    paths["s"].write_text(json.dumps(
+        {"k": 1, "n": 3, "seed": [0, 1], "attachments": [{"v": 2, "anchor": [1]}]}))
+    paths["side"].write_text(json.dumps({"arities": {"zzz": 3}}))
+    args = [a.format(**paths) for a in args]
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 2, res.output
+    assert "--arities" in res.output
+    assert json_input.format(**paths) in res.output
+
+
 def test_learn_chain_chow_liu_matches_exact(runner, tmp_path):
     csv_path = tmp_path / "chain.csv"
     _write_chain_csv(csv_path)
@@ -253,6 +278,17 @@ def test_gen_parity_guard(runner, tmp_path):
     bpath.write_text(json.dumps(biases))
     res = runner.invoke(cli, ["gen-parity", str(bpath)])
     assert res.exit_code == 3
+
+
+def test_gen_parity_row_guard(runner, tmp_path):
+    # n is within the cube limit, but Q=10^6 asks for 6 * 10^6 * 16 rows
+    bpath = tmp_path / "biases.json"
+    bpath.write_text(json.dumps({"k": 1, "n": 4, "Q": 1000000, "biases": []}))
+    out_csv = tmp_path / "sample.csv"
+    res = runner.invoke(cli, ["gen-parity", str(bpath), "--out", str(out_csv)])
+    assert res.exit_code == 3, res.output
+    assert "96000000 rows x n=4 is 3072000000 bytes" in res.output
+    assert not out_csv.exists()
 
 
 @pytest.mark.parametrize("extra, vars_, why", [

@@ -128,6 +128,16 @@ class TestGenerate:
         tb_ok = TargetBiases(k=1, n=4, q=1, entries={})
         assert generate(tb_ok, cube_limit=4).dataset.n_rows == 6 * 16
 
+    def test_row_guard(self):
+        # refused before anything is allocated: the default cube limit
+        # admits n=14, and Q has no bound of its own
+        for tb, rows in ((TargetBiases(k=2, n=14, q=128, entries={}), 763363328),
+                         (TargetBiases(k=1, n=4, q=10 ** 6, entries={}), 96000000),
+                         # the smallest Q past 2**27 cells at n=8, k=1
+                         (TargetBiases(k=1, n=8, q=2341, entries={}), 16780288)):
+            with pytest.raises(GuardLimitError, match=f"{rows} rows x n={tb.n}"):
+                generate(tb)
+
     def test_target_biases_validation(self):
         with pytest.raises(ValueError):
             TargetBiases(k=1, n=3, q=2, entries={(0, 1): 2})

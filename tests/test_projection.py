@@ -277,23 +277,16 @@ def test_likelihood_divergence_duality():
     assert argmax == argmin
 
 
-def test_divergence_direct_guard():
-    rng = np.random.default_rng(9)
-    d = random_dataset(rng, 4, 20, arities=[2, 2, 2, 2])
-    t = random_ktree(rng, 4, 2)
-    m = project(d, t)
-    with pytest.raises(GuardLimitError):
-        divergence_direct(d, m, cell_guard=8)
-
-
 def test_divergence_direct_guard_counts_cells_exactly():
-    # 2**64 cells must not wrap around to 0 and slip past the guard
+    # one variable past the 2**20-cell guard is refused, and 2**64 cells
+    # must not wrap around to 0 and slip past it
     rng = np.random.default_rng(11)
-    d = random_dataset(rng, 64, 10, arities=[2] * 64)
-    t = ktree_from_graph([(v, v + 1) for v in range(63)], 1, 64)
-    m = project(d, t)
-    with pytest.raises(GuardLimitError, match="18446744073709551616 cells"):
-        divergence_direct(d, m)
+    for n, cells in ((21, "2097152"), (64, "18446744073709551616")):
+        d = random_dataset(rng, n, 10, arities=[2] * n)
+        t = ktree_from_graph([(v, v + 1) for v in range(n - 1)], 1, n)
+        m = project(d, t)
+        with pytest.raises(GuardLimitError, match=f"{cells} cells"):
+            divergence_direct(d, m)
 
 
 def test_model_json_roundtrip(tmp_path):

@@ -16,6 +16,7 @@ from hypertree.weights import WeightFunction, compute_weights
 
 from oracles import (
     brute_ktree_scores,
+    greedy_reference,
     markov_chain_joint,
     product_joint,
     random_dataset,
@@ -164,6 +165,25 @@ class TestGreedy:
         for v, _ in res.tree.attachments:
             placed.add(v)
         assert placed == set(range(6))
+
+
+    def test_matches_full_rescan_reference(self):
+        # half the instances carry small integer weights, so gains tie often
+        rng = np.random.default_rng(16)
+        for i in range(200):
+            k = 1 + i % 3
+            n = int(rng.integers(k + 1, 15))
+            if i % 2:
+                wf = random_weight_function(rng, n, k)
+            else:
+                w = {h: 0.0 if len(h) == 1 else float(rng.integers(-1, 3))
+                     for size in range(1, k + 2)
+                     for h in itertools.combinations(range(n), size)}
+                wf = WeightFunction(k=k, n=n, weights=w)
+            ref = greedy_reference(wf)
+            res = greedy(wf)
+            assert res.tree == ref
+            assert res.score == score(ref, wf)
 
 
 class TestLocalSearch:
