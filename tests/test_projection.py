@@ -277,16 +277,24 @@ def test_likelihood_divergence_duality():
     assert argmax == argmin
 
 
+def test_divergence_direct_guard():
+    # one variable past the 2**20-cell guard is refused
+    rng = np.random.default_rng(9)
+    d = random_dataset(rng, 21, 10, arities=[2] * 21)
+    t = ktree_from_graph([(v, v + 1) for v in range(20)], 1, 21)
+    m = project(d, t)
+    with pytest.raises(GuardLimitError, match="2097152 cells"):
+        divergence_direct(d, m)
+
+
 def test_divergence_direct_guard_counts_cells_exactly():
-    # one variable past the 2**20-cell guard is refused, and 2**64 cells
-    # must not wrap around to 0 and slip past it
+    # 2**64 cells must not wrap around to 0 and slip past the guard
     rng = np.random.default_rng(11)
-    for n, cells in ((21, "2097152"), (64, "18446744073709551616")):
-        d = random_dataset(rng, n, 10, arities=[2] * n)
-        t = ktree_from_graph([(v, v + 1) for v in range(n - 1)], 1, n)
-        m = project(d, t)
-        with pytest.raises(GuardLimitError, match=f"{cells} cells"):
-            divergence_direct(d, m)
+    d = random_dataset(rng, 64, 10, arities=[2] * 64)
+    t = ktree_from_graph([(v, v + 1) for v in range(63)], 1, 64)
+    m = project(d, t)
+    with pytest.raises(GuardLimitError, match="18446744073709551616 cells"):
+        divergence_direct(d, m)
 
 
 def test_model_json_roundtrip(tmp_path):
