@@ -3,7 +3,7 @@
 Modules:
     dataset     categorical data, exact marginals and entropies
     weights     clique weight functions on vertex subsets
-    structure   k-trees, chordality and width verification
+    structure   k-trees, their cliques and scores
     solvers     Chow-Liu, exact, greedy and local-search structure solvers
     projection  projected models, divergences, log likelihood
     paritygen   samples realizing prescribed clique weights via parity biases
@@ -46,7 +46,7 @@ _EXPORTS = {
         "project",
     ),
     "solvers": ("SolverResult", "chow_liu", "exact_search", "greedy", "local_search"),
-    "structure": ("KTree", "cliques_of", "ktree_from_graph", "score", "verify_width"),
+    "structure": ("KTree", "cliques_of", "score"),
     "weights": ("WeightFunction", "attachment_gain", "compute_weights"),
 }
 

@@ -23,7 +23,7 @@ import sys
 import click
 
 from . import solvers, structure, weights
-from .errors import DEFAULT_CUBE_LIMIT, GuardLimitError
+from .errors import DEFAULT_CUBE_LIMIT, GuardLimitError, json_int
 
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
@@ -92,7 +92,7 @@ def _sidecar_arities(doc: dict) -> dict[str, int]:
     if not isinstance(arities, dict):
         raise TypeError(f"'arities' must map names to arities, "
                         f"got {type(arities).__name__}")
-    return {name: int(m) for name, m in arities.items()}
+    return {name: json_int(m, f"arities.{name}") for name, m in arities.items()}
 
 
 def _load_input(path: str, arities_path: str | None, parse_json=_joint_table):
@@ -275,13 +275,15 @@ def _parity_spec(doc: dict):
         return biases_from_dict(doc), None
     if "targets" in doc:
         targets = {
-            tuple(entry["vars"]): float(entry["w"]) for entry in doc["targets"]
+            tuple(json_int(v, "vars") for v in entry["vars"]): float(entry["w"])
+            for entry in doc["targets"]
         }
         scale = doc.get("scale")
         if not isinstance(scale, (int, float, type(None))):
             raise TypeError(f"'scale' must be a number, got {type(scale).__name__}")
-        return None, dict(targets=targets, n=int(doc["n"]), k=int(doc["k"]),
-                          q_grid=int(doc["q_grid"]), scale=scale)
+        return None, dict(targets=targets, n=json_int(doc["n"], "n"),
+                          k=json_int(doc["k"], "k"),
+                          q_grid=json_int(doc["q_grid"], "q_grid"), scale=scale)
     raise ValueError("input must contain either a 'biases' or a 'targets' list")
 
 

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import json_int
+
 __all__ = [
     "VariableSpec",
     "Dataset",
@@ -232,7 +234,7 @@ def joint_table_from_dict(doc: dict) -> JointTable:
 
     ``probs`` is flat row-major with the last variable fastest.
     """
-    arities = tuple(int(a) for a in doc["arities"])
+    arities = tuple(json_int(a, "arities") for a in doc["arities"])
     flat = np.asarray(doc["probs"], dtype=float)
     expect = math.prod(arities)
     if flat.size != expect:

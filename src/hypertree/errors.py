@@ -1,4 +1,4 @@
-"""Shared exception types and guard defaults.
+"""Shared exception types, guard defaults and the JSON integer check.
 
 Guard defaults live here, beside the error they raise, so the command line
 can show them without importing the modules that enforce them.
@@ -15,3 +15,14 @@ class GuardLimitError(RuntimeError):
     with too many rows). The exact-search and cube limits can be raised
     explicitly by the caller.
     """
+
+
+def json_int(value, field: str) -> int:
+    """An integer field of a parsed JSON document, refused unless it is one.
+
+    ``int()`` would truncate 1.9 to 1 and accept true and "2"; a float, a
+    bool or a string raises TypeError naming the field.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{field!r} must be an integer, got {value!r}")
+    return value

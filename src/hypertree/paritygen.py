@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, VariableSpec
-from .errors import DEFAULT_CUBE_LIMIT, GuardLimitError
+from .errors import DEFAULT_CUBE_LIMIT, GuardLimitError, json_int
 
 __all__ = [
     "TargetBiases",
@@ -249,10 +249,12 @@ def biases_to_dict(tb: TargetBiases) -> dict:
 
 def biases_from_dict(doc: dict) -> TargetBiases:
     return TargetBiases(
-        k=int(doc["k"]),
-        n=int(doc["n"]),
-        q=int(doc["Q"]),
+        k=json_int(doc["k"], "k"),
+        n=json_int(doc["n"], "n"),
+        q=json_int(doc["Q"], "Q"),
         entries={
-            tuple(entry["vars"]): int(entry["p"]) for entry in doc["biases"]
+            tuple(json_int(v, "vars") for v in entry["vars"]):
+                json_int(entry["p"], "p")
+            for entry in doc["biases"]
         },
     )

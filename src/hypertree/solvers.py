@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import GuardLimitError
-from .structure import KTree, clique_total, ktree_from_graph, score
+from .structure import KTree, clique_total, ktree_from_cliques, score
 from .weights import attachment_gain
 
 __all__ = [
@@ -77,7 +77,7 @@ def chow_liu(wf) -> SolverResult:
             chosen.append((u, v))
             if len(chosen) == n - 1:
                 break
-    return _result(ktree_from_graph(chosen, 1, n), wf, "chow_liu", t0,
+    return _result(ktree_from_cliques(chosen, 1, n), wf, "chow_liu", t0,
                    examined, len(chosen))
 
 
@@ -246,8 +246,8 @@ def local_search(wf, start: KTree, max_iters: int = DEFAULT_MAX_ITERS) -> Solver
     The search state is the list of maximal cliques. In a k-tree with
     n >= k+2 a vertex is removable exactly when it lies in one maximal
     clique, and its anchor is the rest of that clique, so both are read off
-    the list. Attachment gains are cached. A changed graph is encoded as a
-    k-tree once, by ``ktree_from_graph``, when the search ends.
+    the list. Attachment gains are cached. A changed clique list is encoded
+    as a k-tree once, by ``ktree_from_cliques``, when the search ends.
     """
     t0 = time.perf_counter()
     n, k = start.n, start.k
@@ -309,8 +309,5 @@ def local_search(wf, start: KTree, max_iters: int = DEFAULT_MAX_ITERS) -> Solver
         maximal = improved
         changed = True
 
-    tree = start
-    if changed:
-        edges = {e for mc in maximal for e in itertools.combinations(mc, 2)}
-        tree = ktree_from_graph(sorted(edges), k, n)
+    tree = ktree_from_cliques(maximal, k, n) if changed else start
     return _result(tree, wf, "local_search", t0, moves_evaluated, iterations)

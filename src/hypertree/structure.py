@@ -3,30 +3,28 @@
 A KTree starts from a seed clique of min(k+1, n) vertices and attaches the
 remaining vertices one at a time, each to a k-subset of an existing clique.
 Every graph built this way is chordal with maximum clique size k+1, and every
-maximal triangulated graph of tree-width k arises this way. ``verify_width``
-checks arbitrary edge lists against a width bound via maximum-cardinality
-search, and ``ktree_from_graph`` embeds a verified graph into a k-tree by
-reversing the elimination ordering and filling anchors.
+maximal triangulated graph of tree-width k arises this way. The solvers build
+their k-trees clique by clique, and ``ktree_from_cliques`` encodes a list of
+maximal cliques, in any order, as a construction sequence.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
+
+from .errors import json_int
 
 __all__ = [
     "KTree",
     "CliqueSet",
-    "WidthReport",
     "cliques_of",
     "ktree_edges",
     "clique_total",
     "score",
-    "verify_width",
-    "ktree_from_graph",
+    "ktree_from_cliques",
     "ktree_to_dict",
     "ktree_from_dict",
     "load_ktree",
@@ -64,10 +62,16 @@ class KTree:
         )
         object.__setattr__(self, "attachments", attachments)
 
-        placed = set(seed)
-        cliques = [seed]
+        for v in seed + tuple(v for v, _ in attachments):
+            if not 0 <= v < self.n:
+                raise ValueError(f"vertex {v} outside [0, {self.n})")
+        # Edges only ever join a new vertex to its anchor, so a k-subset lies
+        # inside an existing clique exactly when it lies inside the clique
+        # made when its last-placed vertex was placed.
+        step = dict.fromkeys(seed, 0)
+        made = [frozenset(seed)]
         for v, anchor in attachments:
-            if v in placed:
+            if v in step:
                 raise ValueError(f"vertex {v} attached twice")
             if len(anchor) != self.k or len(set(anchor)) != self.k:
                 raise ValueError(
@@ -76,17 +80,18 @@ class KTree:
                 )
             if v in anchor:
                 raise ValueError(f"vertex {v} cannot anchor to itself")
-            aset = set(anchor)
-            if not any(aset <= set(c) for c in cliques):
+            if not (all(a in step for a in anchor)
+                    and made[max(step[a] for a in anchor)].issuperset(anchor)):
                 raise ValueError(
                     f"anchor {anchor} for vertex {v} is not inside any "
                     "existing clique"
                 )
-            placed.add(v)
-            cliques.append(tuple(sorted(anchor + (v,))))
-        if placed != set(range(self.n)):
-            missing = sorted(set(range(self.n)) - placed)
-            raise ValueError(f"vertices not placed: {missing}")
+            step[v] = len(made)
+            made.append(frozenset(anchor + (v,)))
+        if len(step) != self.n:
+            first = next(v for v in range(self.n) if v not in step)
+            raise ValueError(f"{self.n - len(step)} vertices not placed, "
+                             f"the first is {first}")
 
     def maximal_cliques(self) -> tuple[tuple[int, ...], ...]:
         """The seed plus one clique per attachment (anchor + vertex)."""
@@ -101,21 +106,6 @@ class CliqueSet:
     """All cliques of sizes 2..k+1 of a k-tree, deduplicated."""
 
     cliques: frozenset[tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class WidthReport:
-    """Outcome of a chordality / width check.
-
-    On success ``elimination_order`` is a perfect elimination ordering. On
-    failure exactly one witness field is set: ``bad_cycle`` is a chordless
-    cycle of length >= 4, ``oversized_clique`` a clique larger than k+1.
-    """
-
-    ok: bool
-    elimination_order: tuple[int, ...] | None = None
-    bad_cycle: tuple[int, ...] | None = None
-    oversized_clique: tuple[int, ...] | None = None
 
 
 def _sub_cliques(maximal_cliques):
@@ -157,157 +147,31 @@ def score(tree: KTree, wf) -> float:
     return clique_total(tree.maximal_cliques(), wf)
 
 
-def _build_adjacency(edges, n: int | None):
-    norm = []
-    seen = set()
-    top = -1
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        e = (min(u, v), max(u, v))
-        if e in seen:
-            raise ValueError(f"duplicate edge {e}")
-        seen.add(e)
-        norm.append(e)
-        top = max(top, e[1])
-    if n is None:
-        n = top + 1
-    elif top >= n:
-        raise ValueError(f"edge endpoint {top} outside [0, {n})")
-    adj = [set() for _ in range(n)]
-    for u, v in norm:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj, n
+def ktree_from_cliques(maximal_cliques, k: int, n: int) -> KTree:
+    """The k-tree with the given maximal cliques, listed in any order.
 
-
-def _mcs_visit_order(adj, n: int) -> list[int]:
-    # Maximum-cardinality search; ties go to the smallest vertex index.
-    weight = [0] * n
-    visited = [False] * n
-    order = []
-    for _ in range(n):
-        best = -1
-        for u in range(n):
-            if not visited[u] and (best < 0 or weight[u] > weight[best]):
-                best = u
-        visited[best] = True
-        order.append(best)
-        for u in adj[best]:
-            if not visited[u]:
-                weight[u] += 1
-    return order
-
-
-def _find_chordless_cycle(adj, n: int) -> tuple[int, ...]:
-    # In a non-chordal graph some vertex v has non-adjacent neighbors x, u
-    # joined by a path avoiding N[v]; the shortest such path plus v is an
-    # induced cycle. Trying all (v, x, u) triples is guaranteed to hit one.
-    for v in range(n):
-        nbrs = sorted(adj[v])
-        blocked = adj[v] | {v}
-        for x, u in itertools.combinations(nbrs, 2):
-            if u in adj[x]:
-                continue
-            allowed = (set(range(n)) - blocked) | {x, u}
-            parent = {x: None}
-            queue = deque([x])
-            while queue:
-                cur = queue.popleft()
-                if cur == u:
-                    break
-                for nxt in adj[cur]:
-                    if nxt in allowed and nxt not in parent:
-                        parent[nxt] = cur
-                        queue.append(nxt)
-            if u in parent:
-                path = [u]
-                while path[-1] is not None and parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                path.reverse()  # x .. u
-                return tuple([v] + path)
-    raise AssertionError("no chordless cycle found in a non-chordal graph")
-
-
-def verify_width(edges, k: int, n: int | None = None) -> WidthReport:
-    """Check that a graph is chordal with maximum clique size <= k+1.
-
-    Runs maximum-cardinality search; the reverse visit order is a perfect
-    elimination ordering exactly when the graph is chordal. The report
-    carries the ordering on success and an explicit witness on failure.
+    The inverse of ``KTree.maximal_cliques``: the first clique is the seed,
+    and every other clique attaches its one new vertex to the k-subset it
+    shares with a placed clique. For n <= k+1 the tree is the one clique.
     """
-    if k < 1:
-        raise ValueError(f"width k must be >= 1, got {k}")
-    adj, n = _build_adjacency(edges, n)
-    if n == 0:
-        return WidthReport(ok=True, elimination_order=())
-    visit = _mcs_visit_order(adj, n)
-    pos = {v: i for i, v in enumerate(visit)}
-    elim = tuple(reversed(visit))
-
-    # Perfect elimination check: each vertex's earlier-visited neighbors
-    # (its later neighbors in elimination order) must form a clique.
-    max_clique: tuple[int, ...] = (visit[0],)
-    for i, v in enumerate(visit):
-        earlier = [u for u in adj[v] if pos[u] < i]
-        for a, b in itertools.combinations(earlier, 2):
-            if b not in adj[a]:
-                return WidthReport(ok=False, bad_cycle=_find_chordless_cycle(adj, n))
-        if len(earlier) + 1 > len(max_clique):
-            max_clique = tuple(sorted(earlier + [v]))
-    if len(max_clique) > k + 1:
-        return WidthReport(ok=False, oversized_clique=max_clique)
-    return WidthReport(ok=True, elimination_order=elim)
-
-
-def ktree_from_graph(edges, k: int, n: int | None = None) -> KTree:
-    """Embed a verified width-k graph into a k-tree containing its edges.
-
-    Processes the perfect elimination ordering in reverse: the last
-    min(k+1, n) vertices become the seed, and each earlier vertex attaches to
-    its later neighbors, filled up to size k with the lexicographically
-    smallest completion taken from an existing clique. Added fill edges never
-    remove input edges, so the result contains the input graph.
-    """
-    report = verify_width(edges, k, n)
-    if not report.ok:
-        if report.bad_cycle is not None:
-            raise ValueError(f"graph is not chordal: chordless cycle {report.bad_cycle}")
-        raise ValueError(
-            f"graph has clique {report.oversized_clique} larger than {k + 1}"
-        )
-    adj, n = _build_adjacency(edges, n)
-    if n == 0:
-        raise ValueError("cannot build a k-tree on zero vertices")
     if n <= k + 1:
         return KTree(k=k, n=n, seed=tuple(range(n)))
-    elim = report.elimination_order
-    pos = {v: i for i, v in enumerate(elim)}
-    seed = tuple(sorted(elim[n - (k + 1):]))
-    cliques = [seed]
+    seed, *rest = (tuple(sorted(c)) for c in maximal_cliques)
+    holders: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for c in rest:
+        for s in itertools.combinations(c, k):
+            holders.setdefault(s, []).append(c)
+    placed = set(seed)
     attachments = []
-    for i in range(n - k - 2, -1, -1):
-        v = elim[i]
-        later = sorted(u for u in adj[v] if pos[u] > i)
-        if len(later) == k:
-            anchor = tuple(later)
-        else:
-            need = k - len(later)
-            later_set = set(later)
-            best = None
-            for c in cliques:
-                cset = set(c)
-                if later_set <= cset:
-                    extras = sorted(cset - later_set)[:need]
-                    cand = tuple(sorted(later + extras))
-                    if best is None or cand < best:
-                        best = cand
-            if best is None:  # unreachable: a clique subgraph always extends
-                raise AssertionError(f"no clique contains {later}")
-            anchor = best
-        attachments.append((v, anchor))
-        cliques.append(tuple(sorted(anchor + (v,))))
+    anchors = list(itertools.combinations(seed, k))
+    while anchors:
+        anchor = anchors.pop()
+        for c in holders.pop(anchor, ()):
+            (v,) = set(c).difference(anchor)
+            if v not in placed:
+                placed.add(v)
+                attachments.append((v, anchor))
+                anchors.extend(s for s in itertools.combinations(c, k) if v in s)
     return KTree(k=k, n=n, seed=seed, attachments=tuple(attachments))
 
 
@@ -327,11 +191,13 @@ def ktree_to_dict(tree: KTree) -> dict:
 def ktree_from_dict(doc: dict) -> KTree:
     """Parse a structure document (the maximal_cliques field is ignored)."""
     return KTree(
-        k=int(doc["k"]),
-        n=int(doc["n"]),
-        seed=tuple(doc["seed"]),
+        k=json_int(doc["k"], "k"),
+        n=json_int(doc["n"], "n"),
+        seed=tuple(json_int(v, "seed") for v in doc["seed"]),
         attachments=tuple(
-            (int(a["v"]), tuple(a["anchor"])) for a in doc.get("attachments", [])
+            (json_int(a["v"], "v"),
+             tuple(json_int(x, "anchor") for x in a["anchor"]))
+            for a in doc.get("attachments", [])
         ),
     )
 

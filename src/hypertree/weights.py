@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import GuardLimitError, json_int
+
 __all__ = [
     "WeightFunction",
     "compute_weights",
@@ -31,6 +33,25 @@ __all__ = [
 ]
 
 SINGLETON_TOL = 1e-12
+WEIGHT_DOMAIN_GUARD = 2 ** 22  # subsets; about 1.1 GiB of dict entries
+
+
+def domain_size(n: int, k: int) -> int:
+    """Number of subsets of sizes 1..k+1 of n vertices: the weight domain.
+
+    Raises GuardLimitError once the count passes WEIGHT_DOMAIN_GUARD. Sizes
+    are added in ascending order and counting stops there, so a refusal is
+    cheap; ``compute_weights`` and ``weights_from_dict`` ask before they
+    store any weight.
+    """
+    total = 0
+    for size in range(1, min(k + 1, n) + 1):
+        total += math.comb(n, size)
+        if total > WEIGHT_DOMAIN_GUARD:
+            raise GuardLimitError(
+                f"weight domain too large: subsets of sizes 1..{size} of {n} "
+                f"vertices number {total}, over {WEIGHT_DOMAIN_GUARD}")
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,9 +69,7 @@ class WeightFunction:
     def __post_init__(self):
         if self.k < 1 or self.n < 1:
             raise ValueError("need k >= 1 and n >= 1")
-        expected = sum(
-            math.comb(self.n, s) for s in range(1, min(self.k + 1, self.n) + 1)
-        )
+        expected = domain_size(self.n, self.k)
         if len(self.weights) != expected:
             raise ValueError(
                 f"weight domain has {len(self.weights)} subsets, expected "
@@ -86,6 +105,7 @@ def compute_weights(provider, k: int) -> WeightFunction:
     n = provider.n_vars
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1; got k={k}, n={n}")
+    domain_size(n, k)
     w: dict[tuple[int, ...], float] = {}
     for size in range(1, k + 2):
         for h in itertools.combinations(range(n), size):
@@ -135,14 +155,15 @@ def weights_from_dict(doc: dict) -> WeightFunction:
     """
     if doc.get("log_base", "e") != "e":
         raise ValueError(f"unsupported log base {doc.get('log_base')!r}")
-    k = int(doc["k"])
-    n = int(doc["n"])
+    k = json_int(doc["k"], "k")
+    n = json_int(doc["n"], "n")
+    domain_size(n, k)
     w: dict[tuple[int, ...], float] = {}
     for size in range(1, min(k + 1, n) + 1):
         for h in itertools.combinations(range(n), size):
             w[h] = 0.0
     for entry in doc["weights"]:
-        h = tuple(sorted(int(v) for v in entry["vars"]))
+        h = tuple(sorted(json_int(v, "vars") for v in entry["vars"]))
         if h not in w:
             raise ValueError(f"subset {h} outside the size-1..{k + 1} domain")
         w[h] = float(entry["w"])

@@ -74,6 +74,70 @@ def random_ktree(rng, n, k):
     return KTree(k=k, n=n, seed=seed, attachments=tuple(attachments))
 
 
+def elimination_order(edges, k, n):
+    """A perfect elimination ordering of a chordal graph whose cliques have
+    at most k+1 vertices, or None if the graph is not one.
+
+    Runs maximum-cardinality search (ties to the smallest vertex); the
+    reverse visit order is a perfect elimination ordering exactly when the
+    graph is chordal, and then the largest clique is some vertex together
+    with its earlier-visited neighbors.
+    """
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    weight = [0] * n
+    pos = {}
+    visit = []
+    for i in range(n):
+        best = min((u for u in range(n) if u not in pos),
+                   key=lambda u: (-weight[u], u))
+        earlier = [u for u in adj[best] if u in pos]
+        if len(earlier) > k or any(b not in adj[a] for a, b
+                                   in itertools.combinations(earlier, 2)):
+            return None
+        pos[best] = i
+        visit.append(best)
+        for u in adj[best]:
+            weight[u] += 1
+    return tuple(reversed(visit))
+
+
+def ktree_from_graph(edges, k, n):
+    """Embed a chordal graph of width at most k into a k-tree containing it.
+
+    Processes the perfect elimination ordering in reverse: the last
+    min(k+1, n) vertices become the seed, and each earlier vertex attaches to
+    its later neighbors, filled up to size k with the lexicographically
+    smallest completion taken from an existing clique. The library's
+    original encoder, kept as the reference for ``ktree_from_cliques``.
+    """
+    elim = elimination_order(edges, k, n)
+    if elim is None:
+        raise ValueError(f"graph is not chordal with cliques of at most "
+                         f"{k + 1} vertices")
+    if n <= k + 1:
+        return KTree(k=k, n=n, seed=tuple(range(n)))
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    pos = {v: i for i, v in enumerate(elim)}
+    seed = tuple(sorted(elim[n - (k + 1):]))
+    cliques = [seed]
+    attachments = []
+    for i in range(n - k - 2, -1, -1):
+        v = elim[i]
+        later = sorted(u for u in adj[v] if pos[u] > i)
+        need = k - len(later)
+        anchor = min(tuple(sorted(later + sorted(set(c) - set(later))[:need]))
+                     for c in cliques if set(later) <= set(c))
+        attachments.append((v, anchor))
+        cliques.append(tuple(sorted(anchor + (v,))))
+    return KTree(k=k, n=n, seed=seed, attachments=tuple(attachments))
+
+
 def random_weight_function(rng, n, k, lo=-0.3, hi=1.0):
     """Arbitrary weights on sizes >= 2; singletons zero."""
     w = {}

@@ -342,7 +342,8 @@ def test_display_base_two(runner, tmp_path):
     ("a.json", json.dumps({"arities": ["x0"]}),
      ["weights", "{csv}", "--k", "1", "--arities", "{bad}"], "'arities'"),
     ("a.json", json.dumps({"arities": {"x0": [2]}}),
-     ["weights", "{csv}", "--k", "1", "--arities", "{bad}"], "int()"),
+     ["weights", "{csv}", "--k", "1", "--arities", "{bad}"],
+     "'arities.x0' must be an integer"),
     ("jt.json", json.dumps({"arities": [2, 2], "probs": [1.0]}),
      ["learn", "{bad}", "--k", "1"], "probs"),
     ("w.json", json.dumps({"k": 1, "n": 3,
@@ -351,10 +352,47 @@ def test_display_base_two(runner, tmp_path):
     ("t.json", json.dumps({"k": 1, "n": 3, "q_grid": 8, "scale": [1],
                            "targets": [{"vars": [0, 1], "w": 0.5}]}),
      ["gen-parity", "{bad}", "--out", "{out}"], "'scale' must be a number"),
+    ("s.json", json.dumps({"k": 1, "n": 3, "seed": [0.9, 1],
+                           "attachments": [{"v": 2, "anchor": [1]}]}),
+     ["eval", "{csv}", "{bad}"], "'seed' must be an integer, got 0.9"),
+    ("s.json", json.dumps({"k": 1, "n": 3, "seed": [0, 1],
+                           "attachments": [{"v": 2.7, "anchor": [1]}]}),
+     ["eval", "{csv}", "{bad}"], "'v' must be an integer, got 2.7"),
+    ("s.json", json.dumps({"k": 1, "n": 3, "seed": [0, 1],
+                           "attachments": [{"v": 2, "anchor": [True]}]}),
+     ["eval", "{csv}", "{bad}"], "'anchor' must be an integer, got True"),
+    ("s.json", json.dumps({"k": "1", "n": 3, "seed": [0, 1],
+                           "attachments": [{"v": 2, "anchor": [1]}]}),
+     ["eval", "{csv}", "{bad}"], "'k' must be an integer, got '1'"),
+    ("w.json", json.dumps({"k": 1.8, "n": 2,
+                           "weights": [{"vars": [0, 1], "w": 0.5}]}),
+     ["learn", "{bad}"], "'k' must be an integer, got 1.8"),
+    ("w.json", json.dumps({"k": 1, "n": 2,
+                           "weights": [{"vars": [0, 1.9], "w": 0.5}]}),
+     ["learn", "{bad}"], "'vars' must be an integer, got 1.9"),
+    ("w.json", json.dumps({"k": 1, "n": True, "weights": []}),
+     ["learn", "{bad}"], "'n' must be an integer, got True"),
+    ("t.json", json.dumps({"k": 1, "n": 3, "q_grid": 8,
+                           "targets": [{"vars": [0, 1.5], "w": 0.5}]}),
+     ["gen-parity", "{bad}", "--out", "{out}"],
+     "'vars' must be an integer, got 1.5"),
+    ("t.json", json.dumps({"k": 1, "n": 3, "q_grid": 8.5,
+                           "targets": [{"vars": [0, 1], "w": 0.5}]}),
+     ["gen-parity", "{bad}", "--out", "{out}"],
+     "'q_grid' must be an integer, got 8.5"),
+    ("b.json", json.dumps({"k": 1, "n": 3, "Q": 4,
+                           "biases": [{"vars": [0, 1], "p": 1.5}]}),
+     ["gen-parity", "{bad}", "--out", "{out}"], "'p' must be an integer, got 1.5"),
+    ("jt.json", json.dumps({"arities": [2, 2.0], "probs": [0.25] * 4}),
+     ["learn", "{bad}", "--k", "1"], "'arities' must be an integer, got 2.0"),
 ], ids=["learn-array", "eval-no-seed", "learn-entry-no-w", "gen-parity-no-n",
         "arities-no-key", "arities-not-object", "arity-not-integer",
         "joint-table-probs-size", "learn-weight-not-finite",
-        "gen-parity-scale-not-number"])
+        "gen-parity-scale-not-number", "structure-seed-float",
+        "structure-vertex-float", "structure-anchor-bool",
+        "structure-k-string", "weights-k-float", "weights-vars-float",
+        "weights-n-bool", "targets-vars-float", "targets-q-grid-float",
+        "biases-p-float", "joint-table-arity-float"])
 def test_malformed_json_input_is_validation(runner, tmp_path, filename, text,
                                             args, field):
     csv_path = tmp_path / "xor.csv"
@@ -366,6 +404,22 @@ def test_malformed_json_input_is_validation(runner, tmp_path, filename, text,
     res = runner.invoke(cli, args)
     assert res.exit_code == 2, res.output
     assert str(bad) in res.output and field in res.output
+
+
+@pytest.mark.parametrize("kind, args, count", [
+    ("csv", ["weights", "{data}", "--k", "2"], "300 vertices number 4500250"),
+    ("json", ["learn", "{data}"], "100000 vertices number 5000050000"),
+], ids=["csv", "weight-file"])
+def test_weight_domain_guard(runner, tmp_path, kind, args, count):
+    data = tmp_path / f"data.{kind}"
+    if kind == "csv":
+        names = [f"x{i}" for i in range(300)]
+        data.write_text(",".join(names) + "\n" + ",".join("0" * 300) + "\n")
+    else:
+        data.write_text(json.dumps({"k": 1, "n": 100000, "weights": []}))
+    res = runner.invoke(cli, [a.format(data=data) for a in args])
+    assert res.exit_code == 3, res.output
+    assert count in res.output and "over 4194304" in res.output
 
 
 @pytest.mark.parametrize("args, option", [

@@ -41,8 +41,7 @@ EXPORTS = {
                    "divergence_direct", "log_likelihood", "project"],
     "solvers": ["SolverResult", "chow_liu", "exact_search", "greedy",
                 "local_search"],
-    "structure": ["KTree", "cliques_of", "ktree_from_graph", "score",
-                  "verify_width"],
+    "structure": ["KTree", "cliques_of", "score"],
     "weights": ["WeightFunction", "attachment_gain", "compute_weights"],
 }
 

@@ -23,13 +23,13 @@ from hypertree.structure import (
     cliques_of,
     ktree_edges,
     ktree_from_dict,
-    ktree_from_graph,
     score,
 )
 from hypertree.weights import compute_weights
 
 from oracles import (
     brute_ktree_scores,
+    ktree_from_graph,
     markov_chain_joint,
     product_joint,
     random_dataset,

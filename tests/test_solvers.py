@@ -11,12 +11,13 @@ from hypertree.solvers import (
     greedy,
     local_search,
 )
-from hypertree.structure import KTree, ktree_edges, ktree_from_graph, score
+from hypertree.structure import KTree, ktree_edges, score
 from hypertree.weights import WeightFunction, compute_weights
 
 from oracles import (
     brute_ktree_scores,
     greedy_reference,
+    ktree_from_graph,
     markov_chain_joint,
     product_joint,
     random_dataset,
@@ -34,6 +35,30 @@ def zero_one_pairs_wf(n, k, ones):
     for pair in ones:
         w[tuple(sorted(pair))] = 1.0
     return WeightFunction(k=k, n=n, weights=w)
+
+
+def mixed_instances(seed, count):
+    """Random instances with k=1..3 and n <= 14; every other one carries
+    small integer weights, so gains tie often."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k = 1 + i % 3
+        n = int(rng.integers(k + 1, 15))
+        if i % 2:
+            yield rng, random_weight_function(rng, n, k)
+        else:
+            w = {h: 0.0 if len(h) == 1 else float(rng.integers(-1, 3))
+                 for size in range(1, k + 2)
+                 for h in itertools.combinations(range(n), size)}
+            yield rng, WeightFunction(k=k, n=n, weights=w)
+
+
+def assert_encodes_graph(res, wf):
+    """The result has the maximal cliques and score of the oracle's encoding
+    of its own graph."""
+    oracle = ktree_from_graph(sorted(ktree_edges(res.tree)), wf.k, wf.n)
+    assert set(res.tree.maximal_cliques()) == set(oracle.maximal_cliques())
+    assert res.score == score(oracle, wf)
 
 
 def triples_wf(n, ones):
@@ -168,18 +193,7 @@ class TestGreedy:
 
 
     def test_matches_full_rescan_reference(self):
-        # half the instances carry small integer weights, so gains tie often
-        rng = np.random.default_rng(16)
-        for i in range(200):
-            k = 1 + i % 3
-            n = int(rng.integers(k + 1, 15))
-            if i % 2:
-                wf = random_weight_function(rng, n, k)
-            else:
-                w = {h: 0.0 if len(h) == 1 else float(rng.integers(-1, 3))
-                     for size in range(1, k + 2)
-                     for h in itertools.combinations(range(n), size)}
-                wf = WeightFunction(k=k, n=n, weights=w)
+        for _, wf in mixed_instances(16, 200):
             ref = greedy_reference(wf)
             res = greedy(wf)
             assert res.tree == ref
@@ -213,10 +227,20 @@ class TestLocalSearch:
             start = random_ktree(rng, n, k)
             res = local_search(wf, start)
             assert res.score >= score(start, wf) - 1e-12
-            if res.tree != start:
-                # a moved tree is encoded from its graph
-                assert res.tree == ktree_from_graph(
-                    sorted(ktree_edges(res.tree)), k, n)
+            # the result has the maximal cliques of its graph's encoding
+            oracle = ktree_from_graph(sorted(ktree_edges(res.tree)), k, n)
+            assert set(res.tree.maximal_cliques()) == set(
+                oracle.maximal_cliques())
+
+    def test_clique_encoding_matches_graph_oracle(self):
+        # chow_liu and local search (from greedy and from a random k-tree)
+        # encode their cliques directly; the oracle encodes the same graph
+        for rng, wf in mixed_instances(17, 420):
+            if wf.k == 1:
+                assert_encodes_graph(chow_liu(wf), wf)
+            assert_encodes_graph(local_search(wf, greedy(wf).tree), wf)
+            start = random_ktree(rng, wf.n, wf.k)
+            assert_encodes_graph(local_search(wf, start), wf)
 
     def test_respects_max_iters(self):
         rng = np.random.default_rng(12)

@@ -11,16 +11,22 @@ from hypertree.structure import (
     KTree,
     cliques_of,
     ktree_edges,
+    ktree_from_cliques,
     ktree_from_dict,
-    ktree_from_graph,
     ktree_to_dict,
     load_ktree,
     score,
-    verify_width,
 )
 from hypertree.weights import compute_weights
 
-from oracles import brute_cliques, random_dataset, random_ktree, xor_triple_joint
+from oracles import (
+    brute_cliques,
+    elimination_order,
+    ktree_from_graph,
+    random_dataset,
+    random_ktree,
+    xor_triple_joint,
+)
 
 
 def test_ktree_validation():
@@ -38,6 +44,23 @@ def test_ktree_validation():
     with pytest.raises(ValueError, match="existing clique"):
         KTree(k=2, n=5, seed=(0, 1, 2),
               attachments=((3, (0, 1)), (4, (2, 3))))
+    with pytest.raises(ValueError, match="existing clique"):
+        KTree(k=1, n=3, seed=(0, 1), attachments=((2, (5,)),))
+    with pytest.raises(ValueError, match=r"vertex 5 outside \[0, 3\)"):
+        KTree(k=1, n=3, seed=(0, 1), attachments=((5, (1,)),))
+    with pytest.raises(ValueError, match=r"vertex -1 outside"):
+        KTree(k=1, n=2, seed=(-1, 0))
+
+
+def test_ktree_validation_cost_follows_document():
+    # a short document naming a huge n is refused with a short message
+    with pytest.raises(ValueError) as exc:
+        KTree(k=1, n=4_000_000, seed=(0, 1))
+    assert str(exc.value) == "3999998 vertices not placed, the first is 2"
+    # a long path validates in one pass, anchored to the latest clique
+    path = KTree(k=1, n=8000, seed=(0, 1),
+                 attachments=tuple((v, (v - 1,)) for v in range(2, 8000)))
+    assert len(path.maximal_cliques()) == 7999
 
 
 def test_cliques_of_path():
@@ -87,72 +110,52 @@ def test_score_missing_entry():
 
 
 def test_verify_width_four_cycle():
-    rep = verify_width([(0, 1), (1, 2), (2, 3), (0, 3)], k=2)
-    assert not rep.ok
-    assert rep.bad_cycle is not None and len(rep.bad_cycle) == 4
-    assert set(rep.bad_cycle) == {0, 1, 2, 3}
+    assert elimination_order([(0, 1), (1, 2), (2, 3), (0, 3)], k=2, n=4) is None
 
 
 def test_verify_width_tree():
-    rep = verify_width([(0, 1), (1, 2), (1, 3), (3, 4)], k=1)
-    assert rep.ok
-    assert len(rep.elimination_order) == 5
+    order = elimination_order([(0, 1), (1, 2), (1, 3), (3, 4)], k=1, n=5)
+    assert order is not None
+    assert len(order) == 5
 
 
 def test_verify_width_k4_too_wide():
     edges = list(itertools.combinations(range(4), 2))
-    rep = verify_width(edges, k=2)
-    assert not rep.ok
-    assert rep.oversized_clique == (0, 1, 2, 3)
-    assert verify_width(edges, k=3).ok
-
-
-def test_verify_width_bad_edges():
-    with pytest.raises(ValueError, match="self-loop"):
-        verify_width([(0, 0)], k=1)
-    with pytest.raises(ValueError, match="duplicate"):
-        verify_width([(0, 1), (1, 0)], k=1)
+    assert elimination_order(edges, k=2, n=4) is None
+    assert elimination_order(edges, k=3, n=4) is not None
 
 
 def test_verify_width_chordless_cycle_witness_is_chordless():
-    # 5-cycle plus a pendant: witness must be an induced cycle
+    # a 5-cycle plus a pendant is not chordal, at any width
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (2, 5)]
-    rep = verify_width(edges, k=2)
-    assert not rep.ok
-    cyc = rep.bad_cycle
-    eset = {tuple(sorted(e)) for e in edges}
-    m = len(cyc)
-    assert m >= 4
-    for i, j in itertools.combinations(range(m), 2):
-        e = tuple(sorted((cyc[i], cyc[j])))
-        adjacent_on_cycle = (j - i == 1) or (i == 0 and j == m - 1)
-        assert (e in eset) == adjacent_on_cycle
+    assert elimination_order(edges, k=2, n=6) is None
+    assert elimination_order(edges, k=5, n=6) is None
 
 
 def test_ktree_from_graph_path():
-    t = ktree_from_graph([(0, 1), (1, 2)], k=1)
+    t = ktree_from_graph([(0, 1), (1, 2)], k=1, n=3)
     assert t.seed == (0, 1)
     assert t.attachments == ((2, (1,)),)
 
 
 def test_ktree_from_graph_triangle():
-    t = ktree_from_graph([(0, 1), (0, 2), (1, 2)], k=2)
+    t = ktree_from_graph([(0, 1), (0, 2), (1, 2)], k=2, n=3)
     assert t.seed == (0, 1, 2)
     assert t.attachments == ()
 
 
 def test_ktree_from_graph_star_fills():
     star = [(0, 1), (0, 2), (0, 3)]
-    t = ktree_from_graph(star, k=2)
+    t = ktree_from_graph(star, k=2, n=4)
     edges = ktree_edges(t)
     for e in star:
         assert e in edges
-    assert verify_width(sorted(edges), k=2, n=4).ok
+    assert elimination_order(sorted(edges), k=2, n=4) is not None
 
 
 def test_ktree_from_graph_rejects_wide_input():
     with pytest.raises(ValueError, match="chordless|clique"):
-        ktree_from_graph([(0, 1), (1, 2), (2, 3), (0, 3)], k=2)
+        ktree_from_graph([(0, 1), (1, 2), (2, 3), (0, 3)], k=2, n=4)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -169,8 +172,23 @@ def test_random_ktree_invariants(seed):
         assert len(mc) == min(k + 1, n)
     # the edge set verifies back at width k
     edges = sorted(ktree_edges(t))
-    if edges:
-        assert verify_width(edges, k=k, n=n).ok
+    assert elimination_order(edges, k=k, n=n) is not None
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_ktree_from_cliques_inverts_maximal_cliques(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    k = int(rng.integers(1, 4))  # n <= k+1 included
+    t = random_ktree(rng, n, k)
+    cliques = list(t.maximal_cliques())
+    rng.shuffle(cliques)
+    rebuilt = ktree_from_cliques(cliques, k, n)
+    assert (rebuilt.k, rebuilt.n) == (k, n)
+    assert set(rebuilt.maximal_cliques()) == set(t.maximal_cliques())
+    oracle = ktree_from_graph(sorted(ktree_edges(t)), k, n)
+    assert set(rebuilt.maximal_cliques()) == set(oracle.maximal_cliques())
 
 
 @given(seed=st.integers(0, 10_000))
@@ -200,12 +218,11 @@ def test_ktree_from_graph_contains_input(seed):
     edges = sorted(ktree_edges(t))
     # drop a few edges; the remainder is still width <= k
     keep = [e for i, e in enumerate(edges) if rng.random() > 0.3 or i == 0]
-    rep = verify_width(keep, k=k, n=n)
-    if not rep.ok:
+    if elimination_order(keep, k=k, n=n) is None:
         return  # random subgraph of a k-tree can lose chordality; skip
     rebuilt = ktree_from_graph(keep, k=k, n=n)
     assert set(keep) <= set(ktree_edges(rebuilt))
-    assert verify_width(sorted(ktree_edges(rebuilt)), k=k, n=n).ok
+    assert elimination_order(sorted(ktree_edges(rebuilt)), k=k, n=n) is not None
 
 
 def test_score_monotone_under_extension():
