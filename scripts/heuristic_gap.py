@@ -20,10 +20,9 @@ from hypertree.weights import WeightFunction
 
 def random_instance(rng, n, k, neg):
     lo = -0.4 if neg else 0.0
-    w = {}
-    for size in range(1, k + 2):
-        for h in itertools.combinations(range(n), size):
-            w[h] = 0.0 if size == 1 else float(rng.uniform(lo, 1.0))
+    w = {h: float(rng.uniform(lo, 1.0))
+         for size in range(2, k + 2)
+         for h in itertools.combinations(range(n), size)}
     return WeightFunction(k=k, n=n, weights=w)
 
 

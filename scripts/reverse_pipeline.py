@@ -40,11 +40,7 @@ def main():
         targets = {subsets[0]: 0.5}
     print(f"targets on {len(targets)}/{len(subsets)} subsets of size {k + 1}")
 
-    wtab = {}
-    for size in range(1, k + 2):
-        for h in itertools.combinations(range(n), size):
-            wtab[h] = targets.get(h, 0.0)
-    intended = WeightFunction(k=k, n=n, weights=wtab)
+    intended = WeightFunction(k=k, n=n, weights=targets)
     want = exact_search(intended)
     print(f"intended optimum: score {want.score:.4f}, "
           f"edges {sorted(ktree_edges(want.tree))}")

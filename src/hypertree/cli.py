@@ -23,7 +23,7 @@ import sys
 import click
 
 from . import solvers, structure, weights
-from .errors import DEFAULT_CUBE_LIMIT, GuardLimitError, json_int
+from .errors import DEFAULT_CUBE_LIMIT, GuardLimitError, json_int, json_subsets
 
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
@@ -274,10 +274,7 @@ def _parity_spec(doc: dict):
     if "biases" in doc:
         return biases_from_dict(doc), None
     if "targets" in doc:
-        targets = {
-            tuple(json_int(v, "vars") for v in entry["vars"]): float(entry["w"])
-            for entry in doc["targets"]
-        }
+        targets = json_subsets(doc["targets"], "w", float)
         scale = doc.get("scale")
         if not isinstance(scale, (int, float, type(None))):
             raise TypeError(f"'scale' must be a number, got {type(scale).__name__}")

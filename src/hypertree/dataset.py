@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import json_int
+from .errors import GuardLimitError, json_int
 
 __all__ = [
     "VariableSpec",
@@ -31,6 +31,8 @@ __all__ = [
     "scope_entropy",
     "joint_entropy",
 ]
+
+MARGINAL_CELL_GUARD = 2 ** 24  # cells of one count table: 128 MiB of int64
 
 
 @dataclass(frozen=True)
@@ -256,11 +258,16 @@ def _check_scope(scope, n: int) -> tuple[int, ...]:
 
 
 def count_table(data: Dataset, scope) -> np.ndarray:
-    """Integer outcome counts over a scope, shaped by the scope's arities."""
+    """Integer outcome counts over a scope, shaped by the scope's arities;
+    refuses, before allocating, more than MARGINAL_CELL_GUARD cells."""
     scope = _check_scope(scope, data.n_vars)
     dims = tuple(data.specs[v].arity for v in scope)
+    cells = math.prod(dims)
+    if cells > MARGINAL_CELL_GUARD:
+        raise GuardLimitError(f"marginal table over scope {scope} has {cells} "
+                              f"cells, over {MARGINAL_CELL_GUARD}")
     flat = np.ravel_multi_index(tuple(data.rows[:, v] for v in scope), dims)
-    counts = np.bincount(flat, minlength=int(np.prod(dims)))
+    counts = np.bincount(flat, minlength=cells)
     return counts.reshape(dims)
 
 

@@ -1,4 +1,4 @@
-"""Shared exception types, guard defaults and the JSON integer check.
+"""Shared exception types, guard defaults and the JSON field readers.
 
 Guard defaults live here, beside the error they raise, so the command line
 can show them without importing the modules that enforce them.
@@ -26,3 +26,18 @@ def json_int(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{field!r} must be an integer, got {value!r}")
     return value
+
+
+def json_subsets(entries, field: str, convert) -> dict:
+    """Map each entry's sorted ``vars`` to convert(entry[field]); refuse repeats."""
+    out = {}
+    for entry in entries:
+        vs = entry["vars"]
+        for v in vs:
+            if type(v) is not int:  # json_int's test, inlined for speed
+                json_int(v, "vars")
+        h = tuple(sorted(vs))
+        if h in out:
+            raise ValueError(f"subset {h} is listed more than once")
+        out[h] = convert(entry[field])
+    return out

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, VariableSpec
-from .errors import DEFAULT_CUBE_LIMIT, GuardLimitError, json_int
+from .errors import DEFAULT_CUBE_LIMIT, GuardLimitError, json_int, json_subsets
 
 __all__ = [
     "TargetBiases",
@@ -45,7 +45,7 @@ SAMPLE_CELL_GUARD = 2 ** 27  # rows x variables of the pooled sample: 1 GiB of i
 
 @dataclass(frozen=True)
 class TargetBiases:
-    """Rational parity biases p_h / q on (k+1)-subsets of binary variables."""
+    """Rational parity biases p_h / q on sorted (k+1)-subsets; p is 0 where absent."""
 
     k: int
     n: int
@@ -57,14 +57,9 @@ class TargetBiases:
             raise ValueError(f"need n >= k+1 >= 2, got n={self.n}, k={self.k}")
         if self.q < 1:
             raise ValueError(f"denominator must be >= 1, got {self.q}")
-        entries = {
-            tuple(sorted(int(v) for v in h)): int(p)
-            for h, p in self.entries.items()
-        }
-        object.__setattr__(self, "entries", entries)
-        for h, p in entries.items():
-            if len(h) != self.k + 1 or len(set(h)) != self.k + 1:
-                raise ValueError(f"subset {h} must have exactly {self.k + 1} vertices")
+        for h, p in self.entries.items():
+            if len(h) != self.k + 1 or h != tuple(sorted(set(h))):
+                raise ValueError(f"subset {h} is not {self.k + 1} ascending vertices")
             if h[0] < 0 or h[-1] >= self.n:
                 raise ValueError(f"subset {h} outside [0, {self.n})")
             if not 0 <= p < self.q:
@@ -183,14 +178,11 @@ def realize_weights(
     and rounded to the q_grid denominator. The report carries the per-subset
     difference between the induced weight and c times the target.
     """
-    targets = {
-        tuple(sorted(int(v) for v in h)): float(w) for h, w in targets.items()
-    }
     for h, w in targets.items():
         if len(h) != k + 1:
             raise ValueError(f"target subset {h} must have {k + 1} vertices")
-        if len(set(h)) != len(h):
-            raise ValueError(f"target subset {h} repeats a vertex")
+        if h != tuple(sorted(set(h))):
+            raise ValueError(f"target subset {h} repeats a vertex or is not sorted")
         if h[0] < 0 or h[-1] >= n:
             raise ValueError(f"target subset {h} outside [0, {n})")
         if not (w >= 0.0 and math.isfinite(w)):
@@ -252,9 +244,5 @@ def biases_from_dict(doc: dict) -> TargetBiases:
         k=json_int(doc["k"], "k"),
         n=json_int(doc["n"], "n"),
         q=json_int(doc["Q"], "Q"),
-        entries={
-            tuple(json_int(v, "vars") for v in entry["vars"]):
-                json_int(entry["p"], "p")
-            for entry in doc["biases"]
-        },
+        entries=json_subsets(doc["biases"], "p", lambda p: json_int(p, "p")),
     )

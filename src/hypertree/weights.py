@@ -8,6 +8,8 @@ triangulated graph (singletons excluded), these weights measure how much the
 graph reduces divergence from the fully independent baseline, which is what
 the solvers maximize.
 
+A ``WeightFunction`` stores only the subsets it is given: an absent subset
+of the domain weighs 0, so an instance costs memory only for its entries.
 ``compute_weights`` builds the weights bottom-up by subset size.
 ``attachment_gain`` is the one place that scores a k-tree attachment: the
 total weight of the cliques that attaching a vertex to an anchor creates.
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import GuardLimitError, json_int
+from .errors import GuardLimitError, json_int, json_subsets
 
 __all__ = [
     "WeightFunction",
@@ -41,8 +43,7 @@ def domain_size(n: int, k: int) -> int:
 
     Raises GuardLimitError once the count passes WEIGHT_DOMAIN_GUARD. Sizes
     are added in ascending order and counting stops there, so a refusal is
-    cheap; ``compute_weights`` and ``weights_from_dict`` ask before they
-    store any weight.
+    cheap; ``compute_weights`` asks before it computes any weight.
     """
     total = 0
     for size in range(1, min(k + 1, n) + 1):
@@ -56,10 +57,11 @@ def domain_size(n: int, k: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class WeightFunction:
-    """Real-valued weights (nats) on all vertex subsets of size 1..k+1.
+    """Real-valued weights (nats) on vertex subsets of size 1..k+1.
 
-    Keys of ``weights`` are sorted vertex tuples. Treat as immutable after
-    construction; all operations on it are pure.
+    ``weights`` holds only the subsets given, keyed by sorted vertex tuples
+    and checked once at construction. An absent subset of the domain weighs
+    0.0; reading one outside the domain raises. Treat as immutable.
     """
 
     k: int
@@ -69,28 +71,36 @@ class WeightFunction:
     def __post_init__(self):
         if self.k < 1 or self.n < 1:
             raise ValueError("need k >= 1 and n >= 1")
-        expected = domain_size(self.n, self.k)
-        if len(self.weights) != expected:
-            raise ValueError(
-                f"weight domain has {len(self.weights)} subsets, expected "
-                f"{expected} (all sizes 1..{self.k + 1} of {self.n} vertices)"
-            )
-        for size in range(1, min(self.k + 1, self.n) + 1):
-            for h in itertools.combinations(range(self.n), size):
-                if h not in self.weights:
-                    raise ValueError(f"missing weight for subset {h}")
-        for v in range(self.n):
-            if self.weights[(v,)] > SINGLETON_TOL:
-                raise ValueError(
-                    f"singleton weight for vertex {v} is positive: "
-                    f"{self.weights[(v,)]}"
-                )
+        domain_size(self.n, self.k)
+        n, top = self.n, self.k + 1
+        # The test of _refusal, inlined: a call per entry slows a file load.
+        for h, w in self.weights.items():
+            if not (0 < len(h) <= top and 0 <= h[0] and h[-1] < n
+                    and h == tuple(sorted(set(h))) and math.isfinite(w)
+                    and (len(h) > 1 or w <= SINGLETON_TOL)):
+                raise ValueError(self._refusal(h, w))
+
+    def _refusal(self, h, w) -> str | None:
+        """Why entry (h, w) is refused; None for a valid entry of the domain."""
+        if not 0 < len(h) <= self.k + 1:
+            return f"subset {h} has {len(h)} vertices, not 1..{self.k + 1}"
+        if h != tuple(sorted(set(h))):
+            return f"subset {h} is not strictly ascending"
+        if h[0] < 0 or h[-1] >= self.n:
+            return f"subset {h} has a vertex outside [0, {self.n})"
+        if not math.isfinite(w):
+            return f"weight for subset {h} is not finite: {w}"
+        if len(h) == 1 and w > SINGLETON_TOL:
+            return f"singleton weight for vertex {h[0]} is positive: {w}"
+        return None
 
     def __getitem__(self, subset) -> float:
         key = tuple(sorted(int(v) for v in subset))
         try:
             return self.weights[key]
         except KeyError:
+            if self._refusal(key, 0.0) is None:
+                return 0.0
             raise ValueError(f"no weight entry for subset {key}") from None
 
 
@@ -148,28 +158,11 @@ def weights_to_dict(wf: WeightFunction) -> dict:
 
 
 def weights_from_dict(doc: dict) -> WeightFunction:
-    """Parse a weight dump; subsets absent from the file get weight 0.
-
-    Zero-filling lets externally supplied instances (e.g. weights only on
-    pairs) omit the rest of the domain.
-    """
+    """Parse a weight dump; a subset absent from the file weighs 0."""
     if doc.get("log_base", "e") != "e":
         raise ValueError(f"unsupported log base {doc.get('log_base')!r}")
-    k = json_int(doc["k"], "k")
-    n = json_int(doc["n"], "n")
-    domain_size(n, k)
-    w: dict[tuple[int, ...], float] = {}
-    for size in range(1, min(k + 1, n) + 1):
-        for h in itertools.combinations(range(n), size):
-            w[h] = 0.0
-    for entry in doc["weights"]:
-        h = tuple(sorted(json_int(v, "vars") for v in entry["vars"]))
-        if h not in w:
-            raise ValueError(f"subset {h} outside the size-1..{k + 1} domain")
-        w[h] = float(entry["w"])
-        if not math.isfinite(w[h]):
-            raise ValueError(f"weight for subset {h} is not finite: {w[h]}")
-    return WeightFunction(k=k, n=n, weights=w)
+    return WeightFunction(k=json_int(doc["k"], "k"), n=json_int(doc["n"], "n"),
+                          weights=json_subsets(doc["weights"], "w", float))
 
 
 def load_weights(source) -> WeightFunction:

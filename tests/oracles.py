@@ -139,11 +139,10 @@ def ktree_from_graph(edges, k, n):
 
 
 def random_weight_function(rng, n, k, lo=-0.3, hi=1.0):
-    """Arbitrary weights on sizes >= 2; singletons zero."""
-    w = {}
-    for size in range(1, k + 2):
-        for h in itertools.combinations(range(n), size):
-            w[h] = 0.0 if size == 1 else float(rng.uniform(lo, hi))
+    """Arbitrary weights on sizes >= 2; singletons absent, so zero."""
+    w = {h: float(rng.uniform(lo, hi))
+         for size in range(2, k + 2)
+         for h in itertools.combinations(range(n), size)}
     return WeightFunction(k=k, n=n, weights=w)
 
 

@@ -238,10 +238,9 @@ def test_criterion_9_solver_dominance():
         for i in range(50):
             n = int(rng.integers(4, 9))
             lo = 0.0 if i < 40 else -0.4
-            w = {}
-            for size in range(1, 4):
-                for h in itertools.combinations(range(n), size):
-                    w[h] = 0.0 if size == 1 else float(rng.uniform(lo, 1.0))
+            w = {h: float(rng.uniform(lo, 1.0))
+                 for size in (2, 3)
+                 for h in itertools.combinations(range(n), size)}
             wf = WeightFunction(k=2, n=n, weights=w)
             ex = exact_search(wf)
             g = greedy(wf)
@@ -272,11 +271,7 @@ def test_criterion_10_reverse_reduction_preserves_structure():
             }
             if not targets:
                 targets = {triples[0]: 0.5}
-            wtab = {}
-            for size in range(1, 4):
-                for h in itertools.combinations(range(n), size):
-                    wtab[h] = targets.get(h, 0.0)
-            intended = WeightFunction(k=2, n=n, weights=wtab)
+            intended = WeightFunction(k=2, n=n, weights=targets)
             want = exact_search(intended)
             best, second = top_two_scores(brute_ktree_scores(intended))
             gap = best - second if second is not None else math.inf

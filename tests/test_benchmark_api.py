@@ -1,8 +1,10 @@
 """The library calls the benchmark makes, run in process at smoke sizes.
 
 ``perfbench/replay.py`` replays each workload's CLI commands through the
-package's public functions. Running it here means that removing or renaming
-a function the benchmark calls fails these tests, not a benchmark run.
+package's public functions, and ``perfbench/checks.py`` checks their outputs
+against NumPy recomputations, running solvers of its own. Running both here
+means that removing or renaming a function the benchmark calls, or changing
+what an output means, fails these tests, not a benchmark run.
 """
 
 import math
@@ -12,6 +14,7 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
+import checks  # noqa: E402
 import inputs  # noqa: E402
 import replay  # noqa: E402
 
@@ -29,6 +32,7 @@ def test_replay_learn_csv(tmp_path):
     assert doc["method"] == "local_search" and doc["k"] == params["k"]
     assert math.isfinite(doc["score"])
     assert math.isfinite(doc["divergence_decomposed"])
+    checks.learn_from_data(doc, checks.DataOracle(f["data"]), params["k"])
 
 
 def test_replay_solve_weights(tmp_path):
@@ -41,6 +45,10 @@ def test_replay_solve_weights(tmp_path):
     assert big["n"] == params["n"] and exact["n"] == params["exact_n"]
     assert "note" in big and "note" in exact
     assert t.counters["solvers.exact_states"] > 0
+    checks.learn_from_weights(big, checks.load_json(f["w_big"]))
+    wexact = checks.load_json(f["w_exact"])
+    checks.learn_from_weights(exact, wexact)
+    checks.solver_dominance(exact, wexact)
 
 
 def test_replay_reverse_parity(tmp_path):
@@ -57,3 +65,7 @@ def test_replay_reverse_parity(tmp_path):
     assert report["score"] == learned["score"]
     assert report["identity_residual"] <= 1e-9
     assert (tmp_path / "model.json").is_file()
+    oracle = checks.DataOracle(sample)
+    checks.gen_parity(prov, oracle)
+    checks.learn_from_data(learned, oracle, params["k"])
+    checks.evaluation(report, learned, oracle, params["k"])

@@ -385,6 +385,20 @@ def test_display_base_two(runner, tmp_path):
      ["gen-parity", "{bad}", "--out", "{out}"], "'p' must be an integer, got 1.5"),
     ("jt.json", json.dumps({"arities": [2, 2.0], "probs": [0.25] * 4}),
      ["learn", "{bad}", "--k", "1"], "'arities' must be an integer, got 2.0"),
+    ("w.json", json.dumps({"k": 1, "n": 3,
+                           "weights": [{"vars": [0, 1], "w": 1.0},
+                                       {"vars": [1, 0], "w": -5.0}]}),
+     ["learn", "{bad}"], "subset (0, 1) is listed more than once"),
+    ("t.json", json.dumps({"k": 1, "n": 3, "q_grid": 8,
+                           "targets": [{"vars": [0, 1], "w": 1.0},
+                                       {"vars": [1, 0], "w": 0.0}]}),
+     ["gen-parity", "{bad}", "--out", "{out}"],
+     "subset (0, 1) is listed more than once"),
+    ("b.json", json.dumps({"k": 1, "n": 3, "Q": 4,
+                           "biases": [{"vars": [0, 1], "p": 3},
+                                      {"vars": [1, 0], "p": 0}]}),
+     ["gen-parity", "{bad}", "--out", "{out}"],
+     "subset (0, 1) is listed more than once"),
 ], ids=["learn-array", "eval-no-seed", "learn-entry-no-w", "gen-parity-no-n",
         "arities-no-key", "arities-not-object", "arity-not-integer",
         "joint-table-probs-size", "learn-weight-not-finite",
@@ -392,7 +406,8 @@ def test_display_base_two(runner, tmp_path):
         "structure-vertex-float", "structure-anchor-bool",
         "structure-k-string", "weights-k-float", "weights-vars-float",
         "weights-n-bool", "targets-vars-float", "targets-q-grid-float",
-        "biases-p-float", "joint-table-arity-float"])
+        "biases-p-float", "joint-table-arity-float", "weights-repeated-subset",
+        "targets-repeated-subset", "biases-repeated-subset"])
 def test_malformed_json_input_is_validation(runner, tmp_path, filename, text,
                                             args, field):
     csv_path = tmp_path / "xor.csv"
@@ -420,6 +435,15 @@ def test_weight_domain_guard(runner, tmp_path, kind, args, count):
     res = runner.invoke(cli, [a.format(data=data) for a in args])
     assert res.exit_code == 3, res.output
     assert count in res.output and "over 4194304" in res.output
+
+
+def test_marginal_table_guard(runner, tmp_path):
+    # one large code makes a 20,000,001-cell count table; refused unallocated
+    data = tmp_path / "wide.csv"
+    data.write_text("a,b,c\n20000000,0,1\n0,1,0\n")
+    res = runner.invoke(cli, ["weights", str(data), "--k", "1"])
+    assert res.exit_code == 3, res.output
+    assert ("scope (0,) has 20000001 cells, over 16777216" in res.output)
 
 
 @pytest.mark.parametrize("args, option", [

@@ -20,6 +20,8 @@ from hypertree.dataset import (
     scope_entropy,
 )
 
+from hypertree.errors import GuardLimitError
+
 from oracles import mutual_information, random_dataset
 
 
@@ -105,6 +107,18 @@ def test_marginal_errors(four_rows):
         marginal(four_rows, (0, 5))
     with pytest.raises(ValueError):
         marginal(four_rows, (1, 0))
+
+
+def test_count_table_guard():
+    # refused before allocating; the cell count is exact where np.prod wraps
+    specs = tuple(VariableSpec(f"x{i}", 2 ** 21) for i in range(3))
+    d = Dataset(specs, np.zeros((1, 3), dtype=np.int64))
+    with pytest.raises(GuardLimitError,
+                       match=r"scope \(0, 1\) has 4398046511104 cells, "
+                             r"over 16777216"):
+        count_table(d, (0, 1))
+    with pytest.raises(GuardLimitError, match=f"has {2 ** 63} cells"):
+        scope_entropy(d, (0, 1, 2))
 
 
 def test_entropy_values(four_rows):

@@ -180,13 +180,7 @@ class TestRealizeWeights:
         # weight 1 on two triples, 0 elsewhere; fine grid keeps the optimum
         targets = {(0, 1, 2): 1.0, (0, 1, 3): 1.0}
         n, k = 5, 2
-        wtab = {}
-        for size in range(1, k + 2):
-            for h in itertools.combinations(range(n), size):
-                wtab[h] = 0.0
-        for h, w in targets.items():
-            wtab[h] = w
-        intended = WeightFunction(k=k, n=n, weights=wtab)
+        intended = WeightFunction(k=k, n=n, weights=targets)
         want = exact_search(intended)
         rep = realize_weights(targets, n=n, k=k, q_grid=1000)
         s = generate(rep.biases)

@@ -28,13 +28,8 @@ from oracles import (
 
 def zero_one_pairs_wf(n, k, ones):
     """External-style instance: weight 1 on listed pairs, 0 elsewhere."""
-    w = {}
-    for size in range(1, k + 2):
-        for h in itertools.combinations(range(n), size):
-            w[h] = 0.0
-    for pair in ones:
-        w[tuple(sorted(pair))] = 1.0
-    return WeightFunction(k=k, n=n, weights=w)
+    return WeightFunction(k=k, n=n,
+                          weights={tuple(sorted(p)): 1.0 for p in ones})
 
 
 def mixed_instances(seed, count):
@@ -47,8 +42,8 @@ def mixed_instances(seed, count):
         if i % 2:
             yield rng, random_weight_function(rng, n, k)
         else:
-            w = {h: 0.0 if len(h) == 1 else float(rng.integers(-1, 3))
-                 for size in range(1, k + 2)
+            w = {h: float(rng.integers(-1, 3))
+                 for size in range(2, k + 2)
                  for h in itertools.combinations(range(n), size)}
             yield rng, WeightFunction(k=k, n=n, weights=w)
 
@@ -62,13 +57,8 @@ def assert_encodes_graph(res, wf):
 
 
 def triples_wf(n, ones):
-    w = {}
-    for size in range(1, 4):
-        for h in itertools.combinations(range(n), size):
-            w[h] = 0.0
-    for t in ones:
-        w[tuple(sorted(t))] = 1.0
-    return WeightFunction(k=2, n=n, weights=w)
+    return WeightFunction(k=2, n=n,
+                          weights={tuple(sorted(t)): 1.0 for t in ones})
 
 
 class TestChowLiu:
@@ -282,6 +272,31 @@ def test_scale_invariance_of_argmax():
         if k == 1:
             assert ktree_edges(chow_liu(wf).tree) == ktree_edges(
                 chow_liu(scaled).tree)
+
+
+def test_sparse_store_matches_zero_filled():
+    # Listing a 0.0 weight or leaving its subset out gives every solver the
+    # same tree, score and counters.
+    stripped = 0
+    for _, wf in mixed_instances(18, 60):
+        dense = {h: wf.weights.get(h, 0.0)
+                 for size in range(1, wf.k + 2)
+                 for h in itertools.combinations(range(wf.n), size)}
+        sparse = {h: w for h, w in dense.items() if w != 0.0}
+        stripped += len(dense) - len(sparse)
+        runs = [greedy, lambda f: local_search(f, greedy(f).tree)]
+        if wf.k == 1:
+            runs.append(chow_liu)
+        if wf.n <= 7:
+            runs.append(exact_search)
+        for solve in runs:
+            a = solve(WeightFunction(k=wf.k, n=wf.n, weights=dense))
+            b = solve(WeightFunction(k=wf.k, n=wf.n, weights=sparse))
+            assert (a.tree, a.score, a.method) == (b.tree, b.score, b.method)
+            a.stats.pop("elapsed_s")
+            b.stats.pop("elapsed_s")
+            assert a.stats == b.stats
+    assert stripped > 1000
 
 
 def test_solver_stats_present():

@@ -15,6 +15,7 @@ from hypertree.weights import (
     attachment_gain,
     compute_weights,
     load_weights,
+    weights_from_dict,
     weights_to_dict,
 )
 
@@ -183,11 +184,52 @@ def test_zero_law_on_product_distributions():
 
 
 def test_weight_function_validation():
-    with pytest.raises(ValueError, match="domain"):
-        WeightFunction(k=1, n=3, weights={(0,): 0.0})
+    with pytest.raises(ValueError, match="outside"):
+        WeightFunction(k=1, n=3, weights={(0, 3): 0.0})
     bad = {(0,): 0.5, (1,): 0.0, (0, 1): 0.0}
     with pytest.raises(ValueError, match="singleton"):
         WeightFunction(k=1, n=2, weights=bad)
+
+
+def test_absent_subset_weighs_zero():
+    wf = WeightFunction(k=2, n=4, weights={(0, 1): 0.5})
+    assert wf[(1, 0)] == 0.5
+    assert wf[(2,)] == 0.0 and wf[(0, 2)] == 0.0 and wf[(1, 2, 3)] == 0.0
+    for key in [(0, 1, 2, 3), (0, 4), (-1, 2), (1, 1), ()]:
+        with pytest.raises(ValueError, match="no weight entry"):
+            wf[key]
+
+
+@pytest.mark.parametrize("key, w, message", [
+    ((1, 0), 0.5, r"\(1, 0\) is not strictly ascending"),
+    ((2, 2), 0.5, r"\(2, 2\) is not strictly ascending"),
+    ((0, 3), 0.5, r"\(0, 3\) has a vertex outside \[0, 3\)"),
+    ((-1, 0), 0.5, r"\(-1, 0\) has a vertex outside \[0, 3\)"),
+    ((0, 1, 2), 0.5, r"\(0, 1, 2\) has 3 vertices, not 1..2"),
+    ((), 0.5, r"\(\) has 0 vertices"),
+    ((0, 1), math.nan, r"subset \(0, 1\) is not finite: nan"),
+    ((0, 1), -math.inf, r"subset \(0, 1\) is not finite: -inf"),
+    ((2,), 0.25, "singleton weight for vertex 2 is positive"),
+], ids=["unsorted", "repeated-vertex", "vertex-above", "vertex-negative",
+        "too-large", "empty", "nan", "inf", "positive-singleton"])
+def test_weight_function_refuses_bad_entry(key, w, message):
+    with pytest.raises(ValueError, match=message):
+        WeightFunction(k=1, n=3, weights={(0, 1): 1.0, key: w})
+
+
+def test_weight_file_stores_only_listed_subsets():
+    doc = {"k": 1, "n": 2000, "weights": [{"vars": [5, 3], "w": 0.5}]}
+    wf = weights_from_dict(doc)
+    assert wf.weights == {(3, 5): 0.5}
+    assert wf[(5, 3)] == 0.5 and wf[(0, 1999)] == 0.0
+    assert weights_from_dict({"k": 1, "n": 2000, "weights": []}).weights == {}
+
+
+def test_weight_file_refuses_repeated_subset():
+    doc = {"k": 1, "n": 3, "weights": [{"vars": [0, 1], "w": 1.0},
+                                       {"vars": [1, 0], "w": -5.0}]}
+    with pytest.raises(ValueError, match=r"subset \(0, 1\) is listed more"):
+        weights_from_dict(doc)
 
 
 def test_weight_dump_roundtrip(tmp_path):
