@@ -8,21 +8,21 @@ malformed input file, named with the field at fault), 3 guard refusal,
 4 I/O error. All file outputs are in nats; ``--display-base 2`` converts the
 printed summary only.
 
-Only the commands and branches that compute on arrays import ``dataset``,
-``projection`` and ``paritygen`` (and with them NumPy), so ``--help`` and
-``learn`` on a weight file start without it.
+The parser is the standard library's ``argparse``. Each command imports the
+modules it computes with when it runs: ``--help`` loads no library module
+beyond ``errors``, and only the commands and branches that compute on arrays
+import ``dataset``, ``projection`` and ``paritygen`` (and with them NumPy),
+so ``learn`` on a weight file starts without it.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import json
 import math
 import sys
 
-import click
-
-from . import solvers, structure, weights
 from .errors import DEFAULT_CUBE_LIMIT, GuardLimitError, json_int, json_subsets
 
 EXIT_VALIDATION = 2
@@ -30,11 +30,10 @@ EXIT_GUARD = 3
 EXIT_IO = 4
 
 SOLVER_NAMES = ("chow_liu", "exact", "greedy", "local")
-POSITIVE = click.IntRange(min=1)
 
 
 def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -83,7 +82,9 @@ def _joint_table(doc: dict):
 
 def _weights_or_table(doc: dict):
     if "weights" in doc:
-        return weights.weights_from_dict(doc)
+        from .weights import weights_from_dict
+
+        return weights_from_dict(doc)
     return _joint_table(doc)
 
 
@@ -117,7 +118,7 @@ def _load_input(path: str, arities_path: str | None, parse_json=_joint_table):
 def _write_json(doc: dict, out_path: str | None) -> None:
     text = json.dumps(doc, indent=2) + "\n"
     if out_path is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -133,22 +134,11 @@ def _display(value: float, base: str) -> float:
     return value / math.log(2) if base == "2" else value
 
 
-@click.group()
-def cli():
-    """Learn bounded tree-width Markov networks from categorical data."""
-
-
-@cli.command("weights")
-@click.argument("data_path", metavar="DATA")
-@click.option("--k", type=POSITIVE, required=True,
-              help="Width bound (cliques up to k+1 vertices).")
-@click.option("--arities", "arities_path", default=None,
-              help='JSON sidecar {"arities": {"name": m, ...}} declaring arities.')
-@click.option("--display-base", type=click.Choice(["e", "2"]), default="e")
-@click.option("--out", "out_path", default=None, help="Output path (default: stdout).")
 @_guarded
 def weights_cmd(data_path, k, arities_path, display_base, out_path):
     """Compute clique weights for all vertex subsets of size 1..k+1."""
+    from . import weights
+
     provider = _load_input(data_path, arities_path)
     wf = weights.compute_weights(provider, k)
     _write_json(weights.weights_to_dict(wf), out_path)
@@ -160,25 +150,18 @@ def weights_cmd(data_path, k, arities_path, display_base, out_path):
             note = (f"; max non-singleton weight {list(top)} = "
                     f"{_display(wf.weights[top], display_base):.6f} "
                     f"(base {display_base})")
-        click.echo(f"wrote {len(wf.weights)} weights (n={wf.n}, k={wf.k}) "
-                   f"to {out_path}{note}")
+        print(f"wrote {len(wf.weights)} weights (n={wf.n}, k={wf.k}) "
+              f"to {out_path}{note}")
 
 
-@cli.command("learn")
-@click.argument("input_path", metavar="DATA_OR_WEIGHTS")
-@click.option("--k", type=POSITIVE, default=None,
-              help="Width bound; required for CSV input, optional check for weight files.")
-@click.option("--solver", type=click.Choice(SOLVER_NAMES), default="greedy")
-@click.option("--exact-limit", type=POSITIVE, default=None,
-              help="Override the n guard of the exact solver.")
-@click.option("--max-iters", type=POSITIVE, default=solvers.DEFAULT_MAX_ITERS)
-@click.option("--arities", "arities_path", default=None)
-@click.option("--display-base", type=click.Choice(["e", "2"]), default="e")
-@click.option("--out", "out_path", default=None, help="Output path (default: stdout).")
 @_guarded
 def learn_cmd(input_path, k, solver, exact_limit, max_iters, arities_path,
               display_base, out_path):
     """Find a high-weight width-k structure for data or a weight file."""
+    from . import solvers, structure, weights
+
+    if max_iters is None:
+        max_iters = solvers.DEFAULT_MAX_ITERS
     source = _load_input(input_path, arities_path, _weights_or_table)
     if isinstance(source, weights.WeightFunction):
         wf, provider = source, None
@@ -214,23 +197,16 @@ def learn_cmd(input_path, k, solver, exact_limit, max_iters, arities_path,
         doc["note"] = "divergence omitted: learned from a weight file, not data"
     _write_json(doc, out_path)
     if out_path is not None:
-        click.echo(
+        print(
             f"{result.method}: score {_display(result.score, display_base):.6f} "
             f"(base {display_base}, k={wf.k}) -> {out_path}")
 
 
-@cli.command("eval")
-@click.argument("data_path", metavar="DATA")
-@click.argument("structure_path", metavar="STRUCTURE")
-@click.option("--arities", "arities_path", default=None)
-@click.option("--display-base", type=click.Choice(["e", "2"]), default="e")
-@click.option("--model-out", default=None, help="Also write the projected model JSON here.")
-@click.option("--out", "out_path", default=None, help="Output path (default: stdout).")
 @_guarded
 def eval_cmd(data_path, structure_path, arities_path, display_base, model_out,
              out_path):
     """Score a structure against data: divergences and log likelihood."""
-    from . import projection
+    from . import projection, structure, weights
     from .dataset import Dataset
 
     provider = _load_input(data_path, arities_path)
@@ -261,7 +237,7 @@ def eval_cmd(data_path, structure_path, arities_path, display_base, model_out,
         projection.dump_model(model, model_out)
     _write_json(report, out_path)
     if out_path is not None:
-        click.echo(
+        print(
             f"divergence {_display(report['divergence_decomposed'], display_base):.6f} "
             f"(base {display_base}, k={tree.k}) -> {out_path}")
 
@@ -284,12 +260,6 @@ def _parity_spec(doc: dict):
     raise ValueError("input must contain either a 'biases' or a 'targets' list")
 
 
-@cli.command("gen-parity")
-@click.argument("spec_path", metavar="BIASES_OR_TARGETS")
-@click.option("--cube-limit", type=POSITIVE, default=DEFAULT_CUBE_LIMIT,
-              help="Refuse generation above this variable count.")
-@click.option("--out", "out_path", default="sample.csv",
-              help="Sample CSV path; provenance goes next to it.")
 @_guarded
 def gen_parity_cmd(spec_path, cube_limit, out_path):
     """Generate a parity-biased sample from a bias or weight-target file."""
@@ -319,8 +289,8 @@ def gen_parity_cmd(spec_path, cube_limit, out_path):
         prov["total_abs_error"] = realization.total_abs_error
     prov_path = _provenance_path(out_path)
     _write_json(prov, prov_path)
-    click.echo(f"wrote {sample.dataset.n_rows} rows to {out_path}, "
-               f"provenance to {prov_path}")
+    print(f"wrote {sample.dataset.n_rows} rows to {out_path}, "
+          f"provenance to {prov_path}")
 
 
 def _provenance_path(csv_path: str) -> str:
@@ -328,9 +298,87 @@ def _provenance_path(csv_path: str) -> str:
     return stem + ".provenance.json"
 
 
-def main():
-    cli()
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return value
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``hypertree`` parser: one subparser per command, options spelled
+    out in full (no abbreviations), usage errors exiting 2."""
+    parser = argparse.ArgumentParser(
+        prog="hypertree", allow_abbrev=False,
+        description="Learn bounded tree-width Markov networks from "
+                    "categorical data.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, run, *positionals):
+        sub = commands.add_parser(name, help=run.__doc__,
+                                  description=run.__doc__, allow_abbrev=False)
+        sub.set_defaults(run=run, parser=sub)
+        for dest, metavar in positionals:
+            sub.add_argument(dest, metavar=metavar)
+        return sub
+
+    def positive(sub, flag, text=None, **kwargs):
+        sub.add_argument(flag, type=_positive, metavar="INTEGER",
+                         help=f"{text} [x>=1]" if text else "[x>=1]", **kwargs)
+
+    def common(sub, arities_help=None):
+        sub.add_argument("--arities", dest="arities_path", metavar="TEXT",
+                         help=arities_help)
+        sub.add_argument("--display-base", choices=("e", "2"), default="e")
+
+    def out(sub, default=None, text="Output path (default: stdout)."):
+        sub.add_argument("--out", dest="out_path", metavar="TEXT",
+                         default=default, help=text)
+
+    sub = command("weights", weights_cmd, ("data_path", "DATA"))
+    positive(sub, "--k", "Width bound (cliques up to k+1 vertices).",
+             required=True)
+    common(sub, 'JSON sidecar {"arities": {"name": m, ...}} declaring '
+                'arities.')
+    out(sub)
+
+    sub = command("learn", learn_cmd, ("input_path", "DATA_OR_WEIGHTS"))
+    positive(sub, "--k", "Width bound; required for CSV input, optional "
+                         "check for weight files.")
+    sub.add_argument("--solver", choices=SOLVER_NAMES, default="greedy")
+    positive(sub, "--exact-limit", "Override the n guard of the exact solver.")
+    positive(sub, "--max-iters")
+    common(sub)
+    out(sub)
+
+    sub = command("eval", eval_cmd, ("data_path", "DATA"),
+                  ("structure_path", "STRUCTURE"))
+    common(sub)
+    sub.add_argument("--model-out", metavar="TEXT",
+                     help="Also write the projected model JSON here.")
+    out(sub)
+
+    sub = command("gen-parity", gen_parity_cmd,
+                  ("spec_path", "BIASES_OR_TARGETS"))
+    positive(sub, "--cube-limit", "Refuse generation above this variable "
+                                  "count.", default=DEFAULT_CUBE_LIMIT)
+    out(sub, "sample.csv", "Sample CSV path; provenance goes next to it.")
+    return parser
+
+
+def main(argv=None) -> int:
+    """Run one command; a usage error exits 2 before it starts."""
+    args, extra = build_parser().parse_known_args(argv)
+    args = vars(args)
+    command = args.pop("parser")
+    if extra:  # show the usage of the command the arguments were given to
+        command.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.pop("run")(**args)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

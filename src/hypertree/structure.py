@@ -134,12 +134,18 @@ def clique_total(maximal_cliques, wf) -> float:
     """Total weight of the cliques of size >= 2 inside the given cliques.
 
     Each clique counts once however many of the given cliques contain it;
-    the terms are summed in lexicographic order of the sorted cliques.
+    the terms are summed in lexicographic order of the sorted cliques. Each
+    given clique is checked against the weight domain once, so its
+    sub-cliques are read directly.
     """
+    maximal_cliques = [tuple(sorted(mc)) for mc in maximal_cliques]
+    for mc in maximal_cliques:
+        wf.require(mc)
     subs = _sub_cliques(maximal_cliques)
     if len(maximal_cliques) > 1:  # one clique repeats no subset
         subs = set(subs)
-    return float(sum(wf[h] for h in sorted(subs)))
+    get = wf.weights.get
+    return float(sum(get(h, 0.0) for h in sorted(subs)))
 
 
 def score(tree: KTree, wf) -> float:

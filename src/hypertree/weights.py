@@ -99,9 +99,19 @@ class WeightFunction:
         try:
             return self.weights[key]
         except KeyError:
-            if self._refusal(key, 0.0) is None:
-                return 0.0
-            raise ValueError(f"no weight entry for subset {key}") from None
+            self.require(key)
+            return 0.0
+
+    def require(self, clique: tuple[int, ...]) -> None:
+        """Refuse a sorted clique outside the domain, as a read of it would.
+
+        Every subset of an accepted clique is in the domain, so a caller
+        that checks a clique once may read its subsets, in sorted key
+        form, straight from ``weights`` with a default of 0.0.
+        """
+        if not (0 < len(clique) <= self.k + 1 and 0 <= clique[0]
+                and clique[-1] < self.n and len(set(clique)) == len(clique)):
+            raise ValueError(f"no weight entry for subset {clique}")
 
 
 def compute_weights(provider, k: int) -> WeightFunction:
@@ -132,17 +142,22 @@ def attachment_gain(wf: WeightFunction, v: int, anchor) -> float:
 
     The new cliques are exactly the sets S + {v} for nonempty S inside the
     anchor, since v's only neighbors are the anchor vertices. Terms are
-    summed by size, then in lexicographic order of S. For weights computed
-    from a distribution the gain equals I(X_v; X_anchor), so it is
-    nonnegative up to rounding.
+    summed by size, then in lexicographic order of S; the subsets of the
+    sorted clique anchor + {v} that hold v and one more vertex come in
+    that same order, already in key form. For weights computed from a
+    distribution the gain equals I(X_v; X_anchor), so it is nonnegative up
+    to rounding.
     """
-    anchor = tuple(sorted(anchor))
     if v in anchor:
-        raise ValueError(f"vertex {v} is in its own anchor {anchor}")
+        raise ValueError(f"vertex {v} is in its own anchor {tuple(sorted(anchor))}")
+    clique = tuple(sorted((*anchor, v)))
+    wf.require(clique)
+    get = wf.weights.get
     total = 0.0
-    for size in range(1, len(anchor) + 1):
-        for sub in itertools.combinations(anchor, size):
-            total += wf[sub + (v,)]
+    for size in range(2, len(clique) + 1):
+        for h in itertools.combinations(clique, size):
+            if v in h:
+                total += get(h, 0.0)
     return total
 
 

@@ -146,6 +146,28 @@ def random_weight_function(rng, n, k, lo=-0.3, hi=1.0):
     return WeightFunction(k=k, n=n, weights=w)
 
 
+def clique_total_reference(maximal_cliques, wf) -> float:
+    """``structure.clique_total`` read through ``wf[...]``, which sorts and
+    checks every key it is given."""
+    subs = {h for mc in maximal_cliques
+            for size in range(2, len(mc) + 1)
+            for h in itertools.combinations(sorted(mc), size)}
+    return float(sum(wf[h] for h in sorted(subs)))
+
+
+def attachment_gain_reference(wf, v, anchor) -> float:
+    """``weights.attachment_gain`` read through ``wf[...]``: S + {v} for each
+    nonempty S inside the sorted anchor, by size, then S in order."""
+    anchor = tuple(sorted(anchor))
+    if v in anchor:
+        raise ValueError(f"vertex {v} is in its own anchor {anchor}")
+    total = 0.0
+    for size in range(1, len(anchor) + 1):
+        for sub in itertools.combinations(anchor, size):
+            total += wf[sub + (v,)]
+    return total
+
+
 def greedy_reference(wf):
     """The k-tree ``solvers.greedy`` must build, by a full rescan per step.
 

@@ -20,6 +20,8 @@ from hypertree.weights import (
 )
 
 from oracles import (
+    attachment_gain_reference,
+    clique_total_reference,
     markov_chain_joint,
     mutual_information,
     product_joint,
@@ -136,6 +138,64 @@ def test_attachment_gain_is_mutual_information(seed):
         total = clique_total((t.seed,), w) + sum(
             attachment_gain(w, v, a) for v, a in t.attachments)
         assert score(t, w) == pytest.approx(total, abs=1e-12)
+
+
+def _sparse_instances(seed, count):
+    """Random k=1..3 instances with about half of the subsets absent; every
+    other one carries small integer weights, so many sums tie."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k = 1 + i % 3
+        n = int(rng.integers(k + 2, 9))
+        w = {}
+        for size in range(1, k + 2):
+            for h in itertools.combinations(range(n), size):
+                if rng.random() < 0.5:
+                    continue
+                x = float(rng.integers(-2, 3)) if i % 2 else float(rng.normal())
+                w[h] = -abs(x) if size == 1 else x
+        yield rng, WeightFunction(k=k, n=n, weights=w)
+
+
+def test_direct_reads_match_checked_reads():
+    for rng, wf in _sparse_instances(21, 60):
+        k, n = wf.k, wf.n
+        for clique in itertools.combinations(range(n), k + 1):
+            assert clique_total((clique,), wf) == clique_total_reference(
+                (clique,), wf)
+            for v in clique:
+                anchor = [x for x in clique if x != v]
+                rng.shuffle(anchor)  # any vertex order
+                assert attachment_gain(wf, v, anchor) == \
+                    attachment_gain_reference(wf, v, anchor)
+        for _ in range(5):
+            t = random_ktree(rng, n, k)
+            cliques = list(t.maximal_cliques())
+            assert score(t, wf) == clique_total_reference(cliques, wf)
+            # any clique order, any vertex order inside a clique
+            cliques = [tuple(rng.permutation(mc).tolist())
+                       for mc in reversed(cliques)]
+            assert clique_total(cliques, wf) == clique_total_reference(
+                cliques, wf)
+
+
+@pytest.mark.parametrize("call", [
+    lambda wf: clique_total([(0, 1, 2), (1, 2, 4)], wf),   # vertex n
+    lambda wf: clique_total([(0, 1, 2, 3)], wf),           # k+2 vertices
+    lambda wf: clique_total([(-1, 0)], wf),                # negative vertex
+    lambda wf: clique_total([(0, 1, 1)], wf),              # repeated vertex
+    lambda wf: attachment_gain(wf, 4, (0, 1)),             # v = n
+    lambda wf: attachment_gain(wf, 0, (1, -1)),            # anchor vertex < 0
+    lambda wf: attachment_gain(wf, 3, (0, 1, 2)),          # k+2 vertices
+    lambda wf: attachment_gain(wf, 3, (1, 1)),             # repeated vertex
+    lambda wf: attachment_gain(wf, 1, (0, 1)),             # v in its anchor
+], ids=["clique-vertex-n", "clique-too-large", "clique-negative",
+        "clique-repeat", "gain-v-n", "gain-anchor-negative",
+        "gain-too-large", "gain-repeat", "gain-v-in-anchor"])
+def test_direct_reads_refuse_outside_domain(call):
+    wf = WeightFunction(k=2, n=4, weights={(0, 1): 0.5, (1, 2, 3): -0.25})
+    with pytest.raises(ValueError):
+        call(wf)
 
 
 def test_monotone_deficit_examples():
