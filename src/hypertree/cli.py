@@ -3,10 +3,10 @@
 Subcommands: ``weights`` (CSV -> weight dump), ``learn`` (CSV or weight dump
 -> structure + report), ``eval`` (data + structure -> divergence/likelihood
 report), ``gen-parity`` (bias or weight-target prescription -> sample CSV +
-provenance). Exit codes: 0 success, 2 validation error (including a
-malformed input file, named with the field at fault), 3 guard refusal,
-4 I/O error. All file outputs are in nats; ``--display-base 2`` converts the
-printed summary only.
+provenance). Exit codes, mapped in ``main``: 0 success, 2 validation error
+(including a malformed input file, named with the field or line at fault
+after the file's path), 3 guard refusal, 4 I/O error. All file outputs are
+in nats; ``--display-base 2`` converts the printed summary only.
 
 The parser is the standard library's ``argparse``. Each command imports the
 modules it computes with when it runs: ``--help`` loads no library module
@@ -18,7 +18,6 @@ so ``learn`` on a weight file starts without it.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -32,72 +31,46 @@ EXIT_IO = 4
 SOLVER_NAMES = ("chow_liu", "exact", "greedy", "local")
 
 
-def _fail(code: int, message: str):
-    print(f"error: {message}", file=sys.stderr)
-    sys.exit(code)
-
-
-def _guarded(command):
-    """Map library errors raised by a command to exit codes and a message."""
-
-    @functools.wraps(command)
-    def run(*args, **kwargs):
-        try:
-            command(*args, **kwargs)
-        except GuardLimitError as exc:
-            _fail(EXIT_GUARD, str(exc))
-        except OSError as exc:
-            _fail(EXIT_IO, str(exc))
-        except (ValueError, RuntimeError) as exc:
-            _fail(EXIT_VALIDATION, str(exc))
-
-    return run
-
-
-def _read_json(path: str, parse):
-    """Parse the JSON object in a file once and convert it with parse(doc).
+def _read(path: str, parse, *args):
+    """Open an input file once and return parse(fh, *args).
 
     A missing field, a value of the wrong type or an invalid value found
-    while converting becomes a ValueError that names the file.
+    while parsing or converting, a JSON syntax error and a malformed CSV
+    record included, becomes a ValueError that names the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            return parse(fh, *args)
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise ValueError(f"{path}: malformed field: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _json(fh, convert):
+    """A parser for _read: the file's one JSON object, converted by convert."""
+    doc = json.load(fh)
     if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    try:
-        return parse(doc)
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
-    except TypeError as exc:
-        raise ValueError(f"{path}: malformed field: {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _joint_table(doc: dict):
-    from .dataset import joint_table_from_dict
-
-    return joint_table_from_dict(doc)
-
-
-def _weights_or_table(doc: dict):
-    if "weights" in doc:
-        from .weights import weights_from_dict
-
-        return weights_from_dict(doc)
-    return _joint_table(doc)
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    return convert(doc)
 
 
 def _sidecar_arities(doc: dict) -> dict[str, int]:
+    from .dataset import VariableSpec
+
     arities = doc["arities"]
     if not isinstance(arities, dict):
         raise TypeError(f"'arities' must map names to arities, "
                         f"got {type(arities).__name__}")
-    return {name: json_int(m, f"arities.{name}") for name, m in arities.items()}
+    return {name: VariableSpec(name, json_int(m, f"arities.{name}")).arity
+            for name, m in arities.items()}
 
 
-def _load_input(path: str, arities_path: str | None, parse_json=_joint_table):
-    """CSV files become Datasets; JSON files are converted by parse_json.
+def _load_input(path: str, arities_path: str | None, weight_file=False):
+    """CSV files become Datasets; a JSON file is a joint table or, where
+    weight_file is set and it lists ``weights``, a WeightFunction.
 
     Only CSV data takes an ``--arities`` sidecar; a JSON input carries its
     own domain, so a sidecar given with one is refused.
@@ -106,13 +79,20 @@ def _load_input(path: str, arities_path: str | None, parse_json=_joint_table):
         if arities_path is not None:
             raise ValueError(f"--arities applies to CSV data only; {path} is a "
                              "JSON input")
-        return _read_json(path, parse_json)
-    from . import dataset as ds
 
-    sidecar = None
-    if arities_path is not None:
-        sidecar = _read_json(arities_path, _sidecar_arities)
-    return ds.load_dataset(path, arities=sidecar)
+        def convert(doc):
+            if weight_file and "weights" in doc:
+                from .weights import weights_from_dict as parse
+            else:
+                from .dataset import joint_table_from_dict as parse
+            return parse(doc)
+
+        return _read(path, _json, convert)
+    from .dataset import load_dataset
+
+    sidecar = (None if arities_path is None
+               else _read(arities_path, _json, _sidecar_arities))
+    return _read(path, load_dataset, sidecar)
 
 
 def _write_json(doc: dict, out_path: str | None) -> None:
@@ -134,7 +114,6 @@ def _display(value: float, base: str) -> float:
     return value / math.log(2) if base == "2" else value
 
 
-@_guarded
 def weights_cmd(data_path, k, arities_path, display_base, out_path):
     """Compute clique weights for all vertex subsets of size 1..k+1."""
     from . import weights
@@ -154,7 +133,6 @@ def weights_cmd(data_path, k, arities_path, display_base, out_path):
               f"to {out_path}{note}")
 
 
-@_guarded
 def learn_cmd(input_path, k, solver, exact_limit, max_iters, arities_path,
               display_base, out_path):
     """Find a high-weight width-k structure for data or a weight file."""
@@ -162,7 +140,7 @@ def learn_cmd(input_path, k, solver, exact_limit, max_iters, arities_path,
 
     if max_iters is None:
         max_iters = solvers.DEFAULT_MAX_ITERS
-    source = _load_input(input_path, arities_path, _weights_or_table)
+    source = _load_input(input_path, arities_path, weight_file=True)
     if isinstance(source, weights.WeightFunction):
         wf, provider = source, None
         if k is not None and k != wf.k:
@@ -202,7 +180,6 @@ def learn_cmd(input_path, k, solver, exact_limit, max_iters, arities_path,
             f"(base {display_base}, k={wf.k}) -> {out_path}")
 
 
-@_guarded
 def eval_cmd(data_path, structure_path, arities_path, display_base, model_out,
              out_path):
     """Score a structure against data: divergences and log likelihood."""
@@ -210,7 +187,7 @@ def eval_cmd(data_path, structure_path, arities_path, display_base, model_out,
     from .dataset import Dataset
 
     provider = _load_input(data_path, arities_path)
-    tree = _read_json(structure_path, structure.ktree_from_dict)
+    tree = _read(structure_path, _json, structure.ktree_from_dict)
     if tree.n != provider.n_vars:
         raise ValueError(
             f"structure spans {tree.n} variables, data has {provider.n_vars}")
@@ -243,34 +220,31 @@ def eval_cmd(data_path, structure_path, arities_path, display_base, model_out,
 
 
 def _parity_spec(doc: dict):
-    """(biases, None) of a bias document; (None, realize_weights arguments)
-    of a weight-target document."""
-    from .paritygen import biases_from_dict
+    """(biases, None) of a bias document; (biases, realization) of a
+    weight-target document, realized here so that a rounding error names
+    the file."""
+    from . import paritygen
 
     if "biases" in doc:
-        return biases_from_dict(doc), None
+        return paritygen.biases_from_dict(doc), None
     if "targets" in doc:
         targets = json_subsets(doc["targets"], "w", float)
         scale = doc.get("scale")
         if not isinstance(scale, (int, float, type(None))):
             raise TypeError(f"'scale' must be a number, got {type(scale).__name__}")
-        return None, dict(targets=targets, n=json_int(doc["n"], "n"),
-                          k=json_int(doc["k"], "k"),
-                          q_grid=json_int(doc["q_grid"], "q_grid"), scale=scale)
+        realization = paritygen.realize_weights(
+            targets, n=json_int(doc["n"], "n"), k=json_int(doc["k"], "k"),
+            q_grid=json_int(doc["q_grid"], "q_grid"), scale=scale)
+        return realization.biases, realization
     raise ValueError("input must contain either a 'biases' or a 'targets' list")
 
 
-@_guarded
 def gen_parity_cmd(spec_path, cube_limit, out_path):
     """Generate a parity-biased sample from a bias or weight-target file."""
     from . import paritygen
     from .dataset import dump_dataset
 
-    tb, targets = _read_json(spec_path, _parity_spec)
-    realization = None
-    if targets is not None:
-        realization = paritygen.realize_weights(**targets)
-        tb = realization.biases
+    tb, realization = _read(spec_path, _json, _parity_spec)
     sample = paritygen.generate(tb, cube_limit=cube_limit)
     dump_dataset(sample.dataset, out_path)
     prov = paritygen.biases_to_dict(tb)
@@ -370,14 +344,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; a usage error exits 2 before it starts."""
+    """Run one command and return its exit code. A usage error exits 2
+    before the command starts; every failure of a command is mapped here,
+    with its message on stderr."""
     args, extra = build_parser().parse_known_args(argv)
     args = vars(args)
     command = args.pop("parser")
     if extra:  # show the usage of the command the arguments were given to
         command.error(f"unrecognized arguments: {' '.join(extra)}")
-    args.pop("run")(**args)
-    return 0
+    try:
+        args.pop("run")(**args)
+        return 0
+    except GuardLimitError as exc:  # a RuntimeError, so matched first
+        code, failure = EXIT_GUARD, exc
+    except OSError as exc:
+        code, failure = EXIT_IO, exc
+    except (ValueError, RuntimeError) as exc:
+        code, failure = EXIT_VALIDATION, exc
+    print(f"error: {failure}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

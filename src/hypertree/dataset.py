@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -140,54 +141,50 @@ def load_dataset(source, arities: dict[str, int] | None = None) -> Dataset:
     outcome codes. Arities are inferred as max(observed code + 1, 2) unless
     ``arities`` supplies an explicit value for a column, in which case codes
     must stay below it (declared arities permit never-observed outcomes).
-    Every name in ``arities`` must be a column of the header. Errors name
-    the 1-based file line, counting blank lines.
+    Every name in ``arities`` must be a column of the header. Errors, a
+    malformed CSV record included, name the 1-based physical line as the
+    CSV reader counts it: blank lines count, and a record whose quoted cell
+    spans lines is named by its last line.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return load_dataset(fh, arities=arities)
     reader = csv.reader(source)
+    rows, lines = [], array("q")  # each row's file line, 8 bytes a row
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty CSV: missing header row") from None
-    names = [h.strip() for h in header]
-    if arities is not None:
-        unknown = sorted(set(arities) - set(names))
-        if unknown:
-            raise ValueError(f"arities given for columns not in the header: "
-                             f"{unknown}")
-    # Line numbers of skipped empty records: a list per row would cost
-    # memory on every load just to name the line of a rare bad cell.
-    rows, blank = [], []
-    for lineno, rec in enumerate(reader, start=2):
-        if not rec:
-            blank.append(lineno)
-            continue
-        if len(rec) != len(names):
-            raise ValueError(
-                f"line {lineno}: expected {len(names)} cells, got {len(rec)}"
-            )
-        vals = []
-        for col, cell in enumerate(rec):
-            text = cell.strip()
-            try:
-                vals.append(int(text))
-            except ValueError:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty CSV: missing header row")
+        names = [h.strip() for h in header]
+        if arities is not None:
+            unknown = sorted(set(arities) - set(names))
+            if unknown:
+                raise ValueError(f"arities given for columns not in the "
+                                 f"header: {unknown}")
+        for rec in reader:
+            if not rec:
+                continue
+            lineno = reader.line_num
+            if len(rec) != len(names):
                 raise ValueError(
-                    f"line {lineno}, column {names[col]!r}: "
-                    f"non-integer cell {cell!r}"
-                ) from None
-        rows.append(vals)
+                    f"line {lineno}: expected {len(names)} cells, got {len(rec)}"
+                )
+            vals = []
+            for col, cell in enumerate(rec):
+                text = cell.strip()
+                try:
+                    vals.append(int(text))
+                except ValueError:
+                    raise ValueError(
+                        f"line {lineno}, column {names[col]!r}: "
+                        f"non-integer cell {cell!r}"
+                    ) from None
+            rows.append(vals)
+            lines.append(lineno)
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError("empty CSV body: no data rows")
-
-    def line_of(row: int) -> int:
-        lineno = row + 2
-        for b in blank:  # ascending: each blank line up to it shifts it down
-            lineno += b <= lineno
-        return lineno
-
     try:
         data = np.asarray(rows, dtype=np.int64)
     except OverflowError:
@@ -198,7 +195,7 @@ def load_dataset(source, arities: dict[str, int] | None = None) -> Dataset:
             for col, v in enumerate(vals)
             if not info.min <= v <= info.max)
         raise ValueError(
-            f"line {line_of(row)}, column {names[col]!r}: cell {cell} "
+            f"line {lines[row]}, column {names[col]!r}: cell {cell} "
             f"outside the int64 range"
         ) from None
     specs = []
@@ -215,7 +212,7 @@ def load_dataset(source, arities: dict[str, int] | None = None) -> Dataset:
             why = (f">= declared arity {arity}" if code >= 0
                    else f"outside [0, {arity})")
             raise ValueError(
-                f"line {line_of(row)}, column {name!r}: outcome {code} {why}")
+                f"line {lines[row]}, column {name!r}: outcome {code} {why}")
         specs.append(VariableSpec(name, arity))
     return Dataset(tuple(specs), data)
 

@@ -83,8 +83,9 @@ class RealizationReport:
     """Biases realizing a weight target, with the scaling and rounding error.
 
     ``scale`` is the constant c such that the induced weights approximate
-    c * target; ``per_set_error`` maps each (k+1)-subset to the difference
-    (induced weight) - c * (target weight).
+    c * target; ``per_set_error`` maps each listed target subset to the
+    difference (induced weight) - c * (target weight). An unlisted subset
+    rounds to numerator 0; its error, exactly 0.0, is not stored.
     """
 
     biases: TargetBiases
@@ -175,8 +176,8 @@ def realize_weights(
 
     Targets are scaled by c (chosen so the largest bias lands on the last
     grid point, or supplied explicitly), inverted through bias_to_weight,
-    and rounded to the q_grid denominator. The report carries the per-subset
-    difference between the induced weight and c times the target.
+    and rounded to the q_grid denominator. The report carries each listed
+    subset's difference between the induced weight and c times the target.
     """
     for h, w in targets.items():
         if len(h) != k + 1:
@@ -205,8 +206,7 @@ def realize_weights(
             scale = bias_to_weight(r_cap / n_sets) / max_w
     entries: dict[tuple[int, ...], int] = {}
     errors: dict[tuple[int, ...], float] = {}
-    for h in itertools.combinations(range(n), k + 1):
-        w = targets.get(h, 0.0)
+    for h, w in sorted(targets.items()):  # an absent subset: 0, error 0.0
         r = weight_to_bias(scale * w) * n_sets
         if r >= 1.0:
             raise ValueError(

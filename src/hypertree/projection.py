@@ -155,15 +155,10 @@ def divergence_direct(provider, model: ProjectedModel) -> float:
     Enumerates the full joint, so it is guarded by ``model_joint``; serves
     as the oracle for divergence_decomposed.
     """
-    arities = tuple(provider.arities)
-    if arities != model.arities:
+    if tuple(provider.arities) != model.arities:
         raise ValueError("provider and model arities differ")
     phat = model_joint(model)
-    if isinstance(provider, ds.JointTable):
-        target = provider.probs
-    else:
-        target = np.zeros(arities)
-        np.add.at(target, tuple(provider.rows.T), 1.0 / provider.n_rows)
+    target = ds.marginal(provider, range(provider.n_vars))
     mask = target > 0
     if np.any(phat[mask] == 0):
         raise RuntimeError("model assigns zero probability inside the target support")

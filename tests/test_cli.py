@@ -521,3 +521,66 @@ def test_weights_stdout_matches_out_file(run, tmp_path):
     assert run(["weights", str(csv_path), "--k", "2",
                 "--out", str(out)]).exit_code == 0
     assert out.read_bytes() == res.output.encode("utf-8")
+
+
+def test_eval_truncated_structure_names_the_file(run, tmp_path):
+    csv_path = tmp_path / "xor.csv"
+    _write_xor_csv(csv_path)
+    struct = tmp_path / "structure.json"
+    text = json.dumps({"k": 1, "n": 3, "seed": [0, 1],
+                       "attachments": [{"v": 2, "anchor": [1]}]})
+    struct.write_text(text[:text.index('"attachments"') + 3])
+    res = run(["eval", str(csv_path), str(struct)])
+    assert res.exit_code == 2, res.output
+    assert f"error: {struct}: " in res.output
+
+
+def test_csv_field_over_the_reader_limit_is_validation(run, tmp_path):
+    data = tmp_path / "wide.csv"
+    data.write_text("a,b\n0," + "1" * 131_073 + "\n1,0\n")
+    res = run(["weights", str(data), "--k", "1"])
+    assert res.exit_code == 2, res.output
+    assert f"error: {data}: line 2: field larger than field limit" in res.output
+
+
+def test_csv_line_after_a_quoted_two_line_cell(run, tmp_path):
+    data = tmp_path / "quoted.csv"
+    data.write_text('a,b\n0,"1\n"\n0,1\n0,x\n')
+    res = run(["weights", str(data), "--k", "1"])
+    assert res.exit_code == 2, res.output
+    assert f"{data}: line 5, column 'b': non-integer cell 'x'" in res.output
+
+
+def test_gen_parity_wide_targets_refused_before_rounding(run, tmp_path):
+    # one target per variable triple would be C(1000, 3) = 1.66e8 roundings
+    tpath = tmp_path / "targets.json"
+    tpath.write_text(json.dumps(
+        {"k": 2, "n": 1000, "q_grid": 8,
+         "targets": [{"vars": [0, 1, 2], "w": 0.5},
+                     {"vars": [997, 998, 999], "w": 1.0}]}))
+    out_csv = tmp_path / "sample.csv"
+    res = run(["gen-parity", str(tpath), "--out", str(out_csv)])
+    assert res.exit_code == 3, res.output
+    assert "n=1000 exceeds cube limit 14" in res.output
+    assert not out_csv.exists()
+
+
+def test_sidecar_arity_below_two_names_the_sidecar(run, tmp_path):
+    csv_path = tmp_path / "xor.csv"
+    _write_xor_csv(csv_path)
+    sidecar = tmp_path / "arities.json"
+    sidecar.write_text(json.dumps({"arities": {"x0": 1}}))
+    res = run(["weights", str(csv_path), "--k", "1", "--arities", str(sidecar)])
+    assert res.exit_code == 2, res.output
+    assert (f"{sidecar}: variable 'x0': arity must be >= 2, got 1"
+            in res.output)
+
+
+def test_gen_parity_rounding_error_names_the_file(run, tmp_path):
+    tpath = tmp_path / "targets.json"
+    tpath.write_text(json.dumps(
+        {"k": 1, "n": 3, "q_grid": 1, "targets": [{"vars": [0, 2], "w": 0.5}]}))
+    res = run(["gen-parity", str(tpath), "--out", str(tmp_path / "s.csv")])
+    assert res.exit_code == 2, res.output
+    assert (f"error: {tpath}: infeasible scaling: denominator 1 cannot "
+            f"encode a nonzero bias for subset (0, 2)") in res.output

@@ -174,7 +174,7 @@ class TestRealizeWeights:
         for h in itertools.combinations(range(4), 3):
             intended = rep.scale * targets.get(h, 0.0)
             assert wf[h] == pytest.approx(
-                intended + rep.per_set_error[h], abs=1e-9)
+                intended + rep.per_set_error.get(h, 0.0), abs=1e-9)
 
     def test_zero_one_instance_preserves_argmax(self):
         # weight 1 on two triples, 0 elsewhere; fine grid keeps the optimum
