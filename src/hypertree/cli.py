@@ -35,8 +35,8 @@ def _read(path: str, parse, *args):
     """Open an input file once and return parse(fh, *args).
 
     A missing field, a value of the wrong type or an invalid value found
-    while parsing or converting, a JSON syntax error and a malformed CSV
-    record included, becomes a ValueError that names the file.
+    while parsing or converting, a JSON syntax error, JSON nested too deep
+    and a malformed CSV record included, becomes a ValueError naming the file.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
@@ -45,7 +45,7 @@ def _read(path: str, parse, *args):
             raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
         except TypeError as exc:
             raise ValueError(f"{path}: malformed field: {exc}") from None
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 
@@ -189,8 +189,8 @@ def eval_cmd(data_path, structure_path, arities_path, display_base, model_out,
     provider = _load_input(data_path, arities_path)
     tree = _read(structure_path, _json, structure.ktree_from_dict)
     if tree.n != provider.n_vars:
-        raise ValueError(
-            f"structure spans {tree.n} variables, data has {provider.n_vars}")
+        raise ValueError(f"{structure_path}: structure spans {tree.n} "
+                         f"variables, {data_path} has {provider.n_vars}")
     wf = weights.compute_weights(provider, tree.k)
     model = projection.project(provider, tree)
     report = {

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 MARGINAL_CELL_GUARD = 2 ** 24  # cells of one count table: 128 MiB of int64
+DUMP_CHUNK_ROWS = 4096  # rows that dump_dataset holds as Python lists at once
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,21 @@ class JointTable:
         return len(self.arities)
 
 
+def _bad_cell(rec, names, lineno) -> ValueError:
+    """The error naming the first cell of a record that is not an int64;
+    the record is one that int() or array("q") refused."""
+    for name, cell in zip(names, rec):
+        try:
+            code = int(cell.strip())
+        except ValueError:
+            return ValueError(f"line {lineno}, column {name!r}: "
+                              f"non-integer cell {cell!r}")
+        if not -2 ** 63 <= code < 2 ** 63:
+            break
+    return ValueError(f"line {lineno}, column {name!r}: cell {code} "
+                      f"outside the int64 range")
+
+
 def load_dataset(source, arities: dict[str, int] | None = None) -> Dataset:
     """Read a Dataset from CSV text (path or open text stream).
 
@@ -150,7 +166,7 @@ def load_dataset(source, arities: dict[str, int] | None = None) -> Dataset:
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return load_dataset(fh, arities=arities)
     reader = csv.reader(source)
-    rows, lines = [], array("q")  # each row's file line, 8 bytes a row
+    cells, lines = array("q"), array("q")  # row-major codes; each row's line
     try:
         header = next(reader, None)
         if header is None:
@@ -164,40 +180,19 @@ def load_dataset(source, arities: dict[str, int] | None = None) -> Dataset:
         for rec in reader:
             if not rec:
                 continue
-            lineno = reader.line_num
             if len(rec) != len(names):
-                raise ValueError(
-                    f"line {lineno}: expected {len(names)} cells, got {len(rec)}"
-                )
-            vals = []
-            for col, cell in enumerate(rec):
-                text = cell.strip()
-                try:
-                    vals.append(int(text))
-                except ValueError:
-                    raise ValueError(
-                        f"line {lineno}, column {names[col]!r}: "
-                        f"non-integer cell {cell!r}"
-                    ) from None
-            rows.append(vals)
-            lines.append(lineno)
+                raise ValueError(f"line {reader.line_num}: expected "
+                                 f"{len(names)} cells, got {len(rec)}")
+            try:  # str.strip as well: int() refuses padding of U+001C-U+001F
+                cells.extend(map(int, map(str.strip, rec)))
+            except (ValueError, OverflowError):
+                raise _bad_cell(rec, names, reader.line_num) from None
+            lines.append(reader.line_num)
     except csv.Error as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from None
-    if not rows:
+    if not lines:
         raise ValueError("empty CSV body: no data rows")
-    try:
-        data = np.asarray(rows, dtype=np.int64)
-    except OverflowError:
-        info = np.iinfo(np.int64)
-        row, col, cell = next(
-            (row, col, v)
-            for row, vals in enumerate(rows)
-            for col, v in enumerate(vals)
-            if not info.min <= v <= info.max)
-        raise ValueError(
-            f"line {lines[row]}, column {names[col]!r}: cell {cell} "
-            f"outside the int64 range"
-        ) from None
+    data = np.frombuffer(cells, np.int64).reshape(len(lines), len(names))
     specs = []
     for i, name in enumerate(names):
         col = data[:, i]
@@ -225,7 +220,8 @@ def dump_dataset(data: Dataset, target) -> None:
         return
     writer = csv.writer(target)
     writer.writerow([s.name for s in data.specs])
-    writer.writerows(data.rows.tolist())
+    for start in range(0, data.n_rows, DUMP_CHUNK_ROWS):
+        writer.writerows(data.rows[start:start + DUMP_CHUNK_ROWS].tolist())
 
 
 def joint_table_from_dict(doc: dict) -> JointTable:

@@ -5,7 +5,9 @@ k-trees are enumerated by raw construction sequences with edge-set dedup, and
 cliques by scanning all vertex subsets of an adjacency matrix.
 """
 
+import csv
 import itertools
+from array import array
 
 import numpy as np
 
@@ -44,6 +46,80 @@ def mutual_information(provider, u: int, v: int) -> float:
         - scope_entropy(provider, (lo, hi))
     )
     return 0.0 if abs(val) <= MI_ZERO_TOL else val
+
+
+def load_dataset_reference(source, arities=None) -> Dataset:
+    """load_dataset from an open text stream, as it read a CSV before cells
+    went straight into one int64 buffer: a list of Python ints per row, one
+    NumPy copy of them all, and a rescan for cells outside int64 when that
+    copy overflows. A differential oracle for the loader's values, arities
+    and error messages on inputs with at most one fault.
+    """
+    reader = csv.reader(source)
+    rows, lines = [], array("q")
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty CSV: missing header row")
+        names = [h.strip() for h in header]
+        if arities is not None:
+            unknown = sorted(set(arities) - set(names))
+            if unknown:
+                raise ValueError(f"arities given for columns not in the "
+                                 f"header: {unknown}")
+        for rec in reader:
+            if not rec:
+                continue
+            lineno = reader.line_num
+            if len(rec) != len(names):
+                raise ValueError(
+                    f"line {lineno}: expected {len(names)} cells, got {len(rec)}"
+                )
+            vals = []
+            for col, cell in enumerate(rec):
+                try:
+                    vals.append(int(cell.strip()))
+                except ValueError:
+                    raise ValueError(
+                        f"line {lineno}, column {names[col]!r}: "
+                        f"non-integer cell {cell!r}"
+                    ) from None
+            rows.append(vals)
+            lines.append(lineno)
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError("empty CSV body: no data rows")
+    try:
+        data = np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        info = np.iinfo(np.int64)
+        row, col, cell = next(
+            (row, col, v)
+            for row, vals in enumerate(rows)
+            for col, v in enumerate(vals)
+            if not info.min <= v <= info.max)
+        raise ValueError(
+            f"line {lines[row]}, column {names[col]!r}: cell {cell} "
+            f"outside the int64 range"
+        ) from None
+    specs = []
+    for i, name in enumerate(names):
+        col = data[:, i]
+        observed = int(col.max()) + 1
+        if arities is not None and name in arities:
+            arity = int(arities[name])
+        else:
+            arity = max(observed, 2)
+        if col.min() < 0 or observed > arity:
+            row = int(np.argmax((col < 0) | (col >= arity)))
+            code = int(col[row])
+            why = (f">= declared arity {arity}" if code >= 0
+                   else f"outside [0, {arity})")
+            raise ValueError(
+                f"line {lines[row]}, column {name!r}: outcome {code} {why}")
+        specs.append(VariableSpec(name, arity))
+    return Dataset(tuple(specs), data)
 
 
 def random_dataset(rng, n, t, arities=None):

@@ -233,6 +233,18 @@ def test_eval_variable_mismatch(run, tmp_path):
     assert "spans" in res.output
 
 
+def test_eval_size_mismatch_names_both_files(run, tmp_path):
+    csv_path = tmp_path / "two.csv"
+    csv_path.write_text("a,b\n0,1\n1,0\n")
+    struct = tmp_path / "three.json"
+    struct.write_text(json.dumps({"k": 1, "n": 3, "seed": [0, 1],
+                                  "attachments": [{"v": 2, "anchor": [1]}]}))
+    res = run(["eval", str(csv_path), str(struct)])
+    assert res.exit_code == 2, res.output
+    assert (f"error: {struct}: structure spans 3 variables, {csv_path} has 2"
+            in res.output)
+
+
 def test_eval_large_n_omits_direct(run, tmp_path):
     rng = np.random.default_rng(1)
     d = random_dataset(rng, 11, 50, arities=[4] * 11)  # 4^11 > 2^20 cells
@@ -414,6 +426,8 @@ def test_display_base_two(run, tmp_path):
                                       {"vars": [1, 0], "p": 0}]}),
      ["gen-parity", "{bad}", "--out", "{out}"],
      "subset (0, 1) is listed more than once"),
+    ("deep.json", "[" * 100_000, ["learn", "{bad}"],
+     "maximum recursion depth exceeded"),
 ], ids=["learn-array", "eval-no-seed", "learn-entry-no-w", "gen-parity-no-n",
         "arities-no-key", "arities-not-object", "arity-not-integer",
         "joint-table-probs-size", "learn-weight-not-finite",
@@ -422,7 +436,8 @@ def test_display_base_two(run, tmp_path):
         "structure-k-string", "weights-k-float", "weights-vars-float",
         "weights-n-bool", "targets-vars-float", "targets-q-grid-float",
         "biases-p-float", "joint-table-arity-float", "weights-repeated-subset",
-        "targets-repeated-subset", "biases-repeated-subset"])
+        "targets-repeated-subset", "biases-repeated-subset",
+        "learn-deeply-nested"])
 def test_malformed_json_input_is_validation(run, tmp_path, filename, text,
                                             args, field):
     csv_path = tmp_path / "xor.csv"

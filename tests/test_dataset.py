@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypertree.dataset import (
+    DUMP_CHUNK_ROWS,
     Dataset,
     JointTable,
     VariableSpec,
     count_table,
+    dump_dataset,
     entropy,
     joint_entropy,
     joint_table_from_dict,
@@ -22,7 +25,7 @@ from hypertree.dataset import (
 
 from hypertree.errors import GuardLimitError
 
-from oracles import mutual_information, random_dataset
+from oracles import load_dataset_reference, mutual_information, random_dataset
 
 
 @pytest.fixture
@@ -79,6 +82,102 @@ def test_load_dataset_errors():
         load_dataset(io.StringIO("a,b\n0,1\n5,0\n"), arities={"a": 3})
     with pytest.raises(ValueError, match=r"line 4, column 'a': outcome -1 outside"):
         load_dataset(io.StringIO("a,b\n0,1\n\n-1,0\n"))
+    # the first faulty line in file order is reported, whatever its fault
+    with pytest.raises(ValueError, match="line 3, column 'b'.*int64"):
+        load_dataset(io.StringIO("a,b\n0,1\n0,99999999999999999999\n0,1\n0,x\n"))
+
+
+# Padding that str.strip() removes; U+001C and U+001F are whitespace to
+# str.strip() but not to int() alone.
+PADDING = st.text(" \t\x1c\x1f", max_size=2)
+FAULTS = ("none", "non-integer", "int64", "cell-count", "negative",
+          "declared-arity", "unknown-arity", "malformed-record", "no-rows")
+
+
+@st.composite
+def csv_cell(draw, code: int) -> str:
+    """code as a CSV cell: padded, signed, zero-led, quoted or over lines."""
+    sign = "-" if code < 0 else draw(st.sampled_from(["", "+"]))
+    text = (draw(PADDING) + sign + "0" * draw(st.integers(0, 2))
+            + str(abs(code)) + draw(PADDING))
+    form = draw(st.sampled_from(["bare", "quoted", "lines"]))
+    if form == "quoted":
+        return f'"{text}"'
+    return f'"\n{text}\r\n"' if form == "lines" else text
+
+
+@st.composite
+def csv_with_one_fault(draw):
+    """(CSV text, declared arities or None) with at most one fault."""
+    n, t = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    names = [f"x{i}" for i in range(n)]
+    codes = [[draw(st.integers(0, 3)) for _ in range(n)] for _ in range(t)]
+    cells = [[draw(csv_cell(code)) for code in row] for row in codes]
+    arities = {}
+    for i, name in enumerate(names):  # declared arities may exceed the data
+        if draw(st.booleans()):
+            seen = max(row[i] for row in codes) + 1
+            arities[name] = max(seen, 2) + draw(st.integers(0, 2))
+    fault = draw(st.sampled_from(FAULTS))
+    r, c = draw(st.integers(0, t - 1)), draw(st.integers(0, n - 1))
+    if fault == "non-integer":
+        cells[r][c] = draw(st.sampled_from(["x", "1.5", "0x1", "1 2", " ", '""']))
+    elif fault == "int64":
+        cells[r][c] = draw(csv_cell(draw(st.sampled_from(
+            [2 ** 63, -2 ** 63 - 1, 10 ** 20]))))
+    elif fault == "cell-count":
+        cells[r] = cells[r][:-1] if n > 1 and draw(st.booleans()) else cells[r] + ["0"]
+    elif fault == "negative":
+        cells[r][c] = draw(csv_cell(-draw(st.integers(1, 3))))
+    elif fault == "declared-arity":
+        cells[r][c] = draw(csv_cell(5))
+        arities[names[c]] = draw(st.integers(2, 5))
+    elif fault == "unknown-arity":
+        arities["zz"] = 2
+    elif fault == "malformed-record":
+        cells[r][c] = "1\r2"
+    elif fault == "no-rows":
+        cells = []
+    header = ",".join(draw(PADDING) + name for name in names)
+    text = header + "\n"
+    for row in cells:
+        text += "\n" * draw(st.integers(0, 1))  # blank lines count
+        text += ",".join(row) + draw(st.sampled_from(["\n", "\r\n"]))
+    return text, arities or None
+
+
+def _load(load, text, arities):
+    try:
+        return load(io.StringIO(text), arities)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(case=csv_with_one_fault())
+@settings(max_examples=300, deadline=None)
+def test_load_dataset_matches_reference(case):
+    text, arities = case
+    got = _load(load_dataset, text, arities)
+    want = _load(load_dataset_reference, text, arities)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert got.specs == want.specs
+    assert got.rows.dtype == want.rows.dtype == np.int64
+    assert np.array_equal(got.rows, want.rows)
+
+
+@pytest.mark.parametrize("t", [1, DUMP_CHUNK_ROWS - 1, DUMP_CHUNK_ROWS,
+                               DUMP_CHUNK_ROWS + 1, 2 * DUMP_CHUNK_ROWS + 3])
+def test_dump_dataset_writes_chunks_as_one_pass(t):
+    d = random_dataset(np.random.default_rng(t), 3, t)
+    got, want = io.StringIO(), io.StringIO()
+    dump_dataset(d, got)
+    writer = csv.writer(want)
+    writer.writerow([s.name for s in d.specs])
+    writer.writerows(d.rows.tolist())
+    assert got.getvalue() == want.getvalue()
 
 
 def test_variable_spec_validation():
