@@ -1,7 +1,8 @@
 """Bounded tree-width Markov network learning via maximum-weight k-trees.
 
 Modules:
-    dataset     categorical data, exact marginals and entropies
+    dataset     target distributions as distinct weighted rows, exact
+                marginals and entropies
     weights     clique weight functions on vertex subsets
     structure   k-trees, their cliques and scores
     solvers     Chow-Liu, exact, greedy and local-search structure solvers
@@ -21,7 +22,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "dataset": (
         "Dataset",
-        "JointTable",
         "VariableSpec",
         "entropy",
         "joint_entropy",

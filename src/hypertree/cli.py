@@ -22,7 +22,8 @@ import json
 import math
 import sys
 
-from .errors import DEFAULT_CUBE_LIMIT, GuardLimitError, json_int, json_subsets
+from .errors import (DEFAULT_CUBE_LIMIT, GuardLimitError, json_float, json_int,
+                     json_subsets)
 
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
@@ -69,8 +70,9 @@ def _sidecar_arities(doc: dict) -> dict[str, int]:
 
 
 def _load_input(path: str, arities_path: str | None, weight_file=False):
-    """CSV files become Datasets; a JSON file is a joint table or, where
-    weight_file is set and it lists ``weights``, a WeightFunction.
+    """CSV files and joint-table JSON files become Datasets; where
+    weight_file is set, a JSON file that lists ``weights`` becomes a
+    WeightFunction.
 
     Only CSV data takes an ``--arities`` sidecar; a JSON input carries its
     own domain, so a sidecar given with one is refused.
@@ -184,7 +186,6 @@ def eval_cmd(data_path, structure_path, arities_path, display_base, model_out,
              out_path):
     """Score a structure against data: divergences and log likelihood."""
     from . import projection, structure, weights
-    from .dataset import Dataset
 
     provider = _load_input(data_path, arities_path)
     tree = _read(structure_path, _json, structure.ktree_from_dict)
@@ -193,23 +194,19 @@ def eval_cmd(data_path, structure_path, arities_path, display_base, model_out,
                          f"variables, {data_path} has {provider.n_vars}")
     wf = weights.compute_weights(provider, tree.k)
     model = projection.project(provider, tree)
+    decomposed = projection.divergence_decomposed(provider, wf, tree)
+    direct = projection.divergence_direct(provider, model)
+    ll = projection.log_likelihood(model, provider)
     report = {
         "k": tree.k,
         "n": tree.n,
         "log_base": "e",
         "score": structure.score(tree, wf),
-        "divergence_decomposed": projection.divergence_decomposed(provider, wf, tree),
+        "divergence_decomposed": decomposed,
+        "divergence_direct": direct,
+        "identity_residual": abs(direct - decomposed),
+        "loglik_per_row": _json_float(ll / provider.n_rows),
     }
-    try:
-        direct = projection.divergence_direct(provider, model)
-    except GuardLimitError as exc:
-        report["note"] = f"divergence_direct omitted: {exc}"
-    else:
-        report["divergence_direct"] = direct
-        report["identity_residual"] = abs(direct - report["divergence_decomposed"])
-    if isinstance(provider, Dataset):
-        ll = projection.log_likelihood(model, provider)
-        report["loglik_per_row"] = _json_float(ll / provider.n_rows)
     if model_out is not None:
         projection.dump_model(model, model_out)
     _write_json(report, out_path)
@@ -228,10 +225,10 @@ def _parity_spec(doc: dict):
     if "biases" in doc:
         return paritygen.biases_from_dict(doc), None
     if "targets" in doc:
-        targets = json_subsets(doc["targets"], "w", float)
+        targets = json_subsets(doc["targets"], "w", json_float)
         scale = doc.get("scale")
-        if not isinstance(scale, (int, float, type(None))):
-            raise TypeError(f"'scale' must be a number, got {type(scale).__name__}")
+        if scale is not None:
+            scale = json_float(scale, "scale")
         realization = paritygen.realize_weights(
             targets, n=json_int(doc["n"], "n"), k=json_int(doc["k"], "k"),
             q_grid=json_int(doc["q_grid"], "q_grid"), scale=scale)

@@ -1,11 +1,13 @@
-"""Categorical data tables and exact marginal / entropy computation.
+"""Target distributions over categorical variables, with exact marginals
+and entropies.
 
-Two marginal providers are supported: ``Dataset`` (a table of observed
-outcome vectors, giving the empirical distribution) and ``JointTable`` (an
-explicit joint probability table over all variables, for analytic tests and
-small synthetic targets). All information quantities are in nats, with the
-convention 0*ln(0) = 0. Empirical marginals are raw counts divided by the
-sample size; no smoothing is applied.
+A ``Dataset`` is the one representation of a target distribution: its
+distinct outcome vectors and a positive weight for each. A CSV sample gives
+integer counts that total the sample size T, so the target is the empirical
+distribution; a joint-table document gives its nonzero cells, each weighted
+by its probability. All information quantities are in nats, with the
+convention 0*ln(0) = 0. Marginals are weighted counts divided by the total
+weight; no smoothing is applied.
 """
 
 from __future__ import annotations
@@ -13,17 +15,16 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import GuardLimitError, json_int
+from .errors import GuardLimitError, json_float, json_int
 
 __all__ = [
     "VariableSpec",
     "Dataset",
-    "JointTable",
     "load_dataset",
     "dump_dataset",
     "marginal",
@@ -55,14 +56,21 @@ class VariableSpec:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """An immutable table of categorical observations.
+    """A target distribution: distinct outcome vectors with positive weights.
 
-    ``rows`` has shape (T, n); entry (t, i) is the outcome code of variable i
-    in observation t, an integer in [0, arity_i).
+    ``rows`` has shape (D, n); entry (d, i) is the outcome code of variable i
+    in distinct row d, an integer in [0, arity_i), and the rows are in
+    lexicographic order. ``counts[d]`` is the weight of row d. Given no
+    counts, the constructor collapses the repeated rows of a (T, n) table of
+    observations and counts them; given counts, the rows must already be
+    distinct and in lexicographic order. ``n_rows`` is the total weight: T
+    for a table of observations, 1 for a probability table.
     """
 
     specs: tuple[VariableSpec, ...]
     rows: np.ndarray
+    counts: np.ndarray | None = None
+    n_rows: int | float = field(init=False)
 
     def __post_init__(self):
         specs = tuple(self.specs)
@@ -87,52 +95,28 @@ class Dataset:
                     f"row {bad}, column {spec.name!r}: outcome "
                     f"{int(col[bad])} outside [0, {spec.arity})"
                 )
-        object.__setattr__(self, "rows", rows)
+        distinct, counts = np.unique(rows, axis=0, return_counts=True)
+        if self.counts is not None:
+            counts = np.asarray(self.counts)
+            if counts.shape != (len(rows),):
+                raise ValueError(f"counts must have shape ({len(rows)},), "
+                                 f"got {counts.shape}")
+            if not np.all((counts > 0) & np.isfinite(counts)):
+                raise ValueError("counts must be finite and positive")
+            if not np.array_equal(distinct, rows):
+                raise ValueError("weighted rows must be distinct and in "
+                                 "lexicographic order")
+        object.__setattr__(self, "rows", distinct)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "n_rows", counts.sum().item())
 
     @property
     def n_vars(self) -> int:
         return len(self.specs)
 
     @property
-    def n_rows(self) -> int:
-        return int(self.rows.shape[0])
-
-    @property
     def arities(self) -> tuple[int, ...]:
         return tuple(s.arity for s in self.specs)
-
-
-@dataclass(frozen=True, eq=False)
-class JointTable:
-    """An explicit joint distribution over all variables.
-
-    ``probs`` is an n-dimensional array of shape ``arities``; it must be
-    nonnegative and sum to 1 within 1e-12.
-    """
-
-    arities: tuple[int, ...]
-    probs: np.ndarray
-
-    def __post_init__(self):
-        arities = tuple(int(a) for a in self.arities)
-        object.__setattr__(self, "arities", arities)
-        if any(a < 2 for a in arities):
-            raise ValueError("all arities must be >= 2")
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.shape != arities:
-            raise ValueError(
-                f"probs shape {probs.shape} does not match arities {arities}"
-            )
-        if probs.min() < 0:
-            raise ValueError("joint table entries must be nonnegative")
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"joint table sums to {total}, expected 1")
-        object.__setattr__(self, "probs", probs)
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.arities)
 
 
 def _bad_cell(rec, names, lineno) -> ValueError:
@@ -209,34 +193,55 @@ def load_dataset(source, arities: dict[str, int] | None = None) -> Dataset:
             raise ValueError(
                 f"line {lines[row]}, column {name!r}: outcome {code} {why}")
         specs.append(VariableSpec(name, arity))
+    del lines  # only the errors above need it: free it before the rows sort
     return Dataset(tuple(specs), data)
 
 
 def dump_dataset(data: Dataset, target) -> None:
-    """Write a Dataset as header + integer-code CSV rows."""
+    """Write a Dataset of integer counts as header + integer-code CSV rows:
+    each distinct row as many times as its count, equal rows together."""
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8", newline="") as fh:
             dump_dataset(data, fh)
         return
     writer = csv.writer(target)
     writer.writerow([s.name for s in data.specs])
+    ends = np.cumsum(data.counts)  # row d fills [ends[d-1], ends[d])
     for start in range(0, data.n_rows, DUMP_CHUNK_ROWS):
-        writer.writerows(data.rows[start:start + DUMP_CHUNK_ROWS].tolist())
+        out = np.arange(start, min(start + DUMP_CHUNK_ROWS, data.n_rows))
+        rows = data.rows[np.searchsorted(ends, out, side="right")]
+        writer.writerows(rows.tolist())
 
 
-def joint_table_from_dict(doc: dict) -> JointTable:
-    """Parse a joint table document: {"arities": [...], "probs": [...]}.
+def joint_table_from_dict(doc: dict) -> Dataset:
+    """Parse a joint table document {"arities": [...], "probs": [...]} into
+    the Dataset of its nonzero cells, each weighted by its probability.
 
-    ``probs`` is flat row-major with the last variable fastest.
+    ``probs`` is flat row-major with the last variable fastest. Every entry
+    must be a finite nonnegative number, and the entries must sum to 1
+    within 1e-12. Variables are named x0, x1, ...
     """
-    arities = tuple(json_int(a, "arities") for a in doc["arities"])
-    flat = np.asarray(doc["probs"], dtype=float)
+    specs = tuple(VariableSpec(f"x{i}", json_int(a, "arities"))
+                  for i, a in enumerate(doc["arities"]))
+    arities = tuple(s.arity for s in specs)
+    probs = np.array([p if type(p) is float else json_float(p, "probs")
+                      for p in doc["probs"]], dtype=float)
     expect = math.prod(arities)
-    if flat.size != expect:
+    if probs.size != expect:
         raise ValueError(
-            f"probs has {flat.size} entries, expected {expect} for {arities}"
+            f"probs has {probs.size} entries, expected {expect} for {arities}"
         )
-    return JointTable(arities, flat.reshape(arities))
+    bad = ~(np.isfinite(probs) & (probs >= 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"probs[{i}] is {probs[i]}, not a finite "
+                         f"nonnegative probability")
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= 1e-12:
+        raise ValueError(f"joint table sums to {total}, expected 1")
+    cells = np.flatnonzero(probs)
+    rows = np.column_stack(np.unravel_index(cells, arities))
+    return Dataset(specs, rows, probs[cells])
 
 
 def _check_scope(scope, n: int) -> tuple[int, ...]:
@@ -251,7 +256,7 @@ def _check_scope(scope, n: int) -> tuple[int, ...]:
 
 
 def count_table(data: Dataset, scope) -> np.ndarray:
-    """Integer outcome counts over a scope, shaped by the scope's arities;
+    """Weighted outcome counts over a scope, shaped by the scope's arities;
     refuses, before allocating, more than MARGINAL_CELL_GUARD cells."""
     scope = _check_scope(scope, data.n_vars)
     dims = tuple(data.specs[v].arity for v in scope)
@@ -260,20 +265,14 @@ def count_table(data: Dataset, scope) -> np.ndarray:
         raise GuardLimitError(f"marginal table over scope {scope} has {cells} "
                               f"cells, over {MARGINAL_CELL_GUARD}")
     flat = np.ravel_multi_index(tuple(data.rows[:, v] for v in scope), dims)
-    counts = np.bincount(flat, minlength=cells)
+    counts = np.bincount(flat, weights=data.counts, minlength=cells)
     return counts.reshape(dims)
 
 
-def marginal(provider, scope) -> np.ndarray:
-    """Exact marginal distribution of a Dataset or JointTable over a sorted
-    scope, as a probability array shaped by the scope's arities."""
-    if isinstance(provider, Dataset):
-        return count_table(provider, scope) / provider.n_rows
-    if isinstance(provider, JointTable):
-        scope = _check_scope(scope, provider.n_vars)
-        drop = tuple(i for i in range(provider.n_vars) if i not in scope)
-        return provider.probs.sum(axis=drop) if drop else provider.probs
-    raise TypeError(f"not a marginal provider: {type(provider).__name__}")
+def marginal(data: Dataset, scope) -> np.ndarray:
+    """Exact marginal distribution over a sorted scope, as a probability
+    array shaped by the scope's arities."""
+    return count_table(data, scope) / data.n_rows
 
 
 def entropy(probs: np.ndarray) -> float:
@@ -282,21 +281,12 @@ def entropy(probs: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def scope_entropy(provider, scope) -> float:
+def scope_entropy(data: Dataset, scope) -> float:
     """Entropy of the marginal over a scope, in nats."""
-    return entropy(marginal(provider, scope))
+    return entropy(marginal(data, scope))
 
 
-def joint_entropy(provider) -> float:
-    """Entropy of the full joint distribution, in nats.
-
-    For a Dataset this is the plug-in entropy of the empirical distribution,
-    computed over distinct rows; it is exact and cheap for any number of
-    variables because the support has at most T points.
-    """
-    if isinstance(provider, Dataset):
-        _, counts = np.unique(provider.rows, axis=0, return_counts=True)
-        return entropy(counts / provider.n_rows)
-    if isinstance(provider, JointTable):
-        return entropy(provider.probs)
-    raise TypeError(f"not a marginal provider: {type(provider).__name__}")
+def joint_entropy(data: Dataset) -> float:
+    """Entropy of the full joint distribution, in nats: a sum over the
+    distinct rows, exact and cheap for any number of variables."""
+    return entropy(data.counts / data.n_rows)

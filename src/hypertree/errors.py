@@ -28,8 +28,27 @@ def json_int(value, field: str) -> int:
     return value
 
 
+def json_float(value, field: str) -> float:
+    """A number field of a parsed JSON document, as a float.
+
+    ``float()`` would accept true and "0.5"; a bool, a string or any other
+    non-number raises TypeError naming the field. An integer too large for
+    a float raises ValueError.
+    """
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{field!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(
+            f"{field!r} is an integer outside the float range") from None
+
+
 def json_subsets(entries, field: str, convert) -> dict:
-    """Map each entry's sorted ``vars`` to convert(entry[field]); refuse repeats."""
+    """Map each entry's sorted ``vars`` to convert(entry[field], field), a
+    reader such as json_int or json_float; refuse repeats."""
     out = {}
     for entry in entries:
         vs = entry["vars"]
@@ -39,5 +58,5 @@ def json_subsets(entries, field: str, convert) -> dict:
         h = tuple(sorted(vs))
         if h in out:
             raise ValueError(f"subset {h} is listed more than once")
-        out[h] = convert(entry[field])
+        out[h] = convert(entry[field], field)
     return out

@@ -13,7 +13,8 @@ the solvers.
 Blocks are full binary cubes (every vector once) or odd-parity slices (every
 vector with odd parity on the target subset, twice). At the cube sizes used
 here both are uniform on every other subset of size up to k+1, so fixing one
-subset's parity never disturbs the rest.
+subset's parity never disturbs the rest. The pooled sample is held as the
+2^n vectors of the cube with the number of times the blocks emit each one.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ __all__ = [
 ]
 
 BIAS_CAP = 1.0 - 1e-12
-SAMPLE_CELL_GUARD = 2 ** 27  # rows x variables of the pooled sample: 1 GiB of int64
+SAMPLE_CELL_GUARD = 2 ** 27  # rows x variables written: 1 GiB read back as int64
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,8 @@ class TargetBiases:
 class ParitySample:
     """A generated dataset plus block provenance.
 
+    ``dataset`` holds each vector of the cube once, weighted by the number
+    of times the blocks emit it; ``dataset.n_rows`` is the pooled row count.
     ``block_log`` records one (subset, block index, parity_fixed) triple per
     emitted block, in emission order.
     """
@@ -123,8 +126,9 @@ def weight_to_bias(w: float) -> float:
 
 
 def _cube(n: int) -> np.ndarray:
+    """Every binary vector of length n once, in lexicographic order."""
     codes = np.arange(1 << n, dtype=np.int64)
-    return ((codes[:, None] >> np.arange(n)) & 1).astype(np.int64)
+    return (codes[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
 def generate(tb: TargetBiases, cube_limit: int = DEFAULT_CUBE_LIMIT) -> ParitySample:
@@ -134,8 +138,8 @@ def generate(tb: TargetBiases, cube_limit: int = DEFAULT_CUBE_LIMIT) -> ParitySa
     blocks of 2^n rows: q - p_h full cubes and p_h odd-parity slices (each
     odd vector twice). Pooling keeps every marginal of size <= k exactly
     uniform and gives parity of h the exact bias (p_h / q) / C(n, k+1).
-    Refuses before allocating when n exceeds cube_limit or the sample would
-    hold more than SAMPLE_CELL_GUARD cells.
+    Refuses when n exceeds cube_limit or the pooled sample would have more
+    than SAMPLE_CELL_GUARD cells (rows x variables).
     """
     if tb.n > cube_limit:
         raise GuardLimitError(
@@ -150,19 +154,16 @@ def generate(tb: TargetBiases, cube_limit: int = DEFAULT_CUBE_LIMIT) -> ParitySa
             f"{SAMPLE_CELL_GUARD * 8} bytes"
         )
     cube = _cube(tb.n)
-    blocks: list[np.ndarray] = []
+    counts = np.zeros(len(cube), dtype=np.int64)
     log: list[tuple[tuple[int, ...], int, bool]] = []
     for h in itertools.combinations(range(tb.n), tb.k + 1):
         p = tb.entries.get(h, 0)
-        odd = cube[cube[:, h].sum(axis=1) % 2 == 1]
-        odd_block = np.concatenate([odd, odd])
-        for b in range(tb.q):
-            fixed = b >= tb.q - p
-            blocks.append(odd_block if fixed else cube)
-            log.append((h, b, fixed))
-    rows = np.concatenate(blocks)
+        odd = cube[:, h].sum(axis=1) % 2
+        counts += tb.q - p + 2 * p * odd
+        log.extend((h, b, b >= tb.q - p) for b in range(tb.q))
     specs = tuple(VariableSpec(f"x{i}", 2) for i in range(tb.n))
-    return ParitySample(dataset=Dataset(specs, rows), block_log=tuple(log))
+    return ParitySample(dataset=Dataset(specs, cube, counts),
+                        block_log=tuple(log))
 
 
 def realize_weights(
@@ -244,5 +245,5 @@ def biases_from_dict(doc: dict) -> TargetBiases:
         k=json_int(doc["k"], "k"),
         n=json_int(doc["n"], "n"),
         q=json_int(doc["Q"], "Q"),
-        entries=json_subsets(doc["biases"], "p", lambda p: json_int(p, "p")),
+        entries=json_subsets(doc["biases"], "p", json_int),
     )

@@ -10,28 +10,26 @@ across structures.
 
 Divergence from the target is available through two routes: the decomposed
 form (baseline divergence minus the structure's total clique weight) and a
-direct sum over the full joint, kept as an oracle for small problems.
+direct sum over the target's distinct rows, which checks it. The direct sum
+and the log likelihood share one model log probability per distinct row.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import dataset as ds
-from .errors import GuardLimitError
 from .structure import KTree, cliques_of, ktree_to_dict, score
 
 __all__ = [
     "NEG_INFINITY",
     "ProjectedModel",
     "project",
-    "model_joint",
     "log_likelihood",
     "divergence_decomposed",
     "divergence_direct",
@@ -40,7 +38,6 @@ __all__ = [
 ]
 
 NEG_INFINITY = float("-inf")
-JOINT_CELL_GUARD = 2 ** 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,50 +95,38 @@ def project(provider, tree: KTree) -> ProjectedModel:
     )
 
 
-def model_joint(model: ProjectedModel) -> np.ndarray:
-    """Full joint table of the model; refuses more than JOINT_CELL_GUARD cells."""
-    cells = math.prod(model.arities)
-    if cells > JOINT_CELL_GUARD:
-        raise GuardLimitError(
-            f"joint not enumerable ({cells} cells exceeds {JOINT_CELL_GUARD})")
-    n = len(model.arities)
-    table = np.ones(model.arities)
-    for h, phi in model.factors.items():
-        shape = tuple(model.arities[i] if i in h else 1 for i in range(n))
-        table = table * phi.reshape(shape)
-    return table
-
-
-def log_likelihood(model: ProjectedModel, data: ds.Dataset) -> float:
-    """Total log likelihood of a dataset under the model.
-
-    NEG_INFINITY as soon as any row hits a zero factor. On the training set,
-    this equals T times the sum of all clique weights including singletons.
-    """
+def _row_log_probs(model: ProjectedModel, data: ds.Dataset) -> np.ndarray:
+    """The model's log probability of each distinct row of data, summed
+    over the factors in (size, vertices) order; -inf where a factor is 0."""
     if data.arities != model.arities:
         raise ValueError(
             f"dataset arities {data.arities} do not match model arities "
             f"{model.arities}"
         )
-    total = np.zeros(data.n_rows)
-    dead = np.zeros(data.n_rows, dtype=bool)
-    for h in sorted(model.factors, key=lambda h: (len(h), h)):
-        vals = model.factors[h][tuple(data.rows[:, i] for i in h)]
-        zero = vals == 0.0
-        dead |= zero
-        total += np.where(zero, 0.0, np.log(np.where(zero, 1.0, vals)))
-    if dead.any():
-        return NEG_INFINITY
-    return float(total.sum())
+    logp = np.zeros(len(data.rows))
+    with np.errstate(divide="ignore"):
+        for h in sorted(model.factors, key=lambda h: (len(h), h)):
+            logp += np.log(model.factors[h][tuple(data.rows[:, i] for i in h)])
+    return logp
+
+
+def log_likelihood(model: ProjectedModel, data: ds.Dataset) -> float:
+    """Total log likelihood of a dataset under the model, each distinct row
+    weighted by its count.
+
+    NEG_INFINITY as soon as any row hits a zero factor. On the training set,
+    this equals the total weight times the sum of all clique weights
+    including singletons.
+    """
+    return float((data.counts * _row_log_probs(model, data)).sum())
 
 
 def divergence_decomposed(provider, wf, tree: KTree) -> float:
     """Divergence to the tree's model class: baseline minus structure score.
 
     The baseline is the divergence to the fully independent model, i.e. the
-    sum of singleton entropies minus the joint entropy. For a Dataset the
-    joint entropy is the exact plug-in value over distinct rows, so this
-    works at any n.
+    sum of singleton entropies minus the joint entropy. The joint entropy is
+    a sum over distinct rows, so this works at any n.
     """
     base = sum(
         ds.scope_entropy(provider, (v,)) for v in range(provider.n_vars)
@@ -149,21 +134,14 @@ def divergence_decomposed(provider, wf, tree: KTree) -> float:
     return float(base - score(tree, wf))
 
 
-def divergence_direct(provider, model: ProjectedModel) -> float:
-    """Direct KL divergence from the target to the projected model.
-
-    Enumerates the full joint, so it is guarded by ``model_joint``; serves
-    as the oracle for divergence_decomposed.
-    """
-    if tuple(provider.arities) != model.arities:
-        raise ValueError("provider and model arities differ")
-    phat = model_joint(model)
-    target = ds.marginal(provider, range(provider.n_vars))
-    mask = target > 0
-    if np.any(phat[mask] == 0):
+def divergence_direct(data: ds.Dataset, model: ProjectedModel) -> float:
+    """Direct KL divergence from the target to the projected model, summed
+    over the target's distinct rows; the oracle for divergence_decomposed."""
+    logq = _row_log_probs(model, data)
+    if np.isneginf(logq).any():
         raise RuntimeError("model assigns zero probability inside the target support")
-    t = target[mask]
-    return float((t * (np.log(t) - np.log(phat[mask]))).sum())
+    p = data.counts / data.n_rows
+    return float((p * (np.log(p) - logq)).sum())
 
 
 def model_to_dict(model: ProjectedModel) -> dict:

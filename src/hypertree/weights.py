@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import GuardLimitError, json_int, json_subsets
+from .errors import GuardLimitError, json_float, json_int, json_subsets
 
 __all__ = [
     "WeightFunction",
@@ -176,8 +176,9 @@ def weights_from_dict(doc: dict) -> WeightFunction:
     """Parse a weight dump; a subset absent from the file weighs 0."""
     if doc.get("log_base", "e") != "e":
         raise ValueError(f"unsupported log base {doc.get('log_base')!r}")
-    return WeightFunction(k=json_int(doc["k"], "k"), n=json_int(doc["n"], "n"),
-                          weights=json_subsets(doc["weights"], "w", float))
+    return WeightFunction(
+        k=json_int(doc["k"], "k"), n=json_int(doc["n"], "n"),
+        weights=json_subsets(doc["weights"], "w", json_float))
 
 
 def load_weights(source) -> WeightFunction:

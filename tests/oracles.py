@@ -2,16 +2,26 @@
 
 Everything here deliberately avoids the library's solver/search code paths:
 k-trees are enumerated by raw construction sequences with edge-set dedup, and
-cliques by scanning all vertex subsets of an adjacency matrix.
+cliques by scanning all vertex subsets of an adjacency matrix. The
+estimators read raw (T, n) rows or dense probability arrays, as the library
+did before a Dataset held distinct weighted rows.
 """
 
 import csv
 import itertools
+import math
 from array import array
 
 import numpy as np
+from hypothesis import strategies as st
 
-from hypertree.dataset import Dataset, JointTable, VariableSpec, scope_entropy
+from hypertree.dataset import (
+    Dataset,
+    VariableSpec,
+    entropy,
+    joint_table_from_dict,
+    scope_entropy,
+)
 from hypertree.structure import KTree, clique_total
 from hypertree.weights import WeightFunction, attachment_gain
 
@@ -130,10 +140,115 @@ def random_dataset(rng, n, t, arities=None):
     return Dataset(specs, rows)
 
 
+def joint_table(probs) -> Dataset:
+    """A dense probability array read as a joint-table document."""
+    probs = np.asarray(probs, dtype=float)
+    return joint_table_from_dict({"arities": list(probs.shape),
+                                  "probs": probs.ravel().tolist()})
+
+
+def dense(data: Dataset) -> np.ndarray:
+    """The full probability array of a Dataset, shaped by its arities."""
+    probs = np.zeros(data.arities)
+    probs[tuple(data.rows.T)] = data.counts / data.n_rows
+    return probs
+
+
 def random_joint(rng, arities):
     p = rng.random(tuple(arities))
     p /= p.sum()
-    return JointTable(tuple(arities), p)
+    return joint_table(p)
+
+
+@st.composite
+def target_samples(draw, min_vars=1, max_vars=4, max_rows=30):
+    """(arities, raw (T, n) rows, dense probability array) over 2..4
+    outcomes per variable. Rows repeat, some columns never show their top
+    outcome, and some probability cells are zero."""
+    n = draw(st.integers(min_vars, max_vars))
+    arities = draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
+    seen = [a - draw(st.integers(0, 1)) for a in arities]
+    cells = st.tuples(*[st.integers(0, m - 1) for m in seen])
+    rows = draw(st.lists(cells, min_size=1, max_size=max_rows))
+    weights = np.array(draw(st.lists(
+        st.sampled_from([0.0, 1.0]) | st.floats(1e-3, 1.0),
+        min_size=math.prod(arities), max_size=math.prod(arities))))
+    if not weights.any():
+        weights[-1] = 1.0
+    return (tuple(arities), np.array(rows, dtype=np.int64).reshape(-1, n),
+            (weights / weights.sum()).reshape(arities))
+
+
+def count_table_reference(rows, arities, scope) -> np.ndarray:
+    """Integer outcome counts of raw (T, n) rows over a sorted scope."""
+    dims = tuple(arities[v] for v in scope)
+    flat = np.ravel_multi_index(tuple(rows[:, v] for v in scope), dims)
+    return np.bincount(flat, minlength=math.prod(dims)).reshape(dims)
+
+
+def marginal_reference(rows, arities, scope) -> np.ndarray:
+    """The empirical marginal of raw (T, n) rows over a sorted scope."""
+    return count_table_reference(rows, arities, scope) / rows.shape[0]
+
+
+def marginal_dense(probs, scope) -> np.ndarray:
+    """The marginal of a dense probability array over a sorted scope."""
+    drop = tuple(i for i in range(probs.ndim) if i not in scope)
+    return probs.sum(axis=drop) if drop else probs
+
+
+def joint_entropy_reference(rows) -> float:
+    """Plug-in entropy of raw (T, n) rows, over their distinct rows."""
+    _, counts = np.unique(rows, axis=0, return_counts=True)
+    return entropy(counts / rows.shape[0])
+
+
+def model_joint(model) -> np.ndarray:
+    """Full joint table of a projected model: the product of its factors."""
+    n = len(model.arities)
+    table = np.ones(model.arities)
+    for h, phi in model.factors.items():
+        shape = tuple(model.arities[i] if i in h else 1 for i in range(n))
+        table = table * phi.reshape(shape)
+    return table
+
+
+def log_likelihood_reference(model, rows) -> float:
+    """Total log likelihood of raw (T, n) rows, one row at a time; -inf as
+    soon as a row hits a zero factor."""
+    total = np.zeros(rows.shape[0])
+    dead = np.zeros(rows.shape[0], dtype=bool)
+    for h in sorted(model.factors, key=lambda h: (len(h), h)):
+        vals = model.factors[h][tuple(rows[:, i] for i in h)]
+        zero = vals == 0.0
+        dead |= zero
+        total += np.where(zero, 0.0, np.log(np.where(zero, 1.0, vals)))
+    return float("-inf") if dead.any() else float(total.sum())
+
+
+def divergence_direct_reference(probs, model) -> float:
+    """KL divergence from a dense target array to the model's full joint."""
+    phat = model_joint(model)
+    mask = probs > 0
+    t = probs[mask]
+    return float((t * (np.log(t) - np.log(phat[mask]))).sum())
+
+
+def generate_reference(tb):
+    """The pooled parity sample as (rows, block log), by concatenating its
+    C(n, k+1) * q blocks of 2^n rows, the cube's bit i in column i."""
+    codes = np.arange(1 << tb.n, dtype=np.int64)
+    cube = (codes[:, None] >> np.arange(tb.n)) & 1
+    blocks, log = [], []
+    for h in itertools.combinations(range(tb.n), tb.k + 1):
+        p = tb.entries.get(h, 0)
+        odd = cube[cube[:, h].sum(axis=1) % 2 == 1]
+        odd_block = np.concatenate([odd, odd])
+        for b in range(tb.q):
+            fixed = b >= tb.q - p
+            blocks.append(odd_block if fixed else cube)
+            log.append((h, b, fixed))
+    return np.concatenate(blocks), tuple(log)
 
 
 def random_ktree(rng, n, k):
@@ -373,7 +488,7 @@ def xor_triple_joint():
     for a in range(2):
         for b in range(2):
             p[a, b, a ^ b] = 0.25
-    return JointTable((2, 2, 2), p)
+    return joint_table(p)
 
 
 def markov_chain_joint(flip=0.2):
@@ -385,7 +500,7 @@ def markov_chain_joint(flip=0.2):
                 pb = (1 - flip) if b == a else flip
                 pc = (1 - flip) if c == b else flip
                 p[a, b, c] = 0.5 * pb * pc
-    return JointTable((2, 2, 2), p)
+    return joint_table(p)
 
 
 def product_joint(rng, arities):
@@ -398,4 +513,4 @@ def product_joint(rng, arities):
     p = parts[0]
     for q in parts[1:]:
         p = np.multiply.outer(p, q)
-    return JointTable(tuple(arities), p)
+    return joint_table(p)

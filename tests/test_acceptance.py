@@ -13,7 +13,6 @@ import pytest
 
 from hypertree.dataset import (
     Dataset,
-    JointTable,
     VariableSpec,
     count_table,
     marginal,
@@ -29,7 +28,6 @@ from hypertree.projection import (
     divergence_decomposed,
     divergence_direct,
     log_likelihood,
-    model_joint,
     project,
 )
 from hypertree.solvers import chow_liu, exact_search, greedy, local_search
@@ -38,7 +36,10 @@ from hypertree.weights import WeightFunction, compute_weights
 
 from oracles import (
     brute_ktree_scores,
+    dense,
+    joint_table,
     markov_chain_joint,
+    model_joint,
     random_dataset,
     random_joint,
     random_ktree,
@@ -186,8 +187,8 @@ def test_criterion_7_xor_triple():
         for pair in itertools.combinations(range(3), 2):
             assert abs(wf3[pair]) <= 1e-12
         # add an independent fourth variable so the search is not forced
-        p4 = np.stack([xor.probs / 2, xor.probs / 2], axis=-1)
-        jt4 = JointTable((2, 2, 2, 2), p4)
+        p4 = np.stack([dense(xor) / 2, dense(xor) / 2], axis=-1)
+        jt4 = joint_table(p4)
         wf4 = compute_weights(jt4, 2)
         res = exact_search(wf4)
         assert (0, 1, 2) in cliques_of(res.tree).cliques
@@ -214,7 +215,7 @@ def test_criterion_8_parity_generator():
             # exact parity biases as rationals: (odd-even)*q*C == p*T
             for h in itertools.combinations(range(n), k + 1):
                 par = d.rows[:, h].sum(axis=1) % 2
-                odd = int((par == 1).sum())
+                odd = int(d.counts[par == 1].sum())
                 diff = odd - (d.n_rows - odd)
                 p = entries.get(h, 0)
                 assert diff * q * n_sets == p * d.n_rows, (h, diff, p)

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import json
 import math
@@ -8,9 +10,10 @@ import pytest
 
 from hypertree.cli import main
 from hypertree.dataset import dump_dataset, load_dataset
+from hypertree.paritygen import TargetBiases, biases_to_dict
 from hypertree.weights import compute_weights, weights_from_dict
 
-from oracles import markov_chain_joint, random_dataset, xor_triple_joint
+from oracles import generate_reference, random_dataset
 
 
 class CliResult(NamedTuple):
@@ -247,7 +250,7 @@ def test_eval_size_mismatch_names_both_files(run, tmp_path):
 
 def test_eval_large_n_omits_direct(run, tmp_path):
     rng = np.random.default_rng(1)
-    d = random_dataset(rng, 11, 50, arities=[4] * 11)  # 4^11 > 2^20 cells
+    d = random_dataset(rng, 11, 50, arities=[4] * 11)  # 4^11 joint cells
     csv_path = tmp_path / "big.csv"
     dump_dataset(d, csv_path)
     struct = tmp_path / "structure.json"
@@ -257,8 +260,27 @@ def test_eval_large_n_omits_direct(run, tmp_path):
     res = run(["eval", str(csv_path), str(struct)])
     assert res.exit_code == 0, res.output
     report = json.loads(res.output)
-    assert "divergence_direct" not in report
-    assert "not enumerable" in report["note"]
+    assert report["identity_residual"] <= 1e-9
+    assert "loglik_per_row" in report and "note" not in report
+
+
+def test_eval_joint_table_reports_every_quantity(run, tmp_path):
+    # the chain x0 -> x1 -> x2 on the path 0-1-2 is its own projection
+    jt = tmp_path / "chain.json"
+    probs = [0.5 * (0.8 if b == a else 0.2) * (0.8 if c == b else 0.2)
+             for a, b, c in itertools.product(range(2), repeat=3)]
+    jt.write_text(json.dumps({"arities": [2, 2, 2], "probs": probs}))
+    struct = tmp_path / "structure.json"
+    struct.write_text(json.dumps({"k": 1, "n": 3, "seed": [0, 1],
+                                  "attachments": [{"v": 2, "anchor": [1]}]}))
+    res = run(["eval", str(jt), str(struct)])
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert report["divergence_direct"] == pytest.approx(0.0, abs=1e-12)
+    assert report["identity_residual"] <= 1e-12
+    # the training identity: loglik_per_row = -H(x0, x1, x2) here
+    entropy = -sum(p * math.log(p) for p in probs)
+    assert report["loglik_per_row"] == pytest.approx(-entropy, abs=1e-12)
 
 
 def test_gen_parity_roundtrip(run, tmp_path):
@@ -281,6 +303,32 @@ def test_gen_parity_roundtrip(run, tmp_path):
     assert wf[(0, 1)] == pytest.approx(expect, abs=1e-9)
     for pair in ((0, 2), (1, 2)):
         assert abs(wf[pair]) <= 1e-12
+
+
+def test_gen_parity_writes_the_block_sample(run, tmp_path):
+    # the CSV holds the rows of the concatenated blocks, equal rows together
+    tb = TargetBiases(k=2, n=5, q=3, entries={(0, 1, 2): 2, (1, 3, 4): 1})
+    bpath = tmp_path / "biases.json"
+    bpath.write_text(json.dumps(biases_to_dict(tb)))
+    out_csv = tmp_path / "sample.csv"
+    res = run(["gen-parity", str(bpath), "--out", str(out_csv)])
+    assert res.exit_code == 0, res.output
+    rows, log = generate_reference(tb)
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow([f"x{i}" for i in range(tb.n)])
+    writer.writerows(rows.tolist())
+    got_lines = out_csv.read_text().splitlines()
+    want_lines = want.getvalue().splitlines()
+    assert got_lines[0] == want_lines[0]
+    assert sorted(got_lines[1:]) == sorted(want_lines[1:])
+    prov = biases_to_dict(tb)
+    prov["rows"] = len(rows)
+    prov["rows_per_block"] = 1 << tb.n
+    prov["block_log"] = [{"vars": list(h), "block": b, "parity_fixed": fixed}
+                         for h, b, fixed in log]
+    assert ((tmp_path / "sample.provenance.json").read_text()
+            == json.dumps(prov, indent=2) + "\n")
 
 
 def test_gen_parity_targets_input(run, tmp_path):
@@ -374,8 +422,40 @@ def test_display_base_two(run, tmp_path):
     ("jt.json", json.dumps({"arities": [2, 2], "probs": [1.0]}),
      ["learn", "{bad}", "--k", "1"], "probs"),
     ("w.json", json.dumps({"k": 1, "n": 3,
-                           "weights": [{"vars": [0, 1], "w": "inf"}]}),
+                           "weights": [{"vars": [0, 1], "w": math.inf}]}),
      ["learn", "{bad}"], "not finite"),
+    ("w.json", json.dumps({"k": 1, "n": 3,
+                           "weights": [{"vars": [0, 1], "w": "0.5"},
+                                       {"vars": [1, 2], "w": True}]}),
+     ["learn", "{bad}"], "'w' must be a number, got '0.5'"),
+    ("w.json", json.dumps({"k": 1, "n": 3,
+                           "weights": [{"vars": [1, 2], "w": True}]}),
+     ["learn", "{bad}"], "'w' must be a number, got True"),
+    ("w.json", json.dumps({"k": 1, "n": 3,
+                           "weights": [{"vars": [1, 2], "w": 10 ** 400}]}),
+     ["learn", "{bad}"], "outside the float range"),
+    ("t.json", json.dumps({"k": 1, "n": 3, "q_grid": 8,
+                           "targets": [{"vars": [0, 1], "w": "0.5"}]}),
+     ["gen-parity", "{bad}", "--out", "{out}"], "'w' must be a number"),
+    ("t.json", json.dumps({"k": 1, "n": 3, "q_grid": 8, "scale": True,
+                           "targets": [{"vars": [0, 1], "w": 0.5}]}),
+     ["gen-parity", "{bad}", "--out", "{out}"],
+     "'scale' must be a number, got True"),
+    ("jt.json", json.dumps({"arities": [2, 2],
+                            "probs": ["0.25", "0.25", False, 0.5]}),
+     ["weights", "{bad}", "--k", "1"], "'probs' must be a number, got '0.25'"),
+    ("jt.json", json.dumps({"arities": [2, 2],
+                            "probs": [0.25, 0.25, False, 0.5]}),
+     ["weights", "{bad}", "--k", "1"], "'probs' must be a number, got False"),
+    ("jt.json", json.dumps({"arities": [2, 2],
+                            "probs": [math.nan, 0.5, 0.25, 0.25]}),
+     ["weights", "{bad}", "--k", "1"], "probs[0] is nan"),
+    ("jt.json", json.dumps({"arities": [2, 2],
+                            "probs": [math.nan, 0.5, 0.25, 0.25]}),
+     ["eval", "{bad}", "{bad}"], "probs[0] is nan"),
+    ("jt.json", json.dumps({"arities": [2, 2],
+                            "probs": [0.75, 0.5, -0.25, 0.0]}),
+     ["weights", "{bad}", "--k", "1"], "probs[2] is -0.25"),
     ("t.json", json.dumps({"k": 1, "n": 3, "q_grid": 8, "scale": [1],
                            "targets": [{"vars": [0, 1], "w": 0.5}]}),
      ["gen-parity", "{bad}", "--out", "{out}"], "'scale' must be a number"),
@@ -431,6 +511,10 @@ def test_display_base_two(run, tmp_path):
 ], ids=["learn-array", "eval-no-seed", "learn-entry-no-w", "gen-parity-no-n",
         "arities-no-key", "arities-not-object", "arity-not-integer",
         "joint-table-probs-size", "learn-weight-not-finite",
+        "weights-w-string", "weights-w-bool", "weights-w-huge-int",
+        "targets-w-string", "targets-scale-bool", "joint-table-probs-string",
+        "joint-table-probs-bool", "weights-joint-table-nan",
+        "eval-joint-table-nan", "joint-table-probs-negative",
         "gen-parity-scale-not-number", "structure-seed-float",
         "structure-vertex-float", "structure-anchor-bool",
         "structure-k-string", "weights-k-float", "weights-vars-float",

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from hypertree.dataset import (
     DUMP_CHUNK_ROWS,
     Dataset,
-    JointTable,
     VariableSpec,
     count_table,
     dump_dataset,
@@ -25,7 +25,17 @@ from hypertree.dataset import (
 
 from hypertree.errors import GuardLimitError
 
-from oracles import load_dataset_reference, mutual_information, random_dataset
+from oracles import (
+    count_table_reference,
+    joint_entropy_reference,
+    joint_table,
+    load_dataset_reference,
+    marginal_dense,
+    marginal_reference,
+    mutual_information,
+    random_dataset,
+    target_samples,
+)
 
 
 @pytest.fixture
@@ -39,7 +49,9 @@ def test_load_dataset_readback():
     d = load_dataset(io.StringIO("a,b\n0,1\n1,0\n"))
     assert d.n_vars == 2 and d.n_rows == 2
     assert d.arities == (2, 2)
-    assert d.rows.tolist() == [[0, 1], [1, 0]]
+    # the rows as a multiset: a Dataset keeps distinct rows and counts
+    rows = np.repeat(d.rows, d.counts, axis=0).tolist()
+    assert sorted(rows) == [[0, 1], [1, 0]]
 
 
 def test_load_dataset_500_rows():
@@ -166,6 +178,7 @@ def test_load_dataset_matches_reference(case):
     assert got.specs == want.specs
     assert got.rows.dtype == want.rows.dtype == np.int64
     assert np.array_equal(got.rows, want.rows)
+    assert np.array_equal(got.counts, want.counts)
 
 
 @pytest.mark.parametrize("t", [1, DUMP_CHUNK_ROWS - 1, DUMP_CHUNK_ROWS,
@@ -176,7 +189,7 @@ def test_dump_dataset_writes_chunks_as_one_pass(t):
     dump_dataset(d, got)
     writer = csv.writer(want)
     writer.writerow([s.name for s in d.specs])
-    writer.writerows(d.rows.tolist())
+    writer.writerows(np.repeat(d.rows, d.counts, axis=0).tolist())
     assert got.getvalue() == want.getvalue()
 
 
@@ -194,7 +207,7 @@ def test_marginal_counts(four_rows):
 
 
 def test_marginal_uniform_joint():
-    jt = JointTable((2, 2, 2), np.full((2, 2, 2), 0.125))
+    jt = joint_table(np.full((2, 2, 2), 0.125))
     m = marginal(jt, (0, 2))
     assert np.allclose(m, 0.25)
 
@@ -223,7 +236,7 @@ def test_count_table_guard():
 def test_entropy_values(four_rows):
     uniform = marginal(four_rows, (0,))
     assert entropy(uniform) == pytest.approx(math.log(2), abs=1e-12)
-    point = JointTable((2, 2), np.array([[1.0, 0.0], [0.0, 0.0]]))
+    point = joint_table([[1.0, 0.0], [0.0, 0.0]])
     assert entropy(marginal(point, (0,))) == 0.0
     skewed = marginal(four_rows, (1,))
     assert entropy(skewed) == pytest.approx(0.5623351446188083, abs=1e-12)
@@ -235,7 +248,7 @@ def test_mutual_information_values(four_rows):
     copies = Dataset((VariableSpec("a", 2), VariableSpec("b", 2)),
                      np.array([[0, 0], [1, 1]]))
     assert mutual_information(copies, 0, 1) == pytest.approx(math.log(2), abs=1e-12)
-    indep = JointTable((2, 2), np.full((2, 2), 0.25))
+    indep = joint_table(np.full((2, 2), 0.25))
     assert mutual_information(indep, 0, 1) == 0.0
     with pytest.raises(ValueError):
         mutual_information(four_rows, 1, 1)
@@ -247,6 +260,27 @@ def test_joint_entropy_matches_small_table():
     # plug-in over distinct rows must match the full-scope marginal entropy
     assert joint_entropy(d) == pytest.approx(
         scope_entropy(d, (0, 1, 2)), abs=1e-12)
+
+
+@given(sample=target_samples())
+@settings(max_examples=150, deadline=None)
+def test_estimators_match_references(sample):
+    arities, rows, probs = sample
+    specs = tuple(VariableSpec(f"x{i}", a) for i, a in enumerate(arities))
+    counted, table = Dataset(specs, rows), joint_table(probs)
+    for size in range(1, len(arities) + 1):
+        for scope in itertools.combinations(range(len(arities)), size):
+            # count data: bit-identical to the row-based estimators
+            assert np.array_equal(count_table(counted, scope),
+                                  count_table_reference(rows, arities, scope))
+            got = marginal(counted, scope)
+            want = marginal_reference(rows, arities, scope)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            # probability data: the dense-array marginal, up to summation order
+            diff = marginal(table, scope) - marginal_dense(probs, scope)
+            assert np.max(np.abs(diff)) <= 1e-12
+    assert joint_entropy(counted) == joint_entropy_reference(rows)
+    assert abs(joint_entropy(table) - entropy(probs)) <= 1e-12
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 4), t=st.integers(1, 30))
@@ -307,20 +341,46 @@ def test_mutual_information_nonnegative(seed):
 
 def test_joint_table_roundtrip():
     doc = json.loads(
-        '{"arities": [2, 3], "probs": [0.1, 0.2, 0.05, 0.15, 0.3, 0.2]}')
+        '{"arities": [2, 3], "probs": [0.1, 0.2, 0.0, 0.15, 0.3, 0.25]}')
     jt = joint_table_from_dict(doc)
-    # row-major, last variable fastest
-    assert jt.probs[0, 1] == 0.2
-    assert jt.probs[1, 0] == 0.15
+    # row-major, last variable fastest; the zero cell (0, 2) is left out
+    assert jt.rows.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1], [1, 2]]
+    assert jt.counts.tolist() == [0.1, 0.2, 0.15, 0.3, 0.25]
+    assert jt.arities == (2, 3)
     with pytest.raises(ValueError):
         joint_table_from_dict(json.loads('{"arities": [2, 2], "probs": [1.0]}'))
 
 
 def test_joint_table_validation():
-    with pytest.raises(ValueError, match="sums"):
-        JointTable((2, 2), np.array([[0.5, 0.5], [0.5, 0.5]]))
-    with pytest.raises(ValueError, match="nonnegative"):
-        JointTable((2, 2), np.array([[1.5, -0.5], [0.0, 0.0]]))
+    for probs, why in [
+        ([0.5, 0.5, 0.5, 0.5], "sums to 2.0"),
+        ([0.25, 0.25, 0.25, 0.2], "sums to 0.95"),
+        ([1.5, -0.5, 0.0, 0.0], r"probs\[1\] is -0.5, not a finite nonnegative"),
+        ([math.nan, 0.5, 0.25, 0.25], r"probs\[0\] is nan"),
+        ([math.inf, 0.0, 0.0, 0.0], r"probs\[0\] is inf"),
+    ]:
+        with pytest.raises(ValueError, match=why):
+            joint_table_from_dict({"arities": [2, 2], "probs": probs})
     # the cell count is exact: 2**64 does not wrap to 0
     with pytest.raises(ValueError, match="expected 18446744073709551616"):
         joint_table_from_dict({"arities": [2] * 64, "probs": [1.0]})
+
+
+def test_weighted_rows_must_be_distinct_and_sorted():
+    specs = (VariableSpec("a", 2), VariableSpec("b", 2))
+    d = Dataset(specs, np.array([[0, 1], [1, 0]]), np.array([3, 1]))
+    assert d.n_rows == 4 and d.counts.tolist() == [3, 1]
+    for rows in ([[1, 0], [0, 1]], [[0, 1], [0, 1]]):
+        with pytest.raises(ValueError, match="distinct and in lexicographic"):
+            Dataset(specs, np.array(rows), np.array([1, 1]))
+    for counts in ([1, 0], [1.0, math.nan], [1]):
+        with pytest.raises(ValueError, match="counts must"):
+            Dataset(specs, np.array([[0, 1], [1, 0]]), np.array(counts))
+
+
+def test_repeated_rows_collapse_into_counts():
+    d = Dataset((VariableSpec("a", 2), VariableSpec("b", 3)),
+                np.array([[1, 2], [0, 1], [1, 2], [0, 0], [1, 2]]))
+    assert d.rows.tolist() == [[0, 0], [0, 1], [1, 2]]
+    assert d.counts.tolist() == [1, 1, 3]
+    assert d.n_rows == 5 and isinstance(d.n_rows, int)

@@ -36,7 +36,7 @@ PROBE = (
 
 # Every name the package exports, by the module that defines it.
 EXPORTS = {
-    "dataset": ["Dataset", "JointTable", "VariableSpec", "entropy",
+    "dataset": ["Dataset", "VariableSpec", "entropy",
                 "joint_entropy", "load_dataset", "marginal"],
     "errors": ["GuardLimitError"],
     "paritygen": ["ParitySample", "TargetBiases", "bias_to_weight", "generate",

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from hypertree.paritygen import (
 from hypertree.solvers import exact_search
 from hypertree.structure import ktree_edges
 from hypertree.weights import WeightFunction, compute_weights
+
+from oracles import generate_reference
 
 
 class TestBiasWeight:
@@ -68,7 +72,7 @@ class TestBiasWeight:
 
 def _parity_counts(dataset, h):
     par = dataset.rows[:, h].sum(axis=1) % 2
-    odd = int((par == 1).sum())
+    odd = int(dataset.counts[par == 1].sum())
     return odd, dataset.n_rows - odd
 
 
@@ -227,4 +231,35 @@ def test_generation_is_deterministic():
     s1 = generate(tb)
     s2 = generate(tb)
     assert np.array_equal(s1.dataset.rows, s2.dataset.rows)
+    assert np.array_equal(s1.dataset.counts, s2.dataset.counts)
     assert s1.block_log == s2.block_log
+
+
+def _reverse_parity_biases():
+    """The biases that the benchmark's reverse_parity workload realizes
+    from its seed-1 targets (n=8, k=2, q=8): 256 distinct rows, 114,688 in
+    all."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import inputs
+
+    doc = inputs.parity_targets(np.random.default_rng([1, 2]), 8, 8, 0.4)
+    targets = {tuple(e["vars"]): e["w"] for e in doc["targets"]}
+    return realize_weights(targets, n=8, k=2, q_grid=8).biases
+
+
+@pytest.mark.parametrize("tb", [
+    TargetBiases(k=1, n=2, q=2, entries={(0, 1): 1}),
+    TargetBiases(k=1, n=3, q=1, entries={}),
+    TargetBiases(k=2, n=5, q=4, entries={(0, 1, 2): 3, (1, 3, 4): 1}),
+    TargetBiases(k=3, n=6, q=3, entries={(0, 2, 3, 5): 2}),
+    _reverse_parity_biases(),
+], ids=["pair", "no-biases", "triples", "quads", "reverse-parity"])
+def test_generate_matches_block_concatenation(tb):
+    s = generate(tb)
+    rows, log = generate_reference(tb)
+    want_rows, want_counts = np.unique(rows, axis=0, return_counts=True)
+    assert np.array_equal(s.dataset.rows, want_rows)
+    assert np.array_equal(s.dataset.counts, want_counts)
+    assert s.dataset.counts.dtype == np.int64
+    assert s.dataset.n_rows == len(rows)
+    assert s.block_log == log

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypertree.dataset import Dataset, JointTable, VariableSpec, marginal
-from hypertree.errors import GuardLimitError
+from hypertree.dataset import Dataset, VariableSpec, marginal
 from hypertree.projection import (
     NEG_INFINITY,
     ProjectedModel,
@@ -14,7 +15,6 @@ from hypertree.projection import (
     divergence_direct,
     dump_model,
     log_likelihood,
-    model_joint,
     project,
 )
 from hypertree.solvers import exact_search
@@ -29,12 +29,18 @@ from hypertree.weights import compute_weights
 
 from oracles import (
     brute_ktree_scores,
+    divergence_direct_reference,
+    joint_table,
+    log_likelihood_reference,
+    marginal_reference,
     ktree_from_graph,
     markov_chain_joint,
+    model_joint,
     product_joint,
     random_dataset,
     random_joint,
     random_ktree,
+    target_samples,
     xor_triple_joint,
 )
 
@@ -99,7 +105,7 @@ def test_factor_reconstruction_identity():
 
 
 def test_model_log_prob_uniform():
-    jt = JointTable((2, 2, 2), np.full((2, 2, 2), 0.125))
+    jt = joint_table(np.full((2, 2, 2), 0.125))
     t = KTree(k=1, n=3, seed=(0, 1), attachments=((2, (0,)),))
     m = project(jt, t)
     for x in itertools.product(range(2), repeat=3):
@@ -207,6 +213,37 @@ def test_log_likelihood_training_identity():
         assert ll / d.n_rows == pytest.approx(total, abs=1e-9)
 
 
+@given(sample=target_samples(min_vars=2), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=120, deadline=None)
+def test_likelihood_and_direct_divergence_match_references(sample, seed):
+    arities, rows, probs = sample
+    n, k = len(arities), min(2, len(arities) - 1)
+    tree = random_ktree(np.random.default_rng(seed), n, k)
+    specs = tuple(VariableSpec(f"x{i}", a) for i, a in enumerate(arities))
+    counted, table = Dataset(specs, rows), joint_table(probs)
+    full = marginal_reference(rows, arities, tuple(range(n)))
+    for data, target in ((counted, full), (table, probs)):
+        model = project(data, tree)
+        wf = compute_weights(data, k)
+        ll = log_likelihood(model, data)
+        # the training identity, for counts and probabilities alike
+        total = sum(wf[(v,)] for v in range(n)) + score(tree, wf)
+        assert ll / data.n_rows == pytest.approx(total, abs=1e-9)
+        assert divergence_direct(data, model) == pytest.approx(
+            divergence_direct_reference(target, model), rel=0, abs=1e-12)
+        mask = target > 0
+        assert ll / data.n_rows == pytest.approx(
+            float((target[mask] * np.log(model_joint(model)[mask])).sum()),
+            rel=1e-12, abs=1e-12)
+        # the raw rows under this model, unseen cells of it (-inf) included
+        held = log_likelihood(model, counted)
+        want = log_likelihood_reference(model, rows)
+        if want == NEG_INFINITY:
+            assert held == NEG_INFINITY
+        else:
+            assert held == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def test_log_likelihood_uniform_and_neg_inf():
     jt_rows = np.array(list(itertools.product(range(2), repeat=3)))
     d = Dataset(tuple(VariableSpec(f"x{i}", 2) for i in range(3)), jt_rows)
@@ -277,24 +314,16 @@ def test_likelihood_divergence_duality():
     assert argmax == argmin
 
 
-def test_divergence_direct_guard():
-    # one variable past the 2**20-cell guard is refused
-    rng = np.random.default_rng(9)
-    d = random_dataset(rng, 21, 10, arities=[2] * 21)
-    t = ktree_from_graph([(v, v + 1) for v in range(20)], 1, 21)
+@pytest.mark.parametrize("n", [21, 64])
+def test_divergence_direct_over_any_number_of_variables(n):
+    # 2**21 and 2**64 joint cells: the direct sum runs over the 10 rows
+    rng = np.random.default_rng(n)
+    d = random_dataset(rng, n, 10, arities=[2] * n)
+    t = ktree_from_graph([(v, v + 1) for v in range(n - 1)], 1, n)
     m = project(d, t)
-    with pytest.raises(GuardLimitError, match="2097152 cells"):
-        divergence_direct(d, m)
-
-
-def test_divergence_direct_guard_counts_cells_exactly():
-    # 2**64 cells must not wrap around to 0 and slip past the guard
-    rng = np.random.default_rng(11)
-    d = random_dataset(rng, 64, 10, arities=[2] * 64)
-    t = ktree_from_graph([(v, v + 1) for v in range(63)], 1, 64)
-    m = project(d, t)
-    with pytest.raises(GuardLimitError, match="18446744073709551616 cells"):
-        divergence_direct(d, m)
+    direct = divergence_direct(d, m)
+    assert direct == pytest.approx(
+        divergence_decomposed(d, compute_weights(d, 1), t), abs=1e-9)
 
 
 def test_model_json_roundtrip(tmp_path):

@@ -319,13 +319,23 @@ def test_load_external_sparse_weights():
     assert wf[(0,)] == 0.0
 
 
-@pytest.mark.parametrize("w", ['"inf"', '"-inf"', '"nan"', "1e999", "NaN"],
-                         ids=["inf", "minus-inf", "nan", "overflow",
-                              "nan-literal"])
+@pytest.mark.parametrize("w", ["Infinity", "-Infinity", "1e999", "NaN"],
+                         ids=["inf", "minus-inf", "overflow", "nan-literal"])
 def test_weight_file_rejects_non_finite(w):
     doc = io.StringIO(
         '{"k": 1, "n": 3, "weights": [{"vars": [0, 2], "w": %s}]}' % w)
     with pytest.raises(ValueError, match=r"subset \(0, 2\) is not finite"):
+        load_weights(doc)
+
+
+@pytest.mark.parametrize("w", ['"inf"', '"-inf"', '"nan"', '"0.5"', "true",
+                               "null", "[0.5]"],
+                         ids=["inf", "minus-inf", "nan", "string", "bool",
+                              "null", "list"])
+def test_weight_file_refuses_non_numbers(w):
+    doc = io.StringIO(
+        '{"k": 1, "n": 3, "weights": [{"vars": [0, 2], "w": %s}]}' % w)
+    with pytest.raises(TypeError, match="'w' must be a number, got "):
         load_weights(doc)
 
 
