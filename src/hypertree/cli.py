@@ -116,12 +116,20 @@ def _display(value: float, base: str) -> float:
     return value / math.log(2) if base == "2" else value
 
 
+def _compute_weights(provider, k, data_path):
+    """compute_weights, which checks k, with a refusal naming the data file."""
+    from .weights import compute_weights
+    try:
+        return compute_weights(provider, k)
+    except ValueError as exc:
+        raise ValueError(f"{data_path}: {exc}") from None
+
+
 def weights_cmd(data_path, k, arities_path, display_base, out_path):
     """Compute clique weights for all vertex subsets of size 1..k+1."""
     from . import weights
 
-    provider = _load_input(data_path, arities_path)
-    wf = weights.compute_weights(provider, k)
+    wf = _compute_weights(_load_input(data_path, arities_path), k, data_path)
     _write_json(weights.weights_to_dict(wf), out_path)
     if out_path is not None:
         top = max((h for h in wf.weights if len(h) >= 2),
@@ -151,7 +159,7 @@ def learn_cmd(input_path, k, solver, exact_limit, max_iters, arities_path,
         if k is None:
             raise ValueError("--k is required when learning from data")
         provider = source
-        wf = weights.compute_weights(provider, k)
+        wf = _compute_weights(provider, k, input_path)
 
     if solver == "chow_liu":
         result = solvers.chow_liu(wf)
@@ -192,7 +200,8 @@ def eval_cmd(data_path, structure_path, arities_path, display_base, model_out,
     if tree.n != provider.n_vars:
         raise ValueError(f"{structure_path}: structure spans {tree.n} "
                          f"variables, {data_path} has {provider.n_vars}")
-    wf = weights.compute_weights(provider, tree.k)
+    wf = weights.family_weights(
+        provider, tree.k, structure.clique_family(tree.maximal_cliques()))
     model = projection.project(provider, tree)
     decomposed = projection.divergence_decomposed(provider, wf, tree)
     direct = projection.divergence_direct(provider, model)

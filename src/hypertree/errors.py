@@ -5,6 +5,7 @@ can show them without importing the modules that enforce them.
 """
 
 DEFAULT_CUBE_LIMIT = 14
+WEIGHT_DOMAIN_GUARD = 2 ** 22  # subsets; about 1.1 GiB of dict entries
 
 
 class GuardLimitError(RuntimeError):

@@ -1,17 +1,18 @@
 """Projecting a target distribution onto the Markov networks of a k-tree.
 
 The projected distribution keeps every clique marginal of the target and
-factors into per-clique tables computed bottom-up over the subset-closed
-clique family (singletons included): each clique's factor is its target
-marginal divided by the product of the factors of its proper subsets. The
-factors are stored for all cliques rather than folded into maximal cliques,
-so a clique's factor depends only on the marginal inside it and is reusable
-across structures.
+factors into per-clique tables computed bottom-up over the tree's
+``clique_family`` (singletons included), the family whose weights score it:
+each clique's factor is its target marginal divided by the product of the
+factors of its proper subsets. The factors are stored for all cliques rather
+than folded into maximal cliques, so a clique's factor depends only on the
+marginal inside it and is reusable across structures.
 
 Divergence from the target is available through two routes: the decomposed
-form (baseline divergence minus the structure's total clique weight) and a
-direct sum over the target's distinct rows, which checks it. The direct sum
-and the log likelihood share one model log probability per distinct row.
+form (baseline divergence, its singleton entropies read from the weights,
+minus the structure's total clique weight) and a direct sum over the
+target's distinct rows, which checks it. The direct sum and the log
+likelihood share one model log probability per distinct row.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset as ds
-from .structure import KTree, cliques_of, ktree_to_dict, score
+from .structure import KTree, clique_family, ktree_to_dict, score
 
 __all__ = [
     "NEG_INFINITY",
@@ -49,12 +50,6 @@ class ProjectedModel:
     factors: dict[tuple[int, ...], np.ndarray]
 
 
-def _all_cliques_with_singletons(tree: KTree) -> list[tuple[int, ...]]:
-    cliques = set(cliques_of(tree).cliques)
-    cliques.update((v,) for v in range(tree.n))
-    return sorted(cliques, key=lambda h: (len(h), h))
-
-
 def _broadcast_shape(sub: tuple[int, ...], h: tuple[int, ...],
                      shape: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(shape[i] if h[i] in sub else 1 for i in range(len(h)))
@@ -71,7 +66,7 @@ def project(provider, tree: KTree) -> ProjectedModel:
     if tree.n != n:
         raise ValueError(f"tree spans {tree.n} vertices, provider has {n}")
     factors: dict[tuple[int, ...], np.ndarray] = {}
-    for h in _all_cliques_with_singletons(tree):
+    for h in clique_family(tree.maximal_cliques()):
         probs = ds.marginal(provider, h)
         shape = probs.shape
         denom = np.ones(shape)
@@ -125,11 +120,11 @@ def divergence_decomposed(provider, wf, tree: KTree) -> float:
     """Divergence to the tree's model class: baseline minus structure score.
 
     The baseline is the divergence to the fully independent model, i.e. the
-    sum of singleton entropies minus the joint entropy. The joint entropy is
-    a sum over distinct rows, so this works at any n.
+    sum of singleton entropies, each read from wf as -w((v,)), minus the
+    joint entropy, a sum over distinct rows, so this works at any n.
     """
     base = sum(
-        ds.scope_entropy(provider, (v,)) for v in range(provider.n_vars)
+        -wf.weights[(v,)] for v in range(provider.n_vars)
     ) - ds.joint_entropy(provider)
     return float(base - score(tree, wf))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import GuardLimitError
 from .structure import KTree, clique_total, ktree_from_cliques, score
-from .weights import attachment_gain
+from .weights import attachment_gain, domain_size
 
 __all__ = [
     "SolverResult",
@@ -62,6 +62,7 @@ def chow_liu(wf) -> SolverResult:
     """
     if wf.k != 1:
         raise ValueError(f"chow_liu requires a k=1 weight function, got k={wf.k}")
+    domain_size(wf.n, 1)
     t0 = time.perf_counter()
     n = wf.n
     edges = sorted(itertools.combinations(range(n), 2),
@@ -102,6 +103,7 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
             f"exact search refused: n={n} exceeds the limit {limit} for k={k}; "
             "pass a higher exact limit to override"
         )
+    domain_size(n, k)
     t0 = time.perf_counter()
     if n <= k + 1:
         return _result(KTree(k=k, n=n, seed=tuple(range(n))), wf, "exact", t0, 1, 0)
@@ -200,8 +202,9 @@ def greedy(wf) -> SolverResult:
     then the k anchors each attachment creates. Every (vertex, anchor) gain
     is evaluated once.
     """
-    t0 = time.perf_counter()
     n, k = wf.n, wf.k
+    domain_size(n, k)
+    t0 = time.perf_counter()
     evaluated = 0
     if n <= k + 1:
         return _result(KTree(k=k, n=n, seed=tuple(range(n))), wf, "greedy", t0, 1, 0)

@@ -15,12 +15,13 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import json_int
+from .errors import WEIGHT_DOMAIN_GUARD, GuardLimitError, json_int
 
 __all__ = [
     "KTree",
     "CliqueSet",
     "cliques_of",
+    "clique_family",
     "ktree_edges",
     "clique_total",
     "score",
@@ -108,18 +109,34 @@ class CliqueSet:
     cliques: frozenset[tuple[int, ...]]
 
 
-def _sub_cliques(maximal_cliques):
-    """Subsets of size >= 2 of each given clique, repeats across cliques kept."""
+def _sub_cliques(maximal_cliques, smallest=2):
+    """Each clique's subsets of at least `smallest` vertices, repeats kept."""
     return itertools.chain.from_iterable(
         itertools.combinations(mc, size)
         for mc in maximal_cliques
-        for size in range(2, len(mc) + 1)
+        for size in range(smallest, len(mc) + 1)
     )
 
 
 def cliques_of(tree: KTree) -> CliqueSet:
     """All subsets of size >= 2 of every maximal clique, deduplicated."""
     return CliqueSet(frozenset(_sub_cliques(tree.maximal_cliques())))
+
+
+def clique_family(maximal_cliques) -> list[tuple[int, ...]]:
+    """Every nonempty subset of the given cliques once, sorted by size and
+    then by vertices: the subset-closed family the cliques' scores read.
+
+    Raises GuardLimitError, before listing any subset, when the cliques'
+    subsets counted with repeats pass WEIGHT_DOMAIN_GUARD.
+    """
+    cliques = [tuple(sorted(mc)) for mc in maximal_cliques]
+    bound = sum(2 ** len(mc) - 1 for mc in cliques)
+    if bound > WEIGHT_DOMAIN_GUARD:
+        raise GuardLimitError(
+            f"clique family too large: the subsets of {len(cliques)} maximal "
+            f"cliques number up to {bound}, over {WEIGHT_DOMAIN_GUARD}")
+    return sorted(set(_sub_cliques(cliques, 1)), key=lambda h: (len(h), h))
 
 
 def ktree_edges(tree: KTree) -> frozenset[tuple[int, int]]:

@@ -8,9 +8,10 @@ triangulated graph (singletons excluded), these weights measure how much the
 graph reduces divergence from the fully independent baseline, which is what
 the solvers maximize.
 
-A ``WeightFunction`` stores only the subsets it is given: an absent subset
-of the domain weighs 0, so an instance costs memory only for its entries.
-``compute_weights`` builds the weights bottom-up by subset size.
+A ``WeightFunction`` stores only its given subsets, and an absent subset of
+the domain weighs 0. ``family_weights`` builds the weights of a subset-closed
+family bottom-up by size, such as a tree's ``clique_family``;
+``compute_weights`` is it over the whole domain.
 ``attachment_gain`` is the one place that scores a k-tree attachment: the
 total weight of the cliques that attaching a vertex to an anchor creates.
 """
@@ -23,11 +24,13 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import GuardLimitError, json_float, json_int, json_subsets
+from .errors import (WEIGHT_DOMAIN_GUARD, GuardLimitError, json_float,
+                     json_int, json_subsets)
 
 __all__ = [
     "WeightFunction",
     "compute_weights",
+    "family_weights",
     "attachment_gain",
     "weights_to_dict",
     "weights_from_dict",
@@ -35,7 +38,6 @@ __all__ = [
 ]
 
 SINGLETON_TOL = 1e-12
-WEIGHT_DOMAIN_GUARD = 2 ** 22  # subsets; about 1.1 GiB of dict entries
 
 
 def domain_size(n: int, k: int) -> int:
@@ -43,7 +45,8 @@ def domain_size(n: int, k: int) -> int:
 
     Raises GuardLimitError once the count passes WEIGHT_DOMAIN_GUARD. Sizes
     are added in ascending order and counting stops there, so a refusal is
-    cheap; ``compute_weights`` asks before it computes any weight.
+    cheap. ``compute_weights``, ``weights_from_dict`` and the solvers that scan
+    the domain ask before they start.
     """
     total = 0
     for size in range(1, min(k + 1, n) + 1):
@@ -71,7 +74,6 @@ class WeightFunction:
     def __post_init__(self):
         if self.k < 1 or self.n < 1:
             raise ValueError("need k >= 1 and n >= 1")
-        domain_size(self.n, self.k)
         n, top = self.n, self.k + 1
         # The test of _refusal, inlined: a call per entry slows a file load.
         for h, w in self.weights.items():
@@ -114,27 +116,31 @@ class WeightFunction:
             raise ValueError(f"no weight entry for subset {clique}")
 
 
-def compute_weights(provider, k: int) -> WeightFunction:
-    """Weights for all subsets of size 1..k+1, built bottom-up by size.
-
-    w(h) = -H(h) - sum of w over all proper nonempty subsets of h, so that
-    the weights of all nonempty subsets of h telescope to -H(h).
-    """
+def family_weights(provider, k: int, family) -> WeightFunction:
+    """Weights of the subsets in family, and of no other subset, in its order:
+    w(h) = -H(h) - sum of w over h's proper nonempty subsets. The family
+    lists each subset after all of its own, as ``clique_family`` does."""
     from . import dataset as ds  # NumPy, needed only to compute weights
 
+    w: dict[tuple[int, ...], float] = {}
+    for h in family:
+        acc = -ds.scope_entropy(provider, h)
+        for sub_size in range(1, len(h)):
+            for hp in itertools.combinations(h, sub_size):
+                acc -= w[hp]
+        w[h] = acc
+    return WeightFunction(k=k, n=provider.n_vars, weights=w)
+
+
+def compute_weights(provider, k: int) -> WeightFunction:
+    """``family_weights`` over every subset of size 1..k+1 of the n vertices."""
     n = provider.n_vars
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1; got k={k}, n={n}")
     domain_size(n, k)
-    w: dict[tuple[int, ...], float] = {}
-    for size in range(1, k + 2):
-        for h in itertools.combinations(range(n), size):
-            acc = -ds.scope_entropy(provider, h)
-            for sub_size in range(1, size):
-                for hp in itertools.combinations(h, sub_size):
-                    acc -= w[hp]
-            w[h] = acc
-    return WeightFunction(k=k, n=n, weights=w)
+    return family_weights(provider, k, (
+        h for size in range(1, k + 2)
+        for h in itertools.combinations(range(n), size)))
 
 
 def attachment_gain(wf: WeightFunction, v: int, anchor) -> float:
@@ -173,12 +179,15 @@ def weights_to_dict(wf: WeightFunction) -> dict:
 
 
 def weights_from_dict(doc: dict) -> WeightFunction:
-    """Parse a weight dump; a subset absent from the file weighs 0."""
+    """Parse a weight dump, its domain's size refused before its entries; a
+    subset absent from the file weighs 0."""
     if doc.get("log_base", "e") != "e":
         raise ValueError(f"unsupported log base {doc.get('log_base')!r}")
+    k, n = json_int(doc["k"], "k"), json_int(doc["n"], "n")
+    if k >= 1:  # WeightFunction refuses k < 1 itself
+        domain_size(n, k)
     return WeightFunction(
-        k=json_int(doc["k"], "k"), n=json_int(doc["n"], "n"),
-        weights=json_subsets(doc["weights"], "w", json_float))
+        k=k, n=n, weights=json_subsets(doc["weights"], "w", json_float))
 
 
 def load_weights(source) -> WeightFunction:

@@ -538,17 +538,119 @@ def test_malformed_json_input_is_validation(run, tmp_path, filename, text,
 @pytest.mark.parametrize("kind, args, count", [
     ("csv", ["weights", "{data}", "--k", "2"], "300 vertices number 4500250"),
     ("json", ["learn", "{data}"], "100000 vertices number 5000050000"),
-], ids=["csv", "weight-file"])
+    ("csv", ["eval", "{data}", "{tree}"], None),
+    ("csv", ["eval", "{data}", "{clique}"],
+     "1 maximal cliques number up to 1073741823"),
+], ids=["csv", "weight-file", "eval", "eval-one-clique"])
 def test_weight_domain_guard(run, tmp_path, kind, args, count):
+    # eval weighs only the 2-tree's 1,195 cliques, never the 4,500,250
+    # subsets of sizes 1..3 that weights refuses on the same CSV; the one
+    # clique of 30 vertices has 2^30 - 1 subsets, refused before listing any
     data = tmp_path / f"data.{kind}"
+    n = 30 if "{clique}" in args else 300
     if kind == "csv":
-        names = [f"x{i}" for i in range(300)]
-        data.write_text(",".join(names) + "\n" + ",".join("0" * 300) + "\n")
+        names = [f"x{i}" for i in range(n)]
+        data.write_text(",".join(names) + "\n" + ",".join("0" * n) + "\n")
     else:
         data.write_text(json.dumps({"k": 1, "n": 100000, "weights": []}))
-    res = run([a.format(data=data) for a in args])
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"k": 2, "n": 300, "seed": [0, 1, 2],
+                                "attachments": [{"v": v, "anchor": [v - 2, v - 1]}
+                                                for v in range(3, 300)]}))
+    clique = tmp_path / "clique.json"
+    clique.write_text(json.dumps({"k": 29, "n": 30, "seed": list(range(30))}))
+    res = run([a.format(data=data, tree=tree, clique=clique) for a in args])
+    if count is None:
+        assert res.exit_code == 0, res.output
+        report = json.loads(res.output)
+        assert report["score"] == 0.0 and report["divergence_direct"] == 0.0
+        return
     assert res.exit_code == 3, res.output
     assert count in res.output and "over 4194304" in res.output
+
+
+def test_eval_one_clique_structure_wider_than_the_data(run, tmp_path):
+    # k=5 on 3 variables is a valid k-tree: its seed is all min(k+1, n) = 3
+    # vertices, the same one clique as the 2-tree on them
+    csv_path = tmp_path / "t3.csv"
+    csv_path.write_text("a,b,c\n0,1,0\n1,1,1\n0,0,1\n")
+    reports = {}
+    for k in (2, 5):
+        struct = tmp_path / f"k{k}.json"
+        struct.write_text(json.dumps({"k": k, "n": 3, "seed": [0, 1, 2],
+                                      "attachments": []}))
+        res = run(["eval", str(csv_path), str(struct)])
+        assert res.exit_code == 0, res.output
+        reports[k] = json.loads(res.output)
+    assert reports[5]["k"] == 5
+    assert reports[5]["score"] == 0.8109302162163288
+    for key in ("score", "divergence_decomposed", "divergence_direct",
+                "identity_residual", "loglik_per_row"):
+        assert reports[5][key] == reports[2][key], key
+
+
+@pytest.mark.parametrize("command", ["learn", "weights"])
+@pytest.mark.parametrize("k", ["3", "5"])
+def test_k_not_below_the_column_count_names_the_file(run, tmp_path, command,
+                                                     k):
+    csv_path = tmp_path / "t3.csv"
+    csv_path.write_text("a,b,c\n0,1,0\n1,1,1\n0,0,1\n")
+    res = run([command, str(csv_path), "--k", k])
+    assert res.exit_code == 2, res.output
+    assert res.output == (f"error: {csv_path}: need 1 <= k <= n-1; "
+                          f"got k={k}, n=3\n")
+
+
+@pytest.mark.parametrize("kind", ["csv", "joint-table"])
+def test_learn_and_eval_report_the_same_score(run, tmp_path, kind):
+    # eval weighs the learned tree's cliques only, learn every subset: the
+    # weights they share are bit-identical, so the reports agree byte for byte
+    rng = np.random.default_rng(7)
+    if kind == "csv":
+        data = tmp_path / "data.csv"
+        dump_dataset(random_dataset(rng, 7, 300), data)
+    else:
+        data = tmp_path / "data.json"
+        probs = rng.random((2, 3, 2, 2, 3, 2))
+        probs[0, 1] = 0.0
+        data.write_text(json.dumps({"arities": list(probs.shape),
+                                    "probs": (probs / probs.sum()).ravel()
+                                    .tolist()}))
+    struct = tmp_path / "structure.json"
+    res = run(["learn", str(data), "--k", "2", "--solver", "local",
+               "--out", str(struct)])
+    assert res.exit_code == 0, res.output
+    res = run(["eval", str(data), str(struct)])
+    assert res.exit_code == 0, res.output
+    learned, report = json.loads(struct.read_text()), json.loads(res.output)
+    for key in ("score", "divergence_decomposed"):
+        assert repr(report[key]) == repr(learned[key]), key
+
+
+def test_eval_computes_only_the_entropies_of_its_tree(run, tmp_path,
+                                                      monkeypatch):
+    from hypertree import dataset
+    from hypertree.structure import clique_family, load_ktree
+
+    csv_path = tmp_path / "data.csv"
+    dump_dataset(random_dataset(np.random.default_rng(3), 9, 200), csv_path)
+    struct = tmp_path / "structure.json"
+    assert run(["learn", str(csv_path), "--k", "2",
+                "--out", str(struct)]).exit_code == 0
+    family = clique_family(load_ktree(struct).maximal_cliques())
+    scopes = []
+    entropy = dataset.scope_entropy
+
+    def recording(data, scope):
+        scopes.append(tuple(scope))
+        return entropy(data, scope)
+
+    monkeypatch.setattr(dataset, "scope_entropy", recording)
+    res = run(["eval", str(csv_path), str(struct)])
+    assert res.exit_code == 0, res.output
+    # 9 singletons, 15 edges and 7 triangles, of the domain's 129 subsets
+    assert len(family) == 31
+    assert set(scopes) == set(family) and len(scopes) == len(family)
 
 
 def test_marginal_table_guard(run, tmp_path):

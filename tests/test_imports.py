@@ -50,12 +50,17 @@ EXPORTS = {
 }
 
 
-def _run_cli(args):
+def _python(*args):
+    """Run a fresh interpreter that imports the package from SRC."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    res = subprocess.run([sys.executable, "-c", PROBE, *args], env=env,
-                         capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _run_cli(args):
+    res = _python("-c", PROBE, *args)
     assert res.returncode == 0, res.stderr
     return set(res.stderr.splitlines()[-1].split()[1:])
 
@@ -91,6 +96,16 @@ def test_combinatorial_commands_do_not_load_numpy(tmp_path, args, absent):
              "out": tmp_path / "s.json"}
     loaded = _run_cli([a.format(**files) for a in args])
     assert loaded.isdisjoint(absent), loaded
+
+
+def test_weights_structure_and_solvers_import_without_numpy():
+    # solvers imports weights and structure; none of them pulls in NumPy
+    res = _python("-c", "import sys, hypertree.weights, hypertree.solvers\n"
+                  "print(*sorted(m for m in sys.modules\n"
+                  "              if m == 'numpy' or m.startswith('hypertree.')))")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["hypertree.errors", "hypertree.solvers",
+                                  "hypertree.structure", "hypertree.weights"]
 
 
 def test_learning_from_data_loads_numpy(tmp_path):

@@ -127,6 +127,17 @@ class TestExactSearch:
         res = exact_search(wf, exact_limit=10)
         assert res.method == "exact"
 
+    def test_domain_guard(self):
+        # a weight function built in code is refused where the domain is
+        # scanned, as a weight file over the same domain is when read
+        wf = WeightFunction(k=2, n=300, weights={})
+        with pytest.raises(GuardLimitError, match="number 4500250"):
+            exact_search(wf, exact_limit=300)
+        with pytest.raises(GuardLimitError, match="number 4500250"):
+            greedy(wf)
+        with pytest.raises(GuardLimitError, match="number 4501500"):
+            chow_liu(WeightFunction(k=1, n=3000, weights={}))
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(4)
         for _ in range(12):

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypertree.errors import GuardLimitError
 from hypertree.structure import (
     KTree,
+    clique_family,
     cliques_of,
     ktree_edges,
     ktree_from_cliques,
@@ -255,3 +257,31 @@ def test_structure_json_roundtrip(tmp_path):
     path = tmp_path / "structure.json"
     path.write_text(json.dumps(ktree_to_dict(t)))
     assert load_ktree(path) == t
+
+
+def test_clique_family_lists_each_subset_once_by_size():
+    assert clique_family([(2, 0, 1), (1, 3, 2)]) == [
+        (0,), (1,), (2,), (3,), (0, 1), (0, 2), (1, 2), (1, 3), (2, 3),
+        (0, 1, 2), (1, 2, 3)]
+    # over every (k+1)-subset it is the whole weight domain, in the order
+    # of sizes and then of itertools.combinations
+    domain = [h for size in range(1, 4)
+              for h in itertools.combinations(range(6), size)]
+    assert clique_family(itertools.combinations(range(6), 3)) == domain
+
+
+def test_clique_family_guard():
+    # one clique of 23 vertices has 2^23 - 1 subsets: refused unlisted
+    with pytest.raises(GuardLimitError, match="number up to 8388607, over"):
+        clique_family([tuple(range(23))])
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 9), k=st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_clique_family_is_the_subset_closure(seed, n, k):
+    tree = random_ktree(np.random.default_rng(seed), n, k)
+    family = clique_family(tree.maximal_cliques())
+    assert set(family) == set(cliques_of(tree).cliques) | {
+        (v,) for v in range(n)}
+    assert family == sorted(family, key=lambda h: (len(h), h))
+    assert len(family) == len(set(family))

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertree.dataset import scope_entropy
-from hypertree.structure import clique_total, score
+from hypertree.dataset import Dataset, VariableSpec, scope_entropy
+from hypertree.errors import GuardLimitError
+from hypertree.structure import clique_family, clique_total, score
 from hypertree.weights import (
     WeightFunction,
     attachment_gain,
     compute_weights,
+    family_weights,
     load_weights,
     weights_from_dict,
     weights_to_dict,
@@ -22,6 +24,7 @@ from hypertree.weights import (
 from oracles import (
     attachment_gain_reference,
     clique_total_reference,
+    joint_table,
     markov_chain_joint,
     mutual_information,
     product_joint,
@@ -29,6 +32,7 @@ from oracles import (
     random_joint,
     random_ktree,
     random_weight_function,
+    target_samples,
     weight_inclusion_exclusion,
     xor_triple_joint,
 )
@@ -115,6 +119,28 @@ def test_telescoping_identity(seed):
                 for hp in itertools.combinations(h, s)
             )
             assert total == pytest.approx(-scope_entropy(d, h), abs=1e-10)
+
+
+@given(sample=target_samples(min_vars=2, max_vars=5),
+       seed=st.integers(0, 2 ** 16), k=st.integers(1, 4))
+@settings(max_examples=120, deadline=None)
+def test_family_weights_match_compute_weights(sample, seed, k):
+    # counted rows and a joint table, some declared outcomes unseen; k >= n
+    # gives the one-clique tree, whose family is every subset
+    arities, rows, probs = sample
+    n = len(arities)
+    tree = random_ktree(np.random.default_rng(seed), n, k)
+    family = clique_family(tree.maximal_cliques())
+    assert {(v,) for v in range(n)} <= set(family)
+    specs = tuple(VariableSpec(f"x{i}", a) for i, a in enumerate(arities))
+    for data in (Dataset(specs, rows), joint_table(probs)):
+        wf = family_weights(data, k, family)
+        full = compute_weights(data, min(k, n - 1))
+        assert (wf.k, wf.n) == (k, n)
+        assert list(wf.weights) == family
+        for h, w in wf.weights.items():
+            assert float(w).hex() == float(full.weights[h]).hex(), h
+        assert score(tree, wf) == score(tree, full)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -283,6 +309,17 @@ def test_weight_file_stores_only_listed_subsets():
     assert wf.weights == {(3, 5): 0.5}
     assert wf[(5, 3)] == 0.5 and wf[(0, 1999)] == 0.0
     assert weights_from_dict({"k": 1, "n": 2000, "weights": []}).weights == {}
+
+
+def test_weight_file_domain_is_refused_before_its_entries():
+    # the entry is malformed, but the domain's size is refused first
+    doc = {"k": 1, "n": 100000, "weights": [{"vars": [0, 0], "w": "x"}]}
+    with pytest.raises(GuardLimitError, match="number 5000050000"):
+        weights_from_dict(doc)
+    with pytest.raises(ValueError, match="need k >= 1"):
+        weights_from_dict({"k": 0, "n": 10 ** 7, "weights": []})
+    # the guard bounds a scan of the domain, not holding a few of its weights
+    assert WeightFunction(k=2, n=300, weights={(0, 1, 2): 0.5})[(0, 1, 2)] == 0.5
 
 
 def test_weight_file_refuses_repeated_subset():
