@@ -106,12 +106,6 @@ def _write_json(doc: dict, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _json_float(v: float):
-    if math.isinf(v):
-        return "-inf" if v < 0 else "inf"
-    return v
-
-
 def _display(value: float, base: str) -> float:
     return value / math.log(2) if base == "2" else value
 
@@ -148,6 +142,10 @@ def learn_cmd(input_path, k, solver, exact_limit, max_iters, arities_path,
     """Find a high-weight width-k structure for data or a weight file."""
     from . import solvers, structure, weights
 
+    if exact_limit is not None and solver != "exact":
+        raise ValueError("--exact-limit applies to --solver exact only")
+    if max_iters is not None and solver != "local":
+        raise ValueError("--max-iters applies to --solver local only")
     if max_iters is None:
         max_iters = solvers.DEFAULT_MAX_ITERS
     source = _load_input(input_path, arities_path, weight_file=True)
@@ -193,19 +191,17 @@ def learn_cmd(input_path, k, solver, exact_limit, max_iters, arities_path,
 def eval_cmd(data_path, structure_path, arities_path, display_base, model_out,
              out_path):
     """Score a structure against data: divergences and log likelihood."""
-    from . import projection, structure, weights
+    from . import dataset, projection, structure
 
     provider = _load_input(data_path, arities_path)
     tree = _read(structure_path, _json, structure.ktree_from_dict)
     if tree.n != provider.n_vars:
         raise ValueError(f"{structure_path}: structure spans {tree.n} "
                          f"variables, {data_path} has {provider.n_vars}")
-    wf = weights.family_weights(
-        provider, tree.k, structure.clique_family(tree.maximal_cliques()))
     model = projection.project(provider, tree)
+    wf = model.weights
     decomposed = projection.divergence_decomposed(provider, wf, tree)
     direct = projection.divergence_direct(provider, model)
-    ll = projection.log_likelihood(model, provider)
     report = {
         "k": tree.k,
         "n": tree.n,
@@ -214,7 +210,8 @@ def eval_cmd(data_path, structure_path, arities_path, display_base, model_out,
         "divergence_decomposed": decomposed,
         "divergence_direct": direct,
         "identity_residual": abs(direct - decomposed),
-        "loglik_per_row": _json_float(ll / provider.n_rows),
+        # on the training data, sum of p log q = -H(p) - KL(p || q)
+        "loglik_per_row": -dataset.joint_entropy(provider) - direct,
     }
     if model_out is not None:
         projection.dump_model(model, model_out)

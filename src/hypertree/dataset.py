@@ -199,7 +199,11 @@ def load_dataset(source, arities: dict[str, int] | None = None) -> Dataset:
 
 def dump_dataset(data: Dataset, target) -> None:
     """Write a Dataset of integer counts as header + integer-code CSV rows:
-    each distinct row as many times as its count, equal rows together."""
+    each distinct row as many times as its count, equal rows together. A
+    Dataset weighted by probabilities is refused before anything is written."""
+    if not np.issubdtype(data.counts.dtype, np.integer):
+        raise ValueError("only a Dataset of integer counts can be written as "
+                         f"rows; its counts are {data.counts.dtype}")
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8", newline="") as fh:
             dump_dataset(data, fh)

@@ -6,13 +6,14 @@ factors into per-clique tables computed bottom-up over the tree's
 each clique's factor is its target marginal divided by the product of the
 factors of its proper subsets. The factors are stored for all cliques rather
 than folded into maximal cliques, so a clique's factor depends only on the
-marginal inside it and is reusable across structures.
+marginal inside it and is reusable across structures. The same marginals
+give the clique weights: w(h) is the expected log of h's factor.
 
 Divergence from the target is available through two routes: the decomposed
 form (baseline divergence, its singleton entropies read from the weights,
 minus the structure's total clique weight) and a direct sum over the
-target's distinct rows, which checks it. The direct sum and the log
-likelihood share one model log probability per distinct row.
+target's distinct rows, which checks it. On the target itself, the log
+likelihood per unit weight is minus the joint entropy minus the direct sum.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import dataset as ds
 from .structure import KTree, clique_family, ktree_to_dict, score
+from .weights import WeightFunction, family_weights
 
 __all__ = [
     "NEG_INFINITY",
@@ -43,11 +45,12 @@ NEG_INFINITY = float("-inf")
 
 @dataclass(frozen=True, eq=False)
 class ProjectedModel:
-    """A k-tree structure with per-clique factors."""
+    """A k-tree structure with per-clique factors and clique weights."""
 
     tree: KTree
     arities: tuple[int, ...]
     factors: dict[tuple[int, ...], np.ndarray]
+    weights: WeightFunction
 
 
 def _broadcast_shape(sub: tuple[int, ...], h: tuple[int, ...],
@@ -56,7 +59,7 @@ def _broadcast_shape(sub: tuple[int, ...], h: tuple[int, ...],
 
 
 def project(provider, tree: KTree) -> ProjectedModel:
-    """Compute the projection of a provider's distribution onto a k-tree.
+    """Project a provider's distribution onto a k-tree, weighing its cliques.
 
     Zero cells: a zero clique marginal forces a zero factor and the division
     is skipped. A zero sub-factor under a positive marginal is impossible for
@@ -66,8 +69,10 @@ def project(provider, tree: KTree) -> ProjectedModel:
     if tree.n != n:
         raise ValueError(f"tree spans {tree.n} vertices, provider has {n}")
     factors: dict[tuple[int, ...], np.ndarray] = {}
+    entropies = []
     for h in clique_family(tree.maximal_cliques()):
         probs = ds.marginal(provider, h)
+        entropies.append((h, ds.entropy(probs)))
         shape = probs.shape
         denom = np.ones(shape)
         for size in range(1, len(h)):
@@ -87,6 +92,7 @@ def project(provider, tree: KTree) -> ProjectedModel:
         tree=tree,
         arities=tuple(provider.arities),
         factors=factors,
+        weights=family_weights(tree.k, n, entropies),
     )
 
 

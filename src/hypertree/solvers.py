@@ -256,6 +256,9 @@ def local_search(wf, start: KTree, max_iters: int = DEFAULT_MAX_ITERS) -> Solver
     n, k = start.n, start.k
     if wf.n != n:
         raise ValueError(f"weight function covers {wf.n} vertices, tree has {n}")
+    if k > wf.k:
+        raise ValueError(f"start tree has width {k}, over the weight "
+                         f"function's width {wf.k}")
     if n <= k + 1:
         return _result(start, wf, "local_search", t0, 0, 0)
     gain = functools.cache(functools.partial(attachment_gain, wf))

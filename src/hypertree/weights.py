@@ -9,9 +9,9 @@ graph reduces divergence from the fully independent baseline, which is what
 the solvers maximize.
 
 A ``WeightFunction`` stores only its given subsets, and an absent subset of
-the domain weighs 0. ``family_weights`` builds the weights of a subset-closed
-family bottom-up by size, such as a tree's ``clique_family``;
-``compute_weights`` is it over the whole domain.
+the domain weighs 0. ``family_weights`` runs the recursion, without NumPy,
+over the (subset, entropy) pairs of a subset-closed family such as a tree's
+``clique_family``; ``compute_weights`` feeds it the whole domain's entropies.
 ``attachment_gain`` is the one place that scores a k-tree attachment: the
 total weight of the cliques that attaching a vertex to an anchor creates.
 """
@@ -116,30 +116,30 @@ class WeightFunction:
             raise ValueError(f"no weight entry for subset {clique}")
 
 
-def family_weights(provider, k: int, family) -> WeightFunction:
-    """Weights of the subsets in family, and of no other subset, in its order:
-    w(h) = -H(h) - sum of w over h's proper nonempty subsets. The family
-    lists each subset after all of its own, as ``clique_family`` does."""
-    from . import dataset as ds  # NumPy, needed only to compute weights
-
+def family_weights(k: int, n: int, entropies) -> WeightFunction:
+    """Weights of the subsets h of the (h, H(h)) pairs, and of no other, in
+    their order: w(h) = -H(h) - sum of w over h's proper nonempty subsets.
+    Each h comes after all of its own subsets, as in ``clique_family``."""
     w: dict[tuple[int, ...], float] = {}
-    for h in family:
-        acc = -ds.scope_entropy(provider, h)
+    for h, ent in entropies:
+        acc = -ent
         for sub_size in range(1, len(h)):
             for hp in itertools.combinations(h, sub_size):
                 acc -= w[hp]
         w[h] = acc
-    return WeightFunction(k=k, n=provider.n_vars, weights=w)
+    return WeightFunction(k=k, n=n, weights=w)
 
 
 def compute_weights(provider, k: int) -> WeightFunction:
     """``family_weights`` over every subset of size 1..k+1 of the n vertices."""
+    from . import dataset as ds  # NumPy, needed only to compute entropies
+
     n = provider.n_vars
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1; got k={k}, n={n}")
     domain_size(n, k)
-    return family_weights(provider, k, (
-        h for size in range(1, k + 2)
+    return family_weights(k, n, (
+        (h, ds.scope_entropy(provider, h)) for size in range(1, k + 2)
         for h in itertools.combinations(range(n), size)))
 
 

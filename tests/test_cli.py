@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import itertools
@@ -7,13 +8,23 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypertree.cli import main
-from hypertree.dataset import dump_dataset, load_dataset
+from hypertree.dataset import Dataset, VariableSpec, dump_dataset, load_dataset
 from hypertree.paritygen import TargetBiases, biases_to_dict
+from hypertree.projection import log_likelihood, project
+from hypertree.structure import ktree_to_dict
 from hypertree.weights import compute_weights, weights_from_dict
 
-from oracles import generate_reference, random_dataset
+from oracles import (
+    generate_reference,
+    joint_table,
+    random_dataset,
+    random_ktree,
+    target_samples,
+)
 
 
 class CliResult(NamedTuple):
@@ -629,6 +640,8 @@ def test_learn_and_eval_report_the_same_score(run, tmp_path, kind):
 
 def test_eval_computes_only_the_entropies_of_its_tree(run, tmp_path,
                                                       monkeypatch):
+    # the projection's marginals give the clique weights too: each marginal
+    # of the tree's family is computed once, and no other
     from hypertree import dataset
     from hypertree.structure import clique_family, load_ktree
 
@@ -639,18 +652,75 @@ def test_eval_computes_only_the_entropies_of_its_tree(run, tmp_path,
                 "--out", str(struct)]).exit_code == 0
     family = clique_family(load_ktree(struct).maximal_cliques())
     scopes = []
-    entropy = dataset.scope_entropy
+    marginal = dataset.marginal
 
     def recording(data, scope):
         scopes.append(tuple(scope))
-        return entropy(data, scope)
+        return marginal(data, scope)
 
-    monkeypatch.setattr(dataset, "scope_entropy", recording)
+    monkeypatch.setattr(dataset, "marginal", recording)
     res = run(["eval", str(csv_path), str(struct)])
     assert res.exit_code == 0, res.output
     # 9 singletons, 15 edges and 7 triangles, of the domain's 129 subsets
     assert len(family) == 31
-    assert set(scopes) == set(family) and len(scopes) == len(family)
+    assert sorted(scopes) == sorted(family)
+
+
+@given(sample=target_samples(min_vars=2, max_vars=4),
+       seed=st.integers(0, 2 ** 16), k=st.integers(1, 3),
+       kind=st.sampled_from(["csv", "joint-table"]))
+@settings(max_examples=60, deadline=None)
+def test_eval_loglik_matches_log_likelihood(tmp_path_factory, sample, seed, k,
+                                            kind):
+    # eval derives loglik_per_row from the direct divergence; the model's log
+    # probability summed over the rows stays its oracle. Declared arities keep
+    # a CSV's unseen outcomes in the model
+    arities, rows, probs = sample
+    tmp = tmp_path_factory.mktemp("loglik")
+    specs = tuple(VariableSpec(f"x{i}", a) for i, a in enumerate(arities))
+    if kind == "csv":
+        data, path = Dataset(specs, rows), tmp / "data.csv"
+        dump_dataset(data, path)
+        sidecar = tmp / "arities.json"
+        sidecar.write_text(json.dumps(
+            {"arities": {s.name: s.arity for s in specs}}))
+        extra = ["--arities", str(sidecar)]
+    else:
+        data, path = joint_table(probs), tmp / "data.json"
+        path.write_text(json.dumps({"arities": list(arities),
+                                    "probs": probs.ravel().tolist()}))
+        extra = []
+    tree = random_ktree(np.random.default_rng(seed), len(arities), k)
+    struct, out = tmp / "structure.json", tmp / "report.json"
+    struct.write_text(json.dumps(ktree_to_dict(tree)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["eval", str(path), str(struct), *extra,
+                     "--out", str(out)])
+    assert code == 0
+    got = json.loads(out.read_text())["loglik_per_row"]
+    want = log_likelihood(project(data, tree), data) / data.n_rows
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("options, refused", [
+    (["--solver", "greedy", "--exact-limit", "3", "--max-iters", "2"],
+     "--exact-limit applies to --solver exact only"),
+    (["--solver", "local", "--exact-limit", "3"],
+     "--exact-limit applies to --solver exact only"),
+    (["--max-iters", "2"], "--max-iters applies to --solver local only"),
+    (["--solver", "exact", "--max-iters", "2"],
+     "--max-iters applies to --solver local only"),
+], ids=["greedy-both", "local-exact-limit", "default-max-iters",
+        "exact-max-iters"])
+def test_learn_refuses_options_of_another_solver(run, tmp_path, options,
+                                                 refused):
+    # refused before the input is read: a missing input would exit 4
+    missing, out = tmp_path / "missing.csv", tmp_path / "structure.json"
+    res = run(["learn", str(missing), "--k", "1", *options,
+               "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.output == f"error: {refused}\n"
+    assert not out.exists()
 
 
 def test_marginal_table_guard(run, tmp_path):

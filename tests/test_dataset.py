@@ -193,6 +193,17 @@ def test_dump_dataset_writes_chunks_as_one_pass(t):
     assert got.getvalue() == want.getvalue()
 
 
+def test_dump_dataset_refuses_probability_weights(tmp_path):
+    d = joint_table_from_dict({"arities": [2, 2], "probs": [0.25] * 4})
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="integer counts"):
+        dump_dataset(d, out)
+    assert out.getvalue() == ""  # refused before the header
+    with pytest.raises(ValueError, match="integer counts"):
+        dump_dataset(d, tmp_path / "sample.csv")
+    assert not (tmp_path / "sample.csv").exists()
+
+
 def test_variable_spec_validation():
     with pytest.raises(ValueError):
         VariableSpec("a", 1)

@@ -199,6 +199,24 @@ def test_clique_marginals_match_and_normalize():
             assert np.max(np.abs(got - marginal(jt, h))) <= 1e-10
 
 
+@given(sample=target_samples(min_vars=1, max_vars=4),
+       seed=st.integers(0, 2 ** 16), k=st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_weights_are_expected_log_factors(sample, seed, k):
+    # w(h) = E[log phi_h] under the target, over its positive cells
+    arities, rows, probs = sample
+    specs = tuple(VariableSpec(f"x{i}", a) for i, a in enumerate(arities))
+    tree = random_ktree(np.random.default_rng(seed), len(arities), k)
+    for data in (Dataset(specs, rows), joint_table(probs)):
+        m = project(data, tree)
+        assert set(m.weights.weights) == set(m.factors)
+        for h, phi in m.factors.items():
+            p = marginal(data, h)
+            pos = p > 0
+            want = float((p[pos] * np.log(phi[pos])).sum())
+            assert m.weights.weights[h] == pytest.approx(want, abs=1e-12), h
+
+
 def test_log_likelihood_training_identity():
     rng = np.random.default_rng(6)
     for _ in range(10):
@@ -342,6 +360,7 @@ def test_model_json_roundtrip(tmp_path):
                 [doc["arities"][i] for i in e["vars"]])
             for e in doc["factors"]
         },
+        weights=m.weights,  # model.json keeps the factors, not the weights
     )
     assert back.tree == m.tree
     assert back.arities == m.arities

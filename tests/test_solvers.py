@@ -243,6 +243,14 @@ class TestLocalSearch:
             start = random_ktree(rng, wf.n, wf.k)
             assert_encodes_graph(local_search(wf, start), wf)
 
+    def test_refuses_start_wider_than_its_weights(self):
+        # before searching: a 2-tree's triangles have no entry in 1-tree weights
+        wf = WeightFunction(k=1, n=5, weights={})
+        start = random_ktree(np.random.default_rng(15), 5, 2)
+        with pytest.raises(ValueError, match="width 2, over the weight "
+                                             "function's width 1"):
+            local_search(wf, start)
+
     def test_respects_max_iters(self):
         rng = np.random.default_rng(12)
         wf = random_weight_function(rng, 6, 2)

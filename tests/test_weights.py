@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hypertree.dataset import Dataset, VariableSpec, scope_entropy
 from hypertree.errors import GuardLimitError
+from hypertree.projection import project
 from hypertree.structure import clique_family, clique_total, score
 from hypertree.weights import (
     WeightFunction,
@@ -121,12 +122,25 @@ def test_telescoping_identity(seed):
             assert total == pytest.approx(-scope_entropy(d, h), abs=1e-10)
 
 
+def test_family_weights_recursion_over_given_entropies():
+    # w(h) = -H(h) - the weights of h's proper subsets; no dataset involved
+    wf = family_weights(2, 3, [((0,), 1.0), ((1,), 0.5), ((2,), 0.25),
+                               ((0, 1), 1.25), ((0, 2), 1.0), ((1, 2), 0.75),
+                               ((0, 1, 2), 1.5)])
+    assert (wf.k, wf.n) == (2, 3)
+    assert wf.weights == {(0,): -1.0, (1,): -0.5, (2,): -0.25,
+                          (0, 1): 0.25, (0, 2): 0.25, (1, 2): 0.0,
+                          (0, 1, 2): -0.25}
+
+
 @given(sample=target_samples(min_vars=2, max_vars=5),
        seed=st.integers(0, 2 ** 16), k=st.integers(1, 4))
 @settings(max_examples=120, deadline=None)
 def test_family_weights_match_compute_weights(sample, seed, k):
-    # counted rows and a joint table, some declared outcomes unseen; k >= n
-    # gives the one-clique tree, whose family is every subset
+    # the projection weighs its tree's family from the marginals it computes
+    # once, bit for bit as compute_weights weighs the domain; counted rows and
+    # a joint table, some declared outcomes unseen; k >= n gives the
+    # one-clique tree, whose family is every subset
     arities, rows, probs = sample
     n = len(arities)
     tree = random_ktree(np.random.default_rng(seed), n, k)
@@ -134,7 +148,7 @@ def test_family_weights_match_compute_weights(sample, seed, k):
     assert {(v,) for v in range(n)} <= set(family)
     specs = tuple(VariableSpec(f"x{i}", a) for i, a in enumerate(arities))
     for data in (Dataset(specs, rows), joint_table(probs)):
-        wf = family_weights(data, k, family)
+        wf = project(data, tree).weights
         full = compute_weights(data, min(k, n - 1))
         assert (wf.k, wf.n) == (k, n)
         assert list(wf.weights) == family
