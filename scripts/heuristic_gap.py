@@ -44,7 +44,7 @@ def main():
         n = int(rng.integers(args.k + 2, args.n_max + 1))
         neg = rng.random() < args.neg_frac
         wf = random_instance(rng, n, args.k, neg)
-        ex = exact_search(wf)
+        ex = exact_search(wf, exact_limit=args.n_max)
         g = greedy(wf)
         loc = local_search(wf, g.tree)
         if ex.score > 1e-9 and g.score >= 0:

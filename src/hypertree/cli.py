@@ -5,8 +5,8 @@ Subcommands: ``weights`` (CSV -> weight dump), ``learn`` (CSV or weight dump
 report), ``gen-parity`` (bias or weight-target prescription -> sample CSV +
 provenance). Exit codes, mapped in ``main``: 0 success, 2 validation error
 (including a malformed input file, named with the field or line at fault
-after the file's path), 3 guard refusal, 4 I/O error. All file outputs are
-in nats; ``--display-base 2`` converts the printed summary only.
+after the file's path), 3 guard refusal, 4 I/O error. All outputs, the
+printed summaries included, are in nats.
 
 The parser is the standard library's ``argparse``. Each command imports the
 modules it computes with when it runs: ``--help`` loads no library module
@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
-from .errors import (DEFAULT_CUBE_LIMIT, GuardLimitError, json_float, json_int,
-                     json_subsets)
+from .errors import (DEFAULT_CUBE_LIMIT, DEFAULT_EXACT_LIMIT, GuardLimitError,
+                     json_float, json_int, json_subsets)
 
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
@@ -39,7 +38,7 @@ def _read(path: str, parse, *args):
     while parsing or converting, a JSON syntax error, JSON nested too deep
     and a malformed CSV record included, becomes a ValueError naming the file.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             return parse(fh, *args)
         except KeyError as exc:
@@ -106,10 +105,6 @@ def _write_json(doc: dict, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _display(value: float, base: str) -> float:
-    return value / math.log(2) if base == "2" else value
-
-
 def _compute_weights(provider, k, data_path):
     """compute_weights, which checks k, with a refusal naming the data file."""
     from .weights import compute_weights
@@ -119,7 +114,7 @@ def _compute_weights(provider, k, data_path):
         raise ValueError(f"{data_path}: {exc}") from None
 
 
-def weights_cmd(data_path, k, arities_path, display_base, out_path):
+def weights_cmd(data_path, k, arities_path, out_path):
     """Compute clique weights for all vertex subsets of size 1..k+1."""
     from . import weights
 
@@ -131,23 +126,17 @@ def weights_cmd(data_path, k, arities_path, display_base, out_path):
         note = ""
         if top is not None:
             note = (f"; max non-singleton weight {list(top)} = "
-                    f"{_display(wf.weights[top], display_base):.6f} "
-                    f"(base {display_base})")
+                    f"{wf.weights[top]:.6f} (base e)")
         print(f"wrote {len(wf.weights)} weights (n={wf.n}, k={wf.k}) "
               f"to {out_path}{note}")
 
 
-def learn_cmd(input_path, k, solver, exact_limit, max_iters, arities_path,
-              display_base, out_path):
+def learn_cmd(input_path, k, solver, exact_limit, arities_path, out_path):
     """Find a high-weight width-k structure for data or a weight file."""
     from . import solvers, structure, weights
 
     if exact_limit is not None and solver != "exact":
         raise ValueError("--exact-limit applies to --solver exact only")
-    if max_iters is not None and solver != "local":
-        raise ValueError("--max-iters applies to --solver local only")
-    if max_iters is None:
-        max_iters = solvers.DEFAULT_MAX_ITERS
     source = _load_input(input_path, arities_path, weight_file=True)
     if isinstance(source, weights.WeightFunction):
         wf, provider = source, None
@@ -166,8 +155,7 @@ def learn_cmd(input_path, k, solver, exact_limit, max_iters, arities_path,
     elif solver == "greedy":
         result = solvers.greedy(wf)
     else:
-        result = solvers.local_search(wf, solvers.greedy(wf).tree,
-                                      max_iters=max_iters)
+        result = solvers.local_search(wf, solvers.greedy(wf).tree)
 
     doc = structure.ktree_to_dict(result.tree)
     doc["score"] = result.score
@@ -184,12 +172,11 @@ def learn_cmd(input_path, k, solver, exact_limit, max_iters, arities_path,
     _write_json(doc, out_path)
     if out_path is not None:
         print(
-            f"{result.method}: score {_display(result.score, display_base):.6f} "
-            f"(base {display_base}, k={wf.k}) -> {out_path}")
+            f"{result.method}: score {result.score:.6f} "
+            f"(base e, k={wf.k}) -> {out_path}")
 
 
-def eval_cmd(data_path, structure_path, arities_path, display_base, model_out,
-             out_path):
+def eval_cmd(data_path, structure_path, arities_path, model_out, out_path):
     """Score a structure against data: divergences and log likelihood."""
     from . import dataset, projection, structure
 
@@ -218,8 +205,8 @@ def eval_cmd(data_path, structure_path, arities_path, display_base, model_out,
     _write_json(report, out_path)
     if out_path is not None:
         print(
-            f"divergence {_display(report['divergence_decomposed'], display_base):.6f} "
-            f"(base {display_base}, k={tree.k}) -> {out_path}")
+            f"divergence {report['divergence_decomposed']:.6f} "
+            f"(base e, k={tree.k}) -> {out_path}")
 
 
 def _parity_spec(doc: dict):
@@ -309,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sub, arities_help=None):
         sub.add_argument("--arities", dest="arities_path", metavar="TEXT",
                          help=arities_help)
-        sub.add_argument("--display-base", choices=("e", "2"), default="e")
 
     def out(sub, default=None, text="Output path (default: stdout)."):
         sub.add_argument("--out", dest="out_path", metavar="TEXT",
@@ -326,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     positive(sub, "--k", "Width bound; required for CSV input, optional "
                          "check for weight files.")
     sub.add_argument("--solver", choices=SOLVER_NAMES, default="greedy")
-    positive(sub, "--exact-limit", "Override the n guard of the exact solver.")
-    positive(sub, "--max-iters")
+    positive(sub, "--exact-limit", "Override the n guard of the exact solver "
+                                   f"(default n <= {DEFAULT_EXACT_LIMIT}).")
     common(sub)
     out(sub)
 

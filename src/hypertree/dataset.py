@@ -13,6 +13,7 @@ weight; no smoothing is applied.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -35,7 +36,6 @@ __all__ = [
 ]
 
 MARGINAL_CELL_GUARD = 2 ** 24  # cells of one count table: 128 MiB of int64
-DUMP_CHUNK_ROWS = 4096  # rows that dump_dataset holds as Python lists at once
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,8 @@ def _bad_cell(rec, names, lineno) -> ValueError:
 
 
 def load_dataset(source, arities: dict[str, int] | None = None) -> Dataset:
-    """Read a Dataset from CSV text (path or open text stream).
+    """Read a Dataset from CSV text (path or open text stream); a path is
+    decoded as UTF-8, a leading byte-order mark dropped.
 
     The first row is a header of variable names; body cells are integer
     outcome codes. Arities are inferred as max(observed code + 1, 2) unless
@@ -147,7 +148,7 @@ def load_dataset(source, arities: dict[str, int] | None = None) -> Dataset:
     spans lines is named by its last line.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return load_dataset(fh, arities=arities)
     reader = csv.reader(source)
     cells, lines = array("q"), array("q")  # row-major codes; each row's line
@@ -210,11 +211,8 @@ def dump_dataset(data: Dataset, target) -> None:
         return
     writer = csv.writer(target)
     writer.writerow([s.name for s in data.specs])
-    ends = np.cumsum(data.counts)  # row d fills [ends[d-1], ends[d])
-    for start in range(0, data.n_rows, DUMP_CHUNK_ROWS):
-        out = np.arange(start, min(start + DUMP_CHUNK_ROWS, data.n_rows))
-        rows = data.rows[np.searchsorted(ends, out, side="right")]
-        writer.writerows(rows.tolist())
+    for row, count in zip(data.rows, data.counts.tolist()):
+        writer.writerows(itertools.repeat(row.tolist(), count))
 
 
 def joint_table_from_dict(doc: dict) -> Dataset:

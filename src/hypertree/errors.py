@@ -5,16 +5,18 @@ can show them without importing the modules that enforce them.
 """
 
 DEFAULT_CUBE_LIMIT = 14
+DEFAULT_EXACT_LIMIT = 9  # vertices: at most 10,584 DP states, for any k
 WEIGHT_DOMAIN_GUARD = 2 ** 22  # subsets; about 1.1 GiB of dict entries
 
 
 class GuardLimitError(RuntimeError):
     """Raised when an operation would exceed a configured size guard.
 
-    Guards protect against exponential blowups (exact search on too many
-    vertices, full-joint enumeration over too many cells, parity samples
-    with too many rows). The exact-search and cube limits can be raised
-    explicitly by the caller.
+    Guards protect against exponential blowups: exact search on too many
+    vertices, a weight domain of too many subsets, a count table of too many
+    cells, a parity sample of too many variables or cells, and a clique
+    family of too many subsets. The exact-search and cube limits can be
+    raised explicitly by the caller.
     """
 
 

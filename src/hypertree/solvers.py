@@ -14,7 +14,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .errors import GuardLimitError
+from .errors import DEFAULT_EXACT_LIMIT, GuardLimitError
 from .structure import KTree, clique_total, ktree_from_cliques, score
 from .weights import attachment_gain, domain_size
 
@@ -24,7 +24,6 @@ __all__ = [
     "exact_search",
     "greedy",
     "local_search",
-    "default_exact_limit",
 ]
 
 IMPROVE_EPS = 1e-12
@@ -37,11 +36,6 @@ class SolverResult:
     score: float
     method: str
     stats: dict
-
-
-def default_exact_limit(k: int) -> int:
-    """Largest n exact_search accepts without an explicit override."""
-    return 9 if k <= 2 else 8
 
 
 def _result(tree: KTree, wf, method: str, t0: float, nodes_explored: int,
@@ -94,10 +88,11 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
     value together with its best choice; the optimum is reconstructed by
     replaying those choices, and ``nodes_explored`` counts the cached
     states. Ties fall to the first optimum in a fixed scan order (seeds and
-    anchors lexicographic, vertices ascending).
+    anchors lexicographic, vertices ascending). Without an exact_limit,
+    n > DEFAULT_EXACT_LIMIT is refused.
     """
     n, k = wf.n, wf.k
-    limit = default_exact_limit(k) if exact_limit is None else exact_limit
+    limit = DEFAULT_EXACT_LIMIT if exact_limit is None else exact_limit
     if n > limit:
         raise GuardLimitError(
             f"exact search refused: n={n} exceeds the limit {limit} for k={k}; "
@@ -236,7 +231,7 @@ def greedy(wf) -> SolverResult:
     return _result(tree, wf, "greedy", t0, evaluated, len(attachments))
 
 
-def local_search(wf, start: KTree, max_iters: int = DEFAULT_MAX_ITERS) -> SolverResult:
+def local_search(wf, start: KTree) -> SolverResult:
     """Hill climbing over two moves, first-improvement, deterministic order.
 
     Move (a) re-anchors a removable vertex (one whose maximal clique is a
@@ -244,7 +239,9 @@ def local_search(wf, start: KTree, max_iters: int = DEFAULT_MAX_ITERS) -> Solver
     of the remaining graph. Move (b) swaps the labels of a removable vertex
     and another vertex, exchanging their structural roles. Only strictly
     improving moves (by more than 1e-12) are accepted, so the final score
-    never drops below the start. The move set is this library's own design.
+    never drops below the start. The search stops when no move improves,
+    or after DEFAULT_MAX_ITERS iterations. The move set is this library's
+    own design.
 
     The search state is the list of maximal cliques. In a k-tree with
     n >= k+2 a vertex is removable exactly when it lies in one maximal
@@ -266,7 +263,7 @@ def local_search(wf, start: KTree, max_iters: int = DEFAULT_MAX_ITERS) -> Solver
     changed = False
     iterations = 0
     moves_evaluated = 0
-    while iterations < max_iters:
+    while iterations < DEFAULT_MAX_ITERS:
         iterations += 1
         cur_score = clique_total(maximal, wf)  # drift-free baseline
         home: dict[int, tuple[int, ...] | None] = {}

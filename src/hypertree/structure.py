@@ -227,6 +227,6 @@ def ktree_from_dict(doc: dict) -> KTree:
 
 def load_ktree(source) -> KTree:
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:
             return load_ktree(fh)
     return ktree_from_dict(json.load(source))

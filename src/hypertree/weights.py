@@ -193,6 +193,6 @@ def weights_from_dict(doc: dict) -> WeightFunction:
 def load_weights(source) -> WeightFunction:
     """Read a weight dump from a path or open text stream."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:
             return load_weights(fh)
     return weights_from_dict(json.load(source))

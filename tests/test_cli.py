@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import csv
 import io
@@ -400,20 +401,6 @@ def test_gen_parity_unknown_schema(run, tmp_path):
     assert res.exit_code == 2
 
 
-def test_display_base_two(run, tmp_path):
-    csv_path = tmp_path / "xor.csv"
-    _write_xor_csv(csv_path)
-    out = tmp_path / "s.json"
-    res = run(["learn", str(csv_path), "--k", "2",
-               "--solver", "exact", "--display-base", "2",
-               "--out", str(out)])
-    assert res.exit_code == 0
-    # file stays in nats; the printed summary converts
-    doc = json.loads(out.read_text())
-    assert doc["score"] == pytest.approx(math.log(2), abs=1e-12)
-    assert "1.000000" in res.output and "base 2" in res.output
-
-
 @pytest.mark.parametrize("filename, text, args, field", [
     ("arr.json", "[1, 2]", ["learn", "{bad}", "--k", "1"], "JSON object"),
     ("s.json", json.dumps({"k": 1, "n": 3, "attachments": []}),
@@ -703,15 +690,11 @@ def test_eval_loglik_matches_log_likelihood(tmp_path_factory, sample, seed, k,
 
 
 @pytest.mark.parametrize("options, refused", [
-    (["--solver", "greedy", "--exact-limit", "3", "--max-iters", "2"],
+    (["--solver", "greedy", "--exact-limit", "3"],
      "--exact-limit applies to --solver exact only"),
     (["--solver", "local", "--exact-limit", "3"],
      "--exact-limit applies to --solver exact only"),
-    (["--max-iters", "2"], "--max-iters applies to --solver local only"),
-    (["--solver", "exact", "--max-iters", "2"],
-     "--max-iters applies to --solver local only"),
-], ids=["greedy-both", "local-exact-limit", "default-max-iters",
-        "exact-max-iters"])
+], ids=["greedy-exact-limit", "local-exact-limit"])
 def test_learn_refuses_options_of_another_solver(run, tmp_path, options,
                                                  refused):
     # refused before the input is read: a missing input would exit 4
@@ -734,11 +717,10 @@ def test_marginal_table_guard(run, tmp_path):
 
 @pytest.mark.parametrize("args, option", [
     (["weights", "{csv}", "--k", "0"], "--k"),
-    (["learn", "{csv}", "--k", "1", "--max-iters", "0"], "--max-iters"),
     (["learn", "{csv}", "--k", "1", "--solver", "exact",
       "--exact-limit", "0"], "--exact-limit"),
     (["gen-parity", "{biases}", "--cube-limit", "0"], "--cube-limit"),
-], ids=["k", "max-iters", "exact-limit", "cube-limit"])
+], ids=["k", "exact-limit", "cube-limit"])
 def test_positive_integer_options(run, tmp_path, args, option):
     csv_path = tmp_path / "xor.csv"
     _write_xor_csv(csv_path)
@@ -757,15 +739,25 @@ def test_positive_integer_options(run, tmp_path, args, option):
     (["weights", "{csv}"], "--k"),
     (["weights", "--k", "1"], "DATA"),
     (["frobnicate", "{csv}"], "frobnicate"),
-    (["learn", "{csv}", "--k", "1", "--max", "5"], "--max"),
+    (["learn", "{csv}", "--k", "1", "--solver", "exact", "--exact", "5"],
+     "--exact"),
+    # removed options are refused before any input is read
+    (["weights", "{missing}", "--k", "1", "--display-base", "2"],
+     "--display-base"),
+    (["eval", "{missing}", "{missing}", "--display-base", "e"],
+     "--display-base"),
+    (["learn", "{missing}", "--k", "1", "--solver", "local",
+      "--max-iters", "5"], "--max-iters"),
 ], ids=["k-zero", "k-not-integer", "unknown-solver", "missing-k",
-        "missing-positional", "unknown-command", "abbreviated-option"])
+        "missing-positional", "unknown-command", "abbreviated-option",
+        "weights-display-base", "eval-display-base", "max-iters"])
 def test_usage_errors(capsys, tmp_path, args, named):
     csv_path = tmp_path / "xor.csv"
     _write_xor_csv(csv_path)
     out = tmp_path / "out.json"
+    fmt = dict(csv=csv_path, missing=tmp_path / "missing.csv")
     with pytest.raises(SystemExit) as exc:
-        main([a.format(csv=csv_path) for a in args] + ["--out", str(out)])
+        main([a.format(**fmt) for a in args] + ["--out", str(out)])
     assert exc.value.code == 2
     # the usage shown is that of the command the arguments were given to
     prog = "hypertree" if args[0] == "frobnicate" else f"hypertree {args[0]}"
@@ -855,3 +847,59 @@ def test_gen_parity_rounding_error_names_the_file(run, tmp_path):
     assert res.exit_code == 2, res.output
     assert (f"error: {tpath}: infeasible scaling: denominator 1 cannot "
             f"encode a nonzero bias for subset (0, 2)") in res.output
+
+
+@pytest.mark.parametrize("args, doc, message", [
+    (["learn", "{csv}"], None, "--k is required when learning from data"),
+    (["learn", "{doc}"], {"k": 1, "n": 3, "log_base": "2", "weights": []},
+     "{doc}: unsupported log base '2'"),
+    (["gen-parity", "{doc}"], {"k": 1, "n": 3, "Q": 0, "biases": []},
+     "{doc}: denominator must be >= 1, got 0"),
+    (["gen-parity", "{doc}"],
+     {"k": 1, "n": 3, "Q": 4, "biases": [{"vars": [0, 5], "p": 1}]},
+     "{doc}: subset (0, 5) outside [0, 3)"),
+    (["gen-parity", "{doc}"],
+     {"k": 2, "n": 4, "q_grid": 8, "targets": [{"vars": [0, 1], "w": 0.5}]},
+     "{doc}: target subset (0, 1) must have 3 vertices"),
+    (["eval", "{csv}", "{doc}"],
+     {"k": 1, "n": 3, "seed": [0, 1], "attachments": [{"v": 2, "anchor": [2]}]},
+     "{doc}: vertex 2 cannot anchor to itself"),
+], ids=["learn-data-without-k", "weights-log-base-2", "biases-zero-q",
+        "biases-subset-outside", "targets-pair-at-k2", "structure-self-anchor"])
+def test_input_refusals(run, tmp_path, args, doc, message):
+    fmt = dict(csv=tmp_path / "xor.csv", doc=tmp_path / "doc.json")
+    _write_xor_csv(fmt["csv"])
+    if doc is not None:
+        fmt["doc"].write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    res = run([a.format(**fmt) for a in args] + ["--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.output == f"error: {message.format(**fmt)}\n"
+    assert not out.exists()
+
+
+def test_inputs_saved_with_a_byte_order_mark(run, tmp_path):
+    def with_bom(path):
+        bom = path.with_name("bom-" + path.name)
+        bom.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        return bom
+
+    csv_path, sidecar = tmp_path / "xor.csv", tmp_path / "arities.json"
+    _write_xor_csv(csv_path)
+    sidecar.write_text(json.dumps({"arities": {"x0": 3}}))
+    wfile, struct = {}, {}
+    for name, data, side in [("plain", csv_path, sidecar),
+                             ("bom", with_bom(csv_path), with_bom(sidecar))]:
+        wfile[name] = tmp_path / f"{name}.weights.json"
+        assert run(["weights", str(data), "--k", "2", "--arities", str(side),
+                    "--out", str(wfile[name])]).exit_code == 0
+    assert wfile["bom"].read_bytes() == wfile["plain"].read_bytes()
+    for name, weights in [("plain", wfile["plain"]),
+                          ("bom", with_bom(wfile["plain"]))]:
+        struct[name] = tmp_path / f"{name}.structure.json"
+        res = run(["learn", str(weights), "--solver", "exact",
+                   "--out", str(struct[name])])
+        assert res.exit_code == 0, res.output
+        struct[name] = json.loads(struct[name].read_text())
+        del struct[name]["stats"]["elapsed_s"]
+    assert struct["bom"] == struct["plain"]

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import itertools
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypertree.dataset import (
-    DUMP_CHUNK_ROWS,
     Dataset,
     VariableSpec,
     count_table,
@@ -45,13 +45,20 @@ def four_rows():
     return Dataset(specs, np.array([[0, 0], [0, 1], [1, 1], [1, 1]]))
 
 
-def test_load_dataset_readback():
+def test_load_dataset_readback(tmp_path):
     d = load_dataset(io.StringIO("a,b\n0,1\n1,0\n"))
     assert d.n_vars == 2 and d.n_rows == 2
     assert d.arities == (2, 2)
     # the rows as a multiset: a Dataset keeps distinct rows and counts
     rows = np.repeat(d.rows, d.counts, axis=0).tolist()
     assert sorted(rows) == [[0, 1], [1, 0]]
+    # a file saved with a byte-order mark reads the same
+    path = tmp_path / "bom.csv"
+    path.write_bytes(codecs.BOM_UTF8 + b"a,b\n0,1\n1,0\n")
+    back = load_dataset(path)
+    assert back.specs == d.specs
+    assert np.array_equal(back.rows, d.rows)
+    assert np.array_equal(back.counts, d.counts)
 
 
 def test_load_dataset_500_rows():
@@ -181,10 +188,12 @@ def test_load_dataset_matches_reference(case):
     assert np.array_equal(got.counts, want.counts)
 
 
-@pytest.mark.parametrize("t", [1, DUMP_CHUNK_ROWS - 1, DUMP_CHUNK_ROWS,
-                               DUMP_CHUNK_ROWS + 1, 2 * DUMP_CHUNK_ROWS + 3])
+@pytest.mark.parametrize("t", [1, 4095, 4096, 4097, 8195])
 def test_dump_dataset_writes_chunks_as_one_pass(t):
-    d = random_dataset(np.random.default_rng(t), 3, t)
+    # t rows of two outcome vectors: at t=8195 each is written over 4,096 times
+    half = np.arange(t) % 2
+    d = Dataset((VariableSpec("a", 2), VariableSpec("b", 3)),
+                np.column_stack([half, 2 * half]))
     got, want = io.StringIO(), io.StringIO()
     dump_dataset(d, got)
     writer = csv.writer(want)

@@ -13,9 +13,12 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("script, args, expect", [
     ("heuristic_gap.py", ["--instances", "3", "--n-max", "6", "--k", "2"],
      "greedy/exact:"),
+    # --n-max is an explicit instance size, so n=10 is solved exactly
+    ("heuristic_gap.py", ["--instances", "12", "--n-max", "10", "--k", "2",
+                          "--seed", "0"], "greedy/exact:"),
     ("reverse_pipeline.py", ["--n", "5", "--k", "2", "--q-grid", "16"],
      "structure preserved"),
-], ids=["heuristic_gap", "reverse_pipeline"])
+], ids=["heuristic_gap", "heuristic_gap_n_max_10", "reverse_pipeline"])
 def test_script_runs(script, args, expect):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     res = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hypertree import solvers
 from hypertree.errors import GuardLimitError
 from hypertree.solvers import (
     chow_liu,
@@ -120,12 +121,24 @@ class TestExactSearch:
 
     def test_guard_refusal(self):
         rng = np.random.default_rng(3)
+        for k in (1, 2, 3, 4):  # one default limit, n <= 9, for every k
+            with pytest.raises(GuardLimitError, match=f"n=10 exceeds the "
+                                                      f"limit 9 for k={k}"):
+                exact_search(random_weight_function(rng, 10, k))
         wf = random_weight_function(rng, 10, 2)
-        with pytest.raises(GuardLimitError, match="n=10"):
-            exact_search(wf)
         # an explicit limit overrides
         res = exact_search(wf, exact_limit=10)
         assert res.method == "exact"
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_caches_exactly_the_counted_states(self, k):
+        # 2 * C(n, k+1) * (2^(n-k-1) - 1) states, all within the default
+        # limit: k=3, n=9 caches 7,812, fewer than k=2, n=9 with 10,584
+        rng = np.random.default_rng(k)
+        for n in range(k + 2, 10):
+            res = exact_search(random_weight_function(rng, n, k))
+            want = 2 * math.comb(n, k + 1) * (2 ** (n - k - 1) - 1)
+            assert res.stats["nodes_explored"] == want, (n, k)
 
     def test_domain_guard(self):
         # a weight function built in code is refused where the domain is
@@ -251,12 +264,13 @@ class TestLocalSearch:
                                              "function's width 1"):
             local_search(wf, start)
 
-    def test_respects_max_iters(self):
+    def test_respects_max_iters(self, monkeypatch):
         rng = np.random.default_rng(12)
         wf = random_weight_function(rng, 6, 2)
         start = random_ktree(rng, 6, 2)
-        res = local_search(wf, start, max_iters=1)
-        assert res.stats["iterations"] <= 1
+        assert local_search(wf, start).stats["iterations"] > 1
+        monkeypatch.setattr(solvers, "DEFAULT_MAX_ITERS", 1)
+        assert local_search(wf, start).stats["iterations"] == 1
 
 
 def test_exact_dominates_heuristics():

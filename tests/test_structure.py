@@ -1,3 +1,4 @@
+import codecs
 import itertools
 import json
 import math
@@ -256,6 +257,8 @@ def test_structure_json_roundtrip(tmp_path):
     assert ktree_from_dict(doc) == t
     path = tmp_path / "structure.json"
     path.write_text(json.dumps(ktree_to_dict(t)))
+    assert load_ktree(path) == t
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
     assert load_ktree(path) == t
 
 

@@ -1,3 +1,4 @@
+import codecs
 import io
 import itertools
 import json
@@ -353,6 +354,8 @@ def test_weight_dump_roundtrip(tmp_path):
     assert back.k == wf.k and back.n == wf.n
     for h, w in wf.weights.items():
         assert back[h] == pytest.approx(w, abs=0)
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert load_weights(path).weights == back.weights
     doc = weights_to_dict(wf)
     sizes = [len(e["vars"]) for e in doc["weights"]]
     assert sizes == sorted(sizes)
