@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GuardLimitError, json_float, json_int
+from .errors import GuardLimitError, json_float, json_int, subset_refusal
 
 __all__ = [
     "VariableSpec",
@@ -246,21 +246,12 @@ def joint_table_from_dict(doc: dict) -> Dataset:
     return Dataset(specs, rows, probs[cells])
 
 
-def _check_scope(scope, n: int) -> tuple[int, ...]:
-    scope = tuple(int(v) for v in scope)
-    if not scope:
-        raise ValueError("scope must be nonempty")
-    if any(b <= a for a, b in zip(scope, scope[1:])):
-        raise ValueError(f"scope must be sorted and duplicate-free: {scope}")
-    if scope[0] < 0 or scope[-1] >= n:
-        raise ValueError(f"scope {scope} outside [0, {n})")
-    return scope
-
-
 def count_table(data: Dataset, scope) -> np.ndarray:
     """Weighted outcome counts over a scope, shaped by the scope's arities;
     refuses, before allocating, more than MARGINAL_CELL_GUARD cells."""
-    scope = _check_scope(scope, data.n_vars)
+    why = subset_refusal(scope, data.n_vars, range(1, data.n_vars + 1))
+    if why is not None:
+        raise ValueError(why)
     dims = tuple(data.specs[v].arity for v in scope)
     cells = math.prod(dims)
     if cells > MARGINAL_CELL_GUARD:

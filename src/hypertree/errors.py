@@ -1,4 +1,4 @@
-"""Shared exception types, guard defaults and the JSON field readers.
+"""Exception types, guard defaults, JSON field readers and the subset rule.
 
 Guard defaults live here, beside the error they raise, so the command line
 can show them without importing the modules that enforce them.
@@ -18,6 +18,29 @@ class GuardLimitError(RuntimeError):
     family of too many subsets. The exact-search and cube limits can be
     raised explicitly by the caller.
     """
+
+
+def is_vertex(v) -> bool:
+    """An int or ``__index__`` type, such as a NumPy integer, but no bool."""
+    return type(v) is not bool and hasattr(type(v), "__index__")
+
+
+def subset_refusal(h: tuple, n: int, sizes: range) -> str | None:
+    """h's first fault, or None: a size not in ``sizes``, then a vertex not
+    ``is_vertex`` or not above the last, then a vertex outside [0, n)."""
+    if len(h) not in sizes:
+        span = sizes[0] if len(sizes) == 1 else f"{sizes[0]}..{sizes[-1]}"
+        return f"subset {h} has {len(h)} vertices, not {span}"
+    prev = None
+    for v in h:
+        if type(v) is not int and not is_vertex(v):
+            return f"subset {h} has a non-integer vertex {v!r}"
+        if prev is not None and v <= prev:
+            return f"subset {h} is not strictly ascending"
+        prev = v
+    if h and (h[0] < 0 or h[-1] >= n):
+        return f"subset {h} has a vertex outside [0, {n})"
+    return None
 
 
 def json_int(value, field: str) -> int:

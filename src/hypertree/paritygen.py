@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, VariableSpec
-from .errors import DEFAULT_CUBE_LIMIT, GuardLimitError, json_int, json_subsets
+from .errors import (DEFAULT_CUBE_LIMIT, GuardLimitError, json_int,
+                     json_subsets, subset_refusal)
 
 __all__ = [
     "TargetBiases",
@@ -59,10 +60,9 @@ class TargetBiases:
         if self.q < 1:
             raise ValueError(f"denominator must be >= 1, got {self.q}")
         for h, p in self.entries.items():
-            if len(h) != self.k + 1 or h != tuple(sorted(set(h))):
-                raise ValueError(f"subset {h} is not {self.k + 1} ascending vertices")
-            if h[0] < 0 or h[-1] >= self.n:
-                raise ValueError(f"subset {h} outside [0, {self.n})")
+            why = subset_refusal(h, self.n, range(self.k + 1, self.k + 2))
+            if why is not None:
+                raise ValueError(why)
             if not 0 <= p < self.q:
                 raise ValueError(f"numerator for {h} must be in [0, {self.q}), got {p}")
 
@@ -181,12 +181,9 @@ def realize_weights(
     subset's difference between the induced weight and c times the target.
     """
     for h, w in targets.items():
-        if len(h) != k + 1:
-            raise ValueError(f"target subset {h} must have {k + 1} vertices")
-        if h != tuple(sorted(set(h))):
-            raise ValueError(f"target subset {h} repeats a vertex or is not sorted")
-        if h[0] < 0 or h[-1] >= n:
-            raise ValueError(f"target subset {h} outside [0, {n})")
+        why = subset_refusal(h, n, range(k + 1, k + 2))
+        if why is not None:
+            raise ValueError(why)
         if not (w >= 0.0 and math.isfinite(w)):
             raise ValueError(f"target weight for {h} must be finite and >= 0")
     n_sets = math.comb(n, k + 1)

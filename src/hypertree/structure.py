@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import WEIGHT_DOMAIN_GUARD, GuardLimitError, json_int
+from .errors import WEIGHT_DOMAIN_GUARD, GuardLimitError, is_vertex, json_int
 
 __all__ = [
     "KTree",
@@ -52,6 +52,9 @@ class KTree:
             raise ValueError(f"width k must be >= 1, got {self.k}")
         if self.n < 1:
             raise ValueError(f"vertex count must be >= 1, got {self.n}")
+        for v in itertools.chain(self.seed, *((u, *a) for u, a in self.attachments)):
+            if not is_vertex(v):
+                raise ValueError(f"vertex {v!r} is not an integer")
         seed = tuple(sorted(int(v) for v in self.seed))
         object.__setattr__(self, "seed", seed)
         want = min(self.k + 1, self.n)

@@ -21,11 +21,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (WEIGHT_DOMAIN_GUARD, GuardLimitError, json_float,
-                     json_int, json_subsets)
+                     json_int, json_subsets, subset_refusal)
 
 __all__ = [
     "WeightFunction",
@@ -62,58 +62,43 @@ def domain_size(n: int, k: int) -> int:
 class WeightFunction:
     """Real-valued weights (nats) on vertex subsets of size 1..k+1.
 
-    ``weights`` holds only the subsets given, keyed by sorted vertex tuples
-    and checked once at construction. An absent subset of the domain weighs
-    0.0; reading one outside the domain raises. Treat as immutable.
+    ``weights`` holds only the subsets given: sorted vertex tuples sized in
+    ``sizes`` = range(1, k + 2), checked once at construction. An absent
+    subset weighs 0.0; reading one outside the domain raises. Immutable.
     """
 
     k: int
     n: int
     weights: dict[tuple[int, ...], float]
+    sizes: range = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.k < 1 or self.n < 1:
             raise ValueError("need k >= 1 and n >= 1")
-        n, top = self.n, self.k + 1
-        # The test of _refusal, inlined: a call per entry slows a file load.
+        object.__setattr__(self, "sizes", range(1, self.k + 2))
         for h, w in self.weights.items():
-            if not (0 < len(h) <= top and 0 <= h[0] and h[-1] < n
-                    and h == tuple(sorted(set(h))) and math.isfinite(w)
-                    and (len(h) > 1 or w <= SINGLETON_TOL)):
-                raise ValueError(self._refusal(h, w))
-
-    def _refusal(self, h, w) -> str | None:
-        """Why entry (h, w) is refused; None for a valid entry of the domain."""
-        if not 0 < len(h) <= self.k + 1:
-            return f"subset {h} has {len(h)} vertices, not 1..{self.k + 1}"
-        if h != tuple(sorted(set(h))):
-            return f"subset {h} is not strictly ascending"
-        if h[0] < 0 or h[-1] >= self.n:
-            return f"subset {h} has a vertex outside [0, {self.n})"
-        if not math.isfinite(w):
-            return f"weight for subset {h} is not finite: {w}"
-        if len(h) == 1 and w > SINGLETON_TOL:
-            return f"singleton weight for vertex {h[0]} is positive: {w}"
-        return None
+            why = subset_refusal(h, self.n, self.sizes)
+            if why is None and not math.isfinite(w):
+                why = f"weight for subset {h} is not finite: {w}"
+            elif why is None and len(h) == 1 and w > SINGLETON_TOL:
+                why = f"singleton weight for vertex {h[0]} is positive: {w}"
+            if why is not None:
+                raise ValueError(why)
 
     def __getitem__(self, subset) -> float:
-        key = tuple(sorted(int(v) for v in subset))
-        try:
-            return self.weights[key]
-        except KeyError:
-            self.require(key)
-            return 0.0
+        key = tuple(sorted(subset))
+        self.require(key)
+        return self.weights.get(key, 0.0)
 
     def require(self, clique: tuple[int, ...]) -> None:
         """Refuse a sorted clique outside the domain, as a read of it would.
 
-        Every subset of an accepted clique is in the domain, so a caller
-        that checks a clique once may read its subsets, in sorted key
-        form, straight from ``weights`` with a default of 0.0.
-        """
-        if not (0 < len(clique) <= self.k + 1 and 0 <= clique[0]
-                and clique[-1] < self.n and len(set(clique)) == len(clique)):
-            raise ValueError(f"no weight entry for subset {clique}")
+        Every subset of an accepted clique is in the domain, so a caller that
+        checks a clique once may read its subsets, sorted, straight from
+        ``weights`` with a default of 0.0."""
+        why = subset_refusal(clique, self.n, self.sizes)
+        if why is not None:
+            raise ValueError(f"no weight entry: {why}")
 
 
 def family_weights(k: int, n: int, entropies) -> WeightFunction:

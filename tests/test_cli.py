@@ -379,8 +379,8 @@ def test_gen_parity_row_guard(run, tmp_path):
 
 
 @pytest.mark.parametrize("extra, vars_, why", [
-    ({}, [0, 1, 9], "outside [0, 4)"),
-    ({}, [0, 1, 1], "repeats a vertex"),
+    ({}, [0, 1, 9], "subset (0, 1, 9) has a vertex outside [0, 4)"),
+    ({}, [0, 1, 1], "subset (0, 1, 1) is not strictly ascending"),
     ({"scale": 0}, [0, 1, 2], "scale must be finite and > 0"),
 ], ids=["vertex-outside", "repeated-vertex", "zero-scale"])
 def test_gen_parity_invalid_targets(run, tmp_path, extra, vars_, why):
@@ -390,7 +390,7 @@ def test_gen_parity_invalid_targets(run, tmp_path, extra, vars_, why):
     out_csv = tmp_path / "sample.csv"
     res = run(["gen-parity", str(tpath), "--out", str(out_csv)])
     assert res.exit_code == 2, res.output
-    assert why in res.output
+    assert f"error: {tpath}: {why}" in res.output
     assert not out_csv.exists()
 
 
@@ -857,10 +857,10 @@ def test_gen_parity_rounding_error_names_the_file(run, tmp_path):
      "{doc}: denominator must be >= 1, got 0"),
     (["gen-parity", "{doc}"],
      {"k": 1, "n": 3, "Q": 4, "biases": [{"vars": [0, 5], "p": 1}]},
-     "{doc}: subset (0, 5) outside [0, 3)"),
+     "{doc}: subset (0, 5) has a vertex outside [0, 3)"),
     (["gen-parity", "{doc}"],
      {"k": 2, "n": 4, "q_grid": 8, "targets": [{"vars": [0, 1], "w": 0.5}]},
-     "{doc}: target subset (0, 1) must have 3 vertices"),
+     "{doc}: subset (0, 1) has 2 vertices, not 3"),
     (["eval", "{csv}", "{doc}"],
      {"k": 1, "n": 3, "seed": [0, 1], "attachments": [{"v": 2, "anchor": [2]}]},
      "{doc}: vertex 2 cannot anchor to itself"),
@@ -875,6 +875,28 @@ def test_input_refusals(run, tmp_path, args, doc, message):
     res = run([a.format(**fmt) for a in args] + ["--out", str(out)])
     assert res.exit_code == 2, res.output
     assert res.output == f"error: {message.format(**fmt)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("vars_, reason", [
+    ([0, 5], "has a vertex outside [0, 3)"),
+    ([1, 1], "is not strictly ascending"),
+    ([0, 1, 2], "has 3 vertices, not {sizes}"),
+], ids=["vertex-outside", "repeated-vertex", "wrong-size"])
+@pytest.mark.parametrize("command, doc, entries, field, sizes", [
+    ("learn", {"k": 1, "n": 3}, "weights", "w", "1..2"),
+    ("gen-parity", {"k": 1, "n": 3, "Q": 4}, "biases", "p", "2"),
+    ("gen-parity", {"k": 1, "n": 3, "q_grid": 8}, "targets", "w", "2"),
+], ids=["weights", "biases", "targets"])
+def test_subset_refusals(run, tmp_path, command, doc, entries, field, sizes,
+                         vars_, reason):
+    # every subset-keyed file is held to one rule, with the same reasons
+    path, out = tmp_path / "doc.json", tmp_path / "out.csv"
+    path.write_text(json.dumps({**doc, entries: [{"vars": vars_, field: 1}]}))
+    res = run([command, str(path), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.output == (f"error: {path}: subset {tuple(vars_)} "
+                          f"{reason.format(sizes=sizes)}\n")
     assert not out.exists()
 
 

@@ -239,6 +239,11 @@ def test_marginal_errors(four_rows):
         marginal(four_rows, (0, 5))
     with pytest.raises(ValueError):
         marginal(four_rows, (1, 0))
+    # a float or bool vertex is refused, not truncated to scope (0, 1)
+    for scope, bad in [((0.9, 1.2), "0.9"), ((False, 1), "False")]:
+        with pytest.raises(ValueError, match=f"non-integer vertex {bad}"):
+            marginal(four_rows, scope)
+    assert marginal(four_rows, (np.int64(1),)).tolist() == [0.25, 0.75]
 
 
 def test_count_table_guard():

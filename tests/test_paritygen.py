@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -203,12 +204,24 @@ class TestRealizeWeights:
             realize_weights({(0, 1): -0.5}, n=3, k=1, q_grid=8)
 
     @pytest.mark.parametrize("subset, why", [
-        ((0, 1, 9), "outside"), ((-1, 0, 1), "outside"),
-        ((0, 1, 1), "repeats"),
-    ])
+        ((0, 1, 9), "has a vertex outside [0, 4)"),
+        ((-1, 0, 1), "has a vertex outside [0, 4)"),
+        ((0, 1, 1), "is not strictly ascending"),
+        ((0.5, 1, 2), "has a non-integer vertex 0.5"),
+        ((True, 2, 3), "has a non-integer vertex True"),
+    ], ids=["subset0-outside", "subset1-outside", "subset2-repeats",
+            "float-vertex", "bool-vertex"])
     def test_rejects_invalid_target_subsets(self, subset, why):
-        with pytest.raises(ValueError, match=why):
+        message = re.escape(f"subset {subset} {why}")
+        with pytest.raises(ValueError, match=message):
             realize_weights({subset: 0.5}, n=4, k=2, q_grid=8)
+        with pytest.raises(ValueError, match=message):
+            TargetBiases(k=2, n=4, q=8, entries={subset: 1})
+
+    def test_accepts_numpy_integer_vertices(self):
+        h = (np.int64(0), np.int64(1), np.int64(2))
+        report = realize_weights({h: 0.1}, n=3, k=2, q_grid=4)
+        assert report.biases.entries == {(0, 1, 2): 3}
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_invalid_scale(self, scale):

@@ -53,6 +53,22 @@ def test_ktree_validation():
         KTree(k=1, n=3, seed=(0, 1), attachments=((5, (1,)),))
     with pytest.raises(ValueError, match=r"vertex -1 outside"):
         KTree(k=1, n=2, seed=(-1, 0))
+    # a float or bool vertex is refused, not truncated
+    with pytest.raises(ValueError, match="vertex 0.5 is not an integer"):
+        KTree(k=1, n=3, seed=(0.5, 1), attachments=((2.7, (1.2,)),))
+    with pytest.raises(ValueError, match="vertex 2.7 is not an integer"):
+        KTree(k=1, n=3, seed=(0, 1), attachments=((2.7, (1,)),))
+    with pytest.raises(ValueError, match="vertex 1.2 is not an integer"):
+        KTree(k=1, n=3, seed=(0, 1), attachments=((2, (1.2,)),))
+    with pytest.raises(ValueError, match="vertex True is not an integer"):
+        KTree(k=1, n=3, seed=(True, 0), attachments=((2, (1,)),))
+
+
+def test_ktree_turns_numpy_integers_into_ints():
+    i = np.int64
+    t = KTree(k=1, n=3, seed=(i(1), i(0)), attachments=((i(2), (i(1),)),))
+    assert json.loads(json.dumps(ktree_to_dict(t))) == ktree_to_dict(t)
+    assert t == KTree(k=1, n=3, seed=(0, 1), attachments=((2, (1,)),))
 
 
 def test_ktree_validation_cost_follows_document():

@@ -296,7 +296,9 @@ def test_absent_subset_weighs_zero():
     wf = WeightFunction(k=2, n=4, weights={(0, 1): 0.5})
     assert wf[(1, 0)] == 0.5
     assert wf[(2,)] == 0.0 and wf[(0, 2)] == 0.0 and wf[(1, 2, 3)] == 0.0
-    for key in [(0, 1, 2, 3), (0, 4), (-1, 2), (1, 1), ()]:
+    assert wf[(np.int64(1), np.int32(0))] == 0.5
+    for key in [(0, 1, 2, 3), (0, 4), (-1, 2), (1, 1), (), (0.5, 1.9),
+                (0.0, 1.0), (True, 2)]:
         with pytest.raises(ValueError, match="no weight entry"):
             wf[key]
 
@@ -311,11 +313,19 @@ def test_absent_subset_weighs_zero():
     ((0, 1), math.nan, r"subset \(0, 1\) is not finite: nan"),
     ((0, 1), -math.inf, r"subset \(0, 1\) is not finite: -inf"),
     ((2,), 0.25, "singleton weight for vertex 2 is positive"),
+    ((0.5, 1), 0.2, r"\(0.5, 1\) has a non-integer vertex 0.5"),
+    ((True, 2), 0.2, r"\(True, 2\) has a non-integer vertex True"),
 ], ids=["unsorted", "repeated-vertex", "vertex-above", "vertex-negative",
-        "too-large", "empty", "nan", "inf", "positive-singleton"])
+        "too-large", "empty", "nan", "inf", "positive-singleton",
+        "float-vertex", "bool-vertex"])
 def test_weight_function_refuses_bad_entry(key, w, message):
     with pytest.raises(ValueError, match=message):
         WeightFunction(k=1, n=3, weights={(0, 1): 1.0, key: w})
+
+
+def test_weight_function_accepts_numpy_integer_vertices():
+    wf = WeightFunction(k=1, n=3, weights={(np.int64(0), np.int64(2)): 0.2})
+    assert wf[(0, 2)] == 0.2
 
 
 def test_weight_file_stores_only_listed_subsets():
