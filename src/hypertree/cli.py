@@ -18,43 +18,16 @@ so ``learn`` on a weight file starts without it.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import (DEFAULT_CUBE_LIMIT, DEFAULT_EXACT_LIMIT, GuardLimitError,
-                     json_float, json_int, json_subsets)
+                     json_float, json_int, json_subsets, read_json, write_json)
 
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
 EXIT_IO = 4
 
 SOLVER_NAMES = ("chow_liu", "exact", "greedy", "local")
-
-
-def _read(path: str, parse, *args):
-    """Open an input file once and return parse(fh, *args).
-
-    A missing field, a value of the wrong type or an invalid value found
-    while parsing or converting, a JSON syntax error, JSON nested too deep
-    and a malformed CSV record included, becomes a ValueError naming the file.
-    """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        try:
-            return parse(fh, *args)
-        except KeyError as exc:
-            raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
-        except TypeError as exc:
-            raise ValueError(f"{path}: malformed field: {exc}") from None
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
-
-def _json(fh, convert):
-    """A parser for _read: the file's one JSON object, converted by convert."""
-    doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
-    return convert(doc)
 
 
 def _sidecar_arities(doc: dict) -> dict[str, int]:
@@ -88,21 +61,12 @@ def _load_input(path: str, arities_path: str | None, weight_file=False):
                 from .dataset import joint_table_from_dict as parse
             return parse(doc)
 
-        return _read(path, _json, convert)
+        return read_json(path, convert)
     from .dataset import load_dataset
 
     sidecar = (None if arities_path is None
-               else _read(arities_path, _json, _sidecar_arities))
-    return _read(path, load_dataset, sidecar)
-
-
-def _write_json(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+               else read_json(arities_path, _sidecar_arities))
+    return load_dataset(path, sidecar)
 
 
 def _compute_weights(provider, k, data_path):
@@ -119,7 +83,7 @@ def weights_cmd(data_path, k, arities_path, out_path):
     from . import weights
 
     wf = _compute_weights(_load_input(data_path, arities_path), k, data_path)
-    _write_json(weights.weights_to_dict(wf), out_path)
+    write_json(weights.weights_to_dict(wf), out_path)
     if out_path is not None:
         top = max((h for h in wf.weights if len(h) >= 2),
                   key=lambda h: wf.weights[h], default=None)
@@ -169,7 +133,7 @@ def learn_cmd(input_path, k, solver, exact_limit, arities_path, out_path):
             provider, wf, result.tree)
     else:
         doc["note"] = "divergence omitted: learned from a weight file, not data"
-    _write_json(doc, out_path)
+    write_json(doc, out_path)
     if out_path is not None:
         print(
             f"{result.method}: score {result.score:.6f} "
@@ -181,7 +145,7 @@ def eval_cmd(data_path, structure_path, arities_path, model_out, out_path):
     from . import dataset, projection, structure
 
     provider = _load_input(data_path, arities_path)
-    tree = _read(structure_path, _json, structure.ktree_from_dict)
+    tree = structure.load_ktree(structure_path)
     if tree.n != provider.n_vars:
         raise ValueError(f"{structure_path}: structure spans {tree.n} "
                          f"variables, {data_path} has {provider.n_vars}")
@@ -202,7 +166,7 @@ def eval_cmd(data_path, structure_path, arities_path, model_out, out_path):
     }
     if model_out is not None:
         projection.dump_model(model, model_out)
-    _write_json(report, out_path)
+    write_json(report, out_path)
     if out_path is not None:
         print(
             f"divergence {report['divergence_decomposed']:.6f} "
@@ -234,7 +198,7 @@ def gen_parity_cmd(spec_path, cube_limit, out_path):
     from . import paritygen
     from .dataset import dump_dataset
 
-    tb, realization = _read(spec_path, _json, _parity_spec)
+    tb, realization = read_json(spec_path, _parity_spec)
     sample = paritygen.generate(tb, cube_limit=cube_limit)
     dump_dataset(sample.dataset, out_path)
     prov = paritygen.biases_to_dict(tb)
@@ -252,7 +216,7 @@ def gen_parity_cmd(spec_path, cube_limit, out_path):
         ]
         prov["total_abs_error"] = realization.total_abs_error
     prov_path = _provenance_path(out_path)
-    _write_json(prov, prov_path)
+    write_json(prov, prov_path)
     print(f"wrote {sample.dataset.n_rows} rows to {out_path}, "
           f"provenance to {prov_path}")
 

@@ -17,11 +17,11 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import GuardLimitError, json_float, json_int, subset_refusal
+from .errors import (GuardLimitError, json_float, json_int, read_input,
+                     subset_refusal)
 
 __all__ = [
     "VariableSpec",
@@ -134,9 +134,9 @@ def _bad_cell(rec, names, lineno) -> ValueError:
                       f"outside the int64 range")
 
 
-def load_dataset(source, arities: dict[str, int] | None = None) -> Dataset:
-    """Read a Dataset from CSV text (path or open text stream); a path is
-    decoded as UTF-8, a leading byte-order mark dropped.
+def load_dataset(path, arities: dict[str, int] | None = None) -> Dataset:
+    """Read a Dataset from a CSV file through ``errors.read_input``: UTF-8,
+    a leading byte-order mark dropped, and every fault prefixed with the path.
 
     The first row is a header of variable names; body cells are integer
     outcome codes. Arities are inferred as max(observed code + 1, 2) unless
@@ -147,10 +147,11 @@ def load_dataset(source, arities: dict[str, int] | None = None) -> Dataset:
     CSV reader counts it: blank lines count, and a record whose quoted cell
     spans lines is named by its last line.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            return load_dataset(fh, arities=arities)
-    reader = csv.reader(source)
+    return read_input(path, _parse_csv, arities)
+
+
+def _parse_csv(fh, arities) -> Dataset:
+    reader = csv.reader(fh)
     cells, lines = array("q"), array("q")  # row-major codes; each row's line
     try:
         header = next(reader, None)
@@ -198,21 +199,18 @@ def load_dataset(source, arities: dict[str, int] | None = None) -> Dataset:
     return Dataset(tuple(specs), data)
 
 
-def dump_dataset(data: Dataset, target) -> None:
+def dump_dataset(data: Dataset, path) -> None:
     """Write a Dataset of integer counts as header + integer-code CSV rows:
     each distinct row as many times as its count, equal rows together. A
     Dataset weighted by probabilities is refused before anything is written."""
     if not np.issubdtype(data.counts.dtype, np.integer):
         raise ValueError("only a Dataset of integer counts can be written as "
                          f"rows; its counts are {data.counts.dtype}")
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            dump_dataset(data, fh)
-        return
-    writer = csv.writer(target)
-    writer.writerow([s.name for s in data.specs])
-    for row, count in zip(data.rows, data.counts.tolist()):
-        writer.writerows(itertools.repeat(row.tolist(), count))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([s.name for s in data.specs])
+        for row, count in zip(data.rows, data.counts.tolist()):
+            writer.writerows(itertools.repeat(row.tolist(), count))
 
 
 def joint_table_from_dict(doc: dict) -> Dataset:
@@ -225,6 +223,8 @@ def joint_table_from_dict(doc: dict) -> Dataset:
     """
     specs = tuple(VariableSpec(f"x{i}", json_int(a, "arities"))
                   for i, a in enumerate(doc["arities"]))
+    if not specs:
+        raise ValueError("'arities' is empty: a joint table needs a variable")
     arities = tuple(s.arity for s in specs)
     probs = np.array([p if type(p) is float else json_float(p, "probs")
                       for p in doc["probs"]], dtype=float)

@@ -1,8 +1,13 @@
-"""Exception types, guard defaults, JSON field readers and the subset rule.
+"""Exception types, guard defaults, the file boundary (every input file is
+read here, and every JSON output written), JSON field readers and the
+subset rule.
 
 Guard defaults live here, beside the error they raise, so the command line
 can show them without importing the modules that enforce them.
 """
+
+import json
+import sys
 
 DEFAULT_CUBE_LIMIT = 14
 DEFAULT_EXACT_LIMIT = 9  # vertices: at most 10,584 DP states, for any k
@@ -18,6 +23,44 @@ class GuardLimitError(RuntimeError):
     family of too many subsets. The exact-search and cube limits can be
     raised explicitly by the caller.
     """
+
+
+def read_input(path, parse, *args):
+    """Open an input file once and return parse(fh, *args). A missing field,
+    a value of the wrong type or an invalid value found while parsing (bad
+    or too deeply nested JSON and a bad CSV record included) becomes a
+    ValueError that begins with the path."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        try:
+            return parse(fh, *args)
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise ValueError(f"{path}: malformed field: {exc}") from None
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _json_object(fh, convert):
+    doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    return convert(doc)
+
+
+def read_json(path, convert):
+    """The file's one JSON object, converted by convert, through read_input."""
+    return read_input(path, _json_object, convert)
+
+
+def write_json(doc: dict, path=None) -> None:
+    """Write doc as indented JSON and a newline to path, or to stdout."""
+    text = json.dumps(doc, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def is_vertex(v) -> bool:

@@ -233,7 +233,7 @@ def biases_to_dict(tb: TargetBiases) -> dict:
         "k": tb.k,
         "n": tb.n,
         "Q": tb.q,
-        "biases": [{"vars": list(h), "p": p} for h, p in items],
+        "biases": [{"vars": list(map(int, h)), "p": int(p)} for h, p in items],
     }
 
 

@@ -19,13 +19,12 @@ likelihood per unit weight is minus the joint entropy minus the direct sum.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import dataset as ds
+from .errors import write_json
 from .structure import KTree, clique_family, ktree_to_dict, score
 from .weights import WeightFunction, family_weights
 
@@ -45,7 +44,11 @@ NEG_INFINITY = float("-inf")
 
 @dataclass(frozen=True, eq=False)
 class ProjectedModel:
-    """A k-tree structure with per-clique factors and clique weights."""
+    """A k-tree structure with per-clique factors and clique weights.
+
+    ``factors`` holds a table for each subset of the tree's ``clique_family``
+    in that family's order: by size, then by vertices.
+    """
 
     tree: KTree
     arities: tuple[int, ...]
@@ -98,7 +101,7 @@ def project(provider, tree: KTree) -> ProjectedModel:
 
 def _row_log_probs(model: ProjectedModel, data: ds.Dataset) -> np.ndarray:
     """The model's log probability of each distinct row of data, summed
-    over the factors in (size, vertices) order; -inf where a factor is 0."""
+    over the factors in their order; -inf where a factor is 0."""
     if data.arities != model.arities:
         raise ValueError(
             f"dataset arities {data.arities} do not match model arities "
@@ -106,8 +109,8 @@ def _row_log_probs(model: ProjectedModel, data: ds.Dataset) -> np.ndarray:
         )
     logp = np.zeros(len(data.rows))
     with np.errstate(divide="ignore"):
-        for h in sorted(model.factors, key=lambda h: (len(h), h)):
-            logp += np.log(model.factors[h][tuple(data.rows[:, i] for i in h)])
+        for h, phi in model.factors.items():
+            logp += np.log(phi[tuple(data.rows[:, i] for i in h)])
     return logp
 
 
@@ -150,16 +153,12 @@ def model_to_dict(model: ProjectedModel) -> dict:
     doc = ktree_to_dict(model.tree)
     doc["arities"] = list(model.arities)
     doc["factors"] = [
-        {"vars": list(h), "table": model.factors[h].ravel().tolist()}
-        for h in sorted(model.factors, key=lambda h: (len(h), h))
+        {"vars": list(h), "table": phi.ravel().tolist()}
+        for h, phi in model.factors.items()
     ]
     return doc
 
 
-def dump_model(model: ProjectedModel, target) -> None:
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8") as fh:
-            dump_model(model, fh)
-        return
-    json.dump(model_to_dict(model), target, indent=2)
-    target.write("\n")
+def dump_model(model: ProjectedModel, path) -> None:
+    """Write the model document to path."""
+    write_json(model_to_dict(model), path)

@@ -11,11 +11,10 @@ maximal cliques, in any order, as a construction sequence.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import WEIGHT_DOMAIN_GUARD, GuardLimitError, is_vertex, json_int
+from .errors import (WEIGHT_DOMAIN_GUARD, GuardLimitError, json_int, read_json,
+                     subset_refusal)
 
 __all__ = [
     "KTree",
@@ -30,6 +29,13 @@ __all__ = [
     "ktree_from_dict",
     "load_ktree",
 ]
+
+
+def _sorted(vertices) -> tuple:
+    try:
+        return tuple(sorted(vertices))
+    except TypeError:  # a non-integer vertex, which the subset rule names
+        return tuple(vertices)
 
 
 @dataclass(frozen=True)
@@ -52,38 +58,29 @@ class KTree:
             raise ValueError(f"width k must be >= 1, got {self.k}")
         if self.n < 1:
             raise ValueError(f"vertex count must be >= 1, got {self.n}")
-        for v in itertools.chain(self.seed, *((u, *a) for u, a in self.attachments)):
-            if not is_vertex(v):
-                raise ValueError(f"vertex {v!r} is not an integer")
-        seed = tuple(sorted(int(v) for v in self.seed))
-        object.__setattr__(self, "seed", seed)
         want = min(self.k + 1, self.n)
-        if len(seed) != want or len(set(seed)) != want:
-            raise ValueError(f"seed must be {want} distinct vertices, got {seed}")
-        attachments = tuple(
-            (int(v), tuple(sorted(int(a) for a in anchor)))
-            for v, anchor in self.attachments
-        )
-        object.__setattr__(self, "attachments", attachments)
-
-        for v in seed + tuple(v for v, _ in attachments):
-            if not 0 <= v < self.n:
-                raise ValueError(f"vertex {v} outside [0, {self.n})")
+        seed = _sorted(self.seed)
+        why = subset_refusal(seed, self.n, range(want, want + 1))
+        if why is not None:
+            raise ValueError(f"seed: {why}")
+        object.__setattr__(self, "seed", tuple(map(int, seed)))
         # Edges only ever join a new vertex to its anchor, so a k-subset lies
         # inside an existing clique exactly when it lies inside the clique
         # made when its last-placed vertex was placed.
-        step = dict.fromkeys(seed, 0)
-        made = [frozenset(seed)]
-        for v, anchor in attachments:
+        step = dict.fromkeys(self.seed, 0)
+        made = [frozenset(self.seed)]
+        attachments = []
+        size = range(self.k + 1, self.k + 2)
+        for v, anchor in self.attachments:
+            clique = _sorted((*anchor, v))
+            why = subset_refusal(clique, self.n, size)
+            if why is not None:
+                raise ValueError(f"vertex {v!r} attached to {tuple(anchor)}: "
+                                 f"{why}")
+            v = int(v)
+            anchor = tuple(int(a) for a in clique if a != v)
             if v in step:
                 raise ValueError(f"vertex {v} attached twice")
-            if len(anchor) != self.k or len(set(anchor)) != self.k:
-                raise ValueError(
-                    f"anchor for vertex {v} must be {self.k} distinct "
-                    f"vertices, got {anchor}"
-                )
-            if v in anchor:
-                raise ValueError(f"vertex {v} cannot anchor to itself")
             if not (all(a in step for a in anchor)
                     and made[max(step[a] for a in anchor)].issuperset(anchor)):
                 raise ValueError(
@@ -92,6 +89,8 @@ class KTree:
                 )
             step[v] = len(made)
             made.append(frozenset(anchor + (v,)))
+            attachments.append((v, anchor))
+        object.__setattr__(self, "attachments", tuple(attachments))
         if len(step) != self.n:
             first = next(v for v in range(self.n) if v not in step)
             raise ValueError(f"{self.n - len(step)} vertices not placed, "
@@ -228,8 +227,6 @@ def ktree_from_dict(doc: dict) -> KTree:
     )
 
 
-def load_ktree(source) -> KTree:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig") as fh:
-            return load_ktree(fh)
-    return ktree_from_dict(json.load(source))
+def load_ktree(path) -> KTree:
+    """Read a structure file; a malformed one is refused naming the path."""
+    return read_json(path, ktree_from_dict)

@@ -19,13 +19,11 @@ total weight of the cliques that attaching a vertex to an anchor creates.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import (WEIGHT_DOMAIN_GUARD, GuardLimitError, json_float,
-                     json_int, json_subsets, subset_refusal)
+                     json_int, json_subsets, read_json, subset_refusal)
 
 __all__ = [
     "WeightFunction",
@@ -159,7 +157,8 @@ def weights_to_dict(wf: WeightFunction) -> dict:
         "k": wf.k,
         "n": wf.n,
         "log_base": "e",
-        "weights": [{"vars": list(h), "w": float(w)} for h, w in items],
+        "weights": [{"vars": list(map(int, h)), "w": float(w)}
+                    for h, w in items],
     }
 
 
@@ -175,9 +174,6 @@ def weights_from_dict(doc: dict) -> WeightFunction:
         k=k, n=n, weights=json_subsets(doc["weights"], "w", json_float))
 
 
-def load_weights(source) -> WeightFunction:
-    """Read a weight dump from a path or open text stream."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig") as fh:
-            return load_weights(fh)
-    return weights_from_dict(json.load(source))
+def load_weights(path) -> WeightFunction:
+    """Read a weight dump file; a malformed one is refused naming the path."""
+    return read_json(path, weights_from_dict)

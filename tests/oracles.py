@@ -132,6 +132,14 @@ def load_dataset_reference(source, arities=None) -> Dataset:
     return Dataset(tuple(specs), data)
 
 
+def text_file(directory, text: str):
+    """Write text to the file ``input`` in directory as given, line ends
+    included, and return its path: the library's loaders read files."""
+    path = directory / "input"
+    path.write_text(text, encoding="utf-8", newline="")
+    return path
+
+
 def random_dataset(rng, n, t, arities=None):
     if arities is None:
         arities = [int(rng.integers(2, 4)) for _ in range(n)]

@@ -11,6 +11,12 @@ import math
 import sys
 from pathlib import Path
 
+import pytest
+
+from hypertree.dataset import load_dataset
+from hypertree.structure import load_ktree
+from hypertree.weights import load_weights
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
@@ -69,3 +75,29 @@ def test_replay_reverse_parity(tmp_path):
     checks.gen_parity(prov, oracle)
     checks.learn_from_data(learned, oracle, params["k"])
     checks.evaluation(report, learned, oracle, params["k"])
+
+
+# Four kinds of bad file, as each loader meets them: a JSON document that is
+# not an object, a missing field (a CSV record short of a cell), a field of
+# the wrong type (a CSV cell that is not an integer) and a bad CSV record (an
+# unterminated quote; a JSON syntax error to the JSON loaders).
+NOT_AN_OBJECT = "[1, 2]"
+BAD_RECORD = 'a,b\n"0,1\n'
+BAD_FILES = {
+    load_dataset: (NOT_AN_OBJECT, "a,b\n0\n", "a,b\n0,x\n", BAD_RECORD),
+    load_weights: (NOT_AN_OBJECT, '{"k": 1}',
+                   '{"k": "1", "n": 2, "weights": []}', BAD_RECORD),
+    load_ktree: (NOT_AN_OBJECT, '{"k": 1, "n": 2}',
+                 '{"k": 1, "n": 2, "seed": ["0", 1]}', BAD_RECORD),
+}
+
+
+@pytest.mark.parametrize("kind", range(4), ids=[
+    "not-an-object", "missing-field", "wrong-type", "bad-csv-record"])
+@pytest.mark.parametrize("load", BAD_FILES, ids=lambda f: f.__name__)
+def test_loaders_name_the_file_at_fault(tmp_path, load, kind):
+    path = tmp_path / "input"
+    path.write_text(BAD_FILES[load][kind])
+    with pytest.raises(ValueError) as exc:
+        load(str(path))
+    assert str(exc.value).startswith(f"{path}: "), exc.value

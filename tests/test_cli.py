@@ -863,9 +863,15 @@ def test_gen_parity_rounding_error_names_the_file(run, tmp_path):
      "{doc}: subset (0, 1) has 2 vertices, not 3"),
     (["eval", "{csv}", "{doc}"],
      {"k": 1, "n": 3, "seed": [0, 1], "attachments": [{"v": 2, "anchor": [2]}]},
-     "{doc}: vertex 2 cannot anchor to itself"),
+     "{doc}: vertex 2 attached to (2,): subset (2, 2) is not strictly "
+     "ascending"),
+    (["weights", "{doc}", "--k", "1"], {"arities": [], "probs": [1.0]},
+     "{doc}: 'arities' is empty: a joint table needs a variable"),
+    (["learn", "{doc}", "--k", "1"], {"arities": [], "probs": [1.0]},
+     "{doc}: 'arities' is empty: a joint table needs a variable"),
 ], ids=["learn-data-without-k", "weights-log-base-2", "biases-zero-q",
-        "biases-subset-outside", "targets-pair-at-k2", "structure-self-anchor"])
+        "biases-subset-outside", "targets-pair-at-k2", "structure-self-anchor",
+        "weights-empty-joint-table", "learn-empty-joint-table"])
 def test_input_refusals(run, tmp_path, args, doc, message):
     fmt = dict(csv=tmp_path / "xor.csv", doc=tmp_path / "doc.json")
     _write_xor_csv(fmt["csv"])

@@ -35,6 +35,7 @@ from oracles import (
     mutual_information,
     random_dataset,
     target_samples,
+    text_file,
 )
 
 
@@ -46,7 +47,7 @@ def four_rows():
 
 
 def test_load_dataset_readback(tmp_path):
-    d = load_dataset(io.StringIO("a,b\n0,1\n1,0\n"))
+    d = load_dataset(text_file(tmp_path, "a,b\n0,1\n1,0\n"))
     assert d.n_vars == 2 and d.n_rows == 2
     assert d.arities == (2, 2)
     # the rows as a multiset: a Dataset keeps distinct rows and counts
@@ -61,49 +62,52 @@ def test_load_dataset_readback(tmp_path):
     assert np.array_equal(back.counts, d.counts)
 
 
-def test_load_dataset_500_rows():
+def test_load_dataset_500_rows(tmp_path):
     body = "".join(f"{i % 2},{i % 3},{i % 2}\n" for i in range(500))
-    d = load_dataset(io.StringIO("p,q,r\n" + body))
+    d = load_dataset(text_file(tmp_path, "p,q,r\n" + body))
     assert d.n_vars == 3 and d.n_rows == 500
     assert d.arities == (2, 3, 2)
 
 
-def test_load_dataset_sidecar_violation():
+def test_load_dataset_sidecar_violation(tmp_path):
     with pytest.raises(ValueError, match="arity"):
-        load_dataset(io.StringIO("a,b\n0,5\n"), arities={"b": 2})
+        load_dataset(text_file(tmp_path, "a,b\n0,5\n"), arities={"b": 2})
     with pytest.raises(ValueError, match=r"not in the header: \['y', 'zzz'\]"):
-        load_dataset(io.StringIO("a,b\n0,1\n"),
+        load_dataset(text_file(tmp_path, "a,b\n0,1\n"),
                      arities={"zzz": 3, "b": 2, "y": 2})
 
 
-def test_load_dataset_declared_arity_allows_unseen_outcomes():
-    d = load_dataset(io.StringIO("a,b\n0,1\n1,0\n"), arities={"b": 4})
+def test_load_dataset_declared_arity_allows_unseen_outcomes(tmp_path):
+    d = load_dataset(text_file(tmp_path, "a,b\n0,1\n1,0\n"), arities={"b": 4})
     assert d.arities == (2, 4)
     m = marginal(d, (1,))
     assert m.tolist() == [0.5, 0.5, 0.0, 0.0]
 
 
-def test_load_dataset_errors():
+def test_load_dataset_errors(tmp_path):
+    def load(text, arities=None):
+        return load_dataset(text_file(tmp_path, text), arities)
+
     with pytest.raises(ValueError, match="non-integer"):
-        load_dataset(io.StringIO("a,b\n0,x\n"))
+        load("a,b\n0,x\n")
     with pytest.raises(ValueError, match="line 3"):
-        load_dataset(io.StringIO("a,b\n0,1\n0\n"))
+        load("a,b\n0,1\n0\n")
     with pytest.raises(ValueError, match="empty"):
-        load_dataset(io.StringIO("a,b\n"))
+        load("a,b\n")
     # the blank line 3 is skipped but still counted
     with pytest.raises(ValueError, match="line 4, column 'b'.*int64"):
-        load_dataset(io.StringIO("a,b\n0,1\n\n1,99999999999999999999\n"))
+        load("a,b\n0,1\n\n1,99999999999999999999\n")
     with pytest.raises(ValueError, match="line 2, column 'a'.*int64"):
-        load_dataset(io.StringIO("a,b\n-9223372036854775809,1\n"))
+        load("a,b\n-9223372036854775809,1\n")
     # codes outside an arity name the file line too, not a data-row index
     with pytest.raises(ValueError,
                        match="line 3, column 'a': outcome 5 >= declared arity 3"):
-        load_dataset(io.StringIO("a,b\n0,1\n5,0\n"), arities={"a": 3})
+        load("a,b\n0,1\n5,0\n", arities={"a": 3})
     with pytest.raises(ValueError, match=r"line 4, column 'a': outcome -1 outside"):
-        load_dataset(io.StringIO("a,b\n0,1\n\n-1,0\n"))
+        load("a,b\n0,1\n\n-1,0\n")
     # the first faulty line in file order is reported, whatever its fault
     with pytest.raises(ValueError, match="line 3, column 'b'.*int64"):
-        load_dataset(io.StringIO("a,b\n0,1\n0,99999999999999999999\n0,1\n0,x\n"))
+        load("a,b\n0,1\n0,99999999999999999999\n0,1\n0,x\n")
 
 
 # Padding that str.strip() removes; U+001C and U+001F are whitespace to
@@ -165,19 +169,29 @@ def csv_with_one_fault(draw):
     return text, arities or None
 
 
-def _load(load, text, arities):
+def _load(load, source, arities):
     try:
-        return load(io.StringIO(text), arities)
+        return load(source, arities)
     except ValueError as exc:
         return str(exc)
 
 
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
 @given(case=csv_with_one_fault())
 @settings(max_examples=300, deadline=None)
-def test_load_dataset_matches_reference(case):
+def test_load_dataset_matches_reference(csv_dir, case):
     text, arities = case
-    got = _load(load_dataset, text, arities)
-    want = _load(load_dataset_reference, text, arities)
+    path = text_file(csv_dir, text)
+    got = _load(load_dataset, path, arities)
+    if isinstance(got, str):  # the reference reads a stream, not a file
+        assert got.startswith(f"{path}: "), got
+        got = got.removeprefix(f"{path}: ")
+    # newline="": line ends split and kept as a file opened so splits them
+    want = _load(load_dataset_reference, io.StringIO(text, newline=""), arities)
     if isinstance(want, str):
         assert got == want
         return
@@ -189,28 +203,24 @@ def test_load_dataset_matches_reference(case):
 
 
 @pytest.mark.parametrize("t", [1, 4095, 4096, 4097, 8195])
-def test_dump_dataset_writes_chunks_as_one_pass(t):
+def test_dump_dataset_writes_chunks_as_one_pass(tmp_path, t):
     # t rows of two outcome vectors: at t=8195 each is written over 4,096 times
     half = np.arange(t) % 2
     d = Dataset((VariableSpec("a", 2), VariableSpec("b", 3)),
                 np.column_stack([half, 2 * half]))
-    got, want = io.StringIO(), io.StringIO()
-    dump_dataset(d, got)
+    want = io.StringIO()
+    dump_dataset(d, tmp_path / "got.csv")
     writer = csv.writer(want)
     writer.writerow([s.name for s in d.specs])
     writer.writerows(np.repeat(d.rows, d.counts, axis=0).tolist())
-    assert got.getvalue() == want.getvalue()
+    assert (tmp_path / "got.csv").read_bytes() == want.getvalue().encode()
 
 
 def test_dump_dataset_refuses_probability_weights(tmp_path):
     d = joint_table_from_dict({"arities": [2, 2], "probs": [0.25] * 4})
-    out = io.StringIO()
-    with pytest.raises(ValueError, match="integer counts"):
-        dump_dataset(d, out)
-    assert out.getvalue() == ""  # refused before the header
     with pytest.raises(ValueError, match="integer counts"):
         dump_dataset(d, tmp_path / "sample.csv")
-    assert not (tmp_path / "sample.csv").exists()
+    assert not (tmp_path / "sample.csv").exists()  # refused before opening
 
 
 def test_variable_spec_validation():

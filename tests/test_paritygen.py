@@ -239,6 +239,15 @@ def test_biases_json_roundtrip(tmp_path):
     assert biases_from_dict(json.loads(path.read_text())) == tb
 
 
+def test_numpy_integer_vertices_dump_as_json():
+    i = np.int64
+    tb = TargetBiases(k=1, n=3, q=4, entries={(i(0), i(2)): i(3)})
+    assert biases_from_dict(json.loads(json.dumps(biases_to_dict(tb)))) == tb
+    rep = realize_weights({(i(0), i(2)): 0.5}, n=3, k=1, q_grid=8)
+    doc = json.loads(json.dumps(biases_to_dict(rep.biases)))
+    assert biases_from_dict(doc) == rep.biases
+
+
 def test_generation_is_deterministic():
     tb = TargetBiases(k=1, n=3, q=3, entries={(0, 2): 2})
     s1 = generate(tb)

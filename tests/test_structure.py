@@ -34,9 +34,11 @@ from oracles import (
 
 def test_ktree_validation():
     KTree(k=2, n=4, seed=(0, 1, 2), attachments=(((3, (1, 2))),))
-    with pytest.raises(ValueError, match="seed"):
+    with pytest.raises(ValueError,
+                       match=r"^seed: subset \(0, 1\) has 2 vertices, not 3$"):
         KTree(k=2, n=4, seed=(0, 1))
-    with pytest.raises(ValueError, match="anchor"):
+    with pytest.raises(ValueError, match=r"^vertex 3 attached to \(1,\): "
+                                         r"subset \(1, 3\) has 2 vertices, not 3$"):
         KTree(k=2, n=4, seed=(0, 1, 2), attachments=((3, (1,)),))
     with pytest.raises(ValueError, match="not placed"):
         KTree(k=2, n=5, seed=(0, 1, 2), attachments=((3, (1, 2)),))
@@ -48,20 +50,42 @@ def test_ktree_validation():
         KTree(k=2, n=5, seed=(0, 1, 2),
               attachments=((3, (0, 1)), (4, (2, 3))))
     with pytest.raises(ValueError, match="existing clique"):
+        KTree(k=1, n=4, seed=(0, 1), attachments=((2, (3,)),))
+    with pytest.raises(ValueError, match=r"^vertex 2 attached to \(5,\): subset "
+                                         r"\(2, 5\) has a vertex outside \[0, 3\)$"):
         KTree(k=1, n=3, seed=(0, 1), attachments=((2, (5,)),))
-    with pytest.raises(ValueError, match=r"vertex 5 outside \[0, 3\)"):
+    with pytest.raises(ValueError, match=r"^vertex 5 attached to \(1,\): subset "
+                                         r"\(1, 5\) has a vertex outside \[0, 3\)$"):
         KTree(k=1, n=3, seed=(0, 1), attachments=((5, (1,)),))
-    with pytest.raises(ValueError, match=r"vertex -1 outside"):
+    with pytest.raises(ValueError, match=r"^seed: subset \(-1, 0\) has a vertex "
+                                         r"outside \[0, 2\)$"):
         KTree(k=1, n=2, seed=(-1, 0))
+    with pytest.raises(ValueError, match=r"^seed: subset \(0, 0\) is not "
+                                         r"strictly ascending$"):
+        KTree(k=1, n=2, seed=(0, 0))
+    with pytest.raises(ValueError, match=r"^vertex 2 attached to \(2,\): subset "
+                                         r"\(2, 2\) is not strictly ascending$"):
+        KTree(k=1, n=3, seed=(0, 1), attachments=((2, (2,)),))
     # a float or bool vertex is refused, not truncated
-    with pytest.raises(ValueError, match="vertex 0.5 is not an integer"):
+    with pytest.raises(ValueError, match=r"^seed: subset \(0.5, 1\) has a "
+                                         r"non-integer vertex 0.5$"):
         KTree(k=1, n=3, seed=(0.5, 1), attachments=((2.7, (1.2,)),))
-    with pytest.raises(ValueError, match="vertex 2.7 is not an integer"):
+    with pytest.raises(ValueError, match=r"^vertex 2.7 attached to \(1,\): "
+                                         r"subset \(1, 2.7\) has a non-integer"):
         KTree(k=1, n=3, seed=(0, 1), attachments=((2.7, (1,)),))
-    with pytest.raises(ValueError, match="vertex 1.2 is not an integer"):
+    with pytest.raises(ValueError, match=r"^vertex 2 attached to \(1.2,\): "
+                                         r"subset \(1.2, 2\) has a non-integer"):
         KTree(k=1, n=3, seed=(0, 1), attachments=((2, (1.2,)),))
-    with pytest.raises(ValueError, match="vertex True is not an integer"):
+    with pytest.raises(ValueError, match=r"^seed: subset \(0, True\) has a "
+                                         r"non-integer vertex True$"):
         KTree(k=1, n=3, seed=(True, 0), attachments=((2, (1,)),))
+    # a vertex that cannot be sorted with the others is named, not a TypeError
+    with pytest.raises(ValueError, match=r"^seed: subset \('a', 1\) has a "
+                                         r"non-integer vertex 'a'$"):
+        KTree(k=1, n=3, seed=("a", 1))
+    with pytest.raises(ValueError, match=r"^vertex None attached to \(1,\): "
+                                         r"subset \(1, None\) has a non-integer"):
+        KTree(k=1, n=3, seed=(0, 1), attachments=((None, (1,)),))
 
 
 def test_ktree_turns_numpy_integers_into_ints():

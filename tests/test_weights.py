@@ -1,5 +1,4 @@
 import codecs
-import io
 import itertools
 import json
 import math
@@ -35,6 +34,7 @@ from oracles import (
     random_ktree,
     random_weight_function,
     target_samples,
+    text_file,
     weight_inclusion_exclusion,
     xor_triple_joint,
 )
@@ -372,11 +372,19 @@ def test_weight_dump_roundtrip(tmp_path):
     assert doc["log_base"] == "e"
 
 
-def test_load_external_sparse_weights():
+def test_numpy_integer_vertices_dump_as_json():
+    i = np.int64
+    wf = WeightFunction(k=1, n=3, weights={(i(0), i(1)): 0.2, (i(2),): -0.5})
+    doc = json.loads(json.dumps(weights_to_dict(wf)))
+    assert doc == weights_to_dict(
+        WeightFunction(k=1, n=3, weights={(0, 1): 0.2, (2,): -0.5}))
+    assert weights_from_dict(doc).weights == wf.weights
+
+
+def test_load_external_sparse_weights(tmp_path):
     # zero/one instances carry only pair entries; the rest default to zero
-    doc = io.StringIO(
-        '{"k": 2, "n": 4, "log_base": "e", '
-        '"weights": [{"vars": [0, 1], "w": 1.0}, {"vars": [2, 3], "w": 1.0}]}')
+    doc = text_file(tmp_path, '{"k": 2, "n": 4, "log_base": "e", "weights": '
+                    '[{"vars": [0, 1], "w": 1.0}, {"vars": [2, 3], "w": 1.0}]}')
     wf = load_weights(doc)
     assert wf[(0, 1)] == 1.0 and wf[(2, 3)] == 1.0
     assert wf[(0, 2)] == 0.0 and wf[(0, 1, 2)] == 0.0
@@ -385,9 +393,9 @@ def test_load_external_sparse_weights():
 
 @pytest.mark.parametrize("w", ["Infinity", "-Infinity", "1e999", "NaN"],
                          ids=["inf", "minus-inf", "overflow", "nan-literal"])
-def test_weight_file_rejects_non_finite(w):
-    doc = io.StringIO(
-        '{"k": 1, "n": 3, "weights": [{"vars": [0, 2], "w": %s}]}' % w)
+def test_weight_file_rejects_non_finite(tmp_path, w):
+    doc = text_file(
+        tmp_path, '{"k": 1, "n": 3, "weights": [{"vars": [0, 2], "w": %s}]}' % w)
     with pytest.raises(ValueError, match=r"subset \(0, 2\) is not finite"):
         load_weights(doc)
 
@@ -396,10 +404,11 @@ def test_weight_file_rejects_non_finite(w):
                                "null", "[0.5]"],
                          ids=["inf", "minus-inf", "nan", "string", "bool",
                               "null", "list"])
-def test_weight_file_refuses_non_numbers(w):
-    doc = io.StringIO(
-        '{"k": 1, "n": 3, "weights": [{"vars": [0, 2], "w": %s}]}' % w)
-    with pytest.raises(TypeError, match="'w' must be a number, got "):
+def test_weight_file_refuses_non_numbers(tmp_path, w):
+    doc = text_file(
+        tmp_path, '{"k": 1, "n": 3, "weights": [{"vars": [0, 2], "w": %s}]}' % w)
+    with pytest.raises(ValueError,
+                       match="malformed field: 'w' must be a number, got "):
         load_weights(doc)
 
 
