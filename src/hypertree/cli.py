@@ -20,8 +20,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (DEFAULT_CUBE_LIMIT, DEFAULT_EXACT_LIMIT, GuardLimitError,
-                     json_float, json_int, json_subsets, read_json, write_json)
+from .errors import (DEFAULT_EXACT_LIMIT, GuardLimitError, json_float,
+                     json_int, json_subsets, read_json, write_json)
 
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
@@ -43,8 +43,8 @@ def _sidecar_arities(doc: dict) -> dict[str, int]:
 
 def _load_input(path: str, arities_path: str | None, weight_file=False):
     """CSV files and joint-table JSON files become Datasets; where
-    weight_file is set, a JSON file that lists ``weights`` becomes a
-    WeightFunction.
+    weight_file is set, a JSON file that lists ``weights``, or has neither
+    of a joint table's ``arities`` and ``probs``, becomes a WeightFunction.
 
     Only CSV data takes an ``--arities`` sidecar; a JSON input carries its
     own domain, so a sidecar given with one is refused.
@@ -55,7 +55,8 @@ def _load_input(path: str, arities_path: str | None, weight_file=False):
                              "JSON input")
 
         def convert(doc):
-            if weight_file and "weights" in doc:
+            if weight_file and ("weights" in doc or
+                                doc.keys().isdisjoint(("arities", "probs"))):
                 from .weights import weights_from_dict as parse
             else:
                 from .dataset import joint_table_from_dict as parse
@@ -193,13 +194,13 @@ def _parity_spec(doc: dict):
     raise ValueError("input must contain either a 'biases' or a 'targets' list")
 
 
-def gen_parity_cmd(spec_path, cube_limit, out_path):
+def gen_parity_cmd(spec_path, out_path):
     """Generate a parity-biased sample from a bias or weight-target file."""
     from . import paritygen
     from .dataset import dump_dataset
 
     tb, realization = read_json(spec_path, _parity_spec)
-    sample = paritygen.generate(tb, cube_limit=cube_limit)
+    sample = paritygen.generate(tb)
     dump_dataset(sample.dataset, out_path)
     prov = paritygen.biases_to_dict(tb)
     prov["rows"] = sample.dataset.n_rows
@@ -253,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(dest, metavar=metavar)
         return sub
 
-    def positive(sub, flag, text=None, **kwargs):
+    def positive(sub, flag, text, **kwargs):
         sub.add_argument(flag, type=_positive, metavar="INTEGER",
-                         help=f"{text} [x>=1]" if text else "[x>=1]", **kwargs)
+                         help=f"{text} [x>=1]", **kwargs)
 
     def common(sub, arities_help=None):
         sub.add_argument("--arities", dest="arities_path", metavar="TEXT",
@@ -290,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = command("gen-parity", gen_parity_cmd,
                   ("spec_path", "BIASES_OR_TARGETS"))
-    positive(sub, "--cube-limit", "Refuse generation above this variable "
-                                  "count.", default=DEFAULT_CUBE_LIMIT)
     out(sub, "sample.csv", "Sample CSV path; provenance goes next to it.")
     return parser
 

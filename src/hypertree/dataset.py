@@ -184,7 +184,7 @@ def _parse_csv(fh, arities) -> Dataset:
         col = data[:, i]
         observed = int(col.max()) + 1
         if arities is not None and name in arities:
-            arity = int(arities[name])
+            arity = json_int(arities[name], f"arities.{name}")
         else:
             arity = max(observed, 2)
         if col.min() < 0 or observed > arity:

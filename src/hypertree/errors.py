@@ -9,7 +9,6 @@ can show them without importing the modules that enforce them.
 import json
 import sys
 
-DEFAULT_CUBE_LIMIT = 14
 DEFAULT_EXACT_LIMIT = 9  # vertices: at most 10,584 DP states, for any k
 WEIGHT_DOMAIN_GUARD = 2 ** 22  # subsets; about 1.1 GiB of dict entries
 
@@ -20,8 +19,8 @@ class GuardLimitError(RuntimeError):
     Guards protect against exponential blowups: exact search on too many
     vertices, a weight domain of too many subsets, a count table of too many
     cells, a parity sample of too many variables or cells, and a clique
-    family of too many subsets. The exact-search and cube limits can be
-    raised explicitly by the caller.
+    family of too many subsets. Only the exact-search limit can be raised,
+    by the caller.
     """
 
 

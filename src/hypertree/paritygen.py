@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, VariableSpec
-from .errors import (DEFAULT_CUBE_LIMIT, GuardLimitError, json_int,
-                     json_subsets, subset_refusal)
+from .errors import GuardLimitError, json_int, json_subsets, subset_refusal
 
 __all__ = [
     "TargetBiases",
@@ -42,6 +41,7 @@ __all__ = [
 ]
 
 BIAS_CAP = 1.0 - 1e-12
+CUBE_LIMIT = 14  # variables: the 2^n x n cube and its np.unique
 SAMPLE_CELL_GUARD = 2 ** 27  # rows x variables written: 1 GiB read back as int64
 
 
@@ -131,28 +131,35 @@ def _cube(n: int) -> np.ndarray:
     return (codes[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
-def generate(tb: TargetBiases, cube_limit: int = DEFAULT_CUBE_LIMIT) -> ParitySample:
+def _refuse_oversized(n: int, k: int, q: int) -> None:
+    """Refuse a sample of more than CUBE_LIMIT variables, then one of more
+    than SAMPLE_CELL_GUARD cells (rows x variables). The first check keeps
+    C(n, k+1) small enough to compute."""
+    if n > CUBE_LIMIT:
+        raise GuardLimitError(
+            f"parity generation refused: n={n} exceeds cube limit "
+            f"{CUBE_LIMIT} (blocks have 2^n rows)"
+        )
+    rows = math.comb(n, k + 1) * q << n
+    if rows * n > SAMPLE_CELL_GUARD:
+        raise GuardLimitError(
+            f"parity generation refused: {rows} rows x n={n} is "
+            f"{rows * n * 8} bytes of int64, over the limit of "
+            f"{SAMPLE_CELL_GUARD * 8} bytes"
+        )
+
+
+def generate(tb: TargetBiases) -> ParitySample:
     """Build the pooled sample realizing a TargetBiases prescription.
 
     For every (k+1)-subset h (including those with numerator zero) emits q
     blocks of 2^n rows: q - p_h full cubes and p_h odd-parity slices (each
     odd vector twice). Pooling keeps every marginal of size <= k exactly
     uniform and gives parity of h the exact bias (p_h / q) / C(n, k+1).
-    Refuses when n exceeds cube_limit or the pooled sample would have more
-    than SAMPLE_CELL_GUARD cells (rows x variables).
+    Refuses more than CUBE_LIMIT variables or SAMPLE_CELL_GUARD cells
+    before allocating anything.
     """
-    if tb.n > cube_limit:
-        raise GuardLimitError(
-            f"parity generation refused: n={tb.n} exceeds cube limit "
-            f"{cube_limit} (blocks have 2^n rows)"
-        )
-    rows = math.comb(tb.n, tb.k + 1) * tb.q << tb.n
-    if rows * tb.n > SAMPLE_CELL_GUARD:
-        raise GuardLimitError(
-            f"parity generation refused: {rows} rows x n={tb.n} is "
-            f"{rows * tb.n * 8} bytes of int64, over the limit of "
-            f"{SAMPLE_CELL_GUARD * 8} bytes"
-        )
+    _refuse_oversized(tb.n, tb.k, tb.q)
     cube = _cube(tb.n)
     counts = np.zeros(len(cube), dtype=np.int64)
     log: list[tuple[tuple[int, ...], int, bool]] = []
@@ -179,6 +186,7 @@ def realize_weights(
     grid point, or supplied explicitly), inverted through bias_to_weight,
     and rounded to the q_grid denominator. The report carries each listed
     subset's difference between the induced weight and c times the target.
+    A grid whose sample ``generate`` would refuse is refused here first.
     """
     for h, w in targets.items():
         why = subset_refusal(h, n, range(k + 1, k + 2))
@@ -186,6 +194,7 @@ def realize_weights(
             raise ValueError(why)
         if not (w >= 0.0 and math.isfinite(w)):
             raise ValueError(f"target weight for {h} must be finite and >= 0")
+    _refuse_oversized(n, k, q_grid)
     n_sets = math.comb(n, k + 1)
     max_w = max(targets.values(), default=0.0)
     if scale is not None and not (math.isfinite(scale) and scale > 0):

@@ -29,7 +29,6 @@ from .structure import KTree, clique_family, ktree_to_dict, score
 from .weights import WeightFunction, family_weights
 
 __all__ = [
-    "NEG_INFINITY",
     "ProjectedModel",
     "project",
     "log_likelihood",
@@ -38,8 +37,6 @@ __all__ = [
     "model_to_dict",
     "dump_model",
 ]
-
-NEG_INFINITY = float("-inf")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +115,7 @@ def log_likelihood(model: ProjectedModel, data: ds.Dataset) -> float:
     """Total log likelihood of a dataset under the model, each distinct row
     weighted by its count.
 
-    NEG_INFINITY as soon as any row hits a zero factor. On the training set,
+    -inf as soon as any row hits a zero factor. On the training set,
     this equals the total weight times the sum of all clique weights
     including singletons.
     """

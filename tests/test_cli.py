@@ -364,7 +364,8 @@ def test_gen_parity_guard(run, tmp_path):
     bpath = tmp_path / "biases.json"
     bpath.write_text(json.dumps(biases))
     res = run(["gen-parity", str(bpath)])
-    assert res.exit_code == 3
+    assert res.exit_code == 3, res.output
+    assert "n=15 exceeds cube limit 14" in res.output
 
 
 def test_gen_parity_row_guard(run, tmp_path):
@@ -719,8 +720,7 @@ def test_marginal_table_guard(run, tmp_path):
     (["weights", "{csv}", "--k", "0"], "--k"),
     (["learn", "{csv}", "--k", "1", "--solver", "exact",
       "--exact-limit", "0"], "--exact-limit"),
-    (["gen-parity", "{biases}", "--cube-limit", "0"], "--cube-limit"),
-], ids=["k", "exact-limit", "cube-limit"])
+], ids=["k", "exact-limit"])
 def test_positive_integer_options(run, tmp_path, args, option):
     csv_path = tmp_path / "xor.csv"
     _write_xor_csv(csv_path)
@@ -748,9 +748,11 @@ def test_positive_integer_options(run, tmp_path, args, option):
      "--display-base"),
     (["learn", "{missing}", "--k", "1", "--solver", "local",
       "--max-iters", "5"], "--max-iters"),
+    (["gen-parity", "{missing}", "--cube-limit", "6"], "--cube-limit"),
 ], ids=["k-zero", "k-not-integer", "unknown-solver", "missing-k",
         "missing-positional", "unknown-command", "abbreviated-option",
-        "weights-display-base", "eval-display-base", "max-iters"])
+        "weights-display-base", "eval-display-base", "max-iters",
+        "cube-limit"])
 def test_usage_errors(capsys, tmp_path, args, named):
     csv_path = tmp_path / "xor.csv"
     _write_xor_csv(csv_path)
@@ -869,9 +871,14 @@ def test_gen_parity_rounding_error_names_the_file(run, tmp_path):
      "{doc}: 'arities' is empty: a joint table needs a variable"),
     (["learn", "{doc}", "--k", "1"], {"arities": [], "probs": [1.0]},
      "{doc}: 'arities' is empty: a joint table needs a variable"),
+    # a JSON input is a joint table only when it has one of its fields
+    (["learn", "{doc}"], {"k": 1}, "{doc}: missing field 'n'"),
+    (["learn", "{doc}", "--k", "1"], {"probs": [1.0]},
+     "{doc}: missing field 'arities'"),
 ], ids=["learn-data-without-k", "weights-log-base-2", "biases-zero-q",
         "biases-subset-outside", "targets-pair-at-k2", "structure-self-anchor",
-        "weights-empty-joint-table", "learn-empty-joint-table"])
+        "weights-empty-joint-table", "learn-empty-joint-table",
+        "learn-weight-file-without-list", "learn-joint-table-without-arities"])
 def test_input_refusals(run, tmp_path, args, doc, message):
     fmt = dict(csv=tmp_path / "xor.csv", doc=tmp_path / "doc.json")
     _write_xor_csv(fmt["csv"])

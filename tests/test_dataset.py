@@ -77,6 +77,16 @@ def test_load_dataset_sidecar_violation(tmp_path):
                      arities={"zzz": 3, "b": 2, "y": 2})
 
 
+@pytest.mark.parametrize("arity", [3.9, True, "3"])
+def test_load_dataset_refuses_a_non_integer_arity(tmp_path, arity):
+    # int() would read 3.9 as 3 and True as 1, and accept "3"
+    path = text_file(tmp_path, "a,b\n0,1\n1,2\n")
+    with pytest.raises(ValueError) as exc:
+        load_dataset(path, {"b": arity})
+    assert str(exc.value) == (f"{path}: malformed field: 'arities.b' must be "
+                              f"an integer, got {arity!r}")
+
+
 def test_load_dataset_declared_arity_allows_unseen_outcomes(tmp_path):
     d = load_dataset(text_file(tmp_path, "a,b\n0,1\n1,0\n"), arities={"b": 4})
     assert d.arities == (2, 4)

@@ -1,11 +1,10 @@
-"""Import cost and the package namespace.
+"""Import cost.
 
-Help text must load none of the library's computing modules, and learning
-from a weight file must not load NumPy; the package's top-level names load
-their module on first use and still resolve to the same objects.
+Importing the package loads none of its modules, help text loads none of
+the library's computing modules, and learning from a weight file does not
+load NumPy.
 """
 
-import importlib
 import itertools
 import json
 import os
@@ -33,22 +32,6 @@ PROBE = (
     " if m in sys.modules], file=sys.stderr))\n"
     "runpy.run_module('hypertree.cli', run_name='__main__', alter_sys=True)\n"
 )
-
-# Every name the package exports, by the module that defines it.
-EXPORTS = {
-    "dataset": ["Dataset", "VariableSpec", "entropy",
-                "joint_entropy", "load_dataset", "marginal"],
-    "errors": ["GuardLimitError"],
-    "paritygen": ["ParitySample", "TargetBiases", "bias_to_weight", "generate",
-                  "realize_weights", "weight_to_bias"],
-    "projection": ["NEG_INFINITY", "ProjectedModel", "divergence_decomposed",
-                   "divergence_direct", "log_likelihood", "project"],
-    "solvers": ["SolverResult", "chow_liu", "exact_search", "greedy",
-                "local_search"],
-    "structure": ["KTree", "cliques_of", "score"],
-    "weights": ["WeightFunction", "attachment_gain", "compute_weights"],
-}
-
 
 def _python(*args):
     """Run a fresh interpreter that imports the package from SRC."""
@@ -114,15 +97,16 @@ def test_learning_from_data_loads_numpy(tmp_path):
     assert "numpy" in _run_cli(["learn", str(csv_path), "--k", "1"])
 
 
-def test_package_names_resolve_to_their_modules():
-    for module, names in EXPORTS.items():
-        sub = importlib.import_module(f"hypertree.{module}")
-        assert getattr(hypertree, module) is sub
-        for name in names:
-            assert getattr(hypertree, name) is getattr(sub, name), name
-    listed = dir(hypertree)
-    every = [name for names in EXPORTS.values() for name in names]
-    assert set(every) <= set(listed)
-    assert set(every) <= set(hypertree.__all__)
-    with pytest.raises(AttributeError, match="no_such_name"):
-        hypertree.no_such_name
+def test_package_import_loads_no_module():
+    # names are imported from their module; the package re-exports none
+    res = _python("-c", "import sys, hypertree\n"
+                  "print(*sorted(m for m in sys.modules\n"
+                  "              if m == 'numpy' or m.startswith('hypertree.')))\n"
+                  "try:\n"
+                  "    hypertree.greedy\n"
+                  "except AttributeError:\n"
+                  "    print('no greedy')\n"
+                  "from hypertree import solvers\n"
+                  "print(solvers.greedy.__module__)")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["", "no greedy", "hypertree.solvers"]

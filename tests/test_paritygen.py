@@ -130,11 +130,19 @@ class TestGenerate:
         tb = TargetBiases(k=1, n=15, q=1, entries={})
         with pytest.raises(GuardLimitError):
             generate(tb)
-        tb_ok = TargetBiases(k=1, n=4, q=1, entries={})
-        assert generate(tb_ok, cube_limit=4).dataset.n_rows == 6 * 16
+        tb_ok = TargetBiases(k=1, n=14, q=1, entries={})
+        assert generate(tb_ok).dataset.n_rows == 91 * 2 ** 14
+
+    def test_realize_refuses_what_generate_would(self):
+        # refused as generate would be, before C(n, k+1) is computed: at
+        # n=10^9, k=10^6 that alone takes minutes
+        with pytest.raises(GuardLimitError, match="n=1000000000 exceeds"):
+            realize_weights({}, n=10 ** 9, k=1, q_grid=8)
+        with pytest.raises(GuardLimitError, match="96000000 rows x n=4"):
+            realize_weights({}, n=4, k=1, q_grid=10 ** 6)
 
     def test_row_guard(self):
-        # refused before anything is allocated: the default cube limit
+        # refused before anything is allocated: the cube limit
         # admits n=14, and Q has no bound of its own
         for tb, rows in ((TargetBiases(k=2, n=14, q=128, entries={}), 763363328),
                          (TargetBiases(k=1, n=4, q=10 ** 6, entries={}), 96000000),

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hypertree.dataset import Dataset, VariableSpec, marginal
 from hypertree.projection import (
-    NEG_INFINITY,
     ProjectedModel,
     divergence_decomposed,
     divergence_direct,
@@ -119,7 +118,7 @@ def test_model_log_prob_generalizes_beyond_support():
     t = KTree(k=1, n=2, seed=(0, 1))
     m = project(d, t)
     lp = _row_log_prob(m, (1, 0))
-    assert lp == NEG_INFINITY  # pair marginal of (1,0) is zero
+    assert lp == -math.inf  # pair marginal of (1,0) is zero
     d3 = Dataset((VariableSpec("a", 2), VariableSpec("b", 2),
                   VariableSpec("c", 2)),
                  np.array([[1, 0, 0], [1, 1, 1], [0, 0, 0]]))
@@ -256,8 +255,8 @@ def test_likelihood_and_direct_divergence_match_references(sample, seed):
         # the raw rows under this model, unseen cells of it (-inf) included
         held = log_likelihood(model, counted)
         want = log_likelihood_reference(model, rows)
-        if want == NEG_INFINITY:
-            assert held == NEG_INFINITY
+        if want == -math.inf:
+            assert held == -math.inf
         else:
             assert held == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -273,7 +272,7 @@ def test_log_likelihood_uniform_and_neg_inf():
     m2 = project(train, t)
     held_out = Dataset(tuple(VariableSpec(f"x{i}", 2) for i in range(3)),
                        np.array([[0, 1, 0]]))
-    assert log_likelihood(m2, held_out) == NEG_INFINITY
+    assert log_likelihood(m2, held_out) == -math.inf
 
 
 def test_log_likelihood_spec_mismatch():
@@ -368,7 +367,7 @@ def test_model_json_roundtrip(tmp_path):
         assert np.array_equal(back.factors[h], phi)
     for x in itertools.product(range(2), range(3), range(2)):
         a, b = _row_log_prob(m, x), _row_log_prob(back, x)
-        if a == NEG_INFINITY:
-            assert b == NEG_INFINITY
+        if a == -math.inf:
+            assert b == -math.inf
         else:
             assert b == pytest.approx(a, abs=1e-12)
