@@ -111,6 +111,8 @@ def learn_cmd(input_path, k, solver, exact_limit, arities_path, out_path):
         if k is None:
             raise ValueError("--k is required when learning from data")
         provider = source
+        if solver == "exact":
+            solvers.refuse_exact(provider.n_vars, k, exact_limit)
         wf = _compute_weights(provider, k, input_path)
 
     if solver == "chow_liu":
@@ -205,10 +207,6 @@ def gen_parity_cmd(spec_path, out_path):
     prov = paritygen.biases_to_dict(tb)
     prov["rows"] = sample.dataset.n_rows
     prov["rows_per_block"] = 1 << tb.n
-    prov["block_log"] = [
-        {"vars": list(h), "block": b, "parity_fixed": fixed}
-        for h, b, fixed in sample.block_log
-    ]
     if realization is not None:
         prov["scale"] = realization.scale
         prov["per_set_error"] = [

@@ -69,16 +69,23 @@ class TargetBiases:
 
 @dataclass(frozen=True, eq=False)
 class ParitySample:
-    """A generated dataset plus block provenance.
+    """A generated dataset and the biases it was generated from.
 
     ``dataset`` holds each vector of the cube once, weighted by the number
     of times the blocks emit it; ``dataset.n_rows`` is the pooled row count.
-    ``block_log`` records one (subset, block index, parity_fixed) triple per
-    emitted block, in emission order.
+    ``block_log``, derived from ``biases`` on each read, gives one (subset,
+    block index, parity_fixed) triple per block in emission order.
     """
 
     dataset: Dataset
-    block_log: tuple[tuple[tuple[int, ...], int, bool], ...]
+    biases: TargetBiases
+
+    @property
+    def block_log(self) -> tuple[tuple[tuple[int, ...], int, bool], ...]:
+        tb = self.biases
+        return tuple((h, b, b >= tb.q - tb.entries.get(h, 0))
+                     for h in itertools.combinations(range(tb.n), tb.k + 1)
+                     for b in range(tb.q))
 
 
 @dataclass(frozen=True)
@@ -150,27 +157,24 @@ def _refuse_oversized(n: int, k: int, q: int) -> None:
 
 
 def generate(tb: TargetBiases) -> ParitySample:
-    """Build the pooled sample realizing a TargetBiases prescription.
+    """Build the pooled sample realizing tb, and return it with tb.
 
     For every (k+1)-subset h (including those with numerator zero) emits q
-    blocks of 2^n rows: q - p_h full cubes and p_h odd-parity slices (each
-    odd vector twice). Pooling keeps every marginal of size <= k exactly
-    uniform and gives parity of h the exact bias (p_h / q) / C(n, k+1).
-    Refuses more than CUBE_LIMIT variables or SAMPLE_CELL_GUARD cells
-    before allocating anything.
+    blocks of 2^n rows: q - p_h full cubes, then p_h odd-parity slices (each
+    odd vector twice), so block b is parity-fixed iff b >= q - p_h. Pooling
+    gives parity of h the exact bias (p_h / q) / C(n, k+1) and keeps every
+    marginal of size <= k exactly uniform. Refuses more than CUBE_LIMIT
+    variables or SAMPLE_CELL_GUARD cells before allocating anything.
     """
     _refuse_oversized(tb.n, tb.k, tb.q)
     cube = _cube(tb.n)
     counts = np.zeros(len(cube), dtype=np.int64)
-    log: list[tuple[tuple[int, ...], int, bool]] = []
     for h in itertools.combinations(range(tb.n), tb.k + 1):
         p = tb.entries.get(h, 0)
         odd = cube[:, h].sum(axis=1) % 2
         counts += tb.q - p + 2 * p * odd
-        log.extend((h, b, b >= tb.q - p) for b in range(tb.q))
     specs = tuple(VariableSpec(f"x{i}", 2) for i in range(tb.n))
-    return ParitySample(dataset=Dataset(specs, cube, counts),
-                        block_log=tuple(log))
+    return ParitySample(dataset=Dataset(specs, cube, counts), biases=tb)
 
 
 def realize_weights(
@@ -213,7 +217,13 @@ def realize_weights(
             scale = bias_to_weight(r_cap / n_sets) / max_w
     entries: dict[tuple[int, ...], int] = {}
     errors: dict[tuple[int, ...], float] = {}
+    cap = bias_to_weight(BIAS_CAP)
     for h, w in sorted(targets.items()):  # an absent subset: 0, error 0.0
+        if scale * w >= cap:
+            raise ValueError(
+                f"infeasible scaling: subset {h} needs weight {scale * w:.6f} "
+                f"at scale {scale:g}; weights must be below {cap:.6f}"
+            )
         r = weight_to_bias(scale * w) * n_sets
         if r >= 1.0:
             raise ValueError(

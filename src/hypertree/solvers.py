@@ -22,6 +22,7 @@ __all__ = [
     "SolverResult",
     "chow_liu",
     "exact_search",
+    "refuse_exact",
     "greedy",
     "local_search",
 ]
@@ -76,6 +77,17 @@ def chow_liu(wf) -> SolverResult:
                    examined, len(chosen))
 
 
+def refuse_exact(n: int, k: int, exact_limit: int | None = None) -> None:
+    """Refuse exact search over n vertices above exact_limit, or above
+    DEFAULT_EXACT_LIMIT without one; callers check it before any weight."""
+    limit = DEFAULT_EXACT_LIMIT if exact_limit is None else exact_limit
+    if n > limit:
+        raise GuardLimitError(
+            f"exact search refused: n={n} exceeds the limit {limit} for k={k}; "
+            "pass a higher exact limit to override"
+        )
+
+
 def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
     """Exact maximum-weight k-tree for small n.
 
@@ -92,12 +104,7 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
     n > DEFAULT_EXACT_LIMIT is refused.
     """
     n, k = wf.n, wf.k
-    limit = DEFAULT_EXACT_LIMIT if exact_limit is None else exact_limit
-    if n > limit:
-        raise GuardLimitError(
-            f"exact search refused: n={n} exceeds the limit {limit} for k={k}; "
-            "pass a higher exact limit to override"
-        )
+    refuse_exact(n, k, exact_limit)
     domain_size(n, k)
     t0 = time.perf_counter()
     if n <= k + 1:

@@ -183,6 +183,16 @@ def test_learn_guard_refusal_exit_code(run, tmp_path):
     assert "exceeds" in res.output
 
 
+def test_learn_exact_refused_before_weights(run, tmp_path):
+    # 300 columns: the exact limit refuses before the weight domain guard
+    data = tmp_path / "wide.csv"
+    data.write_text(",".join(f"x{i}" for i in range(300)) + "\n"
+                    + "0," * 299 + "0\n" + "1," * 299 + "1\n")
+    res = run(["learn", str(data), "--k", "2", "--solver", "exact"])
+    assert res.exit_code == 3, res.output
+    assert "exact search refused: n=300" in res.output
+
+
 def test_learn_from_weight_file(run, tmp_path):
     doc = {"k": 2, "n": 4, "log_base": "e",
            "weights": [{"vars": [0, 1, 2], "w": 1.0},
@@ -305,7 +315,7 @@ def test_gen_parity_roundtrip(run, tmp_path):
     assert res.exit_code == 0, res.output
     prov = json.loads((tmp_path / "sample.provenance.json").read_text())
     assert prov["Q"] == 4 and prov["rows"] == 3 * 4 * 8
-    assert len(prov["block_log"]) == 12
+    assert "block_log" not in prov  # the biases already fix every block
 
     # recomputed weights match the bias formula
     d = load_dataset(out_csv)
@@ -325,7 +335,7 @@ def test_gen_parity_writes_the_block_sample(run, tmp_path):
     out_csv = tmp_path / "sample.csv"
     res = run(["gen-parity", str(bpath), "--out", str(out_csv)])
     assert res.exit_code == 0, res.output
-    rows, log = generate_reference(tb)
+    rows, _ = generate_reference(tb)
     want = io.StringIO()
     writer = csv.writer(want)
     writer.writerow([f"x{i}" for i in range(tb.n)])
@@ -337,8 +347,6 @@ def test_gen_parity_writes_the_block_sample(run, tmp_path):
     prov = biases_to_dict(tb)
     prov["rows"] = len(rows)
     prov["rows_per_block"] = 1 << tb.n
-    prov["block_log"] = [{"vars": list(h), "block": b, "parity_fixed": fixed}
-                         for h, b, fixed in log]
     assert ((tmp_path / "sample.provenance.json").read_text()
             == json.dumps(prov, indent=2) + "\n")
 
@@ -357,6 +365,25 @@ def test_gen_parity_targets_input(run, tmp_path):
     wf = compute_weights(d, 1)
     assert wf[(0, 2)] > 0
     assert abs(wf[(0, 1)]) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", [
+    {"k": 2, "n": 5, "Q": 3, "biases": [{"vars": [0, 1, 2], "p": 2},
+                                        {"vars": [1, 3, 4], "p": 1}]},
+    {"k": 1, "n": 4, "q_grid": 16, "targets": [{"vars": [0, 2], "w": 0.3},
+                                               {"vars": [1, 3], "w": 0.1}]},
+], ids=["biases", "targets"])
+def test_gen_parity_provenance_is_its_own_spec(run, tmp_path, spec):
+    # the provenance lists k, n, Q and the biases, which fix every block
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    res = run(["gen-parity", str(spec_path), "--out", str(first)])
+    assert res.exit_code == 0, res.output
+    res = run(["gen-parity", str(tmp_path / "first.provenance.json"),
+               "--out", str(again)])
+    assert res.exit_code == 0, res.output
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_gen_parity_guard(run, tmp_path):
@@ -383,7 +410,9 @@ def test_gen_parity_row_guard(run, tmp_path):
     ({}, [0, 1, 9], "subset (0, 1, 9) has a vertex outside [0, 4)"),
     ({}, [0, 1, 1], "subset (0, 1, 1) is not strictly ascending"),
     ({"scale": 0}, [0, 1, 2], "scale must be finite and > 0"),
-], ids=["vertex-outside", "repeated-vertex", "zero-scale"])
+    ({"scale": 100}, [0, 1, 2],
+     "infeasible scaling: subset (0, 1, 2) needs weight 50.000000 at scale 100"),
+], ids=["vertex-outside", "repeated-vertex", "zero-scale", "overshooting-scale"])
 def test_gen_parity_invalid_targets(run, tmp_path, extra, vars_, why):
     tpath = tmp_path / "targets.json"
     tpath.write_text(json.dumps(dict(

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,9 @@ class TestRealizeWeights:
     def test_explicit_infeasible_scale(self):
         with pytest.raises(ValueError, match="infeasible"):
             realize_weights({(0, 1): 0.6}, n=4, k=1, q_grid=8, scale=1.0)
+        # over the largest realizable weight, refused before weight_to_bias
+        with pytest.raises(ValueError, match=r"infeasible scaling: subset \(0, 1\)"):
+            realize_weights({(0, 1): 0.6}, n=4, k=1, q_grid=8, scale=2.0)
         with pytest.raises(ValueError, match="infeasible"):
             realize_weights({(0, 1): 0.5}, n=4, k=1, q_grid=1)
 
@@ -263,6 +267,19 @@ def test_generation_is_deterministic():
     assert np.array_equal(s1.dataset.rows, s2.dataset.rows)
     assert np.array_equal(s1.dataset.counts, s2.dataset.counts)
     assert s1.block_log == s2.block_log
+
+
+def test_generate_builds_no_per_block_record():
+    # 4 * 10^6 rows in 10^6 blocks: only the 4 multiplicities are built
+    tb = TargetBiases(k=1, n=2, q=10**6, entries={(0, 1): 7})
+    tracemalloc.start()
+    try:
+        s = generate(tb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert s.dataset.n_rows == 4 * 10**6 and s.biases == tb
 
 
 def _reverse_parity_biases():
