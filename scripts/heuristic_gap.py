@@ -5,8 +5,10 @@ Usage:
     python scripts/heuristic_gap.py [--instances N] [--n-max N] [--k K]
                                     [--neg-frac F] [--seed S]
 
-Prints one row per instance and summary statistics of the score ratios. No
-approximation bound is asserted; this is an empirical report.
+Prints one row per instance, summary statistics of the score ratios, and
+how many instances local search left below the exact optimum, with the
+largest such gap. No approximation bound is asserted; this is an empirical
+report.
 """
 
 import argparse
@@ -38,6 +40,7 @@ def main():
 
     rng = np.random.default_rng(args.seed)
     greedy_ratios, local_ratios = [], []
+    short = []  # (exact - local, instance, n) where local search falls short
     print(f"{'inst':>4} {'n':>3} {'exact':>10} {'greedy':>10} {'local':>10} "
           f"{'g/e':>7} {'l/e':>7}")
     for i in range(args.instances):
@@ -47,6 +50,8 @@ def main():
         ex = exact_search(wf, exact_limit=args.n_max)
         g = greedy(wf)
         loc = local_search(wf, g.tree)
+        if ex.score - loc.score > 1e-9:
+            short.append((ex.score - loc.score, i, n))
         if ex.score > 1e-9 and g.score >= 0:
             greedy_ratios.append(g.score / ex.score)
             local_ratios.append(loc.score / ex.score)
@@ -62,6 +67,11 @@ def main():
               f"min {np.min(greedy_ratios):.4f} over {len(greedy_ratios)} instances")
         print(f"local/exact:  mean {np.mean(local_ratios):.4f}, "
               f"min {np.min(local_ratios):.4f}")
+    note = ""
+    if short:
+        gap, i, n = max(short, key=lambda s: s[0])
+        note = f"; largest gap {gap:.4f} nats (instance {i}, n={n})"
+    print(f"local < exact on {len(short)} of {args.instances} instances{note}")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,9 @@ The parser is the standard library's ``argparse``. Each command imports the
 modules it computes with when it runs: ``--help`` loads no library module
 beyond ``errors``, and only the commands and branches that compute on arrays
 import ``dataset``, ``projection`` and ``paritygen`` (and with them NumPy),
-so ``learn`` on a weight file starts without it.
+so ``learn`` on a weight file starts without it. ``learn --solver exact``
+refuses a CSV over the exact limit from its header line, before any of
+them is imported.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import argparse
 import sys
 
 from .errors import (DEFAULT_EXACT_LIMIT, GuardLimitError, json_float,
-                     json_int, json_subsets, read_json, write_json)
+                     json_int, json_subsets, read_input, read_json,
+                     write_json)
 
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
@@ -70,6 +73,25 @@ def _load_input(path: str, arities_path: str | None, weight_file=False):
     return load_dataset(path, sidecar)
 
 
+def _csv_columns(path: str) -> int:
+    """The number of names in a CSV file's header row, read without NumPy
+    and without the body; 0 where ``load_dataset`` fails before the body
+    and reports why: a file it cannot open or decode, no header row, or one
+    the CSV reader refuses."""
+    import csv
+
+    def header(fh):
+        try:
+            return len(next(csv.reader(fh), ()))
+        except csv.Error:
+            return 0
+
+    try:
+        return read_input(path, header)
+    except (OSError, ValueError):
+        return 0
+
+
 def _compute_weights(provider, k, data_path):
     """compute_weights, which checks k, with a refusal naming the data file."""
     from .weights import compute_weights
@@ -102,6 +124,8 @@ def learn_cmd(input_path, k, solver, exact_limit, arities_path, out_path):
 
     if exact_limit is not None and solver != "exact":
         raise ValueError("--exact-limit applies to --solver exact only")
+    if solver == "exact" and k is not None and not input_path.endswith(".json"):
+        solvers.refuse_exact(_csv_columns(input_path), k, exact_limit)
     source = _load_input(input_path, arities_path, weight_file=True)
     if isinstance(source, weights.WeightFunction):
         wf, provider = source, None

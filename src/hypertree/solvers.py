@@ -255,6 +255,15 @@ def local_search(wf, start: KTree) -> SolverResult:
     clique, and its anchor is the rest of that clique, so both are read off
     the list. Attachment gains are cached. A changed clique list is encoded
     as a k-tree once, by ``ktree_from_cliques``, when the search ends.
+
+    Each move is scored by the cliques it changes. A re-anchor of v gains
+    ``attachment_gain`` at the new anchor and loses it at the old one. A
+    swap of u and v relabels only the maximal cliques that hold u or v,
+    and compares their ``clique_total`` before and after: every sub-clique
+    without u or v counts the same on both sides. The full clique list is
+    relabeled only for the accepted swap. ``tests/oracles.py`` keeps the
+    original search, which rescores the whole list for every swap, as
+    ``local_search_reference``; both return the same result.
     """
     t0 = time.perf_counter()
     n, k = start.n, start.k
@@ -272,18 +281,17 @@ def local_search(wf, start: KTree) -> SolverResult:
     moves_evaluated = 0
     while iterations < DEFAULT_MAX_ITERS:
         iterations += 1
-        cur_score = clique_total(maximal, wf)  # drift-free baseline
-        home: dict[int, tuple[int, ...] | None] = {}
+        held: dict[int, list[tuple[int, ...]]] = {x: [] for x in range(n)}
         for mc in maximal:
             for x in mc:
-                home[x] = mc if x not in home else None
-        removable = [v for v in range(n) if home[v] is not None]
+                held[x].append(mc)
+        removable = [v for v in range(n) if len(held[v]) == 1]
         improved = None
 
         # (a) re-anchor a removable vertex elsewhere; v lies in exactly one
         # maximal clique, which the move replaces
         for v in removable:
-            old_anchor = tuple(x for x in home[v] if x != v)
+            old_anchor = tuple(x for x in held[v][0] if x != v)
             loss = gain(v, old_anchor)
             candidates = sorted({
                 s for mc in maximal for s in itertools.combinations(mc, k)
@@ -306,10 +314,11 @@ def local_search(wf, start: KTree) -> SolverResult:
                         continue
                     moves_evaluated += 1
                     relabel = {u: v, v: u}
-                    swapped = [tuple(sorted(relabel.get(x, x) for x in mc))
-                               for mc in maximal]
-                    if clique_total(swapped, wf) - cur_score > IMPROVE_EPS:
-                        improved = swapped
+                    swapped = {mc: tuple(sorted(relabel.get(x, x) for x in mc))
+                               for mc in held[u] + held[v]}
+                    if (clique_total(swapped.values(), wf)
+                            - clique_total(swapped.keys(), wf) > IMPROVE_EPS):
+                        improved = [swapped.get(mc, mc) for mc in maximal]
                         break
                 if improved is not None:
                     break

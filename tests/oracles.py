@@ -4,17 +4,22 @@ Everything here deliberately avoids the library's solver/search code paths:
 k-trees are enumerated by raw construction sequences with edge-set dedup, and
 cliques by scanning all vertex subsets of an adjacency matrix. The
 estimators read raw (T, n) rows or dense probability arrays, as the library
-did before a Dataset held distinct weighted rows.
+did before a Dataset held distinct weighted rows. The solver references,
+``greedy_reference`` and ``local_search_reference``, are the library's
+original full-rescan solvers.
 """
 
 import csv
+import functools
 import itertools
 import math
+import time
 from array import array
 
 import numpy as np
 from hypothesis import strategies as st
 
+from hypertree import solvers
 from hypertree.dataset import (
     Dataset,
     VariableSpec,
@@ -22,7 +27,7 @@ from hypertree.dataset import (
     joint_table_from_dict,
     scope_entropy,
 )
-from hypertree.structure import KTree, clique_total
+from hypertree.structure import KTree, clique_total, ktree_from_cliques
 from hypertree.weights import WeightFunction, attachment_gain
 
 MI_ZERO_TOL = 1e-12
@@ -407,6 +412,100 @@ def greedy_reference(wf):
             if v in s:
                 anchors.add(s)
     return KTree(k=k, n=n, seed=best_seed, attachments=tuple(attachments))
+
+
+def local_search_reference(wf, start: KTree):
+    """The result ``solvers.local_search`` must return, by a full rescore.
+
+    Every swap is scored by ``clique_total`` of the whole relabeled clique
+    list against a baseline rescored once per iteration. This is the
+    library's original local search, kept as the differential oracle for
+    the one that scores each swap by the cliques it changes.
+
+    Hill climbing over two moves, first-improvement, deterministic order.
+
+    Move (a) re-anchors a removable vertex (one whose maximal clique is a
+    leaf of the clique tree, i.e. a simplicial vertex) to any other k-clique
+    of the remaining graph. Move (b) swaps the labels of a removable vertex
+    and another vertex, exchanging their structural roles. Only strictly
+    improving moves (by more than 1e-12) are accepted, so the final score
+    never drops below the start. The search stops when no move improves,
+    or after DEFAULT_MAX_ITERS iterations. The move set is this library's
+    own design.
+
+    The search state is the list of maximal cliques. In a k-tree with
+    n >= k+2 a vertex is removable exactly when it lies in one maximal
+    clique, and its anchor is the rest of that clique, so both are read off
+    the list. Attachment gains are cached. A changed clique list is encoded
+    as a k-tree once, by ``ktree_from_cliques``, when the search ends.
+    """
+    t0 = time.perf_counter()
+    n, k = start.n, start.k
+    if wf.n != n:
+        raise ValueError(f"weight function covers {wf.n} vertices, tree has {n}")
+    if k > wf.k:
+        raise ValueError(f"start tree has width {k}, over the weight "
+                         f"function's width {wf.k}")
+    if n <= k + 1:
+        return solvers._result(start, wf, "local_search", t0, 0, 0)
+    gain = functools.cache(functools.partial(attachment_gain, wf))
+    maximal = list(start.maximal_cliques())
+    changed = False
+    iterations = 0
+    moves_evaluated = 0
+    while iterations < solvers.DEFAULT_MAX_ITERS:
+        iterations += 1
+        cur_score = clique_total(maximal, wf)  # drift-free baseline
+        home: dict[int, tuple[int, ...] | None] = {}
+        for mc in maximal:
+            for x in mc:
+                home[x] = mc if x not in home else None
+        removable = [v for v in range(n) if home[v] is not None]
+        improved = None
+
+        # (a) re-anchor a removable vertex elsewhere; v lies in exactly one
+        # maximal clique, which the move replaces
+        for v in removable:
+            old_anchor = tuple(x for x in home[v] if x != v)
+            loss = gain(v, old_anchor)
+            candidates = sorted({
+                s for mc in maximal for s in itertools.combinations(mc, k)
+                if v not in s
+            } - {old_anchor})
+            for a in candidates:
+                moves_evaluated += 1
+                if gain(v, a) - loss > solvers.IMPROVE_EPS:
+                    improved = [tuple(sorted(a + (v,))) if v in mc else mc
+                                for mc in maximal]
+                    break
+            if improved is not None:
+                break
+
+        # (b) swap the labels of a removable vertex and another vertex
+        if improved is None:
+            for v in removable:
+                for u in range(n):
+                    if u == v:
+                        continue
+                    moves_evaluated += 1
+                    relabel = {u: v, v: u}
+                    swapped = [tuple(sorted(relabel.get(x, x) for x in mc))
+                               for mc in maximal]
+                    if (clique_total(swapped, wf) - cur_score
+                            > solvers.IMPROVE_EPS):
+                        improved = swapped
+                        break
+                if improved is not None:
+                    break
+
+        if improved is None:
+            break
+        maximal = improved
+        changed = True
+
+    tree = ktree_from_cliques(maximal, k, n) if changed else start
+    return solvers._result(tree, wf, "local_search", t0, moves_evaluated,
+                           iterations)
 
 
 def brute_ktree_scores(wf):

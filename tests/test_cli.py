@@ -193,6 +193,36 @@ def test_learn_exact_refused_before_weights(run, tmp_path):
     assert "exact search refused: n=300" in res.output
 
 
+def test_learn_exact_refused_from_the_header(run, tmp_path):
+    # the header's 12 names refuse exact search before the body is parsed,
+    # so the bad cell on line 3 is never reached
+    data = tmp_path / "wide.csv"
+    data.write_text(",".join(f"x{i}" for i in range(12)) + "\n"
+                    + "0," * 11 + "0\n" + "0," * 11 + "z\n")
+    res = run(["learn", str(data), "--k", "2", "--solver", "exact"])
+    assert res.exit_code == 3, res.output
+    assert "exact search refused: n=12 exceeds the limit 9 for k=2" in res.output
+    res = run(["learn", str(data), "--k", "2", "--solver", "greedy"])
+    assert res.exit_code == 2, res.output
+    assert "line 3, column 'x11': non-integer cell 'z'" in res.output
+
+
+@pytest.mark.parametrize("header, why", [
+    (b"x" * 200_000, "line 1: field larger than field limit"),
+    (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0"),
+], ids=["field-limit", "not-utf8"])
+def test_learn_exact_leaves_a_bad_header_to_the_loader(run, tmp_path, header,
+                                                       why):
+    # a header the CSV reader cannot read is reported as it is without
+    # exact search, whatever its width
+    data = tmp_path / "wide.csv"
+    data.write_bytes(header + b"".join(b",x%d" % i for i in range(12))
+                     + b"\n" + b"0," * 12 + b"0\n")
+    res = run(["learn", str(data), "--k", "2", "--solver", "exact"])
+    assert res.exit_code == 2, res.output
+    assert f"{data}: {why}" in res.output
+
+
 def test_learn_from_weight_file(run, tmp_path):
     doc = {"k": 2, "n": 4, "log_base": "e",
            "weights": [{"vars": [0, 1, 2], "w": 1.0},

@@ -42,9 +42,9 @@ def _python(*args):
                           capture_output=True, text=True, timeout=120)
 
 
-def _run_cli(args):
+def _run_cli(args, code=0):
     res = _python("-c", PROBE, *args)
-    assert res.returncode == 0, res.stderr
+    assert res.returncode == code, res.stderr
     return set(res.stderr.splitlines()[-1].split()[1:])
 
 
@@ -89,6 +89,15 @@ def test_weights_structure_and_solvers_import_without_numpy():
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["hypertree.errors", "hypertree.solvers",
                                   "hypertree.structure", "hypertree.weights"]
+
+
+def test_exact_refused_from_a_csv_header_without_numpy(tmp_path):
+    csv_path = tmp_path / "wide.csv"
+    csv_path.write_text(",".join(f"x{i}" for i in range(12)) + "\n"
+                        + "0," * 11 + "0\n")
+    loaded = _run_cli(["learn", str(csv_path), "--k", "2", "--solver",
+                       "exact"], code=3)
+    assert loaded.isdisjoint(ARRAY_FREE), loaded
 
 
 def test_learning_from_data_loads_numpy(tmp_path):
