@@ -12,9 +12,10 @@ The parser is the standard library's ``argparse``. Each command imports the
 modules it computes with when it runs: ``--help`` loads no library module
 beyond ``errors``, and only the commands and branches that compute on arrays
 import ``dataset``, ``projection`` and ``paritygen`` (and with them NumPy),
-so ``learn`` on a weight file starts without it. ``learn --solver exact``
+so ``learn`` on a weight file starts without it. ``learn`` refuses CSV
+data without ``--k`` before reading it, and ``learn --solver exact``
 refuses a CSV over the exact limit from its header line, before any of
-them is imported.
+them is imported. ``eval`` reads its structure before its data.
 """
 
 from __future__ import annotations
@@ -124,16 +125,20 @@ def learn_cmd(input_path, k, solver, exact_limit, arities_path, out_path):
 
     if exact_limit is not None and solver != "exact":
         raise ValueError("--exact-limit applies to --solver exact only")
-    if solver == "exact" and k is not None and not input_path.endswith(".json"):
-        solvers.refuse_exact(_csv_columns(input_path), k, exact_limit)
+    no_k = "--k is required when learning from data"
+    if not input_path.endswith(".json"):  # CSV data, refused before it is read
+        if k is None:
+            raise ValueError(no_k)
+        if solver == "exact":
+            solvers.refuse_exact(_csv_columns(input_path), k, exact_limit)
     source = _load_input(input_path, arities_path, weight_file=True)
     if isinstance(source, weights.WeightFunction):
         wf, provider = source, None
         if k is not None and k != wf.k:
             raise ValueError(f"--k={k} conflicts with weight file k={wf.k}")
     else:
-        if k is None:
-            raise ValueError("--k is required when learning from data")
+        if k is None:  # a joint table
+            raise ValueError(no_k)
         provider = source
         if solver == "exact":
             solvers.refuse_exact(provider.n_vars, k, exact_limit)
@@ -171,8 +176,8 @@ def eval_cmd(data_path, structure_path, arities_path, model_out, out_path):
     """Score a structure against data: divergences and log likelihood."""
     from . import dataset, projection, structure
 
-    provider = _load_input(data_path, arities_path)
     tree = structure.load_ktree(structure_path)
+    provider = _load_input(data_path, arities_path)
     if tree.n != provider.n_vars:
         raise ValueError(f"{structure_path}: structure spans {tree.n} "
                          f"variables, {data_path} has {provider.n_vars}")

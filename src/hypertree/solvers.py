@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -61,7 +63,7 @@ def chow_liu(wf) -> SolverResult:
     t0 = time.perf_counter()
     n = wf.n
     edges = sorted(itertools.combinations(range(n), 2),
-                   key=lambda e: (-wf[e], e))
+                   key=lambda e: (-wf.weights.get(e, 0.0), e))
     component = list(range(n))
     chosen: list[tuple[int, int]] = []
     examined = 0
@@ -193,11 +195,12 @@ def _bits(mask: int):
 def greedy(wf) -> SolverResult:
     """Best-seed greedy construction.
 
-    Seeds with the (k+1)-subset of maximum internal weight, then repeatedly
-    attaches the (vertex, anchor) pair of maximum gain over all current
-    k-cliques. Ties break to the smallest vertex, then the smallest anchor.
-    Negative-gain attachments are still made: a k-tree must span every
-    vertex.
+    Seeds with the first (k+1)-subset of maximum internal weight, read from
+    the weights directly (greedy builds the seeds, so none is checked) and
+    summed as ``clique_total`` sums them. Then repeatedly attaches the
+    (vertex, anchor) pair of maximum gain over all current k-cliques. Ties
+    break to the smallest vertex, then the smallest anchor. Negative-gain
+    attachments are still made: a k-tree must span every vertex.
 
     A gain never changes, so each unplaced vertex keeps its best
     (gain, anchor) and is offered only new anchors: the seed's k-subsets,
@@ -207,17 +210,14 @@ def greedy(wf) -> SolverResult:
     n, k = wf.n, wf.k
     domain_size(n, k)
     t0 = time.perf_counter()
-    evaluated = 0
     if n <= k + 1:
         return _result(KTree(k=k, n=n, seed=tuple(range(n))), wf, "greedy", t0, 1, 0)
-    best_seed = None
-    best_val = None
-    for seed in itertools.combinations(range(n), k + 1):
-        val = clique_total((seed,), wf)
-        evaluated += 1
-        if best_val is None or val > best_val:
-            best_val = val
-            best_seed = seed
+    subs = [operator.itemgetter(*p) for p in sorted(itertools.chain.from_iterable(
+        itertools.combinations(range(k + 1), m) for m in range(2, k + 2)))]
+    get, zeros = wf.weights.get, (0.0,) * len(subs)
+    best_seed = max(itertools.combinations(range(n), k + 1), key=lambda s: float(
+        sum(map(get, [sub(s) for sub in subs], zeros))))
+    evaluated = math.comb(n, k + 1)
     best: dict[int, tuple[float, tuple[int, ...]] | None] = {
         v: None for v in range(n) if v not in best_seed}
     new_anchors = list(itertools.combinations(best_seed, k))

@@ -160,11 +160,9 @@ def clique_total(maximal_cliques, wf) -> float:
     maximal_cliques = [tuple(sorted(mc)) for mc in maximal_cliques]
     for mc in maximal_cliques:
         wf.require(mc)
-    subs = _sub_cliques(maximal_cliques)
-    if len(maximal_cliques) > 1:  # one clique repeats no subset
-        subs = set(subs)
+    subs = sorted(set(_sub_cliques(maximal_cliques)))
     get = wf.weights.get
-    return float(sum(get(h, 0.0) for h in sorted(subs)))
+    return float(sum(get(h, 0.0) for h in subs))
 
 
 def score(tree: KTree, wf) -> float:

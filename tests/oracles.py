@@ -376,9 +376,10 @@ def greedy_reference(wf):
     """The k-tree ``solvers.greedy`` must build, by a full rescan per step.
 
     Every step scores each (unplaced vertex, current anchor) pair, vertices
-    ascending and anchors sorted, and takes the first strict maximum. This
-    is the library's original greedy, kept as the differential oracle for
-    the incremental one.
+    ascending and anchors sorted, and takes the first strict maximum. Seeds
+    are ranked by ``clique_total_reference``, which reads through
+    ``wf[...]``. This is the library's original greedy, kept as the
+    differential oracle for the incremental one.
     """
     n, k = wf.n, wf.k
     if n <= k + 1:
@@ -386,7 +387,7 @@ def greedy_reference(wf):
     best_seed = None
     best_val = None
     for seed in itertools.combinations(range(n), k + 1):
-        val = clique_total((seed,), wf)
+        val = clique_total_reference((seed,), wf)
         if best_val is None or val > best_val:
             best_val = val
             best_seed = seed

@@ -207,6 +207,27 @@ def test_learn_exact_refused_from_the_header(run, tmp_path):
     assert "line 3, column 'x11': non-integer cell 'z'" in res.output
 
 
+def test_learn_without_k_refused_before_the_body(run, tmp_path):
+    # CSV data needs --k; the bad cell on line 3 is never reached
+    data = tmp_path / "bad.csv"
+    data.write_text("a,b\n0,1\n0,z\n")
+    res = run(["learn", str(data)])
+    assert res.exit_code == 2, res.output
+    assert "error: --k is required when learning from data" in res.output
+    assert "non-integer cell" not in res.output
+
+
+def test_eval_reads_the_structure_before_the_data(run, tmp_path):
+    # a missing structure is refused without parsing the CSV
+    data = tmp_path / "bad.csv"
+    data.write_text("a,b\n0,1\n0,z\n")
+    struct = tmp_path / "missing.json"
+    res = run(["eval", str(data), str(struct)])
+    assert res.exit_code == 4, res.output
+    assert str(struct) in res.output
+    assert "non-integer cell" not in res.output
+
+
 @pytest.mark.parametrize("header, why", [
     (b"x" * 200_000, "line 1: field larger than field limit"),
     (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0"),
@@ -510,7 +531,7 @@ def test_gen_parity_unknown_schema(run, tmp_path):
      ["weights", "{bad}", "--k", "1"], "probs[0] is nan"),
     ("jt.json", json.dumps({"arities": [2, 2],
                             "probs": [math.nan, 0.5, 0.25, 0.25]}),
-     ["eval", "{bad}", "{bad}"], "probs[0] is nan"),
+     ["eval", "{bad}", "{tree}"], "probs[0] is nan"),
     ("jt.json", json.dumps({"arities": [2, 2],
                             "probs": [0.75, 0.5, -0.25, 0.0]}),
      ["weights", "{bad}", "--k", "1"], "probs[2] is -0.25"),
@@ -586,8 +607,10 @@ def test_malformed_json_input_is_validation(run, tmp_path, filename, text,
     _write_xor_csv(csv_path)
     bad = tmp_path / filename
     bad.write_text(text)
-    args = [a.format(csv=csv_path, bad=bad, out=tmp_path / "sample.csv")
-            for a in args]
+    tree = tmp_path / "tree.json"  # eval reads its structure first
+    tree.write_text(json.dumps({"k": 1, "n": 2, "seed": [0, 1]}))
+    args = [a.format(csv=csv_path, bad=bad, out=tmp_path / "sample.csv",
+                     tree=tree) for a in args]
     res = run(args)
     assert res.exit_code == 2, res.output
     assert str(bad) in res.output and field in res.output

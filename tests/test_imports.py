@@ -2,9 +2,10 @@
 
 Importing the package loads none of its modules, help text loads none of
 the library's computing modules, and learning from a weight file does not
-load NumPy.
+load NumPy. The installed console script is the CLI's entry point.
 """
 
+import importlib
 import itertools
 import json
 import os
@@ -119,3 +120,15 @@ def test_package_import_loads_no_module():
                   "print(solvers.greedy.__module__)")
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == ["", "no greedy", "hypertree.solvers"]
+
+
+def test_console_script_resolves_to_main():
+    # pyproject.toml's ``hypertree`` script is the CLI's own entry point
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, _, name = scripts["hypertree"].partition(":")
+    from hypertree import cli
+
+    assert (module, name) == ("hypertree.cli", "main")
+    assert getattr(importlib.import_module(module), name) is cli.main

@@ -12,7 +12,7 @@ from hypertree.solvers import (
     greedy,
     local_search,
 )
-from hypertree.structure import KTree, ktree_edges, score
+from hypertree.structure import KTree, clique_total, ktree_edges, score
 from hypertree.weights import WeightFunction, compute_weights
 
 from oracles import (
@@ -34,12 +34,12 @@ def zero_one_pairs_wf(n, k, ones):
                           weights={tuple(sorted(p)): 1.0 for p in ones})
 
 
-def mixed_instances(seed, count, n_max=14):
-    """Random instances with k=1..3 and n <= n_max; every other one carries
-    small integer weights, so gains tie often."""
+def mixed_instances(seed, count, n_max=14, widths=(1, 2, 3)):
+    """Random instances with k cycling through widths and n <= n_max; every
+    other one carries small integer weights, so gains tie often."""
     rng = np.random.default_rng(seed)
     for i in range(count):
-        k = 1 + i % 3
+        k = widths[i % len(widths)]
         n = int(rng.integers(k + 1, n_max + 1))
         if i % 2:
             yield rng, random_weight_function(rng, n, k)
@@ -227,12 +227,34 @@ class TestGreedy:
         assert placed == set(range(6))
 
 
+    def test_seed_values_sum_in_clique_total_order(self):
+        # summed by size, every seed of this instance rounds to 0 and the
+        # first one wins; summed in clique_total's lexicographic order,
+        # (1, 2, 3) is 2^-60
+        tiny = 2.0 ** -60
+        wf = WeightFunction(k=2, n=4, weights={
+            (1, 2): 1.0, (1, 2, 3): -1.0, (1, 3): tiny,
+            (0, 1, 2): -1.0, (0, 1, 3): -tiny})
+        assert clique_total([(1, 2, 3)], wf) == tiny
+        assert greedy(wf).tree.seed == greedy_reference(wf).seed == (1, 2, 3)
+
     def test_matches_full_rescan_reference(self):
-        for _, wf in mixed_instances(16, 200):
+        # every (k+1)-subset is scored once as a seed, then each unplaced
+        # vertex is offered the seed's k+1 anchors and the k new anchors of
+        # each later attachment
+        instances = itertools.chain(mixed_instances(16, 200),
+                                    mixed_instances(22, 24, n_max=10,
+                                                    widths=(4,)))
+        for _, wf in instances:
             ref = greedy_reference(wf)
             res = greedy(wf)
             assert res.tree == ref
             assert res.score == score(ref, wf)
+            n, k = wf.n, wf.k
+            m = n - k - 1
+            want = (math.comb(n, k + 1) + (k + 1) * m + k * m * (m - 1) // 2
+                    if m > 0 else 1)
+            assert res.stats["nodes_explored"] == want, (n, k)
 
 
 class TestLocalSearch:

@@ -181,12 +181,13 @@ def test_attachment_gain_is_mutual_information(seed):
         assert score(t, w) == pytest.approx(total, abs=1e-12)
 
 
-def _sparse_instances(seed, count):
-    """Random k=1..3 instances with about half of the subsets absent; every
-    other one carries small integer weights, so many sums tie."""
+def _sparse_instances(seed, count, widths=(1, 2, 3)):
+    """Random instances, k cycling through widths, with about half of the
+    subsets absent; every other one carries small integer weights, so many
+    sums tie."""
     rng = np.random.default_rng(seed)
     for i in range(count):
-        k = 1 + i % 3
+        k = widths[i % len(widths)]
         n = int(rng.integers(k + 2, 9))
         w = {}
         for size in range(1, k + 2):
@@ -199,7 +200,9 @@ def _sparse_instances(seed, count):
 
 
 def test_direct_reads_match_checked_reads():
-    for rng, wf in _sparse_instances(21, 60):
+    instances = itertools.chain(_sparse_instances(21, 60),
+                                _sparse_instances(23, 12, widths=(4,)))
+    for rng, wf in instances:
         k, n = wf.k, wf.n
         for clique in itertools.combinations(range(n), k + 1):
             assert clique_total((clique,), wf) == clique_total_reference(
@@ -209,6 +212,11 @@ def test_direct_reads_match_checked_reads():
                 rng.shuffle(anchor)  # any vertex order
                 assert attachment_gain(wf, v, anchor) == \
                     attachment_gain_reference(wf, v, anchor)
+        for size in range(2, k + 2):
+            # one clique of 2..k+1 vertices, listed in any order
+            clique = rng.choice(n, size, replace=False).tolist()
+            assert clique_total((clique,), wf) == clique_total_reference(
+                (clique,), wf)
         for _ in range(5):
             t = random_ktree(rng, n, k)
             cliques = list(t.maximal_cliques())
