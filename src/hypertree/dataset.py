@@ -28,10 +28,8 @@ __all__ = [
     "Dataset",
     "load_dataset",
     "dump_dataset",
-    "marginal",
-    "count_table",
+    "count_tables",
     "entropy",
-    "scope_entropy",
     "joint_entropy",
 ]
 
@@ -246,37 +244,40 @@ def joint_table_from_dict(doc: dict) -> Dataset:
     return Dataset(specs, rows, probs[cells])
 
 
-def count_table(data: Dataset, scope) -> np.ndarray:
-    """Weighted outcome counts over a scope, shaped by the scope's arities;
-    refuses, before allocating, more than MARGINAL_CELL_GUARD cells."""
-    why = subset_refusal(scope, data.n_vars, range(1, data.n_vars + 1))
-    if why is not None:
-        raise ValueError(why)
-    dims = tuple(data.specs[v].arity for v in scope)
-    cells = math.prod(dims)
-    if cells > MARGINAL_CELL_GUARD:
-        raise GuardLimitError(f"marginal table over scope {scope} has {cells} "
-                              f"cells, over {MARGINAL_CELL_GUARD}")
-    flat = np.ravel_multi_index(tuple(data.rows[:, v] for v in scope), dims)
-    counts = np.bincount(flat, weights=data.counts, minlength=cells)
-    return counts.reshape(dims)
-
-
-def marginal(data: Dataset, scope) -> np.ndarray:
-    """Exact marginal distribution over a sorted scope, as a probability
-    array shaped by the scope's arities."""
-    return count_table(data, scope) / data.n_rows
+def count_tables(data: Dataset, scopes):
+    """Yield (scope, weighted outcome counts shaped by its arities) for each
+    sorted scope, in the order given: the one counting path. A scope's flat
+    index extends that of the prefix it shares with the previous scope by
+    ``flat * arity + code`` per further vertex, last variable fastest, so
+    lexicographic order shares the most. A scope is checked by the subset
+    rule, and refused over MARGINAL_CELL_GUARD cells before allocating."""
+    # int32 holds every code and flat index of a scope under the cell guard;
+    # a column of wider codes wraps, but only scopes that are refused hold it
+    columns = np.ascontiguousarray(data.rows.T, dtype=np.int32)
+    prefix, flats = (), []  # the previous scope; its flat index per depth
+    for scope in scopes:
+        why = subset_refusal(scope, data.n_vars, range(1, data.n_vars + 1))
+        if why is not None:
+            raise ValueError(why)
+        dims = tuple(data.specs[v].arity for v in scope)
+        cells = math.prod(dims)
+        if cells > MARGINAL_CELL_GUARD:
+            raise GuardLimitError(f"marginal table over scope {scope} has "
+                                  f"{cells} cells, over {MARGINAL_CELL_GUARD}")
+        while scope[:len(flats)] != prefix[:len(flats)]:
+            flats.pop()
+        for i in range(len(flats), len(scope)):
+            code = columns[scope[i]]
+            flats.append(flats[-1] * dims[i] + code if i else code)
+        prefix = scope
+        counts = np.bincount(flats[-1], weights=data.counts, minlength=cells)
+        yield scope, counts.reshape(dims)
 
 
 def entropy(probs: np.ndarray) -> float:
     """Shannon entropy of a probability array in nats (0*ln 0 = 0)."""
     p = probs[probs > 0]
     return float(-(p * np.log(p)).sum())
-
-
-def scope_entropy(data: Dataset, scope) -> float:
-    """Entropy of the marginal over a scope, in nats."""
-    return entropy(marginal(data, scope))
 
 
 def joint_entropy(data: Dataset) -> float:

@@ -3,11 +3,12 @@
 The projected distribution keeps every clique marginal of the target and
 factors into per-clique tables computed bottom-up over the tree's
 ``clique_family`` (singletons included), the family whose weights score it:
-each clique's factor is its target marginal divided by the product of the
-factors of its proper subsets. The factors are stored for all cliques rather
-than folded into maximal cliques, so a clique's factor depends only on the
-marginal inside it and is reusable across structures. The same marginals
-give the clique weights: w(h) is the expected log of h's factor.
+each clique's factor is its target marginal, from ``dataset.count_tables``,
+over the product of the factors of its proper subsets. The factors are
+stored for all cliques rather than folded into maximal cliques, so a
+clique's factor depends only on the marginal inside it and is reusable
+across structures. The same marginals give the clique weights: w(h) is the
+expected log of h's factor.
 
 Divergence from the target is available through two routes: the decomposed
 form (baseline divergence, its singleton entropies read from the weights,
@@ -53,11 +54,6 @@ class ProjectedModel:
     weights: WeightFunction
 
 
-def _broadcast_shape(sub: tuple[int, ...], h: tuple[int, ...],
-                     shape: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(shape[i] if h[i] in sub else 1 for i in range(len(h)))
-
-
 def project(provider, tree: KTree) -> ProjectedModel:
     """Project a provider's distribution onto a k-tree, weighing its cliques.
 
@@ -68,32 +64,26 @@ def project(provider, tree: KTree) -> ProjectedModel:
     n = provider.n_vars
     if tree.n != n:
         raise ValueError(f"tree spans {tree.n} vertices, provider has {n}")
+    family = clique_family(tree.maximal_cliques())
+    tables = dict(ds.count_tables(provider, sorted(family)))
     factors: dict[tuple[int, ...], np.ndarray] = {}
     entropies = []
-    for h in clique_family(tree.maximal_cliques()):
-        probs = ds.marginal(provider, h)
+    for h in family:
+        probs = tables.pop(h) / provider.n_rows
         entropies.append((h, ds.entropy(probs)))
-        shape = probs.shape
-        denom = np.ones(shape)
+        denom = np.ones(probs.shape)
         for size in range(1, len(h)):
-            for sub in itertools.combinations(h, size):
+            for sub in itertools.combinations(h, size):  # broadcast over h
                 denom = denom * factors[sub].reshape(
-                    _broadcast_shape(sub, h, shape)
-                )
+                    [m if v in sub else 1 for v, m in zip(h, probs.shape)])
         pos = probs > 0
         if np.any(pos & (denom == 0)):
-            raise RuntimeError(
-                f"inconsistent marginals: zero sub-factor under a positive "
-                f"marginal in clique {h}"
-            )
-        phi = np.where(pos, probs / np.where(denom == 0, 1.0, denom), 0.0)
-        factors[h] = phi
-    return ProjectedModel(
-        tree=tree,
-        arities=tuple(provider.arities),
-        factors=factors,
-        weights=family_weights(tree.k, n, entropies),
-    )
+            raise RuntimeError(f"inconsistent marginals: zero sub-factor "
+                               f"under a positive marginal in clique {h}")
+        factors[h] = np.where(pos, probs / np.where(denom == 0, 1.0, denom),
+                              0.0)
+    return ProjectedModel(tree, tuple(provider.arities), factors,
+                          family_weights(tree.k, n, entropies))
 
 
 def _row_log_probs(model: ProjectedModel, data: ds.Dataset) -> np.ndarray:
@@ -127,11 +117,16 @@ def divergence_decomposed(provider, wf, tree: KTree) -> float:
 
     The baseline is the divergence to the fully independent model, i.e. the
     sum of singleton entropies, each read from wf as -w((v,)), minus the
-    joint entropy, a sum over distinct rows, so this works at any n.
+    joint entropy, a sum over distinct rows, so this works at any n. An
+    absent singleton weighs 0. A tree over the first m < n vertices leaves
+    the others independent; weights over other than n vertices are refused.
     """
-    base = sum(
-        -wf.weights[(v,)] for v in range(provider.n_vars)
-    ) - ds.joint_entropy(provider)
+    n = provider.n_vars
+    if wf.n != n:
+        raise ValueError(f"weights span {wf.n} vertices, provider has {n}")
+    if tree.n > n:
+        raise ValueError(f"tree spans {tree.n} vertices, provider has {n}")
+    base = sum(-wf[(v,)] for v in range(n)) - ds.joint_entropy(provider)
     return float(base - score(tree, wf))
 
 

@@ -11,7 +11,8 @@ the solvers maximize.
 A ``WeightFunction`` stores only its given subsets, and an absent subset of
 the domain weighs 0. ``family_weights`` runs the recursion, without NumPy,
 over the (subset, entropy) pairs of a subset-closed family such as a tree's
-``clique_family``; ``compute_weights`` feeds it the whole domain's entropies.
+``clique_family``; ``compute_weights`` feeds it the whole domain's entropies,
+counted by ``dataset.count_tables`` in lexicographic order.
 ``attachment_gain`` is the one place that scores a k-tree attachment: the
 total weight of the cliques that attaching a vertex to an anchor creates.
 """
@@ -114,16 +115,19 @@ def family_weights(k: int, n: int, entropies) -> WeightFunction:
 
 
 def compute_weights(provider, k: int) -> WeightFunction:
-    """``family_weights`` over every subset of size 1..k+1 of the n vertices."""
+    """``family_weights`` over every subset of size 1..k+1 of the n vertices,
+    counted in lexicographic order so that subsets share prefixes."""
     from . import dataset as ds  # NumPy, needed only to compute entropies
 
     n = provider.n_vars
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1; got k={k}, n={n}")
     domain_size(n, k)
-    return family_weights(k, n, (
-        (h, ds.scope_entropy(provider, h)) for size in range(1, k + 2)
-        for h in itertools.combinations(range(n), size)))
+    domain = [h for size in range(1, k + 2)
+              for h in itertools.combinations(range(n), size)]
+    entropies = {h: ds.entropy(counts / provider.n_rows)
+                 for h, counts in ds.count_tables(provider, sorted(domain))}
+    return family_weights(k, n, ((h, entropies[h]) for h in domain))
 
 
 def attachment_gain(wf: WeightFunction, v: int, anchor) -> float:

@@ -6,7 +6,10 @@ cliques by scanning all vertex subsets of an adjacency matrix. The
 estimators read raw (T, n) rows or dense probability arrays, as the library
 did before a Dataset held distinct weighted rows. The solver references,
 ``greedy_reference`` and ``local_search_reference``, are the library's
-original full-rescan solvers.
+original full-rescan solvers, and ``compute_weights_reference`` counts each
+subset on its own with ``np.ravel_multi_index``, as the library once did.
+``count_table``, ``marginal`` and ``scope_entropy`` are not references: they
+read one scope through the library's ``count_tables``.
 """
 
 import csv
@@ -23,14 +26,29 @@ from hypertree import solvers
 from hypertree.dataset import (
     Dataset,
     VariableSpec,
+    count_tables,
     entropy,
     joint_table_from_dict,
-    scope_entropy,
 )
 from hypertree.structure import KTree, clique_total, ktree_from_cliques
-from hypertree.weights import WeightFunction, attachment_gain
+from hypertree.weights import WeightFunction, attachment_gain, family_weights
 
 MI_ZERO_TOL = 1e-12
+
+
+def count_table(data: Dataset, scope) -> np.ndarray:
+    """The weighted count table of one scope, from ``count_tables``."""
+    return next(count_tables(data, [scope]))[1]
+
+
+def marginal(data: Dataset, scope) -> np.ndarray:
+    """The marginal distribution over one scope, from ``count_tables``."""
+    return count_table(data, scope) / data.n_rows
+
+
+def scope_entropy(data: Dataset, scope) -> float:
+    """The entropy of the marginal over one scope, in nats."""
+    return entropy(marginal(data, scope))
 
 
 def weight_inclusion_exclusion(provider, h) -> float:
@@ -192,11 +210,25 @@ def target_samples(draw, min_vars=1, max_vars=4, max_rows=30):
             (weights / weights.sum()).reshape(arities))
 
 
-def count_table_reference(rows, arities, scope) -> np.ndarray:
-    """Integer outcome counts of raw (T, n) rows over a sorted scope."""
+def count_table_reference(rows, arities, scope, weights=None) -> np.ndarray:
+    """Outcome counts of (T, n) rows over a sorted scope, each row weighted
+    by ``weights`` if given: integers for raw rows, floats for weighted."""
     dims = tuple(arities[v] for v in scope)
     flat = np.ravel_multi_index(tuple(rows[:, v] for v in scope), dims)
-    return np.bincount(flat, minlength=math.prod(dims)).reshape(dims)
+    return np.bincount(flat, weights=weights,
+                       minlength=math.prod(dims)).reshape(dims)
+
+
+def compute_weights_reference(provider, k) -> WeightFunction:
+    """compute_weights as it was before ``count_tables``: each subset of the
+    domain counted on its own, in (size, vertices) order, with
+    ``count_table_reference``; then its entropy and ``family_weights``."""
+    n = provider.n_vars
+    return family_weights(k, n, (
+        (h, entropy(count_table_reference(provider.rows, provider.arities, h,
+                                          provider.counts) / provider.n_rows))
+        for size in range(1, k + 2)
+        for h in itertools.combinations(range(n), size)))
 
 
 def marginal_reference(rows, arities, scope) -> np.ndarray:

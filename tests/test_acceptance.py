@@ -11,13 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from hypertree.dataset import (
-    Dataset,
-    VariableSpec,
-    count_table,
-    marginal,
-    scope_entropy,
-)
+from hypertree.dataset import Dataset, VariableSpec
 from hypertree.paritygen import (
     TargetBiases,
     bias_to_weight,
@@ -36,13 +30,16 @@ from hypertree.weights import WeightFunction, compute_weights
 
 from oracles import (
     brute_ktree_scores,
+    count_table,
     dense,
     joint_table,
+    marginal,
     markov_chain_joint,
     model_joint,
     random_dataset,
     random_joint,
     random_ktree,
+    scope_entropy,
     top_two_scores,
     xor_triple_joint,
 )

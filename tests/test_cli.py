@@ -722,13 +722,14 @@ def test_eval_computes_only_the_entropies_of_its_tree(run, tmp_path,
                 "--out", str(struct)]).exit_code == 0
     family = clique_family(load_ktree(struct).maximal_cliques())
     scopes = []
-    marginal = dataset.marginal
+    count_tables = dataset.count_tables
 
-    def recording(data, scope):
-        scopes.append(tuple(scope))
-        return marginal(data, scope)
+    def recording(data, requested):
+        for scope, counts in count_tables(data, requested):
+            scopes.append(tuple(scope))
+            yield scope, counts
 
-    monkeypatch.setattr(dataset, "marginal", recording)
+    monkeypatch.setattr(dataset, "count_tables", recording)
     res = run(["eval", str(csv_path), str(struct)])
     assert res.exit_code == 0, res.output
     # 9 singletons, 15 edges and 7 triangles, of the domain's 129 subsets

@@ -13,27 +13,28 @@ from hypothesis import strategies as st
 from hypertree.dataset import (
     Dataset,
     VariableSpec,
-    count_table,
+    count_tables,
     dump_dataset,
     entropy,
     joint_entropy,
     joint_table_from_dict,
     load_dataset,
-    marginal,
-    scope_entropy,
 )
 
 from hypertree.errors import GuardLimitError
 
 from oracles import (
+    count_table,
     count_table_reference,
     joint_entropy_reference,
     joint_table,
     load_dataset_reference,
+    marginal,
     marginal_dense,
     marginal_reference,
     mutual_information,
     random_dataset,
+    scope_entropy,
     target_samples,
     text_file,
 )
@@ -326,6 +327,56 @@ def test_estimators_match_references(sample):
             assert np.max(np.abs(diff)) <= 1e-12
     assert joint_entropy(counted) == joint_entropy_reference(rows)
     assert abs(joint_entropy(table) - entropy(probs)) <= 1e-12
+
+
+@given(sample=target_samples(), draw=st.data())
+@settings(max_examples=150, deadline=None)
+def test_count_tables_match_reference(sample, draw):
+    # scopes in any order, repeats and non-lexicographic runs included, each
+    # get the table np.ravel_multi_index counts for them alone: counted rows
+    # and a joint table's float weights, some declared outcomes unseen
+    arities, rows, probs = sample
+    n = len(arities)
+    specs = tuple(VariableSpec(f"x{i}", a) for i, a in enumerate(arities))
+    domain = [h for size in range(1, n + 1)
+              for h in itertools.combinations(range(n), size)]
+    scopes = draw.draw(st.lists(st.sampled_from(domain), max_size=40))
+    counted = Dataset(specs, rows)
+    for data in (counted, joint_table(probs)):
+        tables = list(count_tables(data, scopes))
+        assert [scope for scope, _ in tables] == scopes
+        for scope, counts in tables:
+            want = count_table_reference(data.rows, data.arities, scope,
+                                         data.counts)
+            assert counts.dtype == want.dtype
+            assert np.array_equal(counts, want), scope
+            if data is counted:
+                assert np.array_equal(
+                    counts, count_table_reference(rows, arities, scope))
+
+
+def test_count_tables_refuses_a_later_scope_over_the_guard():
+    # each scope is checked when it is reached: the tables before it are
+    # yielded, and the refusal names it
+    specs = (VariableSpec("a", 2 ** 12), VariableSpec("b", 2 ** 13),
+             VariableSpec("c", 2))
+    tables = count_tables(Dataset(specs, np.zeros((1, 3), dtype=np.int64)),
+                          [(0,), (1,), (0, 1), (2,)])
+    assert [scope for scope, _ in itertools.islice(tables, 2)] == [(0,), (1,)]
+    with pytest.raises(GuardLimitError,
+                       match=r"scope \(0, 1\) has 33554432 cells, "
+                             r"over 16777216"):
+        next(tables)
+
+
+def test_count_tables_beside_a_column_of_codes_past_int32():
+    # codes are counted as int32: a column too wide for it is only in scopes
+    # the guard refuses, and the columns beside it count exactly
+    specs = (VariableSpec("a", 2 ** 31 + 6), VariableSpec("b", 3))
+    d = Dataset(specs, np.array([[2 ** 31 + 5, 1], [0, 2], [7, 2]]))
+    assert [c.tolist() for _, c in count_tables(d, [(1,)])] == [[0, 1, 2]]
+    with pytest.raises(GuardLimitError, match=r"scope \(0,\) has 2147483654"):
+        list(count_tables(d, [(1,), (0,)]))
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 4), t=st.integers(1, 30))

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertree.dataset import count_table
 from hypertree.errors import GuardLimitError
 from hypertree.paritygen import (
     TargetBiases,
@@ -26,7 +25,7 @@ from hypertree.solvers import exact_search
 from hypertree.structure import ktree_edges
 from hypertree.weights import WeightFunction, compute_weights
 
-from oracles import generate_reference
+from oracles import count_table, generate_reference
 
 
 class TestBiasWeight:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertree.dataset import Dataset, VariableSpec, marginal
+from hypertree.dataset import Dataset, VariableSpec
 from hypertree.projection import (
     ProjectedModel,
     divergence_decomposed,
@@ -24,13 +24,14 @@ from hypertree.structure import (
     ktree_from_dict,
     score,
 )
-from hypertree.weights import compute_weights
+from hypertree.weights import WeightFunction, compute_weights
 
 from oracles import (
     brute_ktree_scores,
     divergence_direct_reference,
     joint_table,
     log_likelihood_reference,
+    marginal,
     marginal_reference,
     ktree_from_graph,
     markov_chain_joint,
@@ -158,6 +159,27 @@ def test_divergence_decomposed_examples():
     wfx = compute_weights(xor, 2)
     tri = KTree(k=2, n=3, seed=(0, 1, 2))
     assert divergence_decomposed(xor, wfx, tri) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_divergence_decomposed_reads_singletons_by_the_weight_rule():
+    # an absent singleton weighs 0, as wf[(v,)] reads it; weights over
+    # another number of vertices, or a tree over more, are refused naming
+    # both sizes, not with a bare KeyError
+    d = random_dataset(np.random.default_rng(4), 3, 40)
+    full = compute_weights(d, 1)
+    tree = KTree(k=1, n=3, seed=(0, 1), attachments=((2, (1,)),))
+    sparse = WeightFunction(1, 3, {h: w for h, w in full.weights.items()
+                                   if h != (2,)})
+    assert divergence_decomposed(d, sparse, tree) == pytest.approx(
+        divergence_decomposed(d, full, tree) + full.weights[(2,)], abs=1e-12)
+    small = WeightFunction(1, 2, {(0,): -0.5, (1,): -0.5, (0, 1): 0.1})
+    with pytest.raises(ValueError, match="weights span 2 vertices, "
+                                         "provider has 3"):
+        divergence_decomposed(d, small, KTree(k=1, n=2, seed=(0, 1)))
+    wide = KTree(k=1, n=4, seed=(0, 1), attachments=((2, (1,)), (3, (2,))))
+    with pytest.raises(ValueError, match="tree spans 4 vertices, "
+                                         "provider has 3"):
+        divergence_decomposed(d, full, wide)
 
 
 def test_direct_equals_decomposed_on_random_instances():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertree.dataset import Dataset, VariableSpec, scope_entropy
+from hypertree.dataset import Dataset, VariableSpec
 from hypertree.errors import GuardLimitError
 from hypertree.projection import project
 from hypertree.structure import clique_family, clique_total, score
@@ -25,6 +25,7 @@ from hypertree.weights import (
 from oracles import (
     attachment_gain_reference,
     clique_total_reference,
+    compute_weights_reference,
     joint_table,
     markov_chain_joint,
     mutual_information,
@@ -33,6 +34,7 @@ from oracles import (
     random_joint,
     random_ktree,
     random_weight_function,
+    scope_entropy,
     target_samples,
     text_file,
     weight_inclusion_exclusion,
@@ -156,6 +158,35 @@ def test_family_weights_match_compute_weights(sample, seed, k):
         for h, w in wf.weights.items():
             assert float(w).hex() == float(full.weights[h]).hex(), h
         assert score(tree, wf) == score(tree, full)
+
+
+def _assert_hex_equal(got, want):
+    assert (got.k, got.n) == (want.k, want.n)
+    assert list(got.weights) == list(want.weights)
+    for h, w in got.weights.items():
+        assert float(w).hex() == float(want.weights[h]).hex(), h
+
+
+@given(sample=target_samples(min_vars=4, max_vars=5),
+       k=st.sampled_from([1, 2, 3]))
+@settings(max_examples=60, deadline=None)
+def test_compute_weights_matches_per_scope_reference(sample, k):
+    # counting along shared prefixes changes no bit and no key order: counted
+    # rows and a joint table, some declared outcomes unseen
+    arities, rows, probs = sample
+    specs = tuple(VariableSpec(f"x{i}", a) for i, a in enumerate(arities))
+    for data in (Dataset(specs, rows), joint_table(probs)):
+        _assert_hex_equal(compute_weights(data, k),
+                          compute_weights_reference(data, k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_compute_weights_matches_per_scope_reference_on_wider_data(k):
+    rng = np.random.default_rng(k)
+    for data in (random_dataset(rng, 9, 500),
+                 random_joint(rng, [2, 3, 2, 2, 3, 2, 2])):
+        _assert_hex_equal(compute_weights(data, k),
+                          compute_weights_reference(data, k))
 
 
 @given(seed=st.integers(0, 10_000))
