@@ -125,6 +125,8 @@ def learn_cmd(input_path, k, solver, exact_limit, arities_path, out_path):
 
     if exact_limit is not None and solver != "exact":
         raise ValueError("--exact-limit applies to --solver exact only")
+    if solver == "chow_liu" and k not in (None, 1):
+        raise ValueError(f"--solver chow_liu applies to --k 1 only, got --k {k}")
     no_k = "--k is required when learning from data"
     if not input_path.endswith(".json"):  # CSV data, refused before it is read
         if k is None:

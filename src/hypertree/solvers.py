@@ -4,7 +4,8 @@ Given a weight function on vertex subsets, find a k-tree whose cliques of
 size >= 2 have maximum total weight. ``chow_liu`` handles k=1 exactly as a
 maximum-weight spanning tree; ``exact_search`` is an exponential-in-n oracle
 for small n; ``greedy`` and ``local_search`` are heuristics for general use.
-All solvers are deterministic under fixed tie-breaking.
+All solvers are deterministic under fixed tie-breaking. All but
+``local_search`` rank the (k+1)-cliques through ``weights.clique_totals``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import time
 from dataclasses import dataclass
 
 from .errors import DEFAULT_EXACT_LIMIT, GuardLimitError
-from .structure import KTree, clique_total, ktree_from_cliques, score
-from .weights import attachment_gain, domain_size
+from .structure import KTree, ktree_from_cliques, score
+from .weights import attachment_gain, clique_total, clique_totals
 
 __all__ = [
     "SolverResult",
@@ -59,15 +60,13 @@ def chow_liu(wf) -> SolverResult:
     """
     if wf.k != 1:
         raise ValueError(f"chow_liu requires a k=1 weight function, got k={wf.k}")
-    domain_size(wf.n, 1)
+    totals = clique_totals(wf)
     t0 = time.perf_counter()
     n = wf.n
-    edges = sorted(itertools.combinations(range(n), 2),
-                   key=lambda e: (-wf.weights.get(e, 0.0), e))
     component = list(range(n))
     chosen: list[tuple[int, int]] = []
     examined = 0
-    for u, v in edges:
+    for _, (u, v) in sorted((-w, e) for w, e in totals):
         examined += 1
         cu, cv = component[u], component[v]
         if cu != cv:
@@ -107,7 +106,7 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
     """
     n, k = wf.n, wf.k
     refuse_exact(n, k, exact_limit)
-    domain_size(n, k)
+    totals = clique_totals(wf)
     t0 = time.perf_counter()
     if n <= k + 1:
         return _result(KTree(k=k, n=n, seed=tuple(range(n))), wf, "exact", t0, 1, 0)
@@ -153,13 +152,8 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
         return best, choice
 
     full = (1 << n) - 1
-    best_total = None
-    best_seed = None
-    for seed in itertools.combinations(range(n), k + 1):
-        val = clique_total((seed,), wf) + forest(seed, full ^ _mask(seed))[0]
-        if best_total is None or val > best_total:
-            best_total = val
-            best_seed = seed
+    best_seed = max(totals, key=lambda ts: ts[0] + forest(
+        ts[1], full ^ _mask(ts[1]))[0])[1]
 
     attachments: list[tuple[int, tuple[int, ...]]] = []
     stack = [(best_seed, full ^ _mask(best_seed))]
@@ -195,12 +189,11 @@ def _bits(mask: int):
 def greedy(wf) -> SolverResult:
     """Best-seed greedy construction.
 
-    Seeds with the first (k+1)-subset of maximum internal weight, read from
-    the weights directly (greedy builds the seeds, so none is checked) and
-    summed as ``clique_total`` sums them. Then repeatedly attaches the
-    (vertex, anchor) pair of maximum gain over all current k-cliques. Ties
-    break to the smallest vertex, then the smallest anchor. Negative-gain
-    attachments are still made: a k-tree must span every vertex.
+    Seeds with the first (k+1)-subset of maximum ``clique_totals`` total,
+    then repeatedly attaches the (vertex, anchor) pair of maximum gain over
+    all current k-cliques. Ties break to the smallest vertex, then the
+    smallest anchor. Negative-gain attachments are still made: a k-tree
+    must span every vertex.
 
     A gain never changes, so each unplaced vertex keeps its best
     (gain, anchor) and is offered only new anchors: the seed's k-subsets,
@@ -208,15 +201,11 @@ def greedy(wf) -> SolverResult:
     is evaluated once.
     """
     n, k = wf.n, wf.k
-    domain_size(n, k)
+    totals = clique_totals(wf)
     t0 = time.perf_counter()
     if n <= k + 1:
         return _result(KTree(k=k, n=n, seed=tuple(range(n))), wf, "greedy", t0, 1, 0)
-    subs = [operator.itemgetter(*p) for p in sorted(itertools.chain.from_iterable(
-        itertools.combinations(range(k + 1), m) for m in range(2, k + 2)))]
-    get, zeros = wf.weights.get, (0.0,) * len(subs)
-    best_seed = max(itertools.combinations(range(n), k + 1), key=lambda s: float(
-        sum(map(get, [sub(s) for sub in subs], zeros))))
+    best_seed = max(totals, key=operator.itemgetter(0))[1]
     evaluated = math.comb(n, k + 1)
     best: dict[int, tuple[float, tuple[int, ...]] | None] = {
         v: None for v in range(n) if v not in best_seed}

@@ -5,7 +5,8 @@ remaining vertices one at a time, each to a k-subset of an existing clique.
 Every graph built this way is chordal with maximum clique size k+1, and every
 maximal triangulated graph of tree-width k arises this way. The solvers build
 their k-trees clique by clique, and ``ktree_from_cliques`` encodes a list of
-maximal cliques, in any order, as a construction sequence.
+maximal cliques, in any order, as a construction sequence. ``score`` reads
+a tree's weight through ``weights.clique_total``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 from .errors import (WEIGHT_DOMAIN_GUARD, GuardLimitError, json_int, read_json,
                      subset_refusal)
+from .weights import clique_total
 
 __all__ = [
     "KTree",
@@ -22,7 +24,6 @@ __all__ = [
     "cliques_of",
     "clique_family",
     "ktree_edges",
-    "clique_total",
     "score",
     "ktree_from_cliques",
     "ktree_to_dict",
@@ -147,22 +148,6 @@ def ktree_edges(tree: KTree) -> frozenset[tuple[int, int]]:
     for mc in tree.maximal_cliques():
         edges.update(itertools.combinations(mc, 2))
     return frozenset(edges)
-
-
-def clique_total(maximal_cliques, wf) -> float:
-    """Total weight of the cliques of size >= 2 inside the given cliques.
-
-    Each clique counts once however many of the given cliques contain it;
-    the terms are summed in lexicographic order of the sorted cliques. Each
-    given clique is checked against the weight domain once, so its
-    sub-cliques are read directly.
-    """
-    maximal_cliques = [tuple(sorted(mc)) for mc in maximal_cliques]
-    for mc in maximal_cliques:
-        wf.require(mc)
-    subs = sorted(set(_sub_cliques(maximal_cliques)))
-    get = wf.weights.get
-    return float(sum(get(h, 0.0) for h in subs))
 
 
 def score(tree: KTree, wf) -> float:

@@ -12,15 +12,16 @@ A ``WeightFunction`` stores only its given subsets, and an absent subset of
 the domain weighs 0. ``family_weights`` runs the recursion, without NumPy,
 over the (subset, entropy) pairs of a subset-closed family such as a tree's
 ``clique_family``; ``compute_weights`` feeds it the whole domain's entropies,
-counted by ``dataset.count_tables`` in lexicographic order.
-``attachment_gain`` is the one place that scores a k-tree attachment: the
-total weight of the cliques that attaching a vertex to an anchor creates.
+counted by ``dataset.count_tables`` in lexicographic order. The store is
+read only here: by ``clique_total`` over given cliques, ``clique_totals``
+over every (k+1)-clique, and ``attachment_gain`` for a k-tree attachment.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import (WEIGHT_DOMAIN_GUARD, GuardLimitError, json_float,
@@ -30,6 +31,8 @@ __all__ = [
     "WeightFunction",
     "compute_weights",
     "family_weights",
+    "clique_total",
+    "clique_totals",
     "attachment_gain",
     "weights_to_dict",
     "weights_from_dict",
@@ -44,8 +47,8 @@ def domain_size(n: int, k: int) -> int:
 
     Raises GuardLimitError once the count passes WEIGHT_DOMAIN_GUARD. Sizes
     are added in ascending order and counting stops there, so a refusal is
-    cheap. ``compute_weights``, ``weights_from_dict`` and the solvers that scan
-    the domain ask before they start.
+    cheap. ``compute_weights``, ``weights_from_dict`` and ``clique_totals``,
+    through which the solvers scan the domain, ask before they start.
     """
     total = 0
     for size in range(1, min(k + 1, n) + 1):
@@ -86,18 +89,16 @@ class WeightFunction:
 
     def __getitem__(self, subset) -> float:
         key = tuple(sorted(subset))
-        self.require(key)
+        _require(self, key)
         return self.weights.get(key, 0.0)
 
-    def require(self, clique: tuple[int, ...]) -> None:
-        """Refuse a sorted clique outside the domain, as a read of it would.
 
-        Every subset of an accepted clique is in the domain, so a caller that
-        checks a clique once may read its subsets, sorted, straight from
-        ``weights`` with a default of 0.0."""
-        why = subset_refusal(clique, self.n, self.sizes)
-        if why is not None:
-            raise ValueError(f"no weight entry: {why}")
+def _require(wf: WeightFunction, clique: tuple[int, ...]) -> None:
+    """Refuse a sorted clique outside the domain; every subset of a clique
+    it accepts may then be read, sorted, from ``weights`` with default 0."""
+    why = subset_refusal(clique, wf.n, wf.sizes)
+    if why is not None:
+        raise ValueError(f"no weight entry: {why}")
 
 
 def family_weights(k: int, n: int, entropies) -> WeightFunction:
@@ -130,6 +131,32 @@ def compute_weights(provider, k: int) -> WeightFunction:
     return family_weights(k, n, ((h, entropies[h]) for h in domain))
 
 
+def clique_total(maximal_cliques, wf: WeightFunction) -> float:
+    """Total weight of the cliques of size >= 2 inside the given cliques,
+    each counted once and summed in lexicographic order. Each given clique
+    is checked against the domain once; its sub-cliques are read directly.
+    """
+    maximal_cliques = [tuple(sorted(mc)) for mc in maximal_cliques]
+    for mc in maximal_cliques:
+        _require(wf, mc)
+    subs = sorted({h for mc in maximal_cliques for size in range(2, len(mc) + 1)
+                   for h in itertools.combinations(mc, size)})
+    get = wf.weights.get
+    return float(sum(get(h, 0.0) for h in subs))
+
+
+def clique_totals(wf: WeightFunction):
+    """``(clique_total((s,), wf), s)`` for each (k+1)-subset s in
+    lexicographic order, the domain guarded on the call. Each s is built in
+    the domain; its sub-cliques are read by position, in that same order."""
+    domain_size(wf.n, wf.k)
+    subs = [operator.itemgetter(*p) for p in sorted(itertools.chain.from_iterable(
+        itertools.combinations(range(wf.k + 1), m) for m in range(2, wf.k + 2)))]
+    get, zeros = wf.weights.get, (0.0,) * len(subs)
+    return ((float(sum(map(get, [sub(s) for sub in subs], zeros))), s)
+            for s in itertools.combinations(range(wf.n), wf.k + 1))
+
+
 def attachment_gain(wf: WeightFunction, v: int, anchor) -> float:
     """Total weight of the cliques created by attaching v to an anchor.
 
@@ -144,7 +171,7 @@ def attachment_gain(wf: WeightFunction, v: int, anchor) -> float:
     if v in anchor:
         raise ValueError(f"vertex {v} is in its own anchor {tuple(sorted(anchor))}")
     clique = tuple(sorted((*anchor, v)))
-    wf.require(clique)
+    _require(wf, clique)
     get = wf.weights.get
     total = 0.0
     for size in range(2, len(clique) + 1):

@@ -30,8 +30,9 @@ from hypertree.dataset import (
     entropy,
     joint_table_from_dict,
 )
-from hypertree.structure import KTree, clique_total, ktree_from_cliques
-from hypertree.weights import WeightFunction, attachment_gain, family_weights
+from hypertree.structure import KTree, ktree_from_cliques
+from hypertree.weights import (WeightFunction, attachment_gain, clique_total,
+                               family_weights)
 
 MI_ZERO_TOL = 1e-12
 
@@ -383,7 +384,7 @@ def random_weight_function(rng, n, k, lo=-0.3, hi=1.0):
 
 
 def clique_total_reference(maximal_cliques, wf) -> float:
-    """``structure.clique_total`` read through ``wf[...]``, which sorts and
+    """``weights.clique_total`` read through ``wf[...]``, which sorts and
     checks every key it is given."""
     subs = {h for mc in maximal_cliques
             for size in range(2, len(mc) + 1)

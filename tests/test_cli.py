@@ -268,6 +268,15 @@ def test_learn_chow_liu_rejects_k2(run, tmp_path):
     assert res.exit_code == 2
 
 
+def test_learn_chow_liu_refused_at_k2_before_the_input(run, tmp_path):
+    # a missing input would exit 4
+    missing = tmp_path / "missing.csv"
+    res = run(["learn", str(missing), "--k", "2", "--solver", "chow_liu"])
+    assert res.exit_code == 2, res.output
+    assert res.output == ("error: --solver chow_liu applies to --k 1 only, "
+                          "got --k 2\n")
+
+
 def test_learn_bad_solver_is_usage_error(run, tmp_path):
     res = run(["learn", "x.csv", "--k", "1",
                "--solver", "annealing"])

@@ -101,6 +101,14 @@ def test_exact_refused_from_a_csv_header_without_numpy(tmp_path):
     assert loaded.isdisjoint(ARRAY_FREE), loaded
 
 
+def test_chow_liu_refused_at_k2_without_numpy(tmp_path):
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text("a,b,c\n0,1,1\n1,0,1\n")
+    loaded = _run_cli(["learn", str(csv_path), "--k", "2", "--solver",
+                       "chow_liu"], code=2)
+    assert loaded.isdisjoint(ARRAY_FREE), loaded
+
+
 def test_learning_from_data_loads_numpy(tmp_path):
     csv_path = tmp_path / "d.csv"
     csv_path.write_text("a,b,c\n0,1,1\n1,0,1\n1,1,0\n0,0,0\n")

@@ -12,8 +12,9 @@ from hypertree.solvers import (
     greedy,
     local_search,
 )
-from hypertree.structure import KTree, clique_total, ktree_edges, score
-from hypertree.weights import WeightFunction, compute_weights
+from hypertree.structure import KTree, ktree_edges, score
+from hypertree.weights import (WeightFunction, clique_total, clique_totals,
+                               compute_weights)
 
 from oracles import (
     brute_ktree_scores,
@@ -172,6 +173,18 @@ class TestExactSearch:
         with pytest.raises(GuardLimitError, match="number 4501500"):
             chow_liu(WeightFunction(k=1, n=3000, weights={}))
 
+    def test_domain_guard_before_the_one_clique_return(self):
+        # n = k+1 returns the one clique, whose score would list its 2^23
+        # sub-cliques; the domain of 2^23 - 1 subsets is refused first, by
+        # the call that starts the seed scan
+        wf = WeightFunction(k=22, n=23, weights={})
+        with pytest.raises(GuardLimitError, match="number 5546381"):
+            clique_totals(wf)
+        with pytest.raises(GuardLimitError, match="number 5546381"):
+            exact_search(wf, exact_limit=23)
+        with pytest.raises(GuardLimitError, match="number 5546381"):
+            greedy(wf)
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(4)
         for _ in range(12):
@@ -237,6 +250,24 @@ class TestGreedy:
             (0, 1, 2): -1.0, (0, 1, 3): -tiny})
         assert clique_total([(1, 2, 3)], wf) == tiny
         assert greedy(wf).tree.seed == greedy_reference(wf).seed == (1, 2, 3)
+
+    def test_clique_totals_match_clique_total(self):
+        # the seed scan yields every (k+1)-subset in lexicographic order with
+        # clique_total's float; each mixed instance is also read sparse, a
+        # random half of its entries dropped and so weighing 0
+        tiny = 2.0 ** -60
+        instances = [WeightFunction(k=2, n=4, weights={
+            (1, 2): 1.0, (1, 2, 3): -1.0, (1, 3): tiny,
+            (0, 1, 2): -1.0, (0, 1, 3): -tiny})]
+        for rng, wf in mixed_instances(22, 60):
+            kept = rng.random(len(wf.weights)) < 0.5
+            instances += [wf, WeightFunction(k=wf.k, n=wf.n, weights={
+                h: w for (h, w), keep in zip(wf.weights.items(), kept)
+                if keep})]
+        for wf in instances:
+            want = [(clique_total((s,), wf).hex(), s) for s in
+                    itertools.combinations(range(wf.n), wf.k + 1)]
+            assert [(t.hex(), s) for t, s in clique_totals(wf)] == want
 
     def test_matches_full_rescan_reference(self):
         # every (k+1)-subset is scored once as a seed, then each unplaced

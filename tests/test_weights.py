@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from hypertree.dataset import Dataset, VariableSpec
 from hypertree.errors import GuardLimitError
 from hypertree.projection import project
-from hypertree.structure import clique_family, clique_total, score
+from hypertree.structure import clique_family, score
 from hypertree.weights import (
     WeightFunction,
     attachment_gain,
+    clique_total,
     compute_weights,
     family_weights,
     load_weights,
