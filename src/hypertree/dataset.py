@@ -248,12 +248,13 @@ def count_tables(data: Dataset, scopes):
     """Yield (scope, weighted outcome counts shaped by its arities) for each
     sorted scope, in the order given: the one counting path. A scope's flat
     index extends that of the prefix it shares with the previous scope by
-    ``flat * arity + code`` per further vertex, last variable fastest, so
-    lexicographic order shares the most. A scope is checked by the subset
-    rule, and refused over MARGINAL_CELL_GUARD cells before allocating."""
+    ``flat * arity + code`` per vertex, last variable fastest, so family
+    order (by size, then vertices) shares prefixes. A scope is checked when
+    reached: by the subset rule, then MARGINAL_CELL_GUARD before allocating."""
     # int32 holds every code and flat index of a scope under the cell guard;
     # a column of wider codes wraps, but only scopes that are refused hold it
     columns = np.ascontiguousarray(data.rows.T, dtype=np.int32)
+    weights = np.asarray(data.counts, dtype=float)  # cast once, not per scope
     prefix, flats = (), []  # the previous scope; its flat index per depth
     for scope in scopes:
         why = subset_refusal(scope, data.n_vars, range(1, data.n_vars + 1))
@@ -270,7 +271,7 @@ def count_tables(data: Dataset, scopes):
             code = columns[scope[i]]
             flats.append(flats[-1] * dims[i] + code if i else code)
         prefix = scope
-        counts = np.bincount(flats[-1], weights=data.counts, minlength=cells)
+        counts = np.bincount(flats[-1], weights=weights, minlength=cells)
         yield scope, counts.reshape(dims)
 
 

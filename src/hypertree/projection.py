@@ -65,11 +65,10 @@ def project(provider, tree: KTree) -> ProjectedModel:
     if tree.n != n:
         raise ValueError(f"tree spans {tree.n} vertices, provider has {n}")
     family = clique_family(tree.maximal_cliques())
-    tables = dict(ds.count_tables(provider, sorted(family)))
     factors: dict[tuple[int, ...], np.ndarray] = {}
     entropies = []
-    for h in family:
-        probs = tables.pop(h) / provider.n_rows
+    for h, counts in ds.count_tables(provider, family):
+        probs = counts / provider.n_rows
         entropies.append((h, ds.entropy(probs)))
         denom = np.ones(probs.shape)
         for size in range(1, len(h)):

@@ -11,8 +11,8 @@ the solvers maximize.
 A ``WeightFunction`` stores only its given subsets, and an absent subset of
 the domain weighs 0. ``family_weights`` runs the recursion, without NumPy,
 over the (subset, entropy) pairs of a subset-closed family such as a tree's
-``clique_family``; ``compute_weights`` feeds it the whole domain's entropies,
-counted by ``dataset.count_tables`` in lexicographic order. The store is
+``clique_family``; ``compute_weights`` streams it the whole domain's
+entropies from ``dataset.count_tables``, in that family order. The store is
 read only here: by ``clique_total`` over given cliques, ``clique_totals``
 over every (k+1)-clique, and ``attachment_gain`` for a k-tree attachment.
 """
@@ -117,18 +117,17 @@ def family_weights(k: int, n: int, entropies) -> WeightFunction:
 
 def compute_weights(provider, k: int) -> WeightFunction:
     """``family_weights`` over every subset of size 1..k+1 of the n vertices,
-    counted in lexicographic order so that subsets share prefixes."""
+    each counted by ``count_tables`` as the recursion reaches it."""
     from . import dataset as ds  # NumPy, needed only to compute entropies
 
     n = provider.n_vars
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1; got k={k}, n={n}")
     domain_size(n, k)
-    domain = [h for size in range(1, k + 2)
-              for h in itertools.combinations(range(n), size)]
-    entropies = {h: ds.entropy(counts / provider.n_rows)
-                 for h, counts in ds.count_tables(provider, sorted(domain))}
-    return family_weights(k, n, ((h, entropies[h]) for h in domain))
+    domain = (h for size in range(1, k + 2)
+              for h in itertools.combinations(range(n), size))
+    return family_weights(k, n, ((h, ds.entropy(c / provider.n_rows)) for h, c
+                                 in ds.count_tables(provider, domain)))
 
 
 def clique_total(maximal_cliques, wf: WeightFunction) -> float:

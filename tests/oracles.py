@@ -9,7 +9,8 @@ did before a Dataset held distinct weighted rows. The solver references,
 original full-rescan solvers, and ``compute_weights_reference`` counts each
 subset on its own with ``np.ravel_multi_index``, as the library once did.
 ``count_table``, ``marginal`` and ``scope_entropy`` are not references: they
-read one scope through the library's ``count_tables``.
+read one scope through the library's ``count_tables``, whose scopes
+``record_counted_scopes`` lists.
 """
 
 import csv
@@ -35,6 +36,21 @@ from hypertree.weights import (WeightFunction, attachment_gain, clique_total,
                                family_weights)
 
 MI_ZERO_TOL = 1e-12
+
+
+def record_counted_scopes(monkeypatch) -> list:
+    """The scopes ``dataset.count_tables`` yields from now on, in order."""
+    from hypertree import dataset
+
+    scopes = []
+
+    def recording(data, requested):
+        for scope, counts in count_tables(data, requested):
+            scopes.append(scope)
+            yield scope, counts
+
+    monkeypatch.setattr(dataset, "count_tables", recording)
+    return scopes
 
 
 def count_table(data: Dataset, scope) -> np.ndarray:

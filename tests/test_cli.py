@@ -24,6 +24,7 @@ from oracles import (
     joint_table,
     random_dataset,
     random_ktree,
+    record_counted_scopes,
     target_samples,
 )
 
@@ -720,8 +721,8 @@ def test_learn_and_eval_report_the_same_score(run, tmp_path, kind):
 def test_eval_computes_only_the_entropies_of_its_tree(run, tmp_path,
                                                       monkeypatch):
     # the projection's marginals give the clique weights too: each marginal
-    # of the tree's family is computed once, and no other
-    from hypertree import dataset
+    # of the tree's family is computed once, in the family's order, and no
+    # other
     from hypertree.structure import clique_family, load_ktree
 
     csv_path = tmp_path / "data.csv"
@@ -730,20 +731,12 @@ def test_eval_computes_only_the_entropies_of_its_tree(run, tmp_path,
     assert run(["learn", str(csv_path), "--k", "2",
                 "--out", str(struct)]).exit_code == 0
     family = clique_family(load_ktree(struct).maximal_cliques())
-    scopes = []
-    count_tables = dataset.count_tables
-
-    def recording(data, requested):
-        for scope, counts in count_tables(data, requested):
-            scopes.append(tuple(scope))
-            yield scope, counts
-
-    monkeypatch.setattr(dataset, "count_tables", recording)
+    scopes = record_counted_scopes(monkeypatch)
     res = run(["eval", str(csv_path), str(struct)])
     assert res.exit_code == 0, res.output
     # 9 singletons, 15 edges and 7 triangles, of the domain's 129 subsets
     assert len(family) == 31
-    assert sorted(scopes) == sorted(family)
+    assert scopes == family
 
 
 @given(sample=target_samples(min_vars=2, max_vars=4),

@@ -22,7 +22,7 @@ from hypertree.weights import WeightFunction, weights_to_dict
 SRC = Path(hypertree.__file__).resolve().parent.parent
 
 # Modules whose import a cold start should not pay for unless it uses them.
-WATCHED = ("click", "numpy", "hypertree.dataset", "hypertree.solvers",
+WATCHED = ("numpy", "hypertree.dataset", "hypertree.solvers",
            "hypertree.structure", "hypertree.weights")
 
 # Runs the CLI as ``python -m hypertree.cli`` does and reports, after the
@@ -62,7 +62,7 @@ def _weight_file(tmp_path, k):
 
 
 # Learning from a weight file needs the solvers but no array code.
-ARRAY_FREE = ("click", "numpy", "hypertree.dataset")
+ARRAY_FREE = ("numpy", "hypertree.dataset")
 
 
 @pytest.mark.parametrize("args, absent", [

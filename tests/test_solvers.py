@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypertree import solvers
 from hypertree.errors import GuardLimitError
@@ -358,17 +360,45 @@ class TestLocalSearch:
 
 
 def test_exact_dominates_heuristics():
+    # widths 1 and 2 on n = 4..7, then width 3 on n = 4..9, inside the
+    # default exact limit, every other one with tied integer weights
     rng = np.random.default_rng(13)
+    instances = []
     for _ in range(20):
         n = int(rng.integers(4, 8))
         k = int(rng.integers(1, 3))
-        wf = random_weight_function(rng, n, k)
+        instances.append(random_weight_function(rng, n, k))
+    instances += [wf for _, wf in mixed_instances(23, 30, n_max=9,
+                                                  widths=(3,))]
+    assert {wf.n for wf in instances if wf.k == 3} == set(range(4, 10))
+    for wf in instances:
         ex = exact_search(wf).score
         g = greedy(wf)
         loc = local_search(wf, g.tree)
         assert ex >= g.score - 1e-9
         assert ex >= loc.score - 1e-9
         assert loc.score >= g.score - 1e-12
+
+
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(2, 60), tied=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_greedy_matches_chow_liu_at_width_1(seed, n, tied):
+    # at k = 1 greedy is Prim's algorithm started from the heaviest edge, so
+    # it reaches Chow-Liu's maximum spanning tree weight, negative weights
+    # included; distinct weights give the one such tree, tied integers its sum
+    rng = np.random.default_rng(seed)
+    if tied:
+        wf = WeightFunction(k=1, n=n, weights={
+            e: float(rng.integers(-2, 3))
+            for e in itertools.combinations(range(n), 2)})
+    else:
+        wf = random_weight_function(rng, n, 1, lo=-1.0)
+    g, cl = greedy(wf), chow_liu(wf)
+    if tied:
+        assert g.score == cl.score
+    else:
+        assert sorted(ktree_edges(g.tree)) == sorted(ktree_edges(cl.tree))
+        assert g.score == pytest.approx(cl.score, abs=1e-12)
 
 
 # (seed, n, exact - local in nats) of instances where local search from

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypertree.dataset import Dataset, VariableSpec
 from hypertree.errors import GuardLimitError
 from hypertree.projection import project
-from hypertree.structure import clique_family, score
+from hypertree.structure import KTree, clique_family, score
 from hypertree.weights import (
     WeightFunction,
     attachment_gain,
@@ -35,6 +35,7 @@ from oracles import (
     random_joint,
     random_ktree,
     random_weight_function,
+    record_counted_scopes,
     scope_entropy,
     target_samples,
     text_file,
@@ -188,6 +189,29 @@ def test_compute_weights_matches_per_scope_reference_on_wider_data(k):
                  random_joint(rng, [2, 3, 2, 2, 3, 2, 2])):
         _assert_hex_equal(compute_weights(data, k),
                           compute_weights_reference(data, k))
+
+
+def test_compute_weights_counts_its_domain_in_family_order(monkeypatch):
+    # each subset is counted once, in the order the recursion reads it: by
+    # size, then by vertices
+    scopes = record_counted_scopes(monkeypatch)
+    compute_weights(random_dataset(np.random.default_rng(4), 6, 50), 2)
+    assert scopes == [h for size in (1, 2, 3)
+                      for h in itertools.combinations(range(6), size)]
+
+
+def test_first_scope_over_the_cell_guard_in_family_order_is_refused():
+    # of the scopes over the guard, the refusal names the first in family
+    # order: the singleton (2,), not the pair (0, 1) that sorts before it
+    specs = (VariableSpec("a", 2 ** 12), VariableSpec("b", 2 ** 13),
+             VariableSpec("c", 2 ** 25))
+    data = Dataset(specs, np.zeros((1, 3), dtype=np.int64))
+    chain = KTree(k=1, n=3, seed=(0, 1), attachments=((2, (1,)),))
+    for refused in (lambda: compute_weights(data, 1),
+                    lambda: project(data, chain)):
+        with pytest.raises(GuardLimitError,
+                           match=r"scope \(2,\) has 33554432 cells"):
+            refused()
 
 
 @given(seed=st.integers(0, 10_000))
