@@ -224,12 +224,7 @@ def realize_weights(
                 f"infeasible scaling: subset {h} needs weight {scale * w:.6f} "
                 f"at scale {scale:g}; weights must be below {cap:.6f}"
             )
-        r = weight_to_bias(scale * w) * n_sets
-        if r >= 1.0:
-            raise ValueError(
-                f"infeasible scaling: subset {h} needs per-set bias {r:.6f} >= 1"
-            )
-        p = round(r * q_grid)
+        p = round(weight_to_bias(scale * w) * n_sets * q_grid)
         if p >= q_grid:
             raise ValueError(
                 f"infeasible scaling: subset {h} rounds to numerator {p} >= {q_grid}"

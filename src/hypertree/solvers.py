@@ -123,7 +123,9 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
     def subtree(clique: tuple[int, ...], rmask: int):
         best = choice = None
         anchors = list(itertools.combinations(clique, k))
-        for v in _bits(rmask):
+        for v in range(n):
+            if not rmask >> v & 1:
+                continue
             rest = rmask & ~(1 << v)
             for s in anchors:
                 val = gain(v, s)
@@ -152,11 +154,12 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
         return best, choice
 
     full = (1 << n) - 1
-    best_seed = max(totals, key=lambda ts: ts[0] + forest(
-        ts[1], full ^ _mask(ts[1]))[0])[1]
+    _, best_seed, rmask = max(
+        ((t, seed, full ^ sum(1 << v for v in seed)) for t, seed in totals),
+        key=lambda ts: ts[0] + forest(ts[1], ts[2])[0])
 
     attachments: list[tuple[int, tuple[int, ...]]] = []
-    stack = [(best_seed, full ^ _mask(best_seed))]
+    stack = [(best_seed, rmask)]
     while stack:
         clique, rmask = stack.pop()
         while rmask:
@@ -168,22 +171,6 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
     tree = KTree(k=k, n=n, seed=best_seed, attachments=tuple(attachments))
     states = forest.cache_info().currsize + subtree.cache_info().currsize
     return _result(tree, wf, "exact", t0, states, len(attachments))
-
-
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
-def _bits(mask: int):
-    v = 0
-    while mask:
-        if mask & 1:
-            yield v
-        mask >>= 1
-        v += 1
 
 
 def greedy(wf) -> SolverResult:
@@ -233,11 +220,16 @@ def local_search(wf, start: KTree) -> SolverResult:
     Move (a) re-anchors a removable vertex (one whose maximal clique is a
     leaf of the clique tree, i.e. a simplicial vertex) to any other k-clique
     of the remaining graph. Move (b) swaps the labels of a removable vertex
-    and another vertex, exchanging their structural roles. Only strictly
-    improving moves (by more than 1e-12) are accepted, so the final score
-    never drops below the start. The search stops when no move improves,
-    or after DEFAULT_MAX_ITERS iterations. The move set is this library's
-    own design.
+    and another vertex, exchanging their structural roles. The move set is
+    this library's own design.
+
+    Each iteration scans the moves in one fixed order: the re-anchors of
+    each removable vertex over its sorted candidate anchors, then the swaps
+    of each removable vertex v with every other vertex u, u ascending. The
+    first move that improves the score by more than 1e-12 is accepted, so
+    the final score never drops below the start; ``nodes_explored`` counts
+    the moves scanned, up to and including each accepted one. The search
+    stops when no move improves, or after DEFAULT_MAX_ITERS iterations.
 
     The search state is the list of maximal cliques. In a k-tree with
     n >= k+2 a vertex is removable exactly when it lies in one maximal
@@ -249,9 +241,9 @@ def local_search(wf, start: KTree) -> SolverResult:
     ``attachment_gain`` at the new anchor and loses it at the old one. A
     swap of u and v relabels only the maximal cliques that hold u or v,
     and compares their ``clique_total`` before and after: every sub-clique
-    without u or v counts the same on both sides. The full clique list is
-    relabeled only for the accepted swap. ``tests/oracles.py`` keeps the
-    original search, which rescores the whole list for every swap, as
+    without u or v counts the same on both sides. A move's new clique list
+    is built only when it improves. ``tests/oracles.py`` keeps the original
+    search, which rescores the whole list for every swap, as
     ``local_search_reference``; both return the same result.
     """
     t0 = time.perf_counter()
@@ -264,19 +256,15 @@ def local_search(wf, start: KTree) -> SolverResult:
     if n <= k + 1:
         return _result(start, wf, "local_search", t0, 0, 0)
     gain = functools.cache(functools.partial(attachment_gain, wf))
-    maximal = list(start.maximal_cliques())
-    changed = False
-    iterations = 0
-    moves_evaluated = 0
-    while iterations < DEFAULT_MAX_ITERS:
-        iterations += 1
+
+    def scan(maximal):
+        """Yield each move in scan order: its new clique list if it
+        improves by more than IMPROVE_EPS, else None."""
         held: dict[int, list[tuple[int, ...]]] = {x: [] for x in range(n)}
         for mc in maximal:
             for x in mc:
                 held[x].append(mc)
         removable = [v for v in range(n) if len(held[v]) == 1]
-        improved = None
-
         # (a) re-anchor a removable vertex elsewhere; v lies in exactly one
         # maximal clique, which the move replaces
         for v in removable:
@@ -287,33 +275,38 @@ def local_search(wf, start: KTree) -> SolverResult:
                 if v not in s
             } - {old_anchor})
             for a in candidates:
-                moves_evaluated += 1
                 if gain(v, a) - loss > IMPROVE_EPS:
-                    improved = [tuple(sorted(a + (v,))) if v in mc else mc
-                                for mc in maximal]
-                    break
+                    yield [tuple(sorted(a + (v,))) if v in mc else mc
+                           for mc in maximal]
+                else:
+                    yield None
+        # (b) swap the labels of a removable vertex and another vertex
+        for v in removable:
+            for u in range(n):
+                if u == v:
+                    continue
+                relabel = {u: v, v: u}
+                swapped = {mc: tuple(sorted(relabel.get(x, x) for x in mc))
+                           for mc in held[u] + held[v]}
+                if (clique_total(swapped.values(), wf)
+                        - clique_total(swapped.keys(), wf) > IMPROVE_EPS):
+                    yield [swapped.get(mc, mc) for mc in maximal]
+                else:
+                    yield None
+
+    maximal = list(start.maximal_cliques())
+    changed = False
+    iterations = 0
+    moves_evaluated = 0
+    while iterations < DEFAULT_MAX_ITERS:
+        iterations += 1
+        for improved in scan(maximal):
+            moves_evaluated += 1
             if improved is not None:
                 break
-
-        # (b) swap the labels of a removable vertex and another vertex
-        if improved is None:
-            for v in removable:
-                for u in range(n):
-                    if u == v:
-                        continue
-                    moves_evaluated += 1
-                    relabel = {u: v, v: u}
-                    swapped = {mc: tuple(sorted(relabel.get(x, x) for x in mc))
-                               for mc in held[u] + held[v]}
-                    if (clique_total(swapped.values(), wf)
-                            - clique_total(swapped.keys(), wf) > IMPROVE_EPS):
-                        improved = [swapped.get(mc, mc) for mc in maximal]
-                        break
-                if improved is not None:
-                    break
-
-        if improved is None:
-            break
+        else:
+            break  # no move improves
+        # the accept point, where a trajectory would record the move
         maximal = improved
         changed = True
 

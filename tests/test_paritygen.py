@@ -202,7 +202,11 @@ class TestRealizeWeights:
         assert ktree_edges(got.tree) == ktree_edges(want.tree)
 
     def test_explicit_infeasible_scale(self):
-        with pytest.raises(ValueError, match="infeasible"):
+        # a per-set bias r >= 1 rounds to p = round(r * Q) >= Q, so the
+        # numerator check is the one that refuses it
+        with pytest.raises(ValueError, match=r"infeasible scaling: subset "
+                                             r"\(0, 1\) rounds to numerator "
+                                             r"46 >= 8"):
             realize_weights({(0, 1): 0.6}, n=4, k=1, q_grid=8, scale=1.0)
         # over the largest realizable weight, refused before weight_to_bias
         with pytest.raises(ValueError, match=r"infeasible scaling: subset \(0, 1\)"):

@@ -358,6 +358,20 @@ class TestLocalSearch:
         monkeypatch.setattr(solvers, "DEFAULT_MAX_ITERS", 1)
         assert local_search(wf, start).stats["iterations"] == 1
 
+    def test_capped_run_keeps_its_improvement(self, monkeypatch):
+        # a run cut by the cap returns the tree its accepted moves reached,
+        # not the start; the reference reads the same cap from solvers
+        rng = np.random.default_rng(24)
+        for cap in (1, 2):
+            monkeypatch.setattr(solvers, "DEFAULT_MAX_ITERS", cap)
+            for _ in range(20):
+                wf = random_weight_function(rng, 7, 2)
+                start = random_ktree(rng, 7, 2)
+                res = local_search(wf, start)
+                assert res.stats["iterations"] == cap
+                assert res.score > score(start, wf)
+                assert_same_result(res, local_search_reference(wf, start))
+
 
 def test_exact_dominates_heuristics():
     # widths 1 and 2 on n = 4..7, then width 3 on n = 4..9, inside the
