@@ -216,7 +216,7 @@ def _parity_spec(doc: dict):
     if "biases" in doc:
         return paritygen.biases_from_dict(doc), None
     if "targets" in doc:
-        targets = json_subsets(doc["targets"], "w", json_float)
+        targets = json_subsets(doc, "targets", "w", json_float)
         scale = doc.get("scale")
         if scale is not None:
             scale = json_float(scale, "scale")

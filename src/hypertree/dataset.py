@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (GuardLimitError, json_float, json_int, read_input,
-                     subset_refusal)
+from .errors import (GuardLimitError, json_float, json_int, json_list,
+                     read_input, subset_refusal)
 
 __all__ = [
     "VariableSpec",
@@ -220,12 +220,12 @@ def joint_table_from_dict(doc: dict) -> Dataset:
     within 1e-12. Variables are named x0, x1, ...
     """
     specs = tuple(VariableSpec(f"x{i}", json_int(a, "arities"))
-                  for i, a in enumerate(doc["arities"]))
+                  for i, a in enumerate(json_list(doc["arities"], "arities")))
     if not specs:
         raise ValueError("'arities' is empty: a joint table needs a variable")
     arities = tuple(s.arity for s in specs)
     probs = np.array([p if type(p) is float else json_float(p, "probs")
-                      for p in doc["probs"]], dtype=float)
+                      for p in json_list(doc["probs"], "probs")], dtype=float)
     expect = math.prod(arities)
     if probs.size != expect:
         raise ValueError(

@@ -67,6 +67,15 @@ def is_vertex(v) -> bool:
     return type(v) is not bool and hasattr(type(v), "__index__")
 
 
+def sorted_subset(vertices) -> tuple:
+    """The vertices as a sorted tuple, or as given when they do not compare:
+    a non-integer vertex, which ``subset_refusal`` then names."""
+    try:
+        return tuple(sorted(vertices))
+    except TypeError:
+        return tuple(vertices)
+
+
 def subset_refusal(h: tuple, n: int, sizes: range) -> str | None:
     """h's first fault, or None: a size not in ``sizes``, then a vertex not
     ``is_vertex`` or not above the last, then a vertex outside [0, n)."""
@@ -114,12 +123,26 @@ def json_float(value, field: str) -> float:
             f"{field!r} is an integer outside the float range") from None
 
 
-def json_subsets(entries, field: str, convert) -> dict:
-    """Map each entry's sorted ``vars`` to convert(entry[field], field), a
-    reader such as json_int or json_float; refuse repeats."""
+def json_list(value, field: str) -> list:
+    """A list field of a parsed JSON document, refused unless it is one: a
+    number, string or object raises TypeError naming the field."""
+    if not isinstance(value, list):
+        raise TypeError(f"{field!r} must be a list, got {type(value).__name__}")
+    return value
+
+
+def json_subsets(doc: dict, name: str, field: str, convert) -> dict:
+    """Map the sorted ``vars`` of each object in the list doc[name] to
+    convert(entry[field], field), a reader such as json_int or json_float;
+    refuse repeats."""
     out = {}
-    for entry in entries:
+    for entry in json_list(doc[name], name):
+        if not isinstance(entry, dict):
+            raise TypeError(f"{name!r} must list objects, got "
+                            f"{type(entry).__name__}")
         vs = entry["vars"]
+        if type(vs) is not list:  # json_list's test, inlined for speed
+            json_list(vs, "vars")
         for v in vs:
             if type(v) is not int:  # json_int's test, inlined for speed
                 json_int(v, "vars")

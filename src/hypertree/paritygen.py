@@ -256,5 +256,5 @@ def biases_from_dict(doc: dict) -> TargetBiases:
         k=json_int(doc["k"], "k"),
         n=json_int(doc["n"], "n"),
         q=json_int(doc["Q"], "Q"),
-        entries=json_subsets(doc["biases"], "p", json_int),
+        entries=json_subsets(doc, "biases", "p", json_int),
     )

@@ -1,11 +1,11 @@
 """Solvers for the maximum-weight k-tree problem.
 
 Given a weight function on vertex subsets, find a k-tree whose cliques of
-size >= 2 have maximum total weight. ``chow_liu`` handles k=1 exactly as a
-maximum-weight spanning tree; ``exact_search`` is an exponential-in-n oracle
-for small n; ``greedy`` and ``local_search`` are heuristics for general use.
-All solvers are deterministic under fixed tie-breaking. All but
-``local_search`` rank the (k+1)-cliques through ``weights.clique_totals``.
+size >= 2 have maximum total weight. ``exact_search`` is an exponential-in-n
+oracle for small n; ``greedy`` and ``local_search`` are heuristics, but at
+k=1 greedy builds a maximum-weight spanning tree, and ``chow_liu`` is greedy
+under that name. All solvers are deterministic under fixed tie-breaking.
+All but ``local_search`` rank the (k+1)-cliques through ``clique_totals``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DEFAULT_EXACT_LIMIT, GuardLimitError
 from .structure import KTree, ktree_from_cliques, score
@@ -50,32 +50,12 @@ def _result(tree: KTree, wf, method: str, t0: float, nodes_explored: int,
 
 
 def chow_liu(wf) -> SolverResult:
-    """Maximum-weight spanning tree over the pair weights (k=1 only).
-
-    Greedy forest merge over all vertex pairs sorted by descending weight,
-    ties broken by the lexicographically smallest edge. Each vertex carries
-    a component label, and an accepted edge relabels one of the two
-    components. Zero- or negative-weight edges are still used where needed
-    to span.
-    """
+    """Maximum-weight spanning tree over the pair weights (k=1 only): at k=1
+    ``greedy`` is Prim's algorithm from the heaviest edge, so this is its
+    result relabelled, with greedy's tree, counters and tie-breaking."""
     if wf.k != 1:
         raise ValueError(f"chow_liu requires a k=1 weight function, got k={wf.k}")
-    totals = clique_totals(wf)
-    t0 = time.perf_counter()
-    n = wf.n
-    component = list(range(n))
-    chosen: list[tuple[int, int]] = []
-    examined = 0
-    for _, (u, v) in sorted((-w, e) for w, e in totals):
-        examined += 1
-        cu, cv = component[u], component[v]
-        if cu != cv:
-            component = [cu if c == cv else c for c in component]
-            chosen.append((u, v))
-            if len(chosen) == n - 1:
-                break
-    return _result(ktree_from_cliques(chosen, 1, n), wf, "chow_liu", t0,
-                   examined, len(chosen))
+    return replace(greedy(wf), method="chow_liu")
 
 
 def refuse_exact(n: int, k: int, exact_limit: int | None = None) -> None:

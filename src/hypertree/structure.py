@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import (WEIGHT_DOMAIN_GUARD, GuardLimitError, json_int, read_json,
-                     subset_refusal)
+from .errors import (WEIGHT_DOMAIN_GUARD, GuardLimitError, json_int, json_list,
+                     read_json, sorted_subset, subset_refusal)
 from .weights import clique_total
 
 __all__ = [
@@ -30,13 +30,6 @@ __all__ = [
     "ktree_from_dict",
     "load_ktree",
 ]
-
-
-def _sorted(vertices) -> tuple:
-    try:
-        return tuple(sorted(vertices))
-    except TypeError:  # a non-integer vertex, which the subset rule names
-        return tuple(vertices)
 
 
 @dataclass(frozen=True)
@@ -60,7 +53,7 @@ class KTree:
         if self.n < 1:
             raise ValueError(f"vertex count must be >= 1, got {self.n}")
         want = min(self.k + 1, self.n)
-        seed = _sorted(self.seed)
+        seed = sorted_subset(self.seed)
         why = subset_refusal(seed, self.n, range(want, want + 1))
         if why is not None:
             raise ValueError(f"seed: {why}")
@@ -73,7 +66,7 @@ class KTree:
         attachments = []
         size = range(self.k + 1, self.k + 2)
         for v, anchor in self.attachments:
-            clique = _sorted((*anchor, v))
+            clique = sorted_subset((*anchor, v))
             why = subset_refusal(clique, self.n, size)
             if why is not None:
                 raise ValueError(f"vertex {v!r} attached to {tuple(anchor)}: "
@@ -164,7 +157,7 @@ def ktree_from_cliques(maximal_cliques, k: int, n: int) -> KTree:
     """
     if n <= k + 1:
         return KTree(k=k, n=n, seed=tuple(range(n)))
-    seed, *rest = (tuple(sorted(c)) for c in maximal_cliques)
+    seed, *rest = map(sorted_subset, maximal_cliques)
     holders: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for c in rest:
         for s in itertools.combinations(c, k):
@@ -198,16 +191,17 @@ def ktree_to_dict(tree: KTree) -> dict:
 
 def ktree_from_dict(doc: dict) -> KTree:
     """Parse a structure document (the maximal_cliques field is ignored)."""
-    return KTree(
-        k=json_int(doc["k"], "k"),
-        n=json_int(doc["n"], "n"),
-        seed=tuple(json_int(v, "seed") for v in doc["seed"]),
-        attachments=tuple(
-            (json_int(a["v"], "v"),
-             tuple(json_int(x, "anchor") for x in a["anchor"]))
-            for a in doc.get("attachments", [])
-        ),
-    )
+    k, n = json_int(doc["k"], "k"), json_int(doc["n"], "n")
+    seed = tuple(json_int(v, "seed") for v in json_list(doc["seed"], "seed"))
+    attachments = []
+    for a in json_list(doc.get("attachments", []), "attachments"):
+        if not isinstance(a, dict):
+            raise TypeError(f"'attachments' must list objects, got "
+                            f"{type(a).__name__}")
+        anchor = json_list(a["anchor"], "anchor")
+        attachments.append((json_int(a["v"], "v"),
+                            tuple(json_int(x, "anchor") for x in anchor)))
+    return KTree(k=k, n=n, seed=seed, attachments=tuple(attachments))
 
 
 def load_ktree(path) -> KTree:

@@ -25,7 +25,8 @@ import operator
 from dataclasses import dataclass, field
 
 from .errors import (WEIGHT_DOMAIN_GUARD, GuardLimitError, json_float,
-                     json_int, json_subsets, read_json, subset_refusal)
+                     json_int, json_subsets, read_json, sorted_subset,
+                     subset_refusal)
 
 __all__ = [
     "WeightFunction",
@@ -88,7 +89,7 @@ class WeightFunction:
                 raise ValueError(why)
 
     def __getitem__(self, subset) -> float:
-        key = tuple(sorted(subset))
+        key = sorted_subset(subset)
         _require(self, key)
         return self.weights.get(key, 0.0)
 
@@ -135,7 +136,7 @@ def clique_total(maximal_cliques, wf: WeightFunction) -> float:
     each counted once and summed in lexicographic order. Each given clique
     is checked against the domain once; its sub-cliques are read directly.
     """
-    maximal_cliques = [tuple(sorted(mc)) for mc in maximal_cliques]
+    maximal_cliques = [sorted_subset(mc) for mc in maximal_cliques]
     for mc in maximal_cliques:
         _require(wf, mc)
     subs = sorted({h for mc in maximal_cliques for size in range(2, len(mc) + 1)
@@ -168,8 +169,8 @@ def attachment_gain(wf: WeightFunction, v: int, anchor) -> float:
     to rounding.
     """
     if v in anchor:
-        raise ValueError(f"vertex {v} is in its own anchor {tuple(sorted(anchor))}")
-    clique = tuple(sorted((*anchor, v)))
+        raise ValueError(f"vertex {v} is in its own anchor {sorted_subset(anchor)}")
+    clique = sorted_subset((*anchor, v))
     _require(wf, clique)
     get = wf.weights.get
     total = 0.0
@@ -201,7 +202,7 @@ def weights_from_dict(doc: dict) -> WeightFunction:
     if k >= 1:  # WeightFunction refuses k < 1 itself
         domain_size(n, k)
     return WeightFunction(
-        k=k, n=n, weights=json_subsets(doc["weights"], "w", json_float))
+        k=k, n=n, weights=json_subsets(doc, "weights", "w", json_float))
 
 
 def load_weights(path) -> WeightFunction:

@@ -6,7 +6,8 @@ cliques by scanning all vertex subsets of an adjacency matrix. The
 estimators read raw (T, n) rows or dense probability arrays, as the library
 did before a Dataset held distinct weighted rows. The solver references,
 ``greedy_reference`` and ``local_search_reference``, are the library's
-original full-rescan solvers, and ``compute_weights_reference`` counts each
+original full-rescan solvers, ``chow_liu_reference`` its original Kruskal
+merge for width 1, and ``compute_weights_reference`` counts each
 subset on its own with ``np.ravel_multi_index``, as the library once did.
 ``count_table``, ``marginal`` and ``scope_entropy`` are not references: they
 read one scope through the library's ``count_tables``, whose scopes
@@ -419,6 +420,29 @@ def attachment_gain_reference(wf, v, anchor) -> float:
         for sub in itertools.combinations(anchor, size):
             total += wf[sub + (v,)]
     return total
+
+
+def chow_liu_reference(wf) -> KTree:
+    """The maximum-weight spanning tree of a k=1 weight function, by
+    Kruskal's merge: the library's original ``chow_liu``.
+
+    Every pair is read through ``wf[...]`` and scanned by descending
+    weight, ties to the lexicographically smallest edge. Each vertex
+    carries a component label, and an accepted edge relabels one of the two
+    components. Zero- or negative-weight edges are still used where needed
+    to span. This is the independent oracle for ``chow_liu`` and greedy at
+    width 1.
+    """
+    n = wf.n
+    component = list(range(n))
+    chosen = []
+    for _, (u, v) in sorted((-wf[e], e)
+                            for e in itertools.combinations(range(n), 2)):
+        cu, cv = component[u], component[v]
+        if cu != cv:
+            component = [cu if c == cv else c for c in component]
+            chosen.append((u, v))
+    return ktree_from_cliques(chosen, 1, n)
 
 
 def greedy_reference(wf):

@@ -173,6 +173,23 @@ def test_learn_chain_chow_liu_matches_exact(run, tmp_path):
     assert "divergence_decomposed" in doc
 
 
+def test_learn_chow_liu_writes_greedy_document(run, tmp_path):
+    # chow_liu is greedy at k=1: the same document but for its name and time
+    d = random_dataset(np.random.default_rng(8), 9, 200, arities=[3] * 9)
+    csv_path = tmp_path / "data.csv"
+    dump_dataset(d, csv_path)
+    docs = {}
+    for solver in ("chow_liu", "greedy"):
+        out = tmp_path / f"{solver}.json"
+        res = run(["learn", str(csv_path), "--k", "1", "--solver", solver,
+                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        docs[solver] = json.loads(out.read_text())
+        assert docs[solver].pop("method") == solver
+        docs[solver]["stats"].pop("elapsed_s")
+    assert docs["chow_liu"] == docs["greedy"]
+
+
 def test_learn_guard_refusal_exit_code(run, tmp_path):
     rng = np.random.default_rng(0)
     d = random_dataset(rng, 12, 40, arities=[2] * 12)
@@ -597,6 +614,34 @@ def test_gen_parity_unknown_schema(run, tmp_path):
      "subset (0, 1) is listed more than once"),
     ("deep.json", "[" * 100_000, ["learn", "{bad}"],
      "maximum recursion depth exceeded"),
+    ("s.json", json.dumps({"k": 1, "n": 3, "seed": 5}),
+     ["eval", "{csv}", "{bad}"], "'seed' must be a list, got int"),
+    ("s.json", json.dumps({"k": 1, "n": 3, "seed": [0, 1],
+                           "attachments": {"v": 2, "anchor": [1]}}),
+     ["eval", "{csv}", "{bad}"], "'attachments' must be a list, got dict"),
+    ("s.json", json.dumps({"k": 1, "n": 3, "seed": [0, 1],
+                           "attachments": [5]}),
+     ["eval", "{csv}", "{bad}"], "'attachments' must list objects, got int"),
+    ("s.json", json.dumps({"k": 1, "n": 3, "seed": [0, 1],
+                           "attachments": [{"v": 2, "anchor": 5}]}),
+     ["eval", "{csv}", "{bad}"], "'anchor' must be a list, got int"),
+    ("w.json", json.dumps({"k": 1, "n": 3, "weights": [5]}),
+     ["learn", "{bad}"], "'weights' must list objects, got int"),
+    ("w.json", json.dumps({"k": 1, "n": 3, "weights": {"a": 1}}),
+     ["learn", "{bad}"], "'weights' must be a list, got dict"),
+    ("w.json", json.dumps({"k": 1, "n": 3,
+                           "weights": [{"vars": 5, "w": 0.5}]}),
+     ["learn", "{bad}"], "'vars' must be a list, got int"),
+    ("t.json", json.dumps({"k": 1, "n": 3, "q_grid": 8, "targets": 5}),
+     ["gen-parity", "{bad}", "--out", "{out}"],
+     "'targets' must be a list, got int"),
+    ("b.json", json.dumps({"k": 1, "n": 3, "Q": 4, "biases": ["ab"]}),
+     ["gen-parity", "{bad}", "--out", "{out}"],
+     "'biases' must list objects, got str"),
+    ("jt.json", json.dumps({"arities": 5, "probs": [1.0]}),
+     ["learn", "{bad}", "--k", "1"], "'arities' must be a list, got int"),
+    ("jt.json", json.dumps({"arities": [2], "probs": 5}),
+     ["weights", "{bad}", "--k", "1"], "'probs' must be a list, got int"),
 ], ids=["learn-array", "eval-no-seed", "learn-entry-no-w", "gen-parity-no-n",
         "arities-no-key", "arities-not-object", "arity-not-integer",
         "joint-table-probs-size", "learn-weight-not-finite",
@@ -610,7 +655,12 @@ def test_gen_parity_unknown_schema(run, tmp_path):
         "weights-n-bool", "targets-vars-float", "targets-q-grid-float",
         "biases-p-float", "joint-table-arity-float", "weights-repeated-subset",
         "targets-repeated-subset", "biases-repeated-subset",
-        "learn-deeply-nested"])
+        "learn-deeply-nested", "structure-seed-not-list",
+        "structure-attachments-not-list", "structure-attachment-not-object",
+        "structure-anchor-not-list", "weights-entry-not-object",
+        "weights-not-list", "weights-vars-not-list", "targets-not-list",
+        "biases-entry-not-object", "joint-table-arities-not-list",
+        "joint-table-probs-not-list"])
 def test_malformed_json_input_is_validation(run, tmp_path, filename, text,
                                             args, field):
     csv_path = tmp_path / "xor.csv"

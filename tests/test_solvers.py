@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -20,6 +21,7 @@ from hypertree.weights import (WeightFunction, clique_total, clique_totals,
 
 from oracles import (
     brute_ktree_scores,
+    chow_liu_reference,
     greedy_reference,
     ktree_from_graph,
     local_search_reference,
@@ -97,7 +99,8 @@ class TestChowLiu:
         wf = zero_one_pairs_wf(4, 1, [])
         res = chow_liu(wf)
         assert res.score == 0.0
-        # greedy merge scans edges in lex order: star rooted at 0
+        # every pair ties at 0: greedy seeds with (0, 1) and attaches each
+        # later vertex to its first anchor, 0, so the tree is the star at 0
         assert sorted(ktree_edges(res.tree)) == [(0, 1), (0, 2), (0, 3)]
 
     def test_chain_recovery(self):
@@ -398,8 +401,9 @@ def test_exact_dominates_heuristics():
 @settings(max_examples=80, deadline=None)
 def test_greedy_matches_chow_liu_at_width_1(seed, n, tied):
     # at k = 1 greedy is Prim's algorithm started from the heaviest edge, so
-    # it reaches Chow-Liu's maximum spanning tree weight, negative weights
-    # included; distinct weights give the one such tree, tied integers its sum
+    # it reaches Kruskal's maximum spanning tree weight, negative weights
+    # included; distinct weights give the one such tree, tied integers its
+    # sum. chow_liu is greedy's result under its own name.
     rng = np.random.default_rng(seed)
     if tied:
         wf = WeightFunction(k=1, n=n, weights={
@@ -407,12 +411,15 @@ def test_greedy_matches_chow_liu_at_width_1(seed, n, tied):
             for e in itertools.combinations(range(n), 2)})
     else:
         wf = random_weight_function(rng, n, 1, lo=-1.0)
-    g, cl = greedy(wf), chow_liu(wf)
+    g, ref = greedy(wf), chow_liu_reference(wf)
     if tied:
-        assert g.score == cl.score
+        assert g.score == score(ref, wf)
     else:
-        assert sorted(ktree_edges(g.tree)) == sorted(ktree_edges(cl.tree))
-        assert g.score == pytest.approx(cl.score, abs=1e-12)
+        assert sorted(ktree_edges(g.tree)) == sorted(ktree_edges(ref))
+        assert g.score == pytest.approx(score(ref, wf), abs=1e-12)
+    cl = chow_liu(wf)
+    assert cl.method == "chow_liu"
+    assert_same_result(dataclasses.replace(cl, method="greedy"), g)
 
 
 # (seed, n, exact - local in nats) of instances where local search from

@@ -86,6 +86,9 @@ def test_ktree_validation():
     with pytest.raises(ValueError, match=r"^vertex None attached to \(1,\): "
                                          r"subset \(1, None\) has a non-integer"):
         KTree(k=1, n=3, seed=(0, 1), attachments=((None, (1,)),))
+    with pytest.raises(ValueError, match=r"^seed: subset \('a', 1\) has a "
+                                         r"non-integer vertex 'a'$"):
+        ktree_from_cliques([("a", 1), (1, 2)], 1, 3)
 
 
 def test_ktree_turns_numpy_integers_into_ints():

@@ -294,9 +294,12 @@ def test_direct_reads_match_checked_reads():
     lambda wf: attachment_gain(wf, 3, (0, 1, 2)),          # k+2 vertices
     lambda wf: attachment_gain(wf, 3, (1, 1)),             # repeated vertex
     lambda wf: attachment_gain(wf, 1, (0, 1)),             # v in its anchor
+    lambda wf: clique_total([("a", 1)], wf),               # string vertex
+    lambda wf: attachment_gain(wf, "a", (1,)),             # string vertex
 ], ids=["clique-vertex-n", "clique-too-large", "clique-negative",
         "clique-repeat", "gain-v-n", "gain-anchor-negative",
-        "gain-too-large", "gain-repeat", "gain-v-in-anchor"])
+        "gain-too-large", "gain-repeat", "gain-v-in-anchor",
+        "clique-string-vertex", "gain-string-vertex"])
 def test_direct_reads_refuse_outside_domain(call):
     wf = WeightFunction(k=2, n=4, weights={(0, 1): 0.5, (1, 2, 3): -0.25})
     with pytest.raises(ValueError):
@@ -362,7 +365,7 @@ def test_absent_subset_weighs_zero():
     assert wf[(2,)] == 0.0 and wf[(0, 2)] == 0.0 and wf[(1, 2, 3)] == 0.0
     assert wf[(np.int64(1), np.int32(0))] == 0.5
     for key in [(0, 1, 2, 3), (0, 4), (-1, 2), (1, 1), (), (0.5, 1.9),
-                (0.0, 1.0), (True, 2)]:
+                (0.0, 1.0), (True, 2), ("a", 1), (None, 1)]:
         with pytest.raises(ValueError, match="no weight entry"):
             wf[key]
 
