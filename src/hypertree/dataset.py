@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (GuardLimitError, json_float, json_int, json_list,
-                     read_input, subset_refusal)
+                     read_input, subset_key)
 
 __all__ = [
     "VariableSpec",
@@ -257,9 +257,7 @@ def count_tables(data: Dataset, scopes):
     weights = np.asarray(data.counts, dtype=float)  # cast once, not per scope
     prefix, flats = (), []  # the previous scope; its flat index per depth
     for scope in scopes:
-        why = subset_refusal(scope, data.n_vars, range(1, data.n_vars + 1))
-        if why is not None:
-            raise ValueError(why)
+        subset_key(scope, data.n_vars, range(1, data.n_vars + 1))
         dims = tuple(data.specs[v].arity for v in scope)
         cells = math.prod(dims)
         if cells > MARGINAL_CELL_GUARD:

@@ -62,36 +62,51 @@ def write_json(doc: dict, path=None) -> None:
             fh.write(text)
 
 
-def is_vertex(v) -> bool:
-    """An int or ``__index__`` type, such as a NumPy integer, but no bool."""
-    return type(v) is not bool and hasattr(type(v), "__index__")
-
-
-def sorted_subset(vertices) -> tuple:
-    """The vertices as a sorted tuple, or as given when they do not compare:
-    a non-integer vertex, which ``subset_refusal`` then names."""
+def vertex_subset(vertices, n: int, sizes: range, context: str = "") -> tuple:
+    """A reader's subset: the vertices sorted, then held to subset_key."""
     try:
-        return tuple(sorted(vertices))
+        h = tuple(sorted(vertices))
+    except TypeError:  # vertices that do not sort are shown as given
+        h = tuple(vertices) if hasattr(vertices, "__iter__") else vertices
+    return subset_key(h, n, sizes, context)
+
+
+def subset_key(h, n: int, sizes: range, context: str = "") -> tuple:
+    """The subset rule: h, a subset of [0, n) sized in ``sizes``, or a
+    ValueError that begins with ``context`` and names the first fault: the
+    size, a vertex not an int or ``__index__`` type (no bool) or not above
+    the last, a vertex outside [0, n), or no sequence at all. A store's
+    keys must ascend; a reader sorts first, through vertex_subset."""
+    try:
+        if len(h) not in sizes:
+            span = sizes[0] if len(sizes) == 1 else f"{sizes[0]}..{sizes[-1]}"
+            raise ValueError(
+                f"{context}subset {h} has {len(h)} vertices, not {span}")
+        prev = None
+        for v in h:
+            if type(v) is not int and (type(v) is bool
+                                       or not hasattr(type(v), "__index__")):
+                raise ValueError(
+                    f"{context}subset {h} has a non-integer vertex {v!r}")
+            if prev is not None and v <= prev:
+                raise ValueError(f"{context}subset {h} is not strictly ascending")
+            prev = v
+        if h and (h[0] < 0 or h[-1] >= n):
+            raise ValueError(f"{context}subset {h} has a vertex outside [0, {n})")
+    except TypeError:  # no sized, indexable collection
+        raise ValueError(
+            f"{context}subset {h!r} is not a sequence of vertices") from None
+    return h
+
+
+def attached(v, anchor) -> tuple:
+    """(anchor, clique): the anchor as a tuple and anchor + (v,) for
+    vertex_subset, or an anchor that is no collection as both."""
+    try:
+        anchor = tuple(anchor)
     except TypeError:
-        return tuple(vertices)
-
-
-def subset_refusal(h: tuple, n: int, sizes: range) -> str | None:
-    """h's first fault, or None: a size not in ``sizes``, then a vertex not
-    ``is_vertex`` or not above the last, then a vertex outside [0, n)."""
-    if len(h) not in sizes:
-        span = sizes[0] if len(sizes) == 1 else f"{sizes[0]}..{sizes[-1]}"
-        return f"subset {h} has {len(h)} vertices, not {span}"
-    prev = None
-    for v in h:
-        if type(v) is not int and not is_vertex(v):
-            return f"subset {h} has a non-integer vertex {v!r}"
-        if prev is not None and v <= prev:
-            return f"subset {h} is not strictly ascending"
-        prev = v
-    if h and (h[0] < 0 or h[-1] >= n):
-        return f"subset {h} has a vertex outside [0, {n})"
-    return None
+        return anchor, anchor
+    return anchor, anchor + (v,)
 
 
 def json_int(value, field: str) -> int:
@@ -134,7 +149,9 @@ def json_list(value, field: str) -> list:
 def json_subsets(doc: dict, name: str, field: str, convert) -> dict:
     """Map the sorted ``vars`` of each object in the list doc[name] to
     convert(entry[field], field), a reader such as json_int or json_float;
-    refuse repeats."""
+    refuse repeats. Each vertex is tested here, not left to subset_key:
+    the repeat check hashes each subset first, and a list vertex is
+    unhashable."""
     out = {}
     for entry in json_list(doc[name], name):
         if not isinstance(entry, dict):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, VariableSpec
-from .errors import GuardLimitError, json_int, json_subsets, subset_refusal
+from .errors import GuardLimitError, json_int, json_subsets, subset_key
 
 __all__ = [
     "TargetBiases",
@@ -60,9 +60,7 @@ class TargetBiases:
         if self.q < 1:
             raise ValueError(f"denominator must be >= 1, got {self.q}")
         for h, p in self.entries.items():
-            why = subset_refusal(h, self.n, range(self.k + 1, self.k + 2))
-            if why is not None:
-                raise ValueError(why)
+            subset_key(h, self.n, range(self.k + 1, self.k + 2))
             if not 0 <= p < self.q:
                 raise ValueError(f"numerator for {h} must be in [0, {self.q}), got {p}")
 
@@ -193,9 +191,7 @@ def realize_weights(
     A grid whose sample ``generate`` would refuse is refused here first.
     """
     for h, w in targets.items():
-        why = subset_refusal(h, n, range(k + 1, k + 2))
-        if why is not None:
-            raise ValueError(why)
+        subset_key(h, n, range(k + 1, k + 2))
         if not (w >= 0.0 and math.isfinite(w)):
             raise ValueError(f"target weight for {h} must be finite and >= 0")
     _refuse_oversized(n, k, q_grid)

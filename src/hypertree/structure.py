@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import (WEIGHT_DOMAIN_GUARD, GuardLimitError, json_int, json_list,
-                     read_json, sorted_subset, subset_refusal)
+from .errors import (WEIGHT_DOMAIN_GUARD, GuardLimitError, attached, json_int,
+                     json_list, read_json, vertex_subset)
 from .weights import clique_total
 
 __all__ = [
@@ -53,10 +53,7 @@ class KTree:
         if self.n < 1:
             raise ValueError(f"vertex count must be >= 1, got {self.n}")
         want = min(self.k + 1, self.n)
-        seed = sorted_subset(self.seed)
-        why = subset_refusal(seed, self.n, range(want, want + 1))
-        if why is not None:
-            raise ValueError(f"seed: {why}")
+        seed = vertex_subset(self.seed, self.n, range(want, want + 1), "seed: ")
         object.__setattr__(self, "seed", tuple(map(int, seed)))
         # Edges only ever join a new vertex to its anchor, so a k-subset lies
         # inside an existing clique exactly when it lies inside the clique
@@ -66,11 +63,9 @@ class KTree:
         attachments = []
         size = range(self.k + 1, self.k + 2)
         for v, anchor in self.attachments:
-            clique = sorted_subset((*anchor, v))
-            why = subset_refusal(clique, self.n, size)
-            if why is not None:
-                raise ValueError(f"vertex {v!r} attached to {tuple(anchor)}: "
-                                 f"{why}")
+            anchor, clique = attached(v, anchor)
+            clique = vertex_subset(clique, self.n, size,
+                                   f"vertex {v!r} attached to {anchor}: ")
             v = int(v)
             anchor = tuple(int(a) for a in clique if a != v)
             if v in step:
@@ -157,22 +152,23 @@ def ktree_from_cliques(maximal_cliques, k: int, n: int) -> KTree:
     """
     if n <= k + 1:
         return KTree(k=k, n=n, seed=tuple(range(n)))
-    seed, *rest = map(sorted_subset, maximal_cliques)
-    holders: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    seed, *rest = maximal_cliques
+    holders: dict[frozenset[int], list[tuple[int, ...]]] = {}
     for c in rest:
         for s in itertools.combinations(c, k):
-            holders.setdefault(s, []).append(c)
+            holders.setdefault(frozenset(s), []).append(c)
     placed = set(seed)
     attachments = []
-    anchors = list(itertools.combinations(seed, k))
+    anchors = [frozenset(s) for s in itertools.combinations(seed, k)]
     while anchors:
         anchor = anchors.pop()
         for c in holders.pop(anchor, ()):
             (v,) = set(c).difference(anchor)
             if v not in placed:
                 placed.add(v)
-                attachments.append((v, anchor))
-                anchors.extend(s for s in itertools.combinations(c, k) if v in s)
+                attachments.append((v, tuple(anchor)))
+                anchors.extend(frozenset(s)
+                               for s in itertools.combinations(c, k) if v in s)
     return KTree(k=k, n=n, seed=seed, attachments=tuple(attachments))
 
 
@@ -192,15 +188,13 @@ def ktree_to_dict(tree: KTree) -> dict:
 def ktree_from_dict(doc: dict) -> KTree:
     """Parse a structure document (the maximal_cliques field is ignored)."""
     k, n = json_int(doc["k"], "k"), json_int(doc["n"], "n")
-    seed = tuple(json_int(v, "seed") for v in json_list(doc["seed"], "seed"))
+    seed = tuple(json_list(doc["seed"], "seed"))
     attachments = []
     for a in json_list(doc.get("attachments", []), "attachments"):
         if not isinstance(a, dict):
             raise TypeError(f"'attachments' must list objects, got "
                             f"{type(a).__name__}")
-        anchor = json_list(a["anchor"], "anchor")
-        attachments.append((json_int(a["v"], "v"),
-                            tuple(json_int(x, "anchor") for x in anchor)))
+        attachments.append((a["v"], tuple(json_list(a["anchor"], "anchor"))))
     return KTree(k=k, n=n, seed=seed, attachments=tuple(attachments))
 
 

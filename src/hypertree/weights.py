@@ -24,9 +24,9 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .errors import (WEIGHT_DOMAIN_GUARD, GuardLimitError, json_float,
-                     json_int, json_subsets, read_json, sorted_subset,
-                     subset_refusal)
+from .errors import (WEIGHT_DOMAIN_GUARD, GuardLimitError, attached,
+                     json_float, json_int, json_subsets, read_json,
+                     subset_key, vertex_subset)
 
 __all__ = [
     "WeightFunction",
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 SINGLETON_TOL = 1e-12
+NO_ENTRY = "no weight entry: "  # how a read outside the domain is refused
 
 
 def domain_size(n: int, k: int) -> int:
@@ -80,26 +81,16 @@ class WeightFunction:
             raise ValueError("need k >= 1 and n >= 1")
         object.__setattr__(self, "sizes", range(1, self.k + 2))
         for h, w in self.weights.items():
-            why = subset_refusal(h, self.n, self.sizes)
-            if why is None and not math.isfinite(w):
-                why = f"weight for subset {h} is not finite: {w}"
-            elif why is None and len(h) == 1 and w > SINGLETON_TOL:
-                why = f"singleton weight for vertex {h[0]} is positive: {w}"
-            if why is not None:
-                raise ValueError(why)
+            subset_key(h, self.n, self.sizes)
+            if not math.isfinite(w):
+                raise ValueError(f"weight for subset {h} is not finite: {w}")
+            if len(h) == 1 and w > SINGLETON_TOL:
+                raise ValueError(
+                    f"singleton weight for vertex {h[0]} is positive: {w}")
 
     def __getitem__(self, subset) -> float:
-        key = sorted_subset(subset)
-        _require(self, key)
-        return self.weights.get(key, 0.0)
-
-
-def _require(wf: WeightFunction, clique: tuple[int, ...]) -> None:
-    """Refuse a sorted clique outside the domain; every subset of a clique
-    it accepts may then be read, sorted, from ``weights`` with default 0."""
-    why = subset_refusal(clique, wf.n, wf.sizes)
-    if why is not None:
-        raise ValueError(f"no weight entry: {why}")
+        return self.weights.get(
+            vertex_subset(subset, self.n, self.sizes, NO_ENTRY), 0.0)
 
 
 def family_weights(k: int, n: int, entropies) -> WeightFunction:
@@ -136,9 +127,8 @@ def clique_total(maximal_cliques, wf: WeightFunction) -> float:
     each counted once and summed in lexicographic order. Each given clique
     is checked against the domain once; its sub-cliques are read directly.
     """
-    maximal_cliques = [sorted_subset(mc) for mc in maximal_cliques]
-    for mc in maximal_cliques:
-        _require(wf, mc)
+    maximal_cliques = [vertex_subset(mc, wf.n, wf.sizes, NO_ENTRY)
+                       for mc in maximal_cliques]
     subs = sorted({h for mc in maximal_cliques for size in range(2, len(mc) + 1)
                    for h in itertools.combinations(mc, size)})
     get = wf.weights.get
@@ -168,10 +158,14 @@ def attachment_gain(wf: WeightFunction, v: int, anchor) -> float:
     distribution the gain equals I(X_v; X_anchor), so it is nonnegative up
     to rounding.
     """
-    if v in anchor:
-        raise ValueError(f"vertex {v} is in its own anchor {sorted_subset(anchor)}")
-    clique = sorted_subset((*anchor, v))
-    _require(wf, clique)
+    anchor, clique = attached(v, anchor)
+    if clique is not anchor and v in anchor:
+        try:
+            anchor = tuple(sorted(anchor))
+        except TypeError:  # shown as given when its vertices do not sort
+            pass
+        raise ValueError(f"vertex {v} is in its own anchor {anchor}")
+    clique = vertex_subset(clique, wf.n, wf.sizes, NO_ENTRY)
     get = wf.weights.get
     total = 0.0
     for size in range(2, len(clique) + 1):

@@ -567,13 +567,17 @@ def test_gen_parity_unknown_schema(run, tmp_path):
      ["gen-parity", "{bad}", "--out", "{out}"], "'scale' must be a number"),
     ("s.json", json.dumps({"k": 1, "n": 3, "seed": [0.9, 1],
                            "attachments": [{"v": 2, "anchor": [1]}]}),
-     ["eval", "{csv}", "{bad}"], "'seed' must be an integer, got 0.9"),
+     ["eval", "{csv}", "{bad}"],
+     "seed: subset (0.9, 1) has a non-integer vertex 0.9"),
     ("s.json", json.dumps({"k": 1, "n": 3, "seed": [0, 1],
                            "attachments": [{"v": 2.7, "anchor": [1]}]}),
-     ["eval", "{csv}", "{bad}"], "'v' must be an integer, got 2.7"),
+     ["eval", "{csv}", "{bad}"],
+     "vertex 2.7 attached to (1,): subset (1, 2.7) has a non-integer vertex 2.7"),
     ("s.json", json.dumps({"k": 1, "n": 3, "seed": [0, 1],
                            "attachments": [{"v": 2, "anchor": [True]}]}),
-     ["eval", "{csv}", "{bad}"], "'anchor' must be an integer, got True"),
+     ["eval", "{csv}", "{bad}"],
+     "vertex 2 attached to (True,): subset (True, 2) has a non-integer "
+     "vertex True"),
     ("s.json", json.dumps({"k": "1", "n": 3, "seed": [0, 1],
                            "attachments": [{"v": 2, "anchor": [1]}]}),
      ["eval", "{csv}", "{bad}"], "'k' must be an integer, got '1'"),
