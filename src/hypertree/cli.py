@@ -35,13 +35,13 @@ SOLVER_NAMES = ("chow_liu", "exact", "greedy", "local")
 
 
 def _sidecar_arities(doc: dict) -> dict[str, int]:
-    from .dataset import VariableSpec
+    from .dataset import checked_arity
 
     arities = doc["arities"]
     if not isinstance(arities, dict):
         raise TypeError(f"'arities' must map names to arities, "
                         f"got {type(arities).__name__}")
-    return {name: VariableSpec(name, json_int(m, f"arities.{name}")).arity
+    return {name: checked_arity(json_int(m, f"arities.{name}"), name)
             for name, m in arities.items()}
 
 

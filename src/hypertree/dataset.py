@@ -24,7 +24,7 @@ from .errors import (GuardLimitError, json_float, json_int, json_list,
                      read_input, subset_key)
 
 __all__ = [
-    "VariableSpec",
+    "checked_arity",
     "Dataset",
     "load_dataset",
     "dump_dataset",
@@ -36,28 +36,22 @@ __all__ = [
 MARGINAL_CELL_GUARD = 2 ** 24  # cells of one count table: 128 MiB of int64
 
 
-@dataclass(frozen=True)
-class VariableSpec:
-    """A named categorical variable with a fixed outcome count."""
-
-    name: str
-    arity: int
-
-    def __post_init__(self):
-        if not self.name:
-            raise ValueError("variable name must be nonempty")
-        if self.arity < 2:
-            raise ValueError(
-                f"variable {self.name!r}: arity must be >= 2, got {self.arity}"
-            )
+def checked_arity(arity, variable) -> int:
+    """arity, refused below 2 with a ValueError naming the variable: a
+    column name where a file names it, else its index."""
+    if arity < 2:
+        raise ValueError(
+            f"variable {variable!r}: arity must be >= 2, got {arity}")
+    return arity
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """A target distribution: distinct outcome vectors with positive weights.
 
-    ``rows`` has shape (D, n); entry (d, i) is the outcome code of variable i
-    in distinct row d, an integer in [0, arity_i), and the rows are in
+    ``arities[i]`` is the outcome count of variable i, at least 2. ``rows``
+    has shape (D, n); entry (d, i) is the outcome code of variable i in
+    distinct row d, an integer in [0, arities[i]), and the rows are in
     lexicographic order. ``counts[d]`` is the weight of row d. Given no
     counts, the constructor collapses the repeated rows of a (T, n) table of
     observations and counts them; given counts, the rows must already be
@@ -65,33 +59,30 @@ class Dataset:
     for a table of observations, 1 for a probability table.
     """
 
-    specs: tuple[VariableSpec, ...]
+    arities: tuple[int, ...]
     rows: np.ndarray
     counts: np.ndarray | None = None
     n_rows: int | float = field(init=False)
 
     def __post_init__(self):
-        specs = tuple(self.specs)
-        object.__setattr__(self, "specs", specs)
-        names = [s.name for s in specs]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate variable names")
+        arities = tuple(self.arities)
+        object.__setattr__(self, "arities", arities)
         rows = np.asarray(self.rows)
-        if rows.ndim != 2 or rows.shape[1] != len(specs):
-            raise ValueError(
-                f"rows must be a (T, {len(specs)}) table, got shape {rows.shape}"
-            )
+        if rows.ndim != 2 or rows.shape[1] != len(arities):
+            raise ValueError(f"rows must be a (T, {len(arities)}) table, "
+                             f"got shape {rows.shape}")
         if rows.shape[0] < 1:
             raise ValueError("dataset must contain at least one row")
         if not np.issubdtype(rows.dtype, np.integer):
             raise ValueError("outcome codes must be integers")
-        for i, spec in enumerate(specs):
+        for i, arity in enumerate(arities):
+            checked_arity(arity, i)
             col = rows[:, i]
-            if col.min() < 0 or col.max() >= spec.arity:
-                bad = int(np.argmax((col < 0) | (col >= spec.arity)))
+            if col.min() < 0 or col.max() >= arity:
+                bad = int(np.argmax((col < 0) | (col >= arity)))
                 raise ValueError(
-                    f"row {bad}, column {spec.name!r}: outcome "
-                    f"{int(col[bad])} outside [0, {spec.arity})"
+                    f"row {bad}, variable {i}: outcome "
+                    f"{int(col[bad])} outside [0, {arity})"
                 )
         distinct, counts = np.unique(rows, axis=0, return_counts=True)
         if self.counts is not None:
@@ -110,11 +101,7 @@ class Dataset:
 
     @property
     def n_vars(self) -> int:
-        return len(self.specs)
-
-    @property
-    def arities(self) -> tuple[int, ...]:
-        return tuple(s.arity for s in self.specs)
+        return len(self.arities)
 
 
 def _bad_cell(rec, names, lineno) -> ValueError:
@@ -136,11 +123,13 @@ def load_dataset(path, arities: dict[str, int] | None = None) -> Dataset:
     """Read a Dataset from a CSV file through ``errors.read_input``: UTF-8,
     a leading byte-order mark dropped, and every fault prefixed with the path.
 
-    The first row is a header of variable names; body cells are integer
-    outcome codes. Arities are inferred as max(observed code + 1, 2) unless
-    ``arities`` supplies an explicit value for a column, in which case codes
-    must stay below it (declared arities permit never-observed outcomes).
-    Every name in ``arities`` must be a column of the header. Errors, a
+    The first row is a header of nonempty, distinct variable names, checked
+    before any body row is read; the names serve only to match ``arities``
+    and to name faults. Body cells are integer outcome codes. Arities are
+    inferred as max(observed code + 1, 2) unless ``arities`` supplies an
+    explicit value for a column, in which case codes must stay below it
+    (declared arities permit never-observed outcomes). Every name in
+    ``arities`` must be a column of the header. Errors, a
     malformed CSV record included, name the 1-based physical line as the
     CSV reader counts it: blank lines count, and a record whose quoted cell
     spans lines is named by its last line.
@@ -148,7 +137,7 @@ def load_dataset(path, arities: dict[str, int] | None = None) -> Dataset:
     return read_input(path, _parse_csv, arities)
 
 
-def _parse_csv(fh, arities) -> Dataset:
+def _parse_csv(fh, declared) -> Dataset:
     reader = csv.reader(fh)
     cells, lines = array("q"), array("q")  # row-major codes; each row's line
     try:
@@ -156,11 +145,20 @@ def _parse_csv(fh, arities) -> Dataset:
         if header is None:
             raise ValueError("empty CSV: missing header row")
         names = [h.strip() for h in header]
-        if arities is not None:
-            unknown = sorted(set(arities) - set(names))
-            if unknown:
-                raise ValueError(f"arities given for columns not in the "
-                                 f"header: {unknown}")
+        first = {}  # each name's 1-based column
+        for i, name in enumerate(names, 1):
+            where = f"line {reader.line_num}, column {i}"
+            if not name:
+                raise ValueError(f"{where}: empty header name")
+            if first.setdefault(name, i) != i:
+                raise ValueError(f"{where}: header name {name!r} repeats "
+                                 f"column {first[name]}")
+        declared = {name: checked_arity(json_int(a, f"arities.{name}"), name)
+                    for name, a in (declared or {}).items()}
+        unknown = sorted(declared.keys() - first.keys())
+        if unknown:
+            raise ValueError(f"arities given for columns not in the "
+                             f"header: {unknown}")
         for rec in reader:
             if not rec:
                 continue
@@ -177,14 +175,11 @@ def _parse_csv(fh, arities) -> Dataset:
     if not lines:
         raise ValueError("empty CSV body: no data rows")
     data = np.frombuffer(cells, np.int64).reshape(len(lines), len(names))
-    specs = []
+    arities = []
     for i, name in enumerate(names):
         col = data[:, i]
         observed = int(col.max()) + 1
-        if arities is not None and name in arities:
-            arity = json_int(arities[name], f"arities.{name}")
-        else:
-            arity = max(observed, 2)
+        arity = declared.get(name, max(observed, 2))
         if col.min() < 0 or observed > arity:
             row = int(np.argmax((col < 0) | (col >= arity)))
             code = int(col[row])
@@ -192,21 +187,22 @@ def _parse_csv(fh, arities) -> Dataset:
                    else f"outside [0, {arity})")
             raise ValueError(
                 f"line {lines[row]}, column {name!r}: outcome {code} {why}")
-        specs.append(VariableSpec(name, arity))
+        arities.append(arity)
     del lines  # only the errors above need it: free it before the rows sort
-    return Dataset(tuple(specs), data)
+    return Dataset(tuple(arities), data)
 
 
 def dump_dataset(data: Dataset, path) -> None:
-    """Write a Dataset of integer counts as header + integer-code CSV rows:
-    each distinct row as many times as its count, equal rows together. A
-    Dataset weighted by probabilities is refused before anything is written."""
+    """Write a Dataset of integer counts as the header x0,...,x{n-1} and
+    integer-code CSV rows: each distinct row as many times as its count,
+    equal rows together. A Dataset weighted by probabilities is refused
+    before anything is written."""
     if not np.issubdtype(data.counts.dtype, np.integer):
         raise ValueError("only a Dataset of integer counts can be written as "
                          f"rows; its counts are {data.counts.dtype}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([s.name for s in data.specs])
+        writer.writerow([f"x{i}" for i in range(data.n_vars)])
         for row, count in zip(data.rows, data.counts.tolist()):
             writer.writerows(itertools.repeat(row.tolist(), count))
 
@@ -217,13 +213,12 @@ def joint_table_from_dict(doc: dict) -> Dataset:
 
     ``probs`` is flat row-major with the last variable fastest. Every entry
     must be a finite nonnegative number, and the entries must sum to 1
-    within 1e-12. Variables are named x0, x1, ...
+    within 1e-12.
     """
-    specs = tuple(VariableSpec(f"x{i}", json_int(a, "arities"))
-                  for i, a in enumerate(json_list(doc["arities"], "arities")))
-    if not specs:
+    arities = tuple(checked_arity(json_int(a, "arities"), i) for i, a in
+                    enumerate(json_list(doc["arities"], "arities")))
+    if not arities:
         raise ValueError("'arities' is empty: a joint table needs a variable")
-    arities = tuple(s.arity for s in specs)
     probs = np.array([p if type(p) is float else json_float(p, "probs")
                       for p in json_list(doc["probs"], "probs")], dtype=float)
     expect = math.prod(arities)
@@ -241,7 +236,7 @@ def joint_table_from_dict(doc: dict) -> Dataset:
         raise ValueError(f"joint table sums to {total}, expected 1")
     cells = np.flatnonzero(probs)
     rows = np.column_stack(np.unravel_index(cells, arities))
-    return Dataset(specs, rows, probs[cells])
+    return Dataset(arities, rows, probs[cells])
 
 
 def count_tables(data: Dataset, scopes):
@@ -258,7 +253,7 @@ def count_tables(data: Dataset, scopes):
     prefix, flats = (), []  # the previous scope; its flat index per depth
     for scope in scopes:
         subset_key(scope, data.n_vars, range(1, data.n_vars + 1))
-        dims = tuple(data.specs[v].arity for v in scope)
+        dims = tuple(data.arities[v] for v in scope)
         cells = math.prod(dims)
         if cells > MARGINAL_CELL_GUARD:
             raise GuardLimitError(f"marginal table over scope {scope} has "

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, VariableSpec
+from .dataset import Dataset
 from .errors import GuardLimitError, json_int, json_subsets, subset_key
 
 __all__ = [
@@ -171,8 +171,7 @@ def generate(tb: TargetBiases) -> ParitySample:
         p = tb.entries.get(h, 0)
         odd = cube[:, h].sum(axis=1) % 2
         counts += tb.q - p + 2 * p * odd
-    specs = tuple(VariableSpec(f"x{i}", 2) for i in range(tb.n))
-    return ParitySample(dataset=Dataset(specs, cube, counts), biases=tb)
+    return ParitySample(dataset=Dataset((2,) * tb.n, cube, counts), biases=tb)
 
 
 def realize_weights(

@@ -204,8 +204,9 @@ def local_search(wf, start: KTree) -> SolverResult:
     this library's own design.
 
     Each iteration scans the moves in one fixed order: the re-anchors of
-    each removable vertex over its sorted candidate anchors, then the swaps
-    of each removable vertex v with every other vertex u, u ascending. The
+    each removable vertex to each k-clique, sorted and listed once per scan,
+    that neither holds it nor is its anchor; then the swaps of each
+    removable vertex v with every other vertex u, u ascending. The
     first move that improves the score by more than 1e-12 is accepted, so
     the final score never drops below the start; ``nodes_explored`` counts
     the moves scanned, up to and including each accepted one. The search
@@ -245,16 +246,16 @@ def local_search(wf, start: KTree) -> SolverResult:
             for x in mc:
                 held[x].append(mc)
         removable = [v for v in range(n) if len(held[v]) == 1]
+        anchors = sorted({s for mc in maximal
+                          for s in itertools.combinations(mc, k)})
         # (a) re-anchor a removable vertex elsewhere; v lies in exactly one
         # maximal clique, which the move replaces
         for v in removable:
             old_anchor = tuple(x for x in held[v][0] if x != v)
             loss = gain(v, old_anchor)
-            candidates = sorted({
-                s for mc in maximal for s in itertools.combinations(mc, k)
-                if v not in s
-            } - {old_anchor})
-            for a in candidates:
+            for a in anchors:
+                if v in a or a == old_anchor:
+                    continue
                 if gain(v, a) - loss > IMPROVE_EPS:
                     yield [tuple(sorted(a + (v,))) if v in mc else mc
                            for mc in maximal]

@@ -62,7 +62,12 @@ class KTree:
         made = [frozenset(self.seed)]
         attachments = []
         size = range(self.k + 1, self.k + 2)
-        for v, anchor in self.attachments:
+        for pair in self.attachments:
+            try:
+                v, anchor = pair
+            except (TypeError, ValueError):
+                raise ValueError(f"attachment {pair!r} is not a (vertex, "
+                                 "anchor) pair") from None
             anchor, clique = attached(v, anchor)
             clique = vertex_subset(clique, self.n, size,
                                    f"vertex {v!r} attached to {anchor}: ")

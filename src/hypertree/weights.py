@@ -127,6 +127,9 @@ def clique_total(maximal_cliques, wf: WeightFunction) -> float:
     each counted once and summed in lexicographic order. Each given clique
     is checked against the domain once; its sub-cliques are read directly.
     """
+    if not hasattr(maximal_cliques, "__iter__"):
+        raise ValueError(f"{NO_ENTRY}cliques {maximal_cliques!r} are not a "
+                         "collection of subsets")
     maximal_cliques = [vertex_subset(mc, wf.n, wf.sizes, NO_ENTRY)
                        for mc in maximal_cliques]
     subs = sorted({h for mc in maximal_cliques for size in range(2, len(mc) + 1)
@@ -156,16 +159,10 @@ def attachment_gain(wf: WeightFunction, v: int, anchor) -> float:
     sorted clique anchor + {v} that hold v and one more vertex come in
     that same order, already in key form. For weights computed from a
     distribution the gain equals I(X_v; X_anchor), so it is nonnegative up
-    to rounding.
+    to rounding. A v inside its anchor repeats in that clique, which the
+    subset rule refuses as not strictly ascending.
     """
-    anchor, clique = attached(v, anchor)
-    if clique is not anchor and v in anchor:
-        try:
-            anchor = tuple(sorted(anchor))
-        except TypeError:  # shown as given when its vertices do not sort
-            pass
-        raise ValueError(f"vertex {v} is in its own anchor {anchor}")
-    clique = vertex_subset(clique, wf.n, wf.sizes, NO_ENTRY)
+    clique = vertex_subset(attached(v, anchor)[1], wf.n, wf.sizes, NO_ENTRY)
     get = wf.weights.get
     total = 0.0
     for size in range(2, len(clique) + 1):

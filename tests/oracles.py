@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from hypertree import solvers
 from hypertree.dataset import (
     Dataset,
-    VariableSpec,
     count_tables,
     entropy,
     joint_table_from_dict,
@@ -113,6 +112,13 @@ def load_dataset_reference(source, arities=None) -> Dataset:
         if header is None:
             raise ValueError("empty CSV: missing header row")
         names = [h.strip() for h in header]
+        for col, name in enumerate(names):
+            where = f"line {reader.line_num}, column {col + 1}"
+            if not name:
+                raise ValueError(f"{where}: empty header name")
+            if name in names[:col]:
+                raise ValueError(f"{where}: header name {name!r} repeats "
+                                 f"column {names.index(name) + 1}")
         if arities is not None:
             unknown = sorted(set(arities) - set(names))
             if unknown:
@@ -154,7 +160,7 @@ def load_dataset_reference(source, arities=None) -> Dataset:
             f"line {lines[row]}, column {names[col]!r}: cell {cell} "
             f"outside the int64 range"
         ) from None
-    specs = []
+    found = []
     for i, name in enumerate(names):
         col = data[:, i]
         observed = int(col.max()) + 1
@@ -169,8 +175,8 @@ def load_dataset_reference(source, arities=None) -> Dataset:
                    else f"outside [0, {arity})")
             raise ValueError(
                 f"line {lines[row]}, column {name!r}: outcome {code} {why}")
-        specs.append(VariableSpec(name, arity))
-    return Dataset(tuple(specs), data)
+        found.append(arity)
+    return Dataset(tuple(found), data)
 
 
 def text_file(directory, text: str):
@@ -184,9 +190,8 @@ def text_file(directory, text: str):
 def random_dataset(rng, n, t, arities=None):
     if arities is None:
         arities = [int(rng.integers(2, 4)) for _ in range(n)]
-    specs = tuple(VariableSpec(f"x{i}", a) for i, a in enumerate(arities))
     rows = np.column_stack([rng.integers(0, a, size=t) for a in arities])
-    return Dataset(specs, rows)
+    return Dataset(arities, rows)
 
 
 def joint_table(probs) -> Dataset:
@@ -413,8 +418,6 @@ def attachment_gain_reference(wf, v, anchor) -> float:
     """``weights.attachment_gain`` read through ``wf[...]``: S + {v} for each
     nonempty S inside the sorted anchor, by size, then S in order."""
     anchor = tuple(sorted(anchor))
-    if v in anchor:
-        raise ValueError(f"vertex {v} is in its own anchor {anchor}")
     total = 0.0
     for size in range(1, len(anchor) + 1):
         for sub in itertools.combinations(anchor, size):

@@ -11,7 +11,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from hypertree.dataset import Dataset, VariableSpec
 from hypertree.paritygen import (
     TargetBiases,
     bias_to_weight,

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypertree.cli import main
-from hypertree.dataset import Dataset, VariableSpec, dump_dataset, load_dataset
+from hypertree.dataset import Dataset, dump_dataset, load_dataset
 from hypertree.paritygen import TargetBiases, biases_to_dict
 from hypertree.projection import log_likelihood, project
 from hypertree.structure import ktree_to_dict
@@ -107,6 +107,16 @@ def test_weights_parse_error_is_validation(run, tmp_path):
     bad.write_text("a,b\n0,x\n")
     res = run(["weights", str(bad), "--k", "1"])
     assert res.exit_code == 2
+
+
+def test_csv_header_name_is_refused_before_the_body(run, tmp_path):
+    # the repeated name wins over the non-integer cell on line 3
+    bad = tmp_path / "dup.csv"
+    bad.write_text("a,a\n0,1\n0,x\n")
+    res = run(["weights", str(bad), "--k", "1"])
+    assert res.exit_code == 2, res.output
+    assert res.output == (f"error: {bad}: line 1, column 2: header name 'a' "
+                          f"repeats column 1\n")
 
 
 def test_csv_cell_outside_int64_is_validation(run, tmp_path):
@@ -804,13 +814,12 @@ def test_eval_loglik_matches_log_likelihood(tmp_path_factory, sample, seed, k,
     # a CSV's unseen outcomes in the model
     arities, rows, probs = sample
     tmp = tmp_path_factory.mktemp("loglik")
-    specs = tuple(VariableSpec(f"x{i}", a) for i, a in enumerate(arities))
     if kind == "csv":
-        data, path = Dataset(specs, rows), tmp / "data.csv"
+        data, path = Dataset(arities, rows), tmp / "data.csv"
         dump_dataset(data, path)
         sidecar = tmp / "arities.json"
         sidecar.write_text(json.dumps(
-            {"arities": {s.name: s.arity for s in specs}}))
+            {"arities": {f"x{i}": a for i, a in enumerate(arities)}}))
         extra = ["--arities", str(sidecar)]
     else:
         data, path = joint_table(probs), tmp / "data.json"

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from hypertree.dataset import (
     Dataset,
-    VariableSpec,
     count_tables,
     dump_dataset,
     entropy,
@@ -43,8 +42,7 @@ from oracles import (
 @pytest.fixture
 def four_rows():
     # rows {(0,0),(0,1),(1,1),(1,1)}
-    specs = (VariableSpec("a", 2), VariableSpec("b", 2))
-    return Dataset(specs, np.array([[0, 0], [0, 1], [1, 1], [1, 1]]))
+    return Dataset((2, 2), np.array([[0, 0], [0, 1], [1, 1], [1, 1]]))
 
 
 def test_load_dataset_readback(tmp_path):
@@ -58,7 +56,7 @@ def test_load_dataset_readback(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes(codecs.BOM_UTF8 + b"a,b\n0,1\n1,0\n")
     back = load_dataset(path)
-    assert back.specs == d.specs
+    assert back.arities == d.arities
     assert np.array_equal(back.rows, d.rows)
     assert np.array_equal(back.counts, d.counts)
 
@@ -86,6 +84,33 @@ def test_load_dataset_refuses_a_non_integer_arity(tmp_path, arity):
         load_dataset(path, {"b": arity})
     assert str(exc.value) == (f"{path}: malformed field: 'arities.b' must be "
                               f"an integer, got {arity!r}")
+
+
+@pytest.mark.parametrize("header, message", [
+    ("a,a,b", "line 1, column 2: header name 'a' repeats column 1"),
+    ("a, b ,b", "line 1, column 3: header name 'b' repeats column 2"),
+    ("a, ,b", "line 1, column 2: empty header name"),
+    ("a,b,", "line 1, column 3: empty header name"),
+    ('a,"b\n",""', "line 2, column 3: empty header name"),
+])
+def test_load_dataset_refuses_a_bad_header_name_before_the_body(tmp_path,
+                                                                header,
+                                                                message):
+    # the header fault wins over a malformed record and a bad cell after it
+    path = text_file(tmp_path, header + "\n0,1,1\n0,1\r2,1\n0,x,1\n")
+    with pytest.raises(ValueError) as exc:
+        load_dataset(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_declared_arity_below_two_is_refused_naming_the_column(tmp_path):
+    # refused at the header, before a code of 1 could reach the arity check
+    for body in ("0,0\n", "0,1\n"):
+        path = text_file(tmp_path, "a,b\n" + body)
+        with pytest.raises(ValueError) as exc:
+            load_dataset(path, {"b": 1})
+        assert str(exc.value) == (f"{path}: variable 'b': arity must be "
+                                  f">= 2, got 1")
 
 
 def test_load_dataset_declared_arity_allows_unseen_outcomes(tmp_path):
@@ -125,7 +150,8 @@ def test_load_dataset_errors(tmp_path):
 # str.strip() but not to int() alone.
 PADDING = st.text(" \t\x1c\x1f", max_size=2)
 FAULTS = ("none", "non-integer", "int64", "cell-count", "negative",
-          "declared-arity", "unknown-arity", "malformed-record", "no-rows")
+          "declared-arity", "unknown-arity", "malformed-record", "no-rows",
+          "header-name")
 
 
 @st.composite
@@ -172,6 +198,9 @@ def csv_with_one_fault(draw):
         cells[r][c] = "1\r2"
     elif fault == "no-rows":
         cells = []
+    elif fault == "header-name":  # empty, or the name of the column before
+        arities.pop(names[c], None)
+        names[c] = names[c - 1] if c and draw(st.booleans()) else ""
     header = ",".join(draw(PADDING) + name for name in names)
     text = header + "\n"
     for row in cells:
@@ -207,7 +236,7 @@ def test_load_dataset_matches_reference(csv_dir, case):
         assert got == want
         return
     assert not isinstance(got, str), got
-    assert got.specs == want.specs
+    assert got.arities == want.arities
     assert got.rows.dtype == want.rows.dtype == np.int64
     assert np.array_equal(got.rows, want.rows)
     assert np.array_equal(got.counts, want.counts)
@@ -217,12 +246,11 @@ def test_load_dataset_matches_reference(csv_dir, case):
 def test_dump_dataset_writes_chunks_as_one_pass(tmp_path, t):
     # t rows of two outcome vectors: at t=8195 each is written over 4,096 times
     half = np.arange(t) % 2
-    d = Dataset((VariableSpec("a", 2), VariableSpec("b", 3)),
-                np.column_stack([half, 2 * half]))
+    d = Dataset((2, 3), np.column_stack([half, 2 * half]))
     want = io.StringIO()
     dump_dataset(d, tmp_path / "got.csv")
     writer = csv.writer(want)
-    writer.writerow([s.name for s in d.specs])
+    writer.writerow(["x0", "x1"])
     writer.writerows(np.repeat(d.rows, d.counts, axis=0).tolist())
     assert (tmp_path / "got.csv").read_bytes() == want.getvalue().encode()
 
@@ -234,12 +262,11 @@ def test_dump_dataset_refuses_probability_weights(tmp_path):
     assert not (tmp_path / "sample.csv").exists()  # refused before opening
 
 
-def test_variable_spec_validation():
-    with pytest.raises(ValueError):
-        VariableSpec("a", 1)
-    with pytest.raises(ValueError):
-        Dataset((VariableSpec("a", 2), VariableSpec("a", 2)),
-                np.array([[0, 0]]))
+def test_dataset_refuses_an_arity_below_two():
+    with pytest.raises(ValueError, match="variable 1: arity must be >= 2, got 1"):
+        Dataset((2, 1), np.array([[0, 0]]))
+    with pytest.raises(ValueError, match="row 1, variable 0: outcome 2 outside"):
+        Dataset((2, 3), np.array([[0, 0], [2, 1]]))
 
 
 def test_marginal_counts(four_rows):
@@ -269,8 +296,8 @@ def test_marginal_errors(four_rows):
 
 def test_count_table_guard():
     # refused before allocating; the cell count is exact where np.prod wraps
-    specs = tuple(VariableSpec(f"x{i}", 2 ** 21) for i in range(3))
-    d = Dataset(specs, np.zeros((1, 3), dtype=np.int64))
+    arities = (2 ** 21,) * 3
+    d = Dataset(arities, np.zeros((1, 3), dtype=np.int64))
     with pytest.raises(GuardLimitError,
                        match=r"scope \(0, 1\) has 4398046511104 cells, "
                              r"over 16777216"):
@@ -291,8 +318,7 @@ def test_entropy_values(four_rows):
 def test_mutual_information_values(four_rows):
     assert mutual_information(four_rows, 0, 1) == pytest.approx(
         0.2157615543388356, abs=1e-12)
-    copies = Dataset((VariableSpec("a", 2), VariableSpec("b", 2)),
-                     np.array([[0, 0], [1, 1]]))
+    copies = Dataset((2, 2), np.array([[0, 0], [1, 1]]))
     assert mutual_information(copies, 0, 1) == pytest.approx(math.log(2), abs=1e-12)
     indep = joint_table(np.full((2, 2), 0.25))
     assert mutual_information(indep, 0, 1) == 0.0
@@ -312,8 +338,7 @@ def test_joint_entropy_matches_small_table():
 @settings(max_examples=150, deadline=None)
 def test_estimators_match_references(sample):
     arities, rows, probs = sample
-    specs = tuple(VariableSpec(f"x{i}", a) for i, a in enumerate(arities))
-    counted, table = Dataset(specs, rows), joint_table(probs)
+    counted, table = Dataset(arities, rows), joint_table(probs)
     for size in range(1, len(arities) + 1):
         for scope in itertools.combinations(range(len(arities)), size):
             # count data: bit-identical to the row-based estimators
@@ -337,11 +362,10 @@ def test_count_tables_match_reference(sample, draw):
     # and a joint table's float weights, some declared outcomes unseen
     arities, rows, probs = sample
     n = len(arities)
-    specs = tuple(VariableSpec(f"x{i}", a) for i, a in enumerate(arities))
     domain = [h for size in range(1, n + 1)
               for h in itertools.combinations(range(n), size)]
     scopes = draw.draw(st.lists(st.sampled_from(domain), max_size=40))
-    counted = Dataset(specs, rows)
+    counted = Dataset(arities, rows)
     for data in (counted, joint_table(probs)):
         tables = list(count_tables(data, scopes))
         assert [scope for scope, _ in tables] == scopes
@@ -358,9 +382,8 @@ def test_count_tables_match_reference(sample, draw):
 def test_count_tables_refuses_a_later_scope_over_the_guard():
     # each scope is checked when it is reached: the tables before it are
     # yielded, and the refusal names it
-    specs = (VariableSpec("a", 2 ** 12), VariableSpec("b", 2 ** 13),
-             VariableSpec("c", 2))
-    tables = count_tables(Dataset(specs, np.zeros((1, 3), dtype=np.int64)),
+    arities = (2 ** 12, 2 ** 13, 2)
+    tables = count_tables(Dataset(arities, np.zeros((1, 3), dtype=np.int64)),
                           [(0,), (1,), (0, 1), (2,)])
     assert [scope for scope, _ in itertools.islice(tables, 2)] == [(0,), (1,)]
     with pytest.raises(GuardLimitError,
@@ -372,8 +395,8 @@ def test_count_tables_refuses_a_later_scope_over_the_guard():
 def test_count_tables_beside_a_column_of_codes_past_int32():
     # codes are counted as int32: a column too wide for it is only in scopes
     # the guard refuses, and the columns beside it count exactly
-    specs = (VariableSpec("a", 2 ** 31 + 6), VariableSpec("b", 3))
-    d = Dataset(specs, np.array([[2 ** 31 + 5, 1], [0, 2], [7, 2]]))
+    arities = (2 ** 31 + 6, 3)
+    d = Dataset(arities, np.array([[2 ** 31 + 5, 1], [0, 2], [7, 2]]))
     assert [c.tolist() for _, c in count_tables(d, [(1,)])] == [[0, 1, 2]]
     with pytest.raises(GuardLimitError, match=r"scope \(0,\) has 2147483654"):
         list(count_tables(d, [(1,), (0,)]))
@@ -406,7 +429,7 @@ def test_entropy_refinement_monotone(seed):
                     continue
                 up = tuple(sorted(s + (v,)))
                 hu = scope_entropy(d, up)
-                assert h - 1e-9 <= hu <= h + math.log(d.specs[v].arity) + 1e-9
+                assert h - 1e-9 <= hu <= h + math.log(d.arities[v]) + 1e-9
 
 
 @given(seed=st.integers(0, 10_000))
@@ -462,21 +485,31 @@ def test_joint_table_validation():
         joint_table_from_dict({"arities": [2] * 64, "probs": [1.0]})
 
 
+@pytest.mark.parametrize("arities, probs, message", [
+    ([2, 1], [0.5, 0.5], "variable 1: arity must be >= 2, got 1"),
+    ([0, 2], [], "variable 0: arity must be >= 2, got 0"),
+])
+def test_joint_table_refuses_an_arity_below_two(arities, probs, message):
+    # refused before the cell count is sized from it
+    with pytest.raises(ValueError) as exc:
+        joint_table_from_dict({"arities": arities, "probs": probs})
+    assert str(exc.value) == message
+
+
 def test_weighted_rows_must_be_distinct_and_sorted():
-    specs = (VariableSpec("a", 2), VariableSpec("b", 2))
-    d = Dataset(specs, np.array([[0, 1], [1, 0]]), np.array([3, 1]))
+    arities = (2, 2)
+    d = Dataset(arities, np.array([[0, 1], [1, 0]]), np.array([3, 1]))
     assert d.n_rows == 4 and d.counts.tolist() == [3, 1]
     for rows in ([[1, 0], [0, 1]], [[0, 1], [0, 1]]):
         with pytest.raises(ValueError, match="distinct and in lexicographic"):
-            Dataset(specs, np.array(rows), np.array([1, 1]))
+            Dataset(arities, np.array(rows), np.array([1, 1]))
     for counts in ([1, 0], [1.0, math.nan], [1]):
         with pytest.raises(ValueError, match="counts must"):
-            Dataset(specs, np.array([[0, 1], [1, 0]]), np.array(counts))
+            Dataset(arities, np.array([[0, 1], [1, 0]]), np.array(counts))
 
 
 def test_repeated_rows_collapse_into_counts():
-    d = Dataset((VariableSpec("a", 2), VariableSpec("b", 3)),
-                np.array([[1, 2], [0, 1], [1, 2], [0, 0], [1, 2]]))
+    d = Dataset((2, 3), np.array([[1, 2], [0, 1], [1, 2], [0, 0], [1, 2]]))
     assert d.rows.tolist() == [[0, 0], [0, 1], [1, 2]]
     assert d.counts.tolist() == [1, 1, 3]
     assert d.n_rows == 5 and isinstance(d.n_rows, int)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertree.dataset import Dataset, VariableSpec
+from hypertree.dataset import Dataset
 from hypertree.projection import (
     ProjectedModel,
     divergence_decomposed,
@@ -48,12 +48,11 @@ from oracles import (
 def _row_log_prob(model, x):
     """Log probability of one assignment: the log likelihood of a one-row
     dataset over the model's variables."""
-    specs = tuple(VariableSpec(f"x{i}", a) for i, a in enumerate(model.arities))
-    return log_likelihood(model, Dataset(specs, np.array([x])))
+    return log_likelihood(model, Dataset(model.arities, np.array([x])))
 
 
 def test_single_vertex_factor_is_marginal():
-    d = Dataset((VariableSpec("a", 2),), np.array([[0], [0], [1], [0]]))
+    d = Dataset((2,), np.array([[0], [0], [1], [0]]))
     t = KTree(k=1, n=1, seed=(0,))
     m = project(d, t)
     assert m.factors[(0,)].tolist() == [0.75, 0.25]
@@ -114,15 +113,12 @@ def test_model_log_prob_uniform():
 
 def test_model_log_prob_generalizes_beyond_support():
     # row (1,0) is unseen but both clique marginals are positive
-    d = Dataset((VariableSpec("a", 2), VariableSpec("b", 2)),
-                np.array([[0, 0], [0, 1], [1, 1]]))
+    d = Dataset((2, 2), np.array([[0, 0], [0, 1], [1, 1]]))
     t = KTree(k=1, n=2, seed=(0, 1))
     m = project(d, t)
     lp = _row_log_prob(m, (1, 0))
     assert lp == -math.inf  # pair marginal of (1,0) is zero
-    d3 = Dataset((VariableSpec("a", 2), VariableSpec("b", 2),
-                  VariableSpec("c", 2)),
-                 np.array([[1, 0, 0], [1, 1, 1], [0, 0, 0]]))
+    d3 = Dataset((2, 2, 2), np.array([[1, 0, 0], [1, 1, 1], [0, 0, 0]]))
     t3 = KTree(k=1, n=3, seed=(0, 1), attachments=((2, (0,)),))
     m3 = project(d3, t3)
     # (1,0,1) never observed, but all clique marginals of it are positive
@@ -130,7 +126,7 @@ def test_model_log_prob_generalizes_beyond_support():
 
 
 def test_model_log_prob_validation():
-    d = Dataset((VariableSpec("a", 2),), np.array([[0], [1]]))
+    d = Dataset((2,), np.array([[0], [1]]))
     m = project(d, KTree(k=1, n=1, seed=(0,)))
     with pytest.raises(ValueError):
         _row_log_prob(m, (2,))
@@ -148,8 +144,7 @@ def test_divergence_decomposed_examples():
     assert base == pytest.approx(0.0, abs=1e-10)
 
     # perfectly correlated bits on a single edge: exact model
-    d = Dataset((VariableSpec("a", 2), VariableSpec("b", 2)),
-                np.array([[0, 0], [1, 1]]))
+    d = Dataset((2, 2), np.array([[0, 0], [1, 1]]))
     wf2 = compute_weights(d, 1)
     edge = KTree(k=1, n=2, seed=(0, 1))
     assert divergence_decomposed(d, wf2, edge) == pytest.approx(0.0, abs=1e-12)
@@ -226,9 +221,8 @@ def test_clique_marginals_match_and_normalize():
 def test_weights_are_expected_log_factors(sample, seed, k):
     # w(h) = E[log phi_h] under the target, over its positive cells
     arities, rows, probs = sample
-    specs = tuple(VariableSpec(f"x{i}", a) for i, a in enumerate(arities))
     tree = random_ktree(np.random.default_rng(seed), len(arities), k)
-    for data in (Dataset(specs, rows), joint_table(probs)):
+    for data in (Dataset(arities, rows), joint_table(probs)):
         m = project(data, tree)
         assert set(m.weights.weights) == set(m.factors)
         for h, phi in m.factors.items():
@@ -258,8 +252,7 @@ def test_likelihood_and_direct_divergence_match_references(sample, seed):
     arities, rows, probs = sample
     n, k = len(arities), min(2, len(arities) - 1)
     tree = random_ktree(np.random.default_rng(seed), n, k)
-    specs = tuple(VariableSpec(f"x{i}", a) for i, a in enumerate(arities))
-    counted, table = Dataset(specs, rows), joint_table(probs)
+    counted, table = Dataset(arities, rows), joint_table(probs)
     full = marginal_reference(rows, arities, tuple(range(n)))
     for data, target in ((counted, full), (table, probs)):
         model = project(data, tree)
@@ -285,23 +278,19 @@ def test_likelihood_and_direct_divergence_match_references(sample, seed):
 
 def test_log_likelihood_uniform_and_neg_inf():
     jt_rows = np.array(list(itertools.product(range(2), repeat=3)))
-    d = Dataset(tuple(VariableSpec(f"x{i}", 2) for i in range(3)), jt_rows)
+    d = Dataset((2,) * 3, jt_rows)
     t = KTree(k=1, n=3, seed=(0, 1), attachments=((2, (0,)),))
     m = project(d, t)
     assert log_likelihood(m, d) == pytest.approx(-8 * 3 * math.log(2), abs=1e-9)
-    train = Dataset(tuple(VariableSpec(f"x{i}", 2) for i in range(3)),
-                    np.array([[0, 0, 0], [1, 1, 1]]))
+    train = Dataset((2,) * 3, np.array([[0, 0, 0], [1, 1, 1]]))
     m2 = project(train, t)
-    held_out = Dataset(tuple(VariableSpec(f"x{i}", 2) for i in range(3)),
-                       np.array([[0, 1, 0]]))
+    held_out = Dataset((2,) * 3, np.array([[0, 1, 0]]))
     assert log_likelihood(m2, held_out) == -math.inf
 
 
 def test_log_likelihood_spec_mismatch():
-    d2 = Dataset((VariableSpec("a", 2), VariableSpec("b", 2)),
-                 np.array([[0, 0]]))
-    d3 = Dataset((VariableSpec("a", 2), VariableSpec("b", 3)),
-                 np.array([[0, 2]]))
+    d2 = Dataset((2, 2), np.array([[0, 0]]))
+    d3 = Dataset((2, 3), np.array([[0, 2]]))
     m = project(d2, KTree(k=1, n=2, seed=(0, 1)))
     with pytest.raises(ValueError):
         log_likelihood(m, d3)

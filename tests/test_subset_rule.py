@@ -4,13 +4,15 @@ Each entry point holds a subset to the one subset rule in
 ``errors.subset_key``: 2 vertices of [0, 3), 1 or 2 for a weight function,
 and 1 or 2 of [0, 2) for a counted scope. The readers sort what they are
 handed first, through ``errors.vertex_subset``; the stores also refuse an
-unsorted key.
+unsorted key. The collections around subsets, a structure's attachment
+pairs and the cliques given to ``clique_total``, refuse a value that is
+none with a ValueError too.
 """
 
 import numpy as np
 import pytest
 
-from hypertree.dataset import Dataset, VariableSpec, count_tables
+from hypertree.dataset import Dataset, count_tables
 from hypertree.paritygen import TargetBiases, realize_weights
 from hypertree.structure import KTree
 from hypertree.weights import WeightFunction, attachment_gain, clique_total
@@ -39,8 +41,7 @@ def _wf():
 
 
 def _data():
-    return Dataset((VariableSpec("a", 2), VariableSpec("b", 2)),
-                   np.array([[0, 1], [1, 0]]))
+    return Dataset((2, 2), np.array([[0, 1], [1, 0]]))
 
 
 READERS = {
@@ -77,6 +78,34 @@ def test_subset_entry_point_refuses_with_value_error(entry, fault):
             assert f"subset {value!r} is not a sequence of vertices" in str(exc)
     else:
         pytest.fail(f"{entry} accepted {value!r}")
+
+
+# the collections that hold subsets: each refusal names the value at fault
+CONTAINERS = {
+    "ktree-attachment-int": (
+        lambda: KTree(k=1, n=3, seed=(0, 1), attachments=(5,)),
+        "attachment 5 is not a (vertex, anchor) pair"),
+    "ktree-attachment-single": (
+        lambda: KTree(k=1, n=3, seed=(0, 1), attachments=((2,),)),
+        "attachment (2,) is not a (vertex, anchor) pair"),
+    "ktree-attachment-triple": (
+        lambda: KTree(k=1, n=3, seed=(0, 1), attachments=((2, (0,), 1),)),
+        "attachment (2, (0,), 1) is not a (vertex, anchor) pair"),
+    "clique_total-int": (
+        lambda: clique_total(5, _wf()),
+        "no weight entry: cliques 5 are not a collection of subsets"),
+    "clique_total-none": (
+        lambda: clique_total(None, _wf()),
+        "no weight entry: cliques None are not a collection of subsets"),
+}
+
+
+@pytest.mark.parametrize("entry", CONTAINERS)
+def test_subset_container_refuses_with_value_error(entry):
+    call, message = CONTAINERS[entry]
+    with pytest.raises(ValueError) as exc:  # a TypeError fails the test
+        call()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("entry", [e for e in READERS
