@@ -77,8 +77,8 @@ def _load_input(path: str, arities_path: str | None, weight_file=False):
 def _csv_columns(path: str) -> int:
     """The number of names in a CSV file's header row, read without NumPy
     and without the body; 0 where ``load_dataset`` fails before the body
-    and reports why: a file it cannot open or decode, no header row, or one
-    the CSV reader refuses."""
+    and reports why: a file it cannot open or decode, no header row, an
+    empty one, or one the CSV reader refuses."""
     import csv
 
     def header(fh):

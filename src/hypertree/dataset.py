@@ -2,12 +2,13 @@
 and entropies.
 
 A ``Dataset`` is the one representation of a target distribution: its
-distinct outcome vectors and a positive weight for each. A CSV sample gives
-integer counts that total the sample size T, so the target is the empirical
-distribution; a joint-table document gives its nonzero cells, each weighted
-by its probability. All information quantities are in nats, with the
-convention 0*ln(0) = 0. Marginals are weighted counts divided by the total
-weight; no smoothing is applied.
+distinct outcome vectors, in lexicographic order, and a positive weight for
+each. The constructor checks them and tallies nothing. ``load_dataset``
+tallies a CSV sample into integer counts that total the sample size T, so
+the target is the empirical distribution; a joint-table document gives its
+nonzero cells, each weighted by its probability. All information
+quantities are in nats, with the convention 0*ln(0) = 0. Marginals are
+weighted counts divided by the total weight; no smoothing is applied.
 """
 
 from __future__ import annotations
@@ -51,17 +52,17 @@ class Dataset:
 
     ``arities[i]`` is the outcome count of variable i, at least 2. ``rows``
     has shape (D, n); entry (d, i) is the outcome code of variable i in
-    distinct row d, an integer in [0, arities[i]), and the rows are in
-    lexicographic order. ``counts[d]`` is the weight of row d. Given no
-    counts, the constructor collapses the repeated rows of a (T, n) table of
-    observations and counts them; given counts, the rows must already be
-    distinct and in lexicographic order. ``n_rows`` is the total weight: T
-    for a table of observations, 1 for a probability table.
+    distinct row d, an integer in [0, arities[i]). The rows must be distinct
+    and in lexicographic order, and ``counts[d]`` is the positive weight of
+    row d. The constructor only checks them: it tallies nothing and stores
+    the arrays it is given, so a table of observations is tallied first, as
+    ``load_dataset`` does. ``n_rows`` is the total weight: the sample size T
+    for counts of observations, 1 for a probability table.
     """
 
     arities: tuple[int, ...]
     rows: np.ndarray
-    counts: np.ndarray | None = None
+    counts: np.ndarray
     n_rows: int | float = field(init=False)
 
     def __post_init__(self):
@@ -69,7 +70,7 @@ class Dataset:
         object.__setattr__(self, "arities", arities)
         rows = np.asarray(self.rows)
         if rows.ndim != 2 or rows.shape[1] != len(arities):
-            raise ValueError(f"rows must be a (T, {len(arities)}) table, "
+            raise ValueError(f"rows must be a (D, {len(arities)}) table, "
                              f"got shape {rows.shape}")
         if rows.shape[0] < 1:
             raise ValueError("dataset must contain at least one row")
@@ -84,24 +85,34 @@ class Dataset:
                     f"row {bad}, variable {i}: outcome "
                     f"{int(col[bad])} outside [0, {arity})"
                 )
-        distinct, counts = np.unique(rows, axis=0, return_counts=True)
-        if self.counts is not None:
-            counts = np.asarray(self.counts)
-            if counts.shape != (len(rows),):
-                raise ValueError(f"counts must have shape ({len(rows)},), "
-                                 f"got {counts.shape}")
-            if not np.all((counts > 0) & np.isfinite(counts)):
-                raise ValueError("counts must be finite and positive")
-            if not np.array_equal(distinct, rows):
-                raise ValueError("weighted rows must be distinct and in "
-                                 "lexicographic order")
-        object.__setattr__(self, "rows", distinct)
+        counts = np.asarray(self.counts)
+        if counts.shape != (len(rows),):
+            raise ValueError(f"counts must have shape ({len(rows)},), "
+                             f"got {counts.shape}")
+        if not np.all((counts > 0) & np.isfinite(counts)):
+            raise ValueError("counts must be finite and positive")
+        if not _ascending(rows):
+            raise ValueError("weighted rows must be distinct and in "
+                             "lexicographic order")
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "n_rows", counts.sum().item())
 
     @property
     def n_vars(self) -> int:
         return len(self.arities)
+
+
+def _ascending(rows: np.ndarray) -> bool:
+    """Whether each row exceeds the row before it at the first column where
+    the two differ: one pass that compares codes and never subtracts them,
+    so unsigned columns are safe."""
+    if not rows.shape[1]:  # rows without columns are all equal
+        return len(rows) == 1
+    earlier, later = rows[:-1], rows[1:]
+    first = np.argmax(earlier != later, axis=1)[:, None]  # 0 if rows equal
+    return bool(np.all(np.take_along_axis(later, first, 1)
+                       > np.take_along_axis(earlier, first, 1)))
 
 
 def _bad_cell(rec, names, lineno) -> ValueError:
@@ -124,15 +135,17 @@ def load_dataset(path, arities: dict[str, int] | None = None) -> Dataset:
     a leading byte-order mark dropped, and every fault prefixed with the path.
 
     The first row is a header of nonempty, distinct variable names, checked
-    before any body row is read; the names serve only to match ``arities``
-    and to name faults. Body cells are integer outcome codes. Arities are
-    inferred as max(observed code + 1, 2) unless ``arities`` supplies an
-    explicit value for a column, in which case codes must stay below it
-    (declared arities permit never-observed outcomes). Every name in
-    ``arities`` must be a column of the header. Errors, a
-    malformed CSV record included, name the 1-based physical line as the
-    CSV reader counts it: blank lines count, and a record whose quoted cell
-    spans lines is named by its last line.
+    before any body row is read; a blank first line is an empty header. The
+    names serve only to match ``arities`` and to name faults. Body cells are
+    integer outcome codes. Arities are inferred as max(observed code + 1, 2)
+    unless ``arities`` supplies an explicit value for a column, in which
+    case codes must stay below it (declared arities permit never-observed
+    outcomes). Every name in ``arities`` must be a column of the header.
+    Errors, a malformed CSV record included, name the 1-based physical line
+    as the CSV reader counts it: blank lines count, and a record whose
+    quoted cell spans lines is named by its last line. This is where
+    observations are tallied: each distinct row once, in lexicographic
+    order, with the number of times it was observed.
     """
     return read_input(path, _parse_csv, arities)
 
@@ -144,6 +157,8 @@ def _parse_csv(fh, declared) -> Dataset:
         header = next(reader, None)
         if header is None:
             raise ValueError("empty CSV: missing header row")
+        if not header:
+            raise ValueError(f"line {reader.line_num}: empty header row")
         names = [h.strip() for h in header]
         first = {}  # each name's 1-based column
         for i, name in enumerate(names, 1):
@@ -188,8 +203,8 @@ def _parse_csv(fh, declared) -> Dataset:
             raise ValueError(
                 f"line {lines[row]}, column {name!r}: outcome {code} {why}")
         arities.append(arity)
-    del lines  # only the errors above need it: free it before the rows sort
-    return Dataset(tuple(arities), data)
+    del lines  # only the errors above need it: free it before the tally
+    return Dataset(tuple(arities), *np.unique(data, axis=0, return_counts=True))
 
 
 def dump_dataset(data: Dataset, path) -> None:

@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 BIAS_CAP = 1.0 - 1e-12
-CUBE_LIMIT = 14  # variables: the 2^n x n cube and its np.unique
+CUBE_LIMIT = 14  # variables: the 2^n x n cube and its counts
 SAMPLE_CELL_GUARD = 2 ** 27  # rows x variables written: 1 GiB read back as int64
 
 

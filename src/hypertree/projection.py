@@ -58,8 +58,10 @@ def project(provider, tree: KTree) -> ProjectedModel:
     """Project a provider's distribution onto a k-tree, weighing its cliques.
 
     Zero cells: a zero clique marginal forces a zero factor and the division
-    is skipped. A zero sub-factor under a positive marginal is impossible for
-    consistent marginals and raises.
+    is skipped. Marginals of one distribution are consistent, so a positive
+    marginal has positive sub-factors; where their product underflows to 0
+    (sub-factors near 1e-170 multiply below the smallest float), the
+    division is undefined and raises.
     """
     n = provider.n_vars
     if tree.n != n:
@@ -77,8 +79,8 @@ def project(provider, tree: KTree) -> ProjectedModel:
                     [m if v in sub else 1 for v, m in zip(h, probs.shape)])
         pos = probs > 0
         if np.any(pos & (denom == 0)):
-            raise RuntimeError(f"inconsistent marginals: zero sub-factor "
-                               f"under a positive marginal in clique {h}")
+            raise RuntimeError(f"the product of the sub-factors underflowed "
+                               f"to 0 under a positive marginal in clique {h}")
         factors[h] = np.where(pos, probs / np.where(denom == 0, 1.0, denom),
                               0.0)
     return ProjectedModel(tree, tuple(provider.arities), factors,

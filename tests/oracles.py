@@ -111,6 +111,8 @@ def load_dataset_reference(source, arities=None) -> Dataset:
         header = next(reader, None)
         if header is None:
             raise ValueError("empty CSV: missing header row")
+        if not header:
+            raise ValueError(f"line {reader.line_num}: empty header row")
         names = [h.strip() for h in header]
         for col, name in enumerate(names):
             where = f"line {reader.line_num}, column {col + 1}"
@@ -176,7 +178,13 @@ def load_dataset_reference(source, arities=None) -> Dataset:
             raise ValueError(
                 f"line {lines[row]}, column {name!r}: outcome {code} {why}")
         found.append(arity)
-    return Dataset(tuple(found), data)
+    return tally(tuple(found), data)
+
+
+def tally(arities, rows) -> Dataset:
+    """The Dataset of a (T, n) table of observations: its distinct rows in
+    lexicographic order, each counted, as ``load_dataset`` tallies a CSV."""
+    return Dataset(arities, *np.unique(rows, axis=0, return_counts=True))
 
 
 def text_file(directory, text: str):
@@ -191,7 +199,7 @@ def random_dataset(rng, n, t, arities=None):
     if arities is None:
         arities = [int(rng.integers(2, 4)) for _ in range(n)]
     rows = np.column_stack([rng.integers(0, a, size=t) for a in arities])
-    return Dataset(arities, rows)
+    return tally(arities, rows)
 
 
 def joint_table(probs) -> Dataset:

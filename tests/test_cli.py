@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypertree.cli import main
-from hypertree.dataset import Dataset, dump_dataset, load_dataset
+from hypertree.dataset import dump_dataset, load_dataset
 from hypertree.paritygen import TargetBiases, biases_to_dict
 from hypertree.projection import log_likelihood, project
 from hypertree.structure import ktree_to_dict
@@ -25,6 +25,7 @@ from oracles import (
     random_dataset,
     random_ktree,
     record_counted_scopes,
+    tally,
     target_samples,
 )
 
@@ -391,6 +392,22 @@ def test_eval_joint_table_reports_every_quantity(run, tmp_path):
     # the training identity: loglik_per_row = -H(x0, x1, x2) here
     entropy = -sum(p * math.log(p) for p in probs)
     assert report["loglik_per_row"] == pytest.approx(-entropy, abs=1e-12)
+
+
+def test_eval_refuses_a_factor_product_that_underflows(run, tmp_path):
+    # a valid joint table that weights reads, but the singleton factors of
+    # the cell (1, 1), 1e-170 each, multiply to 0 under its marginal 1e-170
+    jt = tmp_path / "tiny.json"
+    jt.write_text(json.dumps({"arities": [2, 2],
+                              "probs": [1.0, 0, 0, 1e-170]}))
+    struct = tmp_path / "structure.json"
+    struct.write_text(json.dumps({"k": 1, "n": 2, "seed": [0, 1],
+                                  "attachments": []}))
+    assert run(["weights", str(jt), "--k", "1"]).exit_code == 0
+    res = run(["eval", str(jt), str(struct)])
+    assert res.exit_code == 2, res.output
+    assert res.output == ("error: the product of the sub-factors underflowed "
+                          "to 0 under a positive marginal in clique (0, 1)\n")
 
 
 def test_gen_parity_roundtrip(run, tmp_path):
@@ -815,7 +832,7 @@ def test_eval_loglik_matches_log_likelihood(tmp_path_factory, sample, seed, k,
     arities, rows, probs = sample
     tmp = tmp_path_factory.mktemp("loglik")
     if kind == "csv":
-        data, path = Dataset(arities, rows), tmp / "data.csv"
+        data, path = tally(arities, rows), tmp / "data.csv"
         dump_dataset(data, path)
         sidecar = tmp / "arities.json"
         sidecar.write_text(json.dumps(
@@ -1023,10 +1040,13 @@ def test_gen_parity_rounding_error_names_the_file(run, tmp_path):
     (["learn", "{doc}"], {"k": 1}, "{doc}: missing field 'n'"),
     (["learn", "{doc}", "--k", "1"], {"probs": [1.0]},
      "{doc}: missing field 'arities'"),
+    (["learn", "{doc}"], {"arities": [2], "probs": [0.5, 0.5]},
+     "--k is required when learning from data"),
 ], ids=["learn-data-without-k", "weights-log-base-2", "biases-zero-q",
         "biases-subset-outside", "targets-pair-at-k2", "structure-self-anchor",
         "weights-empty-joint-table", "learn-empty-joint-table",
-        "learn-weight-file-without-list", "learn-joint-table-without-arities"])
+        "learn-weight-file-without-list", "learn-joint-table-without-arities",
+        "learn-joint-table-without-k"])
 def test_input_refusals(run, tmp_path, args, doc, message):
     fmt = dict(csv=tmp_path / "xor.csv", doc=tmp_path / "doc.json")
     _write_xor_csv(fmt["csv"])

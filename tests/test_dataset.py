@@ -34,6 +34,7 @@ from oracles import (
     mutual_information,
     random_dataset,
     scope_entropy,
+    tally,
     target_samples,
     text_file,
 )
@@ -42,7 +43,7 @@ from oracles import (
 @pytest.fixture
 def four_rows():
     # rows {(0,0),(0,1),(1,1),(1,1)}
-    return Dataset((2, 2), np.array([[0, 0], [0, 1], [1, 1], [1, 1]]))
+    return tally((2, 2), np.array([[0, 0], [0, 1], [1, 1], [1, 1]]))
 
 
 def test_load_dataset_readback(tmp_path):
@@ -92,6 +93,7 @@ def test_load_dataset_refuses_a_non_integer_arity(tmp_path, arity):
     ("a, ,b", "line 1, column 2: empty header name"),
     ("a,b,", "line 1, column 3: empty header name"),
     ('a,"b\n",""', "line 2, column 3: empty header name"),
+    ("", "line 1: empty header row"),
 ])
 def test_load_dataset_refuses_a_bad_header_name_before_the_body(tmp_path,
                                                                 header,
@@ -151,7 +153,7 @@ def test_load_dataset_errors(tmp_path):
 PADDING = st.text(" \t\x1c\x1f", max_size=2)
 FAULTS = ("none", "non-integer", "int64", "cell-count", "negative",
           "declared-arity", "unknown-arity", "malformed-record", "no-rows",
-          "header-name")
+          "header-name", "blank-header")
 
 
 @st.composite
@@ -202,7 +204,7 @@ def csv_with_one_fault(draw):
         arities.pop(names[c], None)
         names[c] = names[c - 1] if c and draw(st.booleans()) else ""
     header = ",".join(draw(PADDING) + name for name in names)
-    text = header + "\n"
+    text = ("" if fault == "blank-header" else header) + "\n"
     for row in cells:
         text += "\n" * draw(st.integers(0, 1))  # blank lines count
         text += ",".join(row) + draw(st.sampled_from(["\n", "\r\n"]))
@@ -246,7 +248,7 @@ def test_load_dataset_matches_reference(csv_dir, case):
 def test_dump_dataset_writes_chunks_as_one_pass(tmp_path, t):
     # t rows of two outcome vectors: at t=8195 each is written over 4,096 times
     half = np.arange(t) % 2
-    d = Dataset((2, 3), np.column_stack([half, 2 * half]))
+    d = tally((2, 3), np.column_stack([half, 2 * half]))
     want = io.StringIO()
     dump_dataset(d, tmp_path / "got.csv")
     writer = csv.writer(want)
@@ -264,9 +266,21 @@ def test_dump_dataset_refuses_probability_weights(tmp_path):
 
 def test_dataset_refuses_an_arity_below_two():
     with pytest.raises(ValueError, match="variable 1: arity must be >= 2, got 1"):
-        Dataset((2, 1), np.array([[0, 0]]))
+        Dataset((2, 1), np.array([[0, 0]]), np.array([1]))
     with pytest.raises(ValueError, match="row 1, variable 0: outcome 2 outside"):
-        Dataset((2, 3), np.array([[0, 0], [2, 1]]))
+        Dataset((2, 3), np.array([[0, 0], [2, 1]]), np.array([1, 1]))
+
+
+@pytest.mark.parametrize("rows, message", [
+    (np.zeros((1, 3), dtype=np.int64),
+     "rows must be a (D, 2) table, got shape (1, 3)"),
+    (np.zeros((0, 2), dtype=np.int64), "dataset must contain at least one row"),
+    (np.array([[0.0, 1.0]]), "outcome codes must be integers"),
+], ids=["shape", "no-rows", "float-codes"])
+def test_dataset_refuses_a_table_that_is_not_one(rows, message):
+    with pytest.raises(ValueError) as exc:
+        Dataset((2, 2), rows, np.ones(len(rows), dtype=np.int64))
+    assert str(exc.value) == message
 
 
 def test_marginal_counts(four_rows):
@@ -297,7 +311,7 @@ def test_marginal_errors(four_rows):
 def test_count_table_guard():
     # refused before allocating; the cell count is exact where np.prod wraps
     arities = (2 ** 21,) * 3
-    d = Dataset(arities, np.zeros((1, 3), dtype=np.int64))
+    d = tally(arities, np.zeros((1, 3), dtype=np.int64))
     with pytest.raises(GuardLimitError,
                        match=r"scope \(0, 1\) has 4398046511104 cells, "
                              r"over 16777216"):
@@ -318,7 +332,7 @@ def test_entropy_values(four_rows):
 def test_mutual_information_values(four_rows):
     assert mutual_information(four_rows, 0, 1) == pytest.approx(
         0.2157615543388356, abs=1e-12)
-    copies = Dataset((2, 2), np.array([[0, 0], [1, 1]]))
+    copies = tally((2, 2), np.array([[0, 0], [1, 1]]))
     assert mutual_information(copies, 0, 1) == pytest.approx(math.log(2), abs=1e-12)
     indep = joint_table(np.full((2, 2), 0.25))
     assert mutual_information(indep, 0, 1) == 0.0
@@ -338,7 +352,7 @@ def test_joint_entropy_matches_small_table():
 @settings(max_examples=150, deadline=None)
 def test_estimators_match_references(sample):
     arities, rows, probs = sample
-    counted, table = Dataset(arities, rows), joint_table(probs)
+    counted, table = tally(arities, rows), joint_table(probs)
     for size in range(1, len(arities) + 1):
         for scope in itertools.combinations(range(len(arities)), size):
             # count data: bit-identical to the row-based estimators
@@ -365,7 +379,7 @@ def test_count_tables_match_reference(sample, draw):
     domain = [h for size in range(1, n + 1)
               for h in itertools.combinations(range(n), size)]
     scopes = draw.draw(st.lists(st.sampled_from(domain), max_size=40))
-    counted = Dataset(arities, rows)
+    counted = tally(arities, rows)
     for data in (counted, joint_table(probs)):
         tables = list(count_tables(data, scopes))
         assert [scope for scope, _ in tables] == scopes
@@ -383,7 +397,7 @@ def test_count_tables_refuses_a_later_scope_over_the_guard():
     # each scope is checked when it is reached: the tables before it are
     # yielded, and the refusal names it
     arities = (2 ** 12, 2 ** 13, 2)
-    tables = count_tables(Dataset(arities, np.zeros((1, 3), dtype=np.int64)),
+    tables = count_tables(tally(arities, np.zeros((1, 3), dtype=np.int64)),
                           [(0,), (1,), (0, 1), (2,)])
     assert [scope for scope, _ in itertools.islice(tables, 2)] == [(0,), (1,)]
     with pytest.raises(GuardLimitError,
@@ -396,7 +410,7 @@ def test_count_tables_beside_a_column_of_codes_past_int32():
     # codes are counted as int32: a column too wide for it is only in scopes
     # the guard refuses, and the columns beside it count exactly
     arities = (2 ** 31 + 6, 3)
-    d = Dataset(arities, np.array([[2 ** 31 + 5, 1], [0, 2], [7, 2]]))
+    d = tally(arities, np.array([[2 ** 31 + 5, 1], [0, 2], [7, 2]]))
     assert [c.tolist() for _, c in count_tables(d, [(1,)])] == [[0, 1, 2]]
     with pytest.raises(GuardLimitError, match=r"scope \(0,\) has 2147483654"):
         list(count_tables(d, [(1,), (0,)]))
@@ -503,13 +517,60 @@ def test_weighted_rows_must_be_distinct_and_sorted():
     for rows in ([[1, 0], [0, 1]], [[0, 1], [0, 1]]):
         with pytest.raises(ValueError, match="distinct and in lexicographic"):
             Dataset(arities, np.array(rows), np.array([1, 1]))
+    # rows over no variables are all equal: one is distinct, two are not
+    assert Dataset((), np.zeros((1, 0), dtype=int), np.array([2])).n_rows == 2
+    with pytest.raises(ValueError, match="distinct and in lexicographic"):
+        Dataset((), np.zeros((2, 0), dtype=int), np.array([1, 1]))
     for counts in ([1, 0], [1.0, math.nan], [1]):
         with pytest.raises(ValueError, match="counts must"):
             Dataset(arities, np.array([[0, 1], [1, 0]]), np.array(counts))
 
 
-def test_repeated_rows_collapse_into_counts():
-    d = Dataset((2, 3), np.array([[1, 2], [0, 1], [1, 2], [0, 0], [1, 2]]))
+def test_repeated_rows_collapse_into_counts(tmp_path):
+    # load_dataset tallies observations; the constructor only checks them
+    d = load_dataset(text_file(tmp_path, "a,b\n1,2\n0,1\n1,2\n0,0\n1,2\n"))
+    assert d.arities == (2, 3)
     assert d.rows.tolist() == [[0, 0], [0, 1], [1, 2]]
     assert d.counts.tolist() == [1, 1, 3]
     assert d.n_rows == 5 and isinstance(d.n_rows, int)
+
+
+CODES = st.sampled_from([0, 1, 2, 254, 255])  # where a difference would wrap
+
+
+@st.composite
+def near_ordered_tables(draw):
+    """A table of int64 or uint8 codes: sorted distinct rows with at most one
+    fault (a repeated row, a swapped pair, or a row that differs from the
+    one before it only in the last column), or rows in any order."""
+    n = draw(st.integers(1, 3))
+    drawn = draw(st.lists(st.tuples(*[CODES] * n), min_size=1, max_size=6))
+    rows = sorted(set(drawn))
+    d = draw(st.integers(0, len(rows) - 1))
+    fault = draw(st.sampled_from(["none", "repeat", "swap", "last-column",
+                                  "any-order"]))
+    if fault == "repeat":
+        rows.insert(d, rows[d])
+    elif fault == "swap" and d:
+        rows[d - 1], rows[d] = rows[d], rows[d - 1]
+    elif fault == "last-column":
+        rows.insert(d + 1, rows[d][:-1] + (draw(CODES),))
+    elif fault == "any-order":
+        rows = drawn
+    dtype = draw(st.sampled_from([np.int64, np.uint8]))
+    return np.array(rows, dtype=dtype)
+
+
+@given(rows=near_ordered_tables())
+@settings(max_examples=300, deadline=None)
+def test_order_check_accepts_exactly_the_sorted_distinct_tables(rows):
+    ordered = np.array_equal(np.unique(rows, axis=0), rows)
+    counts = np.ones(len(rows), dtype=np.int64)
+    try:
+        d = Dataset((256,) * rows.shape[1], rows, counts)
+    except ValueError as exc:
+        assert not ordered and str(exc) == ("weighted rows must be distinct "
+                                            "and in lexicographic order")
+    else:
+        assert ordered
+        assert d.rows is rows and d.counts is counts  # stored, not copied

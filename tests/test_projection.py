@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertree.dataset import Dataset
 from hypertree.projection import (
     ProjectedModel,
     divergence_decomposed,
@@ -40,6 +39,7 @@ from oracles import (
     random_dataset,
     random_joint,
     random_ktree,
+    tally,
     target_samples,
     xor_triple_joint,
 )
@@ -48,11 +48,11 @@ from oracles import (
 def _row_log_prob(model, x):
     """Log probability of one assignment: the log likelihood of a one-row
     dataset over the model's variables."""
-    return log_likelihood(model, Dataset(model.arities, np.array([x])))
+    return log_likelihood(model, tally(model.arities, np.array([x])))
 
 
 def test_single_vertex_factor_is_marginal():
-    d = Dataset((2,), np.array([[0], [0], [1], [0]]))
+    d = tally((2,), np.array([[0], [0], [1], [0]]))
     t = KTree(k=1, n=1, seed=(0,))
     m = project(d, t)
     assert m.factors[(0,)].tolist() == [0.75, 0.25]
@@ -113,12 +113,12 @@ def test_model_log_prob_uniform():
 
 def test_model_log_prob_generalizes_beyond_support():
     # row (1,0) is unseen but both clique marginals are positive
-    d = Dataset((2, 2), np.array([[0, 0], [0, 1], [1, 1]]))
+    d = tally((2, 2), np.array([[0, 0], [0, 1], [1, 1]]))
     t = KTree(k=1, n=2, seed=(0, 1))
     m = project(d, t)
     lp = _row_log_prob(m, (1, 0))
     assert lp == -math.inf  # pair marginal of (1,0) is zero
-    d3 = Dataset((2, 2, 2), np.array([[1, 0, 0], [1, 1, 1], [0, 0, 0]]))
+    d3 = tally((2, 2, 2), np.array([[1, 0, 0], [1, 1, 1], [0, 0, 0]]))
     t3 = KTree(k=1, n=3, seed=(0, 1), attachments=((2, (0,)),))
     m3 = project(d3, t3)
     # (1,0,1) never observed, but all clique marginals of it are positive
@@ -126,7 +126,7 @@ def test_model_log_prob_generalizes_beyond_support():
 
 
 def test_model_log_prob_validation():
-    d = Dataset((2,), np.array([[0], [1]]))
+    d = tally((2,), np.array([[0], [1]]))
     m = project(d, KTree(k=1, n=1, seed=(0,)))
     with pytest.raises(ValueError):
         _row_log_prob(m, (2,))
@@ -144,7 +144,7 @@ def test_divergence_decomposed_examples():
     assert base == pytest.approx(0.0, abs=1e-10)
 
     # perfectly correlated bits on a single edge: exact model
-    d = Dataset((2, 2), np.array([[0, 0], [1, 1]]))
+    d = tally((2, 2), np.array([[0, 0], [1, 1]]))
     wf2 = compute_weights(d, 1)
     edge = KTree(k=1, n=2, seed=(0, 1))
     assert divergence_decomposed(d, wf2, edge) == pytest.approx(0.0, abs=1e-12)
@@ -175,6 +175,9 @@ def test_divergence_decomposed_reads_singletons_by_the_weight_rule():
     with pytest.raises(ValueError, match="tree spans 4 vertices, "
                                          "provider has 3"):
         divergence_decomposed(d, full, wide)
+    with pytest.raises(ValueError, match="tree spans 4 vertices, "
+                                         "provider has 3"):
+        project(d, wide)
 
 
 def test_direct_equals_decomposed_on_random_instances():
@@ -222,7 +225,7 @@ def test_weights_are_expected_log_factors(sample, seed, k):
     # w(h) = E[log phi_h] under the target, over its positive cells
     arities, rows, probs = sample
     tree = random_ktree(np.random.default_rng(seed), len(arities), k)
-    for data in (Dataset(arities, rows), joint_table(probs)):
+    for data in (tally(arities, rows), joint_table(probs)):
         m = project(data, tree)
         assert set(m.weights.weights) == set(m.factors)
         for h, phi in m.factors.items():
@@ -252,7 +255,7 @@ def test_likelihood_and_direct_divergence_match_references(sample, seed):
     arities, rows, probs = sample
     n, k = len(arities), min(2, len(arities) - 1)
     tree = random_ktree(np.random.default_rng(seed), n, k)
-    counted, table = Dataset(arities, rows), joint_table(probs)
+    counted, table = tally(arities, rows), joint_table(probs)
     full = marginal_reference(rows, arities, tuple(range(n)))
     for data, target in ((counted, full), (table, probs)):
         model = project(data, tree)
@@ -278,19 +281,19 @@ def test_likelihood_and_direct_divergence_match_references(sample, seed):
 
 def test_log_likelihood_uniform_and_neg_inf():
     jt_rows = np.array(list(itertools.product(range(2), repeat=3)))
-    d = Dataset((2,) * 3, jt_rows)
+    d = tally((2,) * 3, jt_rows)
     t = KTree(k=1, n=3, seed=(0, 1), attachments=((2, (0,)),))
     m = project(d, t)
     assert log_likelihood(m, d) == pytest.approx(-8 * 3 * math.log(2), abs=1e-9)
-    train = Dataset((2,) * 3, np.array([[0, 0, 0], [1, 1, 1]]))
+    train = tally((2,) * 3, np.array([[0, 0, 0], [1, 1, 1]]))
     m2 = project(train, t)
-    held_out = Dataset((2,) * 3, np.array([[0, 1, 0]]))
+    held_out = tally((2,) * 3, np.array([[0, 1, 0]]))
     assert log_likelihood(m2, held_out) == -math.inf
 
 
 def test_log_likelihood_spec_mismatch():
-    d2 = Dataset((2, 2), np.array([[0, 0]]))
-    d3 = Dataset((2, 3), np.array([[0, 2]]))
+    d2 = tally((2, 2), np.array([[0, 0]]))
+    d3 = tally((2, 3), np.array([[0, 2]]))
     m = project(d2, KTree(k=1, n=2, seed=(0, 1)))
     with pytest.raises(ValueError):
         log_likelihood(m, d3)

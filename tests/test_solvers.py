@@ -343,6 +343,13 @@ class TestLocalSearch:
                                              "function's width 1"):
             local_search(wf, start)
 
+    def test_refuses_weights_over_another_vertex_count(self):
+        wf = WeightFunction(k=1, n=4, weights={})
+        start = random_ktree(np.random.default_rng(15), 5, 1)
+        with pytest.raises(ValueError, match="^weight function covers 4 "
+                                             "vertices, tree has 5$"):
+            local_search(wf, start)
+
     def test_matches_full_rescore_reference(self):
         # a swap scored by the cliques it changes accepts exactly the moves
         # the full rescore accepts, from greedy's tree and from random ones

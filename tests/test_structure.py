@@ -34,6 +34,10 @@ from oracles import (
 
 def test_ktree_validation():
     KTree(k=2, n=4, seed=(0, 1, 2), attachments=(((3, (1, 2))),))
+    with pytest.raises(ValueError, match=r"^width k must be >= 1, got 0$"):
+        KTree(k=0, n=4, seed=(0,))
+    with pytest.raises(ValueError, match=r"^vertex count must be >= 1, got 0$"):
+        KTree(k=1, n=0, seed=())
     with pytest.raises(ValueError,
                        match=r"^seed: subset \(0, 1\) has 2 vertices, not 3$"):
         KTree(k=2, n=4, seed=(0, 1))

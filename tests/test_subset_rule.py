@@ -12,10 +12,12 @@ none with a ValueError too.
 import numpy as np
 import pytest
 
-from hypertree.dataset import Dataset, count_tables
+from hypertree.dataset import count_tables
 from hypertree.paritygen import TargetBiases, realize_weights
 from hypertree.structure import KTree
 from hypertree.weights import WeightFunction, attachment_gain, clique_total
+
+from oracles import tally
 
 FAULTS = {
     "bare-int": 5,
@@ -41,7 +43,7 @@ def _wf():
 
 
 def _data():
-    return Dataset((2, 2), np.array([[0, 1], [1, 0]]))
+    return tally((2, 2), np.array([[0, 1], [1, 0]]))
 
 
 READERS = {

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertree.dataset import Dataset
 from hypertree.errors import GuardLimitError
 from hypertree.projection import project
 from hypertree.structure import KTree, clique_family, score
@@ -37,6 +36,7 @@ from oracles import (
     random_weight_function,
     record_counted_scopes,
     scope_entropy,
+    tally,
     target_samples,
     text_file,
     weight_inclusion_exclusion,
@@ -151,7 +151,7 @@ def test_family_weights_match_compute_weights(sample, seed, k):
     tree = random_ktree(np.random.default_rng(seed), n, k)
     family = clique_family(tree.maximal_cliques())
     assert {(v,) for v in range(n)} <= set(family)
-    for data in (Dataset(arities, rows), joint_table(probs)):
+    for data in (tally(arities, rows), joint_table(probs)):
         wf = project(data, tree).weights
         full = compute_weights(data, min(k, n - 1))
         assert (wf.k, wf.n) == (k, n)
@@ -175,7 +175,7 @@ def test_compute_weights_matches_per_scope_reference(sample, k):
     # counting along shared prefixes changes no bit and no key order: counted
     # rows and a joint table, some declared outcomes unseen
     arities, rows, probs = sample
-    for data in (Dataset(arities, rows), joint_table(probs)):
+    for data in (tally(arities, rows), joint_table(probs)):
         _assert_hex_equal(compute_weights(data, k),
                           compute_weights_reference(data, k))
 
@@ -202,7 +202,7 @@ def test_first_scope_over_the_cell_guard_in_family_order_is_refused():
     # of the scopes over the guard, the refusal names the first in family
     # order: the singleton (2,), not the pair (0, 1) that sorts before it
     arities = (2 ** 12, 2 ** 13, 2 ** 25)
-    data = Dataset(arities, np.zeros((1, 3), dtype=np.int64))
+    data = tally(arities, np.zeros((1, 3), dtype=np.int64))
     chain = KTree(k=1, n=3, seed=(0, 1), attachments=((2, (1,)),))
     for refused in (lambda: compute_weights(data, 1),
                     lambda: project(data, chain)):
@@ -312,7 +312,7 @@ def test_monotone_deficit_examples():
     assert attachment_gain(wf, 1, (0,)) + wf[(1,)] == pytest.approx(
         wf[(1,)], abs=1e-10)
     # perfectly correlated bits: -H(v) + ln2 = 0
-    copies = Dataset((2, 2), np.array([[0, 0], [1, 1]]))
+    copies = tally((2, 2), np.array([[0, 0], [1, 1]]))
     wfc = compute_weights(copies, 1)
     assert attachment_gain(wfc, 1, (0,)) + wfc[(1,)] == pytest.approx(
         0.0, abs=1e-12)
