@@ -14,8 +14,10 @@ beyond ``errors``, and only the commands and branches that compute on arrays
 import ``dataset``, ``projection`` and ``paritygen`` (and with them NumPy),
 so ``learn`` on a weight file starts without it. ``learn`` refuses CSV
 data without ``--k`` before reading it, and ``learn --solver exact``
-refuses a CSV over the exact limit from its header line, before any of
-them is imported. ``eval`` reads its structure before its data.
+reads a CSV's header through the loader's own rule, ``errors.csv_header``,
+and refuses one over the exact limit before any of them is imported: a
+bad header gets the loader's message and exit code whatever the solver.
+``eval`` reads its structure before its data.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (DEFAULT_EXACT_LIMIT, GuardLimitError, json_float,
-                     json_int, json_subsets, read_input, read_json,
-                     write_json)
+from .errors import (DEFAULT_EXACT_LIMIT, GuardLimitError, csv_header,
+                     json_float, json_int, json_subsets, read_input,
+                     read_json, write_json)
 
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
@@ -74,39 +76,11 @@ def _load_input(path: str, arities_path: str | None, weight_file=False):
     return load_dataset(path, sidecar)
 
 
-def _csv_columns(path: str) -> int:
-    """The number of names in a CSV file's header row, read without NumPy
-    and without the body; 0 where ``load_dataset`` fails before the body
-    and reports why: a file it cannot open or decode, no header row, an
-    empty one, or one the CSV reader refuses."""
-    import csv
-
-    def header(fh):
-        try:
-            return len(next(csv.reader(fh), ()))
-        except csv.Error:
-            return 0
-
-    try:
-        return read_input(path, header)
-    except (OSError, ValueError):
-        return 0
-
-
-def _compute_weights(provider, k, data_path):
-    """compute_weights, which checks k, with a refusal naming the data file."""
-    from .weights import compute_weights
-    try:
-        return compute_weights(provider, k)
-    except ValueError as exc:
-        raise ValueError(f"{data_path}: {exc}") from None
-
-
 def weights_cmd(data_path, k, arities_path, out_path):
     """Compute clique weights for all vertex subsets of size 1..k+1."""
     from . import weights
 
-    wf = _compute_weights(_load_input(data_path, arities_path), k, data_path)
+    wf = weights.compute_weights(_load_input(data_path, arities_path), k)
     write_json(weights.weights_to_dict(wf), out_path)
     if out_path is not None:
         top = max((h for h in wf.weights if len(h) >= 2),
@@ -131,8 +105,12 @@ def learn_cmd(input_path, k, solver, exact_limit, arities_path, out_path):
     if not input_path.endswith(".json"):  # CSV data, refused before it is read
         if k is None:
             raise ValueError(no_k)
-        if solver == "exact":
-            solvers.refuse_exact(_csv_columns(input_path), k, exact_limit)
+        if solver == "exact":  # from the header, by the loader's own rule
+            import csv
+
+            names = read_input(input_path,
+                               lambda fh: csv_header(csv.reader(fh)))
+            solvers.refuse_exact(len(names), k, exact_limit)
     source = _load_input(input_path, arities_path, weight_file=True)
     if isinstance(source, weights.WeightFunction):
         wf, provider = source, None
@@ -144,7 +122,7 @@ def learn_cmd(input_path, k, solver, exact_limit, arities_path, out_path):
         provider = source
         if solver == "exact":
             solvers.refuse_exact(provider.n_vars, k, exact_limit)
-        wf = _compute_weights(provider, k, input_path)
+        wf = weights.compute_weights(provider, k)
 
     if solver == "chow_liu":
         result = solvers.chow_liu(wf)

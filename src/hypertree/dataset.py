@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (GuardLimitError, json_float, json_int, json_list,
-                     read_input, subset_key)
+from .errors import (GuardLimitError, csv_header, json_float, json_int,
+                     json_list, read_input, subset_key)
 
 __all__ = [
     "checked_arity",
@@ -135,45 +135,32 @@ def load_dataset(path, arities: dict[str, int] | None = None) -> Dataset:
     a leading byte-order mark dropped, and every fault prefixed with the path.
 
     The first row is a header of nonempty, distinct variable names, checked
-    before any body row is read; a blank first line is an empty header. The
-    names serve only to match ``arities`` and to name faults. Body cells are
-    integer outcome codes. Arities are inferred as max(observed code + 1, 2)
-    unless ``arities`` supplies an explicit value for a column, in which
-    case codes must stay below it (declared arities permit never-observed
-    outcomes). Every name in ``arities`` must be a column of the header.
-    Errors, a malformed CSV record included, name the 1-based physical line
-    as the CSV reader counts it: blank lines count, and a record whose
-    quoted cell spans lines is named by its last line. This is where
-    observations are tallied: each distinct row once, in lexicographic
-    order, with the number of times it was observed.
+    by ``errors.csv_header`` before any body row is read; a blank first line
+    is an empty header. The names serve only to match ``arities`` and to
+    name faults. Body cells are integer outcome codes. Arities are inferred
+    as max(observed code + 1, 2) unless ``arities`` supplies an explicit
+    value for a column, in which case codes must stay below it (declared
+    arities permit never-observed outcomes). Every name in ``arities`` must
+    be a column of the header. Errors, a malformed CSV record included, name
+    the 1-based physical line as the CSV reader counts it: blank lines
+    count, and a record whose quoted cell spans lines is named by its last
+    line. This is where observations are tallied: each distinct row once,
+    in lexicographic order, with the number of times it was observed.
     """
     return read_input(path, _parse_csv, arities)
 
 
 def _parse_csv(fh, declared) -> Dataset:
     reader = csv.reader(fh)
+    names = csv_header(reader)
+    declared = {name: checked_arity(json_int(a, f"arities.{name}"), name)
+                for name, a in (declared or {}).items()}
+    unknown = sorted(declared.keys() - set(names))
+    if unknown:
+        raise ValueError(f"arities given for columns not in the "
+                         f"header: {unknown}")
     cells, lines = array("q"), array("q")  # row-major codes; each row's line
     try:
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("empty CSV: missing header row")
-        if not header:
-            raise ValueError(f"line {reader.line_num}: empty header row")
-        names = [h.strip() for h in header]
-        first = {}  # each name's 1-based column
-        for i, name in enumerate(names, 1):
-            where = f"line {reader.line_num}, column {i}"
-            if not name:
-                raise ValueError(f"{where}: empty header name")
-            if first.setdefault(name, i) != i:
-                raise ValueError(f"{where}: header name {name!r} repeats "
-                                 f"column {first[name]}")
-        declared = {name: checked_arity(json_int(a, f"arities.{name}"), name)
-                    for name, a in (declared or {}).items()}
-        unknown = sorted(declared.keys() - first.keys())
-        if unknown:
-            raise ValueError(f"arities given for columns not in the "
-                             f"header: {unknown}")
         for rec in reader:
             if not rec:
                 continue

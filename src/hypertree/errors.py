@@ -1,6 +1,6 @@
 """Exception types, guard defaults, the file boundary (every input file is
-read here, and every JSON output written), JSON field readers and the
-subset rule.
+read here, and every JSON output written), the CSV header rule, JSON field
+readers and the subset rule.
 
 Guard defaults live here, beside the error they raise, so the command line
 can show them without importing the modules that enforce them.
@@ -38,6 +38,34 @@ def read_input(path, parse, *args):
             raise ValueError(f"{path}: malformed field: {exc}") from None
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+def csv_header(reader) -> list[str]:
+    """The stripped names of the header row of a ``csv.reader``, leaving it
+    at the first body row: the one header rule. A file without a header, a
+    blank first line, an empty name or a repeated name is refused with a
+    ValueError that names its line, and the name's 1-based column; so is a
+    header the CSV reader refuses."""
+    import csv  # here, so that --help loads no module it does not use
+
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise ValueError("empty CSV: missing header row")
+    if not header:
+        raise ValueError(f"line {reader.line_num}: empty header row")
+    names = [h.strip() for h in header]
+    first = {}  # each name's 1-based column
+    for i, name in enumerate(names, 1):
+        where = f"line {reader.line_num}, column {i}"
+        if not name:
+            raise ValueError(f"{where}: empty header name")
+        if first.setdefault(name, i) != i:
+            raise ValueError(f"{where}: header name {name!r} repeats "
+                             f"column {first[name]}")
+    return names
 
 
 def _json_object(fh, convert):

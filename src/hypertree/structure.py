@@ -153,10 +153,8 @@ def ktree_from_cliques(maximal_cliques, k: int, n: int) -> KTree:
 
     The inverse of ``KTree.maximal_cliques``: the first clique is the seed,
     and every other clique attaches its one new vertex to the k-subset it
-    shares with a placed clique. For n <= k+1 the tree is the one clique.
+    shares with a placed clique.
     """
-    if n <= k + 1:
-        return KTree(k=k, n=n, seed=tuple(range(n)))
     seed, *rest = maximal_cliques
     holders: dict[frozenset[int], list[tuple[int, ...]]] = {}
     for c in rest:

@@ -113,10 +113,8 @@ def compute_weights(provider, k: int) -> WeightFunction:
     from . import dataset as ds  # NumPy, needed only to compute entropies
 
     n = provider.n_vars
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= n-1; got k={k}, n={n}")
     domain_size(n, k)
-    domain = (h for size in range(1, k + 2)
+    domain = (h for size in range(1, min(k + 1, n) + 1)
               for h in itertools.combinations(range(n), size))
     return family_weights(k, n, ((h, ds.entropy(c / provider.n_rows)) for h, c
                                  in ds.count_tables(provider, domain)))
@@ -140,9 +138,12 @@ def clique_total(maximal_cliques, wf: WeightFunction) -> float:
 
 def clique_totals(wf: WeightFunction):
     """``(clique_total((s,), wf), s)`` for each (k+1)-subset s in
-    lexicographic order, the domain guarded on the call. Each s is built in
-    the domain; its sub-cliques are read by position, in that same order."""
+    lexicographic order (none for n <= k), the domain guarded on the call.
+    Each s is built in the domain; its sub-cliques are read by position, in
+    that same order."""
     domain_size(wf.n, wf.k)
+    if wf.n <= wf.k:  # no (k+1)-subset: list no sub-clique positions either
+        return iter(())
     subs = [operator.itemgetter(*p) for p in sorted(itertools.chain.from_iterable(
         itertools.combinations(range(wf.k + 1), m) for m in range(2, wf.k + 2)))]
     get, zeros = wf.weights.get, (0.0,) * len(subs)

@@ -257,20 +257,33 @@ def test_eval_reads_the_structure_before_the_data(run, tmp_path):
     assert "non-integer cell" not in res.output
 
 
-@pytest.mark.parametrize("header, why", [
-    (b"x" * 200_000, "line 1: field larger than field limit"),
-    (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0"),
-], ids=["field-limit", "not-utf8"])
-def test_learn_exact_leaves_a_bad_header_to_the_loader(run, tmp_path, header,
+WIDE = b",".join(b"x%d" % i for i in range(12))  # a header over the limit
+BODY = b"\n" + b"0," * 11 + b"0\n"
+
+
+@pytest.mark.parametrize("content, why", [
+    (b"x" * 200_000 + b"," + WIDE + BODY,
+     "line 1: field larger than field limit"),
+    (b"\xff," + WIDE + BODY,
+     "'utf-8' codec can't decode byte 0xff in position 0"),
+    (b"a,," + WIDE + b"\n" + b"0," * 13 + b"0\n",
+     "line 1, column 2: empty header name"),
+    (b"a,a," + WIDE + b"\n" + b"0," * 13 + b"0\n",
+     "line 1, column 2: header name 'a' repeats column 1"),
+    (b"\n" + WIDE + BODY, "line 1: empty header row"),
+    (b"", "empty CSV: missing header row"),
+], ids=["field-limit", "not-utf8", "empty-name", "repeated-name",
+        "blank-first-line", "empty-file"])
+def test_learn_exact_leaves_a_bad_header_to_the_loader(run, tmp_path, content,
                                                        why):
-    # a header the CSV reader cannot read is reported as it is without
-    # exact search, whatever its width
+    # a bad header is refused by the loader's own rule, whatever its width,
+    # with the same exit code and message under every solver
     data = tmp_path / "wide.csv"
-    data.write_bytes(header + b"".join(b",x%d" % i for i in range(12))
-                     + b"\n" + b"0," * 12 + b"0\n")
-    res = run(["learn", str(data), "--k", "2", "--solver", "exact"])
-    assert res.exit_code == 2, res.output
-    assert f"{data}: {why}" in res.output
+    data.write_bytes(content)
+    exact = run(["learn", str(data), "--k", "2", "--solver", "exact"])
+    assert exact.exit_code == 2, exact.output
+    assert exact.output.startswith(f"error: {data}: {why}"), exact.output
+    assert run(["learn", str(data), "--k", "2", "--solver", "greedy"]) == exact
 
 
 def test_learn_from_weight_file(run, tmp_path):
@@ -762,15 +775,33 @@ def test_eval_one_clique_structure_wider_than_the_data(run, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["learn", "weights"])
-@pytest.mark.parametrize("k", ["3", "5"])
-def test_k_not_below_the_column_count_names_the_file(run, tmp_path, command,
-                                                     k):
+@pytest.mark.parametrize("k", ["3", "5", "1000000000"])
+def test_k_not_below_the_column_count_is_the_one_clique(run, tmp_path,
+                                                        command, k):
+    # a k-tree on n <= k+1 variables is the one clique of all of them, so
+    # --k at or above the column count is accepted, and every solver learns
+    # that clique with the score eval gives it at k=2
     csv_path = tmp_path / "t3.csv"
     csv_path.write_text("a,b,c\n0,1,0\n1,1,1\n0,0,1\n")
-    res = run([command, str(csv_path), "--k", k])
-    assert res.exit_code == 2, res.output
-    assert res.output == (f"error: {csv_path}: need 1 <= k <= n-1; "
-                          f"got k={k}, n=3\n")
+    if command == "weights":
+        res = run(["weights", str(csv_path), "--k", k])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.output)
+        assert (doc["k"], doc["n"]) == (int(k), 3)
+        assert len(doc["weights"]) == 7  # every nonempty subset of 3
+        return
+    struct = tmp_path / "k2.json"
+    struct.write_text(json.dumps({"k": 2, "n": 3, "seed": [0, 1, 2]}))
+    res = run(["eval", str(csv_path), str(struct)])
+    assert res.exit_code == 0, res.output
+    score = json.loads(res.output)["score"]
+    for solver in ("exact", "greedy", "local"):
+        res = run(["learn", str(csv_path), "--k", k, "--solver", solver])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.output)
+        assert (doc["k"], doc["seed"], doc["attachments"]) == (int(k),
+                                                              [0, 1, 2], [])
+        assert doc["score"] == score, solver
 
 
 @pytest.mark.parametrize("kind", ["csv", "joint-table"])

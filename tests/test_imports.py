@@ -101,6 +101,16 @@ def test_exact_refused_from_a_csv_header_without_numpy(tmp_path):
     assert loaded.isdisjoint(ARRAY_FREE), loaded
 
 
+def test_exact_refuses_a_bad_wide_csv_header_without_numpy(tmp_path):
+    # the header rule refuses the repeated name before any array code loads
+    csv_path = tmp_path / "wide.csv"
+    csv_path.write_text("x0," + ",".join(f"x{i}" for i in range(12)) + "\n"
+                        + "0," * 12 + "0\n")
+    loaded = _run_cli(["learn", str(csv_path), "--k", "2", "--solver",
+                       "exact"], code=2)
+    assert loaded.isdisjoint(ARRAY_FREE), loaded
+
+
 def test_chow_liu_refused_at_k2_without_numpy(tmp_path):
     csv_path = tmp_path / "d.csv"
     csv_path.write_text("a,b,c\n0,1,1\n1,0,1\n")

@@ -478,10 +478,10 @@ def test_weight_file_refuses_non_numbers(tmp_path, w):
 def test_compute_weights_k_range():
     rng = np.random.default_rng(9)
     d = random_dataset(rng, 3, 20)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need k >= 1"):
         compute_weights(d, 0)
-    with pytest.raises(ValueError):
-        compute_weights(d, 3)
+    # k >= n weighs the same subsets as k = n-1: every nonempty one
+    assert compute_weights(d, 3).weights == compute_weights(d, 2).weights
 
 
 def test_missing_entry_raises():
