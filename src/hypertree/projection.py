@@ -57,32 +57,34 @@ class ProjectedModel:
 def project(provider, tree: KTree) -> ProjectedModel:
     """Project a provider's distribution onto a k-tree, weighing its cliques.
 
-    Zero cells: a zero clique marginal forces a zero factor and the division
-    is skipped. Marginals of one distribution are consistent, so a positive
-    marginal has positive sub-factors; where their product underflows to 0
-    (sub-factors near 1e-170 multiply below the smallest float), the
-    division is undefined and raises.
+    Each factor is formed in log space, exp(log p_h - sum of log phi_g
+    over h's proper subsets g), so no product of sub-factors is formed.
+    A zero clique marginal gives a zero factor: the log tables keep 0 in
+    its cells, which no positive marginal reads, since marginals of one
+    distribution are consistent. A factor over the float range (it takes
+    marginals below about 1e-308) is refused, naming its clique.
     """
     n = provider.n_vars
     if tree.n != n:
         raise ValueError(f"tree spans {tree.n} vertices, provider has {n}")
     family = clique_family(tree.maximal_cliques())
     factors: dict[tuple[int, ...], np.ndarray] = {}
+    logs: dict[tuple[int, ...], np.ndarray] = {}
     entropies = []
     for h, counts in ds.count_tables(provider, family):
         probs = counts / provider.n_rows
         entropies.append((h, ds.entropy(probs)))
-        denom = np.ones(probs.shape)
-        for size in range(1, len(h)):
-            for sub in itertools.combinations(h, size):  # broadcast over h
-                denom = denom * factors[sub].reshape(
-                    [m if v in sub else 1 for v, m in zip(h, probs.shape)])
-        pos = probs > 0
-        if np.any(pos & (denom == 0)):
-            raise RuntimeError(f"the product of the sub-factors underflowed "
-                               f"to 0 under a positive marginal in clique {h}")
-        factors[h] = np.where(pos, probs / np.where(denom == 0, 1.0, denom),
-                              0.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            log = np.log(probs)  # -inf at a zero marginal
+            for size in range(1, len(h)):
+                for sub in itertools.combinations(h, size):  # broadcast
+                    log = log - logs[sub].reshape(
+                        [m if v in sub else 1 for v, m in zip(h, probs.shape)])
+            factors[h] = np.exp(log)
+        if np.isinf(factors[h]).any():
+            raise RuntimeError(f"the factor of clique {h} overflows the "
+                               "float range")
+        logs[h] = np.where(probs > 0, log, 0.0)
     return ProjectedModel(tree, tuple(provider.arities), factors,
                           family_weights(tree.k, n, entropies))
 

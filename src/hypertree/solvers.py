@@ -5,7 +5,7 @@ size >= 2 have maximum total weight. ``exact_search`` is an exponential-in-n
 oracle for small n; ``greedy`` and ``local_search`` are heuristics, but at
 k=1 greedy builds a maximum-weight spanning tree, and ``chow_liu`` is greedy
 under that name. All solvers are deterministic under fixed tie-breaking.
-All but ``local_search`` rank the (k+1)-cliques through ``clique_totals``.
+All but ``local_search`` rank every seed through ``clique_totals``.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def refuse_exact(n: int, k: int, exact_limit: int | None = None) -> None:
 def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
     """Exact maximum-weight k-tree for small n.
 
-    Searches over rooted clique trees: a k-tree is a seed (k+1)-clique plus,
+    Searches over rooted clique trees: a k-tree is a seed clique plus,
     for every other vertex, a parent clique and a k-subset of it to anchor
     to. The best arrangement of a remaining vertex set below a given clique
     decomposes by which vertices share the subtree of the lowest remaining
@@ -88,17 +88,14 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
     refuse_exact(n, k, exact_limit)
     totals = clique_totals(wf)
     t0 = time.perf_counter()
-    if n <= k + 1:
-        return _result(KTree(k=k, n=n, seed=tuple(range(n))), wf, "exact", t0, 1, 0)
-
     gain = functools.cache(functools.partial(attachment_gain, wf))
 
     # subtree(C, R): best (gain, (v, anchor)) for hanging all vertices of the
     # nonempty bitmask R as one subtree whose root v is anchored to a
     # k-subset of clique C. forest(C, R): best (gain, R1) for hanging R as
     # subtrees below C, where R1 is the part that shares the subtree of R's
-    # lowest vertex. Neither is called with an empty R, so the two cache
-    # sizes count the DP states.
+    # lowest vertex. forest(seed, 0), the one state when n <= k+1, is the
+    # only call with an empty R; so the two cache sizes count the DP states.
     @functools.cache
     def subtree(clique: tuple[int, ...], rmask: int):
         best = choice = None
@@ -117,6 +114,8 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
 
     @functools.cache
     def forest(clique: tuple[int, ...], rmask: int):
+        if not rmask:
+            return 0.0, 0
         low = rmask & -rmask
         rest = rmask ^ low
         best = choice = None
@@ -156,7 +155,7 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
 def greedy(wf) -> SolverResult:
     """Best-seed greedy construction.
 
-    Seeds with the first (k+1)-subset of maximum ``clique_totals`` total,
+    Seeds with the first seed of maximum ``clique_totals`` total,
     then repeatedly attaches the (vertex, anchor) pair of maximum gain over
     all current k-cliques. Ties break to the smallest vertex, then the
     smallest anchor. Negative-gain attachments are still made: a k-tree
@@ -170,16 +169,14 @@ def greedy(wf) -> SolverResult:
     n, k = wf.n, wf.k
     totals = clique_totals(wf)
     t0 = time.perf_counter()
-    if n <= k + 1:
-        return _result(KTree(k=k, n=n, seed=tuple(range(n))), wf, "greedy", t0, 1, 0)
     best_seed = max(totals, key=operator.itemgetter(0))[1]
-    evaluated = math.comb(n, k + 1)
+    evaluated = math.comb(n, len(best_seed))
     best: dict[int, tuple[float, tuple[int, ...]] | None] = {
         v: None for v in range(n) if v not in best_seed}
-    new_anchors = list(itertools.combinations(best_seed, k))
+    new_anchors = ()  # at first the seed's, listed only if a vertex is left
     attachments: list[tuple[int, tuple[int, ...]]] = []
     while best:
-        for a in new_anchors:
+        for a in new_anchors or itertools.combinations(best_seed, k):
             for v, cur in best.items():
                 g = attachment_gain(wf, v, a)
                 evaluated += 1
@@ -234,7 +231,8 @@ def local_search(wf, start: KTree) -> SolverResult:
     if k > wf.k:
         raise ValueError(f"start tree has width {k}, over the weight "
                          f"function's width {wf.k}")
-    if n <= k + 1:
+    if n <= k + 1:  # one clique: nothing to move, so 0 moves in 0 iterations
+        # (the scan would list its k-subsets and count its label swaps)
         return _result(start, wf, "local_search", t0, 0, 0)
     gain = functools.cache(functools.partial(attachment_gain, wf))
 

@@ -14,7 +14,7 @@ over the (subset, entropy) pairs of a subset-closed family such as a tree's
 ``clique_family``; ``compute_weights`` streams it the whole domain's
 entropies from ``dataset.count_tables``, in that family order. The store is
 read only here: by ``clique_total`` over given cliques, ``clique_totals``
-over every (k+1)-clique, and ``attachment_gain`` for a k-tree attachment.
+over every seed, and ``attachment_gain`` for a k-tree attachment.
 """
 
 from __future__ import annotations
@@ -137,18 +137,17 @@ def clique_total(maximal_cliques, wf: WeightFunction) -> float:
 
 
 def clique_totals(wf: WeightFunction):
-    """``(clique_total((s,), wf), s)`` for each (k+1)-subset s in
-    lexicographic order (none for n <= k), the domain guarded on the call.
+    """``(clique_total((s,), wf), s)`` for every seed s, each subset of
+    size min(k+1, n) in lexicographic order, the domain guarded on the call.
     Each s is built in the domain; its sub-cliques are read by position, in
     that same order."""
     domain_size(wf.n, wf.k)
-    if wf.n <= wf.k:  # no (k+1)-subset: list no sub-clique positions either
-        return iter(())
+    size = min(wf.k + 1, wf.n)
     subs = [operator.itemgetter(*p) for p in sorted(itertools.chain.from_iterable(
-        itertools.combinations(range(wf.k + 1), m) for m in range(2, wf.k + 2)))]
+        itertools.combinations(range(size), m) for m in range(2, size + 1)))]
     get, zeros = wf.weights.get, (0.0,) * len(subs)
     return ((float(sum(map(get, [sub(s) for sub in subs], zeros))), s)
-            for s in itertools.combinations(range(wf.n), wf.k + 1))
+            for s in itertools.combinations(range(wf.n), size))
 
 
 def attachment_gain(wf: WeightFunction, v: int, anchor) -> float:

@@ -11,7 +11,9 @@ merge for width 1, and ``compute_weights_reference`` counts each
 subset on its own with ``np.ravel_multi_index``, as the library once did.
 ``count_table``, ``marginal`` and ``scope_entropy`` are not references: they
 read one scope through the library's ``count_tables``, whose scopes
-``record_counted_scopes`` lists.
+``record_counted_scopes`` lists. ``weight_inclusion_exclusion`` and
+``mutual_information`` are: they read each entropy through
+``entropy_reference``, which counts with ``count_table_reference``.
 """
 
 import csv
@@ -81,7 +83,7 @@ def weight_inclusion_exclusion(provider, h) -> float:
     for size in range(1, len(h) + 1):
         sign = (-1) ** (len(h) - size)
         for hp in itertools.combinations(h, size):
-            total -= sign * scope_entropy(provider, hp)
+            total -= sign * entropy_reference(provider, hp)
     return total
 
 
@@ -91,9 +93,9 @@ def mutual_information(provider, u: int, v: int) -> float:
         raise ValueError("mutual information requires two distinct variables")
     lo, hi = min(u, v), max(u, v)
     val = (
-        scope_entropy(provider, (lo,))
-        + scope_entropy(provider, (hi,))
-        - scope_entropy(provider, (lo, hi))
+        entropy_reference(provider, (lo,))
+        + entropy_reference(provider, (hi,))
+        - entropy_reference(provider, (lo, hi))
     )
     return 0.0 if abs(val) <= MI_ZERO_TOL else val
 
@@ -250,14 +252,20 @@ def count_table_reference(rows, arities, scope, weights=None) -> np.ndarray:
                        minlength=math.prod(dims)).reshape(dims)
 
 
+def entropy_reference(data: Dataset, scope) -> float:
+    """The entropy of a dataset's marginal over one sorted scope, in nats,
+    its rows weighted by their counts in ``count_table_reference``."""
+    return entropy(count_table_reference(data.rows, data.arities, scope,
+                                         data.counts) / data.n_rows)
+
+
 def compute_weights_reference(provider, k) -> WeightFunction:
     """compute_weights as it was before ``count_tables``: each subset of the
     domain counted on its own, in (size, vertices) order, with
     ``count_table_reference``; then its entropy and ``family_weights``."""
     n = provider.n_vars
     return family_weights(k, n, (
-        (h, entropy(count_table_reference(provider.rows, provider.arities, h,
-                                          provider.counts) / provider.n_rows))
+        (h, entropy_reference(provider, h))
         for size in range(1, k + 2)
         for h in itertools.combinations(range(n), size)))
 

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -372,7 +373,7 @@ def test_eval_size_mismatch_names_both_files(run, tmp_path):
             in res.output)
 
 
-def test_eval_large_n_omits_direct(run, tmp_path):
+def test_eval_large_n_reports_direct(run, tmp_path):
     rng = np.random.default_rng(1)
     d = random_dataset(rng, 11, 50, arities=[4] * 11)  # 4^11 joint cells
     csv_path = tmp_path / "big.csv"
@@ -407,20 +408,44 @@ def test_eval_joint_table_reports_every_quantity(run, tmp_path):
     assert report["loglik_per_row"] == pytest.approx(-entropy, abs=1e-12)
 
 
-def test_eval_refuses_a_factor_product_that_underflows(run, tmp_path):
-    # a valid joint table that weights reads, but the singleton factors of
-    # the cell (1, 1), 1e-170 each, multiply to 0 under its marginal 1e-170
+def _tiny_cell_table(tmp_path, tiny):
+    """A joint table over two binary variables, 1.0 at (0, 0) and tiny at
+    (1, 1), and the 1-tree on both: (its path, the structure's path)."""
     jt = tmp_path / "tiny.json"
     jt.write_text(json.dumps({"arities": [2, 2],
-                              "probs": [1.0, 0, 0, 1e-170]}))
+                              "probs": [1.0, 0, 0, tiny]}))
     struct = tmp_path / "structure.json"
     struct.write_text(json.dumps({"k": 1, "n": 2, "seed": [0, 1],
                                   "attachments": []}))
-    assert run(["weights", str(jt), "--k", "1"]).exit_code == 0
+    return jt, struct
+
+
+def test_eval_forms_a_factor_whose_sub_factors_multiply_below_the_floats(
+        run, tmp_path):
+    # the singleton factors of the cell (1, 1), 1e-170 each, multiply to 0,
+    # but the pair factor is formed in log space: 1e-170 / 1e-340 = 1e170
+    jt, struct = _tiny_cell_table(tmp_path, 1e-170)
     res = run(["eval", str(jt), str(struct)])
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert report["score"] == 3.914394658089878e-168
+    assert report["identity_residual"] == 0.0
+    res = run(["learn", str(jt), "--k", "1"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["score"] == report["score"]
+
+
+def test_eval_refuses_a_factor_over_the_float_range(run, tmp_path):
+    # at 1e-310 the pair factor of the cell (1, 1) is 1e310, over the
+    # largest float: refused by name, with no NumPy warning on the way
+    jt, struct = _tiny_cell_table(tmp_path, 1e-310)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run(["eval", str(jt), str(struct)])
     assert res.exit_code == 2, res.output
-    assert res.output == ("error: the product of the sub-factors underflowed "
-                          "to 0 under a positive marginal in clique (0, 1)\n")
+    assert res.output == ("error: the factor of clique (0, 1) overflows the "
+                          "float range\n")
+    assert not caught
 
 
 def test_gen_parity_roundtrip(run, tmp_path):

@@ -291,6 +291,17 @@ def test_log_likelihood_uniform_and_neg_inf():
     assert log_likelihood(m2, held_out) == -math.inf
 
 
+def test_divergence_direct_refuses_a_target_row_the_model_gives_zero():
+    # trained where x0 = x1, the model's pair factor is 0 at (0, 1), and
+    # the target holds that row
+    train = tally((2, 2), np.array([[0, 0], [1, 1]]))
+    model = project(train, KTree(k=1, n=2, seed=(0, 1)))
+    target = tally((2, 2), np.array([[0, 0], [0, 1]]))
+    with pytest.raises(RuntimeError, match="model assigns zero probability "
+                                           "inside the target support"):
+        divergence_direct(target, model)
+
+
 def test_log_likelihood_spec_mismatch():
     d2 = tally((2, 2), np.array([[0, 0]]))
     d3 = tally((2, 3), np.array([[0, 2]]))

@@ -88,6 +88,31 @@ def triples_wf(n, ones):
                           weights={tuple(sorted(t)): 1.0 for t in ones})
 
 
+@pytest.mark.parametrize("n, k", [(n, k) for n in (1, 2, 3)
+                                  for k in (n - 1, n, n + 3, 10 ** 9) if k >= 1])
+def test_one_clique_is_the_one_seed(n, k):
+    # a k-tree on n <= k+1 vertices is one clique of all of them: the seed
+    # scan lists it alone, every solver returns it with no attachment, and
+    # the DP caches its one state, forest(seed, 0)
+    rng = np.random.default_rng(n)
+    wf = WeightFunction(k=k, n=n, weights={
+        h: float(rng.uniform(-1, 1)) for size in range(2, n + 1)
+        for h in itertools.combinations(range(n), size)})
+    seed = tuple(range(n))
+    total = clique_total((seed,), wf)
+    assert list(clique_totals(wf)) == [(total, seed)]
+    runs = [(exact_search, 1), (greedy, 1),
+            (lambda f: local_search(f, greedy(f).tree), 0)]
+    if k == 1:
+        runs.append((chow_liu, 1))
+    for solve, nodes in runs:
+        res = solve(wf)
+        assert (res.tree.seed, res.tree.attachments) == (seed, ())
+        assert (res.stats["nodes_explored"], res.stats["iterations"]) == (
+            nodes, 0)
+        assert res.score == total
+
+
 class TestChowLiu:
     def test_rejects_wrong_k(self):
         rng = np.random.default_rng(0)
