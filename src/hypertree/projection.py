@@ -4,11 +4,11 @@ The projected distribution keeps every clique marginal of the target and
 factors into per-clique tables computed bottom-up over the tree's
 ``clique_family`` (singletons included), the family whose weights score it:
 each clique's factor is its target marginal, from ``dataset.count_tables``,
-over the product of the factors of its proper subsets. The factors are
-stored for all cliques rather than folded into maximal cliques, so a
-clique's factor depends only on the marginal inside it and is reusable
-across structures. The same marginals give the clique weights: w(h) is the
-expected log of h's factor.
+over the product of the factors of its proper subsets. The model keeps the
+log tables of all cliques' factors, not folded into maximal cliques, so a
+factor depends only on the marginal inside it and is reusable across
+structures; only the model dump forms a factor itself. The same marginals
+give the clique weights: w(h) is the expected log of h's factor.
 
 Divergence from the target is available through two routes: the decomposed
 form (baseline divergence, its singleton entropies read from the weights,
@@ -44,8 +44,8 @@ __all__ = [
 class ProjectedModel:
     """A k-tree structure with per-clique factors and clique weights.
 
-    ``factors`` holds a table for each subset of the tree's ``clique_family``
-    in that family's order: by size, then by vertices.
+    ``factors`` holds each family subset's log factor table (-inf at a zero
+    marginal), in ``clique_family`` order: by size, then by vertices.
     """
 
     tree: KTree
@@ -57,50 +57,42 @@ class ProjectedModel:
 def project(provider, tree: KTree) -> ProjectedModel:
     """Project a provider's distribution onto a k-tree, weighing its cliques.
 
-    Each factor is formed in log space, exp(log p_h - sum of log phi_g
-    over h's proper subsets g), so no product of sub-factors is formed.
-    A zero clique marginal gives a zero factor: the log tables keep 0 in
-    its cells, which no positive marginal reads, since marginals of one
-    distribution are consistent. A factor over the float range (it takes
-    marginals below about 1e-308) is refused, naming its clique.
+    Each factor's log table is log p_h minus the log tables of h's proper
+    subsets, so no product of sub-factors is formed, and a factor outside
+    the float range is still kept. A zero marginal's cells are -inf; no
+    positive marginal reads them, as marginals of one distribution agree.
     """
     n = provider.n_vars
     if tree.n != n:
         raise ValueError(f"tree spans {tree.n} vertices, provider has {n}")
     family = clique_family(tree.maximal_cliques())
     factors: dict[tuple[int, ...], np.ndarray] = {}
-    logs: dict[tuple[int, ...], np.ndarray] = {}
     entropies = []
     for h, counts in ds.count_tables(provider, family):
         probs = counts / provider.n_rows
         entropies.append((h, ds.entropy(probs)))
-        with np.errstate(divide="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             log = np.log(probs)  # -inf at a zero marginal
             for size in range(1, len(h)):
                 for sub in itertools.combinations(h, size):  # broadcast
-                    log = log - logs[sub].reshape(
+                    log = log - factors[sub].reshape(
                         [m if v in sub else 1 for v, m in zip(h, probs.shape)])
-            factors[h] = np.exp(log)
-        if np.isinf(factors[h]).any():
-            raise RuntimeError(f"the factor of clique {h} overflows the "
-                               "float range")
-        logs[h] = np.where(probs > 0, log, 0.0)
+        factors[h] = np.where(probs > 0, log, -np.inf)  # not -inf - -inf: NaN
     return ProjectedModel(tree, tuple(provider.arities), factors,
                           family_weights(tree.k, n, entropies))
 
 
 def _row_log_probs(model: ProjectedModel, data: ds.Dataset) -> np.ndarray:
-    """The model's log probability of each distinct row of data, summed
-    over the factors in their order; -inf where a factor is 0."""
+    """The model's log probability of each distinct row of data, the sum of
+    its cells in the log tables in their order; -inf where a factor is 0."""
     if data.arities != model.arities:
         raise ValueError(
             f"dataset arities {data.arities} do not match model arities "
             f"{model.arities}"
         )
     logp = np.zeros(len(data.rows))
-    with np.errstate(divide="ignore"):
-        for h, phi in model.factors.items():
-            logp += np.log(phi[tuple(data.rows[:, i] for i in h)])
+    for h, log in model.factors.items():
+        logp += log[tuple(data.rows[:, i] for i in h)]
     return logp
 
 
@@ -144,16 +136,23 @@ def divergence_direct(data: ds.Dataset, model: ProjectedModel) -> float:
 
 
 def model_to_dict(model: ProjectedModel) -> dict:
-    """Serializable model document: structure plus row-major factor tables."""
+    """Serializable model document: structure plus row-major factor tables,
+    the exp of the log tables; a factor outside the float range is refused."""
     doc = ktree_to_dict(model.tree)
     doc["arities"] = list(model.arities)
-    doc["factors"] = [
-        {"vars": list(h), "table": phi.ravel().tolist()}
-        for h, phi in model.factors.items()
-    ]
+    doc["factors"] = []
+    for h, log in model.factors.items():
+        with np.errstate(over="ignore"):
+            phi = np.exp(log)
+        over = np.isinf(phi).any()
+        if over or (phi[log > -np.inf] == 0).any():  # a positive cell lost
+            flows = "overflows" if over else "underflows"
+            raise RuntimeError(f"the factor of clique {h} {flows} the "
+                               "float range")
+        doc["factors"].append({"vars": list(h), "table": phi.ravel().tolist()})
     return doc
 
 
 def dump_model(model: ProjectedModel, path) -> None:
-    """Write the model document to path."""
+    """Write the model document to path; a refused factor opens no file."""
     write_json(model_to_dict(model), path)

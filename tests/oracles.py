@@ -288,22 +288,24 @@ def joint_entropy_reference(rows) -> float:
 
 
 def model_joint(model) -> np.ndarray:
-    """Full joint table of a projected model: the product of its factors."""
+    """Full joint table of a projected model: the product of its factors,
+    each the exp of the model's log table."""
     n = len(model.arities)
     table = np.ones(model.arities)
-    for h, phi in model.factors.items():
+    for h, log in model.factors.items():
         shape = tuple(model.arities[i] if i in h else 1 for i in range(n))
-        table = table * phi.reshape(shape)
+        table = table * np.exp(log).reshape(shape)
     return table
 
 
 def log_likelihood_reference(model, rows) -> float:
-    """Total log likelihood of raw (T, n) rows, one row at a time; -inf as
-    soon as a row hits a zero factor."""
+    """Total log likelihood of raw (T, n) rows, one row at a time, through
+    the factors (the exp of the model's log tables); -inf as soon as a row
+    hits a zero factor."""
     total = np.zeros(rows.shape[0])
     dead = np.zeros(rows.shape[0], dtype=bool)
     for h in sorted(model.factors, key=lambda h: (len(h), h)):
-        vals = model.factors[h][tuple(rows[:, i] for i in h)]
+        vals = np.exp(model.factors[h][tuple(rows[:, i] for i in h)])
         zero = vals == 0.0
         dead |= zero
         total += np.where(zero, 0.0, np.log(np.where(zero, 1.0, vals)))

@@ -5,7 +5,10 @@ import io
 import itertools
 import json
 import math
-import warnings
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypertree
 from hypertree.cli import main
 from hypertree.dataset import dump_dataset, load_dataset
 from hypertree.paritygen import TargetBiases, biases_to_dict
@@ -29,6 +33,9 @@ from oracles import (
     tally,
     target_samples,
 )
+
+
+SRC = Path(hypertree.__file__).resolve().parent.parent  # holds the package
 
 
 class CliResult(NamedTuple):
@@ -435,17 +442,34 @@ def test_eval_forms_a_factor_whose_sub_factors_multiply_below_the_floats(
     assert json.loads(res.output)["score"] == report["score"]
 
 
-def test_eval_refuses_a_factor_over_the_float_range(run, tmp_path):
+def test_eval_scores_a_factor_over_the_float_range(run, tmp_path):
     # at 1e-310 the pair factor of the cell (1, 1) is 1e310, over the
-    # largest float: refused by name, with no NumPy warning on the way
+    # largest float, but its log is a float, and eval reads only the logs
     jt, struct = _tiny_cell_table(tmp_path, 1e-310)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        res = run(["eval", str(jt), str(struct)])
-    assert res.exit_code == 2, res.output
-    assert res.output == ("error: the factor of clique (0, 1) overflows the "
+    res = run(["eval", str(jt), str(struct)])
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert report["score"] == 7.13801378828152e-308
+    assert report["divergence_decomposed"] == 0.0
+    assert report["divergence_direct"] == 0.0
+
+
+def test_eval_refuses_a_factor_over_the_float_range(tmp_path):
+    # the model dump forms the factor 1e310 itself: refused by name in a
+    # fresh interpreter, with no NumPy warning on stderr and no file written
+    jt, struct = _tiny_cell_table(tmp_path, 1e-310)
+    model, report = tmp_path / "sub-model.json", tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]]
+                      if os.environ.get("PYTHONPATH") else [])))
+    res = subprocess.run(
+        [sys.executable, "-m", "hypertree.cli", "eval", str(jt), str(struct),
+         "--model-out", str(model), "--out", str(report)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == ("error: the factor of clique (0, 1) overflows the "
                           "float range\n")
-    assert not caught
+    assert not model.exists() and not report.exists()
 
 
 def test_gen_parity_roundtrip(run, tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypertree import dataset
 from hypertree.dataset import (
     Dataset,
     count_tables,
@@ -318,6 +319,17 @@ def test_count_table_guard():
         count_table(d, (0, 1))
     with pytest.raises(GuardLimitError, match=f"has {2 ** 63} cells"):
         scope_entropy(d, (0, 1, 2))
+
+
+def test_count_table_guard_at_its_bound(monkeypatch):
+    # a 2 x 3 table passes a guard of exactly 6 cells; one less refuses it
+    d = tally((2, 3), np.array([[0, 2], [1, 0]]))
+    monkeypatch.setattr(dataset, "MARGINAL_CELL_GUARD", 6)
+    assert [t.shape for _, t in count_tables(d, [(0, 1)])] == [(2, 3)]
+    monkeypatch.setattr(dataset, "MARGINAL_CELL_GUARD", 5)
+    with pytest.raises(GuardLimitError,
+                       match=r"scope \(0, 1\) has 6 cells, over 5"):
+        list(count_tables(d, [(0, 1)]))
 
 
 def test_entropy_values(four_rows):

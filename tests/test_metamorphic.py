@@ -10,6 +10,10 @@ Renaming the vertices renames the answer. A CSV with its columns permuted
 has its weights permuted, up to the order in which floats are summed. On
 distinct weights no tie is broken by vertex index, so greedy, ``chow_liu``
 and exact search on relabelled weights return the relabelled edge set.
+A joint table with its variables permuted, scored against the relabelled
+structure, gives the relabelled weights, the same ``eval`` report and the
+model's factor tables with their axes permuted; its zero cells reach the
+-inf cells of the model's log tables.
 """
 
 import json
@@ -19,12 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypertree.cli import main
 from hypertree.dataset import load_dataset
 from hypertree.solvers import chow_liu, exact_search, greedy, local_search
-from hypertree.structure import ktree_edges
-from hypertree.weights import WeightFunction, compute_weights, weights_to_dict
+from hypertree.structure import KTree, ktree_edges, ktree_to_dict
+from hypertree.weights import (WeightFunction, compute_weights,
+                               weights_from_dict, weights_to_dict)
 
-from oracles import random_weight_function
+from oracles import random_ktree, random_weight_function
 
 
 @st.composite
@@ -105,3 +111,62 @@ def test_relabelled_weights_give_the_relabelled_edges(seed):
             tuple(sorted((int(perm[u]), int(perm[v]))))
             for u, v in ktree_edges(want.tree)}
         assert got.score == pytest.approx(want.score, abs=1e-12)
+
+
+def _eval_joint(directory, probs, tree):
+    """Write a joint table and a structure into a new directory, run
+    ``weights`` and ``eval --model-out`` on them, and return the weight
+    function, the report and the model document."""
+    directory.mkdir()
+    table = directory / "table.json"
+    table.write_text(json.dumps({"arities": list(probs.shape),
+                                 "probs": probs.ravel().tolist()}))
+    structure = directory / "structure.json"
+    structure.write_text(json.dumps(ktree_to_dict(tree)))
+    paths = [directory / name for name in ("w.json", "r.json", "m.json")]
+    assert main(["weights", str(table), "--k", str(tree.k),
+                 "--out", str(paths[0])]) == 0
+    assert main(["eval", str(table), str(structure), "--out", str(paths[1]),
+                 "--model-out", str(paths[2])]) == 0
+    return (weights_from_dict(json.loads(paths[0].read_text())),
+            json.loads(paths[1].read_text()), json.loads(paths[2].read_text()))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_joint_table_variables_permuted_permute_weights_and_model(
+        tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    shape = tuple(int(a) for a in rng.integers(2, 4, size=n))
+    # most cells zero, so that 17 of the 20 models hold a zero marginal
+    probs = rng.random(shape) * (rng.random(shape) < 0.3)
+    probs.flat[0] += 0.1
+    probs /= probs.sum()
+    k = 1 + seed % 2
+    tree = random_ktree(rng, n, k)
+    order = rng.permutation(n)  # new variable i is old order[i]
+    new = np.argsort(order)  # old vertex v is new vertex new[v]
+    relabelled = KTree(k=k, n=n, seed=tuple(int(new[v]) for v in tree.seed),
+                       attachments=tuple(
+                           (int(new[v]), tuple(int(new[u]) for u in anchor))
+                           for v, anchor in tree.attachments))
+    wf, report, model = _eval_joint(tmp_path / "a", probs, tree)
+    got_wf, got_report, got_model = _eval_joint(
+        tmp_path / "b", np.transpose(probs, order), relabelled)
+
+    assert len(got_wf.weights) == len(wf.weights)
+    for h, w in wf.weights.items():
+        assert got_wf.weights[tuple(sorted(int(new[v]) for v in h))] == (
+            pytest.approx(w, abs=1e-12))
+    for key in ("score", "divergence_decomposed", "divergence_direct",
+                "loglik_per_row"):
+        assert got_report[key] == pytest.approx(report[key], abs=1e-12), key
+    tables = {tuple(e["vars"]): e["table"] for e in got_model["factors"]}
+    assert len(tables) == len(model["factors"])
+    for e in model["factors"]:
+        h = tuple(e["vars"])
+        moved = tuple(sorted(int(new[v]) for v in h))
+        want = np.transpose(np.reshape(e["table"], [shape[v] for v in h]),
+                            [h.index(int(order[u])) for u in moved])
+        np.testing.assert_allclose(tables[moved], want.ravel(), rtol=1e-12,
+                                   atol=0)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypertree import paritygen
 from hypertree.errors import GuardLimitError
 from hypertree.paritygen import (
     TargetBiases,
@@ -150,6 +151,16 @@ class TestGenerate:
                          (TargetBiases(k=1, n=8, q=2341, entries={}), 16780288)):
             with pytest.raises(GuardLimitError, match=f"{rows} rows x n={tb.n}"):
                 generate(tb)
+
+    def test_row_guard_at_its_bound(self, monkeypatch):
+        # 3 pairs x 1 block x 2^3 rows x 3 variables pass a guard of
+        # exactly 72 cells; one less refuses them
+        tb = TargetBiases(k=1, n=3, q=1, entries={})
+        monkeypatch.setattr(paritygen, "SAMPLE_CELL_GUARD", 72)
+        assert generate(tb).dataset.n_rows == 24
+        monkeypatch.setattr(paritygen, "SAMPLE_CELL_GUARD", 71)
+        with pytest.raises(GuardLimitError, match="24 rows x n=3"):
+            generate(tb)
 
     def test_target_biases_validation(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from hypertree.projection import (
     divergence_direct,
     dump_model,
     log_likelihood,
+    model_to_dict,
     project,
 )
 from hypertree.solvers import exact_search
@@ -55,7 +56,7 @@ def test_single_vertex_factor_is_marginal():
     d = tally((2,), np.array([[0], [0], [1], [0]]))
     t = KTree(k=1, n=1, seed=(0,))
     m = project(d, t)
-    assert m.factors[(0,)].tolist() == [0.75, 0.25]
+    assert m.factors[(0,)].tolist() == np.log([0.75, 0.25]).tolist()
 
 
 def test_product_distribution_factors_are_one():
@@ -63,9 +64,9 @@ def test_product_distribution_factors_are_one():
     jt = product_joint(rng, [2, 2, 2])
     t = KTree(k=2, n=3, seed=(0, 1, 2))
     m = project(jt, t)
-    for h, phi in m.factors.items():
+    for h, log in m.factors.items():
         if len(h) >= 2:
-            assert np.allclose(phi, 1.0, atol=1e-12)
+            assert np.allclose(log, 0.0, atol=1e-12)
 
 
 def test_chain_factorization_matches_conditionals():
@@ -98,7 +99,7 @@ def test_factor_reconstruction_identity():
                 shape = tuple(
                     target.shape[i] if h[i] in sub else 1
                     for i in range(len(h)))
-                rebuilt = rebuilt * m.factors[sub].reshape(shape)
+                rebuilt = rebuilt * np.exp(m.factors[sub]).reshape(shape)
         mask = target > 0
         assert np.max(np.abs(rebuilt[mask] - target[mask])) <= 1e-10
 
@@ -228,10 +229,10 @@ def test_weights_are_expected_log_factors(sample, seed, k):
     for data in (tally(arities, rows), joint_table(probs)):
         m = project(data, tree)
         assert set(m.weights.weights) == set(m.factors)
-        for h, phi in m.factors.items():
+        for h, log in m.factors.items():
             p = marginal(data, h)
             pos = p > 0
-            want = float((p[pos] * np.log(phi[pos])).sum())
+            want = float((p[pos] * log[pos]).sum())
             assert m.weights.weights[h] == pytest.approx(want, abs=1e-12), h
 
 
@@ -300,6 +301,25 @@ def test_divergence_direct_refuses_a_target_row_the_model_gives_zero():
     with pytest.raises(RuntimeError, match="model assigns zero probability "
                                            "inside the target support"):
         divergence_direct(target, model)
+
+
+def test_model_dump_refuses_a_positive_factor_cell_that_underflows():
+    # each of x0..x3 is 1 alone with mass 0.2, and all four are 1 together
+    # with mass 1e-120, which every pair and triple marginal of 1s holds:
+    # the 4-clique factor there is 1e-360 / 0.2^4, under the floats. Its
+    # log is kept, so the divergences agree, but the dump would write 0
+    p = np.zeros((2,) * 4)
+    for v in range(4):
+        p[tuple(int(i == v) for i in range(4))] = 0.2
+    p[1, 1, 1, 1] = 1e-120
+    p[0, 0, 0, 0] = 1.0 - p.sum()
+    jt, tree = joint_table(p), KTree(k=3, n=4, seed=(0, 1, 2, 3))
+    m = project(jt, tree)
+    assert divergence_direct(jt, m) == pytest.approx(divergence_decomposed(
+        jt, compute_weights(jt, 3), tree), abs=1e-12)
+    with pytest.raises(RuntimeError, match=r"the factor of clique "
+                       r"\(0, 1, 2, 3\) underflows the float range"):
+        model_to_dict(m)
 
 
 def test_log_likelihood_spec_mismatch():
@@ -376,20 +396,25 @@ def test_model_json_roundtrip(tmp_path):
     path = tmp_path / "model.json"
     dump_model(m, path)
     doc = json.loads(path.read_text())
-    back = ProjectedModel(
-        tree=ktree_from_dict(doc),
-        arities=tuple(doc["arities"]),
-        factors={
-            tuple(e["vars"]): np.asarray(e["table"]).reshape(
-                [doc["arities"][i] for i in e["vars"]])
-            for e in doc["factors"]
-        },
-        weights=m.weights,  # model.json keeps the factors, not the weights
-    )
-    assert back.tree == m.tree
-    assert back.arities == m.arities
-    for h, phi in m.factors.items():
-        assert np.array_equal(back.factors[h], phi)
+    assert doc == model_to_dict(m)
+    with np.errstate(divide="ignore"):  # a zero factor's log is -inf
+        back = ProjectedModel(
+            tree=ktree_from_dict(doc),
+            arities=tuple(doc["arities"]),
+            factors={
+                tuple(e["vars"]): np.log(np.asarray(e["table"]).reshape(
+                    [doc["arities"][i] for i in e["vars"]]))
+                for e in doc["factors"]
+            },
+            weights=m.weights,  # model.json keeps the factors, not weights
+        )
+    again = model_to_dict(back)
+    assert [e["vars"] for e in again["factors"]] == [
+        e["vars"] for e in doc["factors"]]
+    assert {key: v for key, v in again.items() if key != "factors"} == {
+        key: v for key, v in doc.items() if key != "factors"}
+    for got, want in zip(again["factors"], doc["factors"]):
+        assert got["table"] == pytest.approx(want["table"], rel=1e-14, abs=0)
     for x in itertools.product(range(2), range(3), range(2)):
         a, b = _row_log_prob(m, x), _row_log_prob(back, x)
         if a == -math.inf:

@@ -182,6 +182,14 @@ class TestExactSearch:
         res = exact_search(wf, exact_limit=10)
         assert res.method == "exact"
 
+    def test_exact_limit_at_its_bound(self):
+        # n equal to the limit is searched; one vertex more is refused
+        rng = np.random.default_rng(5)
+        assert exact_search(random_weight_function(rng, 4, 2),
+                            exact_limit=4).method == "exact"
+        with pytest.raises(GuardLimitError, match="n=5 exceeds the limit 4"):
+            exact_search(random_weight_function(rng, 5, 2), exact_limit=4)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_caches_exactly_the_counted_states(self, k):
         # 2 * C(n, k+1) * (2^(n-k-1) - 1) states, all within the default

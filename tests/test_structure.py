@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypertree import structure
 from hypertree.errors import GuardLimitError
 from hypertree.structure import (
     KTree,
@@ -324,6 +325,16 @@ def test_clique_family_guard():
     # one clique of 23 vertices has 2^23 - 1 subsets: refused unlisted
     with pytest.raises(GuardLimitError, match="number up to 8388607, over"):
         clique_family([tuple(range(23))])
+
+
+def test_clique_family_guard_at_its_bound(monkeypatch):
+    # a triangle's 7 nonempty subsets pass a guard of exactly 7; one less
+    # refuses them
+    monkeypatch.setattr(structure, "WEIGHT_DOMAIN_GUARD", 7)
+    assert len(clique_family([(0, 1, 2)])) == 7
+    monkeypatch.setattr(structure, "WEIGHT_DOMAIN_GUARD", 6)
+    with pytest.raises(GuardLimitError, match="number up to 7, over 6"):
+        clique_family([(0, 1, 2)])
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 9), k=st.integers(1, 3))

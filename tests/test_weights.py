@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypertree import weights
 from hypertree.errors import GuardLimitError
 from hypertree.projection import project
 from hypertree.structure import KTree, clique_family, score
@@ -209,6 +210,16 @@ def test_first_scope_over_the_cell_guard_in_family_order_is_refused():
         with pytest.raises(GuardLimitError,
                            match=r"scope \(2,\) has 33554432 cells"):
             refused()
+
+
+def test_domain_guard_at_its_bound(monkeypatch):
+    # the 4 singletons and 6 pairs of 4 vertices pass a guard of exactly
+    # 10 subsets; one less refuses them
+    monkeypatch.setattr(weights, "WEIGHT_DOMAIN_GUARD", 10)
+    assert weights.domain_size(4, 1) == 10
+    monkeypatch.setattr(weights, "WEIGHT_DOMAIN_GUARD", 9)
+    with pytest.raises(GuardLimitError, match="number 10, over 9"):
+        weights.domain_size(4, 1)
 
 
 @given(seed=st.integers(0, 10_000))
