@@ -8,16 +8,17 @@ provenance). Exit codes, mapped in ``main``: 0 success, 2 validation error
 after the file's path), 3 guard refusal, 4 I/O error. All outputs, the
 printed summaries included, are in nats.
 
-The parser is the standard library's ``argparse``. Each command imports the
-modules it computes with when it runs: ``--help`` loads no library module
-beyond ``errors``, and only the commands and branches that compute on arrays
-import ``dataset``, ``projection`` and ``paritygen`` (and with them NumPy),
-so ``learn`` on a weight file starts without it. ``learn`` refuses CSV
-data without ``--k`` before reading it, and ``learn --solver exact``
-reads a CSV's header through the loader's own rule, ``errors.csv_header``,
-and refuses one over the exact limit before any of them is imported: a
-bad header gets the loader's message and exit code whatever the solver.
-``eval`` reads its structure before its data.
+The module keeps only the parser, dispatch, its two reports and the exit
+codes; each input is read and checked by the module whose format it is.
+Each command imports the modules it computes with when it runs: ``--help``
+loads no library module beyond ``errors``, and only the commands and
+branches that compute on arrays import ``dataset``, ``projection`` and
+``paritygen`` (and with them NumPy), so ``learn`` on a weight file starts
+without it. ``learn`` refuses CSV data without ``--k`` before reading it,
+and ``learn --solver exact`` refuses a CSV header over the exact limit,
+read by the loader's own ``errors.csv_header``, before any of them is
+imported: a bad header gets the loader's message and exit code whatever
+the solver. ``eval`` reads its structure before its data.
 """
 
 from __future__ import annotations
@@ -26,25 +27,13 @@ import argparse
 import sys
 
 from .errors import (DEFAULT_EXACT_LIMIT, GuardLimitError, csv_header,
-                     json_float, json_int, json_subsets, read_input,
-                     read_json, write_json)
+                     read_input, read_json, write_json)
 
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
 EXIT_IO = 4
 
 SOLVER_NAMES = ("chow_liu", "exact", "greedy", "local")
-
-
-def _sidecar_arities(doc: dict) -> dict[str, int]:
-    from .dataset import checked_arity
-
-    arities = doc["arities"]
-    if not isinstance(arities, dict):
-        raise TypeError(f"'arities' must map names to arities, "
-                        f"got {type(arities).__name__}")
-    return {name: checked_arity(json_int(m, f"arities.{name}"), name)
-            for name, m in arities.items()}
 
 
 def _load_input(path: str, arities_path: str | None, weight_file=False):
@@ -69,10 +58,10 @@ def _load_input(path: str, arities_path: str | None, weight_file=False):
             return parse(doc)
 
         return read_json(path, convert)
-    from .dataset import load_dataset
+    from .dataset import declared_arities, load_dataset
 
-    sidecar = (None if arities_path is None
-               else read_json(arities_path, _sidecar_arities))
+    sidecar = (None if arities_path is None else read_json(
+        arities_path, lambda doc: declared_arities(doc["arities"])))
     return load_dataset(path, sidecar)
 
 
@@ -80,16 +69,16 @@ def weights_cmd(data_path, k, arities_path, out_path):
     """Compute clique weights for all vertex subsets of size 1..k+1."""
     from . import weights
 
-    wf = weights.compute_weights(_load_input(data_path, arities_path), k)
-    write_json(weights.weights_to_dict(wf), out_path)
-    if out_path is not None:
-        top = max((h for h in wf.weights if len(h) >= 2),
-                  key=lambda h: wf.weights[h], default=None)
-        note = ""
-        if top is not None:
-            note = (f"; max non-singleton weight {list(top)} = "
-                    f"{wf.weights[top]:.6f} (base e)")
-        print(f"wrote {len(wf.weights)} weights (n={wf.n}, k={wf.k}) "
+    doc = weights.weights_to_dict(
+        weights.compute_weights(_load_input(data_path, arities_path), k))
+    write_json(doc, out_path)
+    if out_path is not None:  # the first maximum in (size, vars) order
+        entries = doc["weights"]
+        top = max((e for e in entries if len(e["vars"]) >= 2),
+                  key=lambda e: e["w"], default=None)
+        note = "" if top is None else (f"; max non-singleton weight "
+                                       f"{top['vars']} = {top['w']:.6f} (base e)")
+        print(f"wrote {len(entries)} weights (n={doc['n']}, k={doc['k']}) "
               f"to {out_path}{note}")
 
 
@@ -106,10 +95,7 @@ def learn_cmd(input_path, k, solver, exact_limit, arities_path, out_path):
         if k is None:
             raise ValueError(no_k)
         if solver == "exact":  # from the header, by the loader's own rule
-            import csv
-
-            names = read_input(input_path,
-                               lambda fh: csv_header(csv.reader(fh)))
+            names, _ = read_input(input_path, csv_header)
             solvers.refuse_exact(len(names), k, exact_limit)
     source = _load_input(input_path, arities_path, weight_file=True)
     if isinstance(source, weights.WeightFunction):
@@ -185,32 +171,12 @@ def eval_cmd(data_path, structure_path, arities_path, model_out, out_path):
             f"(base e, k={tree.k}) -> {out_path}")
 
 
-def _parity_spec(doc: dict):
-    """(biases, None) of a bias document; (biases, realization) of a
-    weight-target document, realized here so that a rounding error names
-    the file."""
-    from . import paritygen
-
-    if "biases" in doc:
-        return paritygen.biases_from_dict(doc), None
-    if "targets" in doc:
-        targets = json_subsets(doc, "targets", "w", json_float)
-        scale = doc.get("scale")
-        if scale is not None:
-            scale = json_float(scale, "scale")
-        realization = paritygen.realize_weights(
-            targets, n=json_int(doc["n"], "n"), k=json_int(doc["k"], "k"),
-            q_grid=json_int(doc["q_grid"], "q_grid"), scale=scale)
-        return realization.biases, realization
-    raise ValueError("input must contain either a 'biases' or a 'targets' list")
-
-
 def gen_parity_cmd(spec_path, out_path):
     """Generate a parity-biased sample from a bias or weight-target file."""
     from . import paritygen
     from .dataset import dump_dataset
 
-    tb, realization = read_json(spec_path, _parity_spec)
+    tb, realization = read_json(spec_path, paritygen.spec_from_dict)
     sample = paritygen.generate(tb)
     dump_dataset(sample.dataset, out_path)
     prov = paritygen.biases_to_dict(tb)

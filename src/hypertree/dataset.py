@@ -26,6 +26,7 @@ from .errors import (GuardLimitError, csv_header, json_float, json_int,
 
 __all__ = [
     "checked_arity",
+    "declared_arities",
     "Dataset",
     "load_dataset",
     "dump_dataset",
@@ -44,6 +45,17 @@ def checked_arity(arity, variable) -> int:
         raise ValueError(
             f"variable {variable!r}: arity must be >= 2, got {arity}")
     return arity
+
+
+def declared_arities(arities) -> dict[str, int]:
+    """A mapping of column names to declared arities, such as an
+    ``--arities`` sidecar's, each held to json_int and checked_arity; a
+    value that is no dict raises TypeError."""
+    if not isinstance(arities, dict):
+        raise TypeError(f"'arities' must map names to arities, "
+                        f"got {type(arities).__name__}")
+    return {name: checked_arity(json_int(a, f"arities.{name}"), name)
+            for name, a in arities.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,10 +163,8 @@ def load_dataset(path, arities: dict[str, int] | None = None) -> Dataset:
 
 
 def _parse_csv(fh, declared) -> Dataset:
-    reader = csv.reader(fh)
-    names = csv_header(reader)
-    declared = {name: checked_arity(json_int(a, f"arities.{name}"), name)
-                for name, a in (declared or {}).items()}
+    names, reader = csv_header(fh)
+    declared = declared_arities({} if declared is None else declared)
     unknown = sorted(declared.keys() - set(names))
     if unknown:
         raise ValueError(f"arities given for columns not in the "

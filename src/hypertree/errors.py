@@ -1,6 +1,6 @@
 """Exception types, guard defaults, the file boundary (every input file is
-read here, and every JSON output written), the CSV header rule, JSON field
-readers and the subset rule.
+read here, and every JSON output written), the CSV reader and its header
+rule, JSON field readers and the subset rule.
 
 Guard defaults live here, beside the error they raise, so the command line
 can show them without importing the modules that enforce them.
@@ -40,14 +40,16 @@ def read_input(path, parse, *args):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def csv_header(reader) -> list[str]:
-    """The stripped names of the header row of a ``csv.reader``, leaving it
-    at the first body row: the one header rule. A file without a header, a
-    blank first line, an empty name or a repeated name is refused with a
+def csv_header(fh):
+    """(names, reader): the stripped names of the header row of the CSV
+    text fh, and the ``csv.reader`` over fh, left at the first body row: the
+    one CSV reader and its header rule. A file without a header, a blank
+    first line, an empty name or a repeated name is refused with a
     ValueError that names its line, and the name's 1-based column; so is a
     header the CSV reader refuses."""
     import csv  # here, so that --help loads no module it does not use
 
+    reader = csv.reader(fh)
     try:
         header = next(reader, None)
     except csv.Error as exc:
@@ -65,7 +67,7 @@ def csv_header(reader) -> list[str]:
         if first.setdefault(name, i) != i:
             raise ValueError(f"{where}: header name {name!r} repeats "
                              f"column {first[name]}")
-    return names
+    return names, reader
 
 
 def _json_object(fh, convert):

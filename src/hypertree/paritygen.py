@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import GuardLimitError, json_int, json_subsets, subset_key
+from .errors import (GuardLimitError, json_float, json_int, json_subsets,
+                     subset_key)
 
 __all__ = [
     "TargetBiases",
@@ -38,6 +39,7 @@ __all__ = [
     "realize_weights",
     "biases_to_dict",
     "biases_from_dict",
+    "spec_from_dict",
 ]
 
 BIAS_CAP = 1.0 - 1e-12
@@ -253,3 +255,22 @@ def biases_from_dict(doc: dict) -> TargetBiases:
         q=json_int(doc["Q"], "Q"),
         entries=json_subsets(doc, "biases", "p", json_int),
     )
+
+
+def spec_from_dict(doc: dict):
+    """(biases, None) of a document that lists ``biases``; (biases,
+    realization) of one that lists ``targets``, realized here so that
+    ``errors.read_json`` names the file in a rounding error."""
+    if ("biases" in doc) == ("targets" in doc):
+        raise ValueError("input must contain either a 'biases' or a 'targets' "
+                         "list" + (", not both" if "biases" in doc else ""))
+    if "biases" in doc:
+        return biases_from_dict(doc), None
+    targets = json_subsets(doc, "targets", "w", json_float)
+    scale = doc.get("scale")
+    if scale is not None:
+        scale = json_float(scale, "scale")
+    realization = realize_weights(
+        targets, n=json_int(doc["n"], "n"), k=json_int(doc["k"], "k"),
+        q_grid=json_int(doc["q_grid"], "q_grid"), scale=scale)
+    return realization.biases, realization

@@ -104,6 +104,24 @@ def test_weights_k1_pairs_only(run, tmp_path):
     assert max(len(e["vars"]) for e in doc["weights"]) == 2
 
 
+@pytest.mark.parametrize("text, k, summary", [
+    ("a,b,c\n0,0,0\n1,1,0\n", "2", "7 weights (n=3, k=2) to {out}; max "
+     "non-singleton weight [0, 1] = 0.693147 (base e)"),
+    ("a,b,c\n0,0,0\n1,1,1\n", "1", "6 weights (n=3, k=1) to {out}; max "
+     "non-singleton weight [0, 1] = 0.693147 (base e)"),
+    ("a\n0\n1\n", "1", "1 weights (n=1, k=1) to {out}"),
+], ids=["one-maximum", "equal-maxima", "one-column"])
+def test_weights_out_prints_the_first_maximum(run, tmp_path, text, k, summary):
+    # three equal columns: each pair weighs ln 2, and the first in (size,
+    # vars) order is named
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text(text)
+    out = tmp_path / "w.json"
+    res = run(["weights", str(csv_path), "--k", k, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert res.output == f"wrote {summary.format(out=out)}\n"
+
+
 def test_weights_unreadable_file(run, tmp_path):
     res = run(["weights", str(tmp_path / "nope.csv"),
                "--k", "1"])
@@ -588,6 +606,23 @@ def test_gen_parity_invalid_targets(run, tmp_path, extra, vars_, why):
     res = run(["gen-parity", str(tpath), "--out", str(out_csv)])
     assert res.exit_code == 2, res.output
     assert f"error: {tpath}: {why}" in res.output
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"k": 1, "n": 3}, "input must contain either a 'biases' or a 'targets' "
+                       "list"),
+    ({"k": 1, "n": 3, "Q": 4, "biases": [], "q_grid": 4,
+      "targets": [{"vars": [0, 1], "w": 0.3}]},
+     "input must contain either a 'biases' or a 'targets' list, not both"),
+], ids=["neither", "both"])
+def test_gen_parity_spec_lists_one_of_biases_and_targets(run, tmp_path, doc,
+                                                         message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out_csv = tmp_path / "sample.csv"
+    res = run(["gen-parity", str(spec), "--out", str(out_csv)])
+    assert (res.exit_code, res.output) == (2, f"error: {spec}: {message}\n")
     assert not out_csv.exists()
 
 

@@ -78,6 +78,15 @@ def test_load_dataset_sidecar_violation(tmp_path):
                      arities={"zzz": 3, "b": 2, "y": 2})
 
 
+@pytest.mark.parametrize("arities", [[2, 2], "ab"], ids=["list", "str"])
+def test_load_dataset_refuses_arities_that_map_nothing(tmp_path, arities):
+    path = text_file(tmp_path, "a,b\n0,1\n1,0\n")
+    with pytest.raises(ValueError) as exc:
+        load_dataset(path, arities)
+    assert str(exc.value) == (f"{path}: malformed field: 'arities' must map "
+                              f"names to arities, got {type(arities).__name__}")
+
+
 @pytest.mark.parametrize("arity", [3.9, True, "3"])
 def test_load_dataset_refuses_a_non_integer_arity(tmp_path, arity):
     # int() would read 3.9 as 3 and True as 1, and accept "3"

@@ -22,7 +22,8 @@ from hypertree.weights import WeightFunction, weights_to_dict
 SRC = Path(hypertree.__file__).resolve().parent.parent
 
 # Modules whose import a cold start should not pay for unless it uses them.
-WATCHED = ("numpy", "hypertree.dataset", "hypertree.solvers",
+WATCHED = ("csv", "numpy", "hypertree.dataset", "hypertree.paritygen",
+           "hypertree.projection", "hypertree.solvers",
            "hypertree.structure", "hypertree.weights")
 
 # Runs the CLI as ``python -m hypertree.cli`` does and reports, after the
