@@ -2,9 +2,10 @@
 
 Draw a random non-negative weight target on (k+1)-subsets, realize it as
 rational parity biases, generate the pooled sample, recompute weights from
-the sample, and solve both the intended and the induced instance exactly.
-Reports the per-subset rounding error and whether the optimal structure
-survived the trip.
+the sample, and solve both the intended and the induced instance exactly
+and with greedy and local search (from greedy's tree). Reports each
+instance's three scores, the per-subset rounding error and whether the
+optimal structure survived the trip.
 
 Usage:
     python scripts/reverse_pipeline.py [--n N] [--k K] [--q-grid Q] [--seed S]
@@ -16,9 +17,18 @@ import itertools
 import numpy as np
 
 from hypertree.paritygen import generate, realize_weights
-from hypertree.solvers import exact_search
+from hypertree.solvers import exact_search, greedy, local_search
 from hypertree.structure import ktree_edges
 from hypertree.weights import WeightFunction, compute_weights
+
+
+def scores(wf, best, digits):
+    """Greedy's and local search's (from greedy's tree) scores on wf,
+    beside exact's, best."""
+    g = greedy(wf)
+    local = local_search(wf, g.tree)
+    return (f"greedy {g.score:.{digits}f}, local {local.score:.{digits}f}, "
+            f"exact {best.score:.{digits}f}")
 
 
 def main():
@@ -44,6 +54,7 @@ def main():
     want = exact_search(intended)
     print(f"intended optimum: score {want.score:.4f}, "
           f"edges {sorted(ktree_edges(want.tree))}")
+    print(f"intended scores:  {scores(intended, want, 4)}")
 
     rep = realize_weights(targets, n=n, k=k, q_grid=args.q_grid)
     sample = generate(rep.biases)
@@ -54,6 +65,7 @@ def main():
     got = exact_search(induced)
     print(f"induced optimum:  score {got.score:.6f}, "
           f"edges {sorted(ktree_edges(got.tree))}")
+    print(f"induced scores:   {scores(induced, got, 6)}")
 
     worst = max(rep.per_set_error, key=lambda h: abs(rep.per_set_error[h]))
     print(f"worst per-set error: {rep.per_set_error[worst]:.3e} on {worst}")

@@ -50,10 +50,11 @@ def checked_arity(arity, variable) -> int:
 def declared_arities(arities) -> dict[str, int]:
     """A mapping of column names to declared arities, such as an
     ``--arities`` sidecar's, each held to json_int and checked_arity; a
-    value that is no dict raises TypeError."""
-    if not isinstance(arities, dict):
-        raise TypeError(f"'arities' must map names to arities, "
-                        f"got {type(arities).__name__}")
+    value that is no dict, or a key that is no string, raises TypeError."""
+    got = (type(arities).__name__ if not isinstance(arities, dict) else next(
+        (f"key {name!r}" for name in arities if not isinstance(name, str)), ""))
+    if got:
+        raise TypeError(f"'arities' must map names to arities, got {got}")
     return {name: checked_arity(json_int(a, f"arities.{name}"), name)
             for name, a in arities.items()}
 
@@ -206,17 +207,17 @@ def _parse_csv(fh, declared) -> Dataset:
 
 def dump_dataset(data: Dataset, path) -> None:
     """Write a Dataset of integer counts as the header x0,...,x{n-1} and
-    integer-code CSV rows: each distinct row as many times as its count,
-    equal rows together. A Dataset weighted by probabilities is refused
-    before anything is written."""
+    integer-code CSV rows, each ended by CRLF as the ``csv`` module ends it:
+    each distinct row as many times as its count, equal rows together. A
+    Dataset weighted by probabilities is refused before anything is written."""
     if not np.issubdtype(data.counts.dtype, np.integer):
         raise ValueError("only a Dataset of integer counts can be written as "
                          f"rows; its counts are {data.counts.dtype}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(data.n_vars)])
-        for row, count in zip(data.rows, data.counts.tolist()):
-            writer.writerows(itertools.repeat(row.tolist(), count))
+        fh.write(",".join(f"x{i}" for i in range(data.n_vars)) + "\r\n")
+        for row, count in zip(data.rows.tolist(), data.counts.tolist()):
+            line = ",".join(map(str, row)) + "\r\n"
+            fh.writelines(itertools.repeat(line, count))
 
 
 def joint_table_from_dict(doc: dict) -> Dataset:

@@ -159,20 +159,19 @@ def _refuse_oversized(n: int, k: int, q: int) -> None:
 def generate(tb: TargetBiases) -> ParitySample:
     """Build the pooled sample realizing tb, and return it with tb.
 
-    For every (k+1)-subset h (including those with numerator zero) emits q
-    blocks of 2^n rows: q - p_h full cubes, then p_h odd-parity slices (each
-    odd vector twice), so block b is parity-fixed iff b >= q - p_h. Pooling
-    gives parity of h the exact bias (p_h / q) / C(n, k+1) and keeps every
-    marginal of size <= k exactly uniform. Refuses more than CUBE_LIMIT
+    Each (k+1)-subset h adds q blocks of 2^n rows: q - p_h full cubes, then
+    p_h odd-parity slices (each odd vector twice), so block b is
+    parity-fixed iff b >= q - p_h. Pooling gives parity of h the exact bias
+    (p_h / q) / C(n, k+1) and keeps every marginal of size <= k exactly
+    uniform. Vector x is emitted C(n, k+1) * q + sum over the listed (h, p_h)
+    of p_h * (2 * parity_h(x) - 1) times. Refuses more than CUBE_LIMIT
     variables or SAMPLE_CELL_GUARD cells before allocating anything.
     """
     _refuse_oversized(tb.n, tb.k, tb.q)
     cube = _cube(tb.n)
-    counts = np.zeros(len(cube), dtype=np.int64)
-    for h in itertools.combinations(range(tb.n), tb.k + 1):
-        p = tb.entries.get(h, 0)
-        odd = cube[:, h].sum(axis=1) % 2
-        counts += tb.q - p + 2 * p * odd
+    counts = np.full(len(cube), math.comb(tb.n, tb.k + 1) * tb.q, dtype=np.int64)
+    for h, p in tb.entries.items():
+        counts += p * (2 * (cube[:, h].sum(axis=1) % 2) - 1)
     return ParitySample(dataset=Dataset((2,) * tb.n, cube, counts), biases=tb)
 
 

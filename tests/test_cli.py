@@ -472,18 +472,22 @@ def test_eval_scores_a_factor_over_the_float_range(run, tmp_path):
     assert report["divergence_direct"] == 0.0
 
 
+def _run_fresh(args):
+    """Run ``python -m hypertree.cli`` on args in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]]
+                      if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.run([sys.executable, "-m", "hypertree.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_eval_refuses_a_factor_over_the_float_range(tmp_path):
     # the model dump forms the factor 1e310 itself: refused by name in a
     # fresh interpreter, with no NumPy warning on stderr and no file written
     jt, struct = _tiny_cell_table(tmp_path, 1e-310)
     model, report = tmp_path / "sub-model.json", tmp_path / "report.json"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + ([os.environ["PYTHONPATH"]]
-                      if os.environ.get("PYTHONPATH") else [])))
-    res = subprocess.run(
-        [sys.executable, "-m", "hypertree.cli", "eval", str(jt), str(struct),
-         "--model-out", str(model), "--out", str(report)],
-        env=env, capture_output=True, text=True, timeout=120)
+    res = _run_fresh(["eval", str(jt), str(struct), "--model-out", str(model),
+                      "--out", str(report)])
     assert res.returncode == 2, res.stderr
     assert res.stderr == ("error: the factor of clique (0, 1) overflows the "
                           "float range\n")
@@ -534,6 +538,23 @@ def test_gen_parity_writes_the_block_sample(run, tmp_path):
     prov["rows_per_block"] = 1 << tb.n
     assert ((tmp_path / "sample.provenance.json").read_text()
             == json.dumps(prov, indent=2) + "\n")
+
+
+def test_gen_parity_writes_the_sorted_block_rows_byte_for_byte(tmp_path):
+    # the csv module's rendering of the concatenated blocks, sorted; the
+    # zero numerator the spec lists makes that subset's blocks all cubes
+    tb = TargetBiases(k=2, n=4, q=3, entries={(0, 1, 2): 0, (1, 2, 3): 2})
+    bpath = tmp_path / "biases.json"
+    bpath.write_text(json.dumps(biases_to_dict(tb)))
+    out_csv = tmp_path / "sample.csv"
+    res = _run_fresh(["gen-parity", str(bpath), "--out", str(out_csv)])
+    assert res.returncode == 0, res.stderr
+    rows, _ = generate_reference(tb)
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow([f"x{i}" for i in range(tb.n)])
+    writer.writerows(sorted(rows.tolist()))
+    assert out_csv.read_bytes() == want.getvalue().encode()
 
 
 def test_gen_parity_targets_input(run, tmp_path):

@@ -87,6 +87,15 @@ def test_load_dataset_refuses_arities_that_map_nothing(tmp_path, arities):
                               f"names to arities, got {type(arities).__name__}")
 
 
+def test_load_dataset_refuses_an_arity_key_that_is_no_name(tmp_path):
+    # a mix of key types once failed in the sort of the unknown names
+    path = text_file(tmp_path, "a,b\n0,1\n1,0\n")
+    with pytest.raises(ValueError) as exc:
+        load_dataset(path, {0: 2, "z": 3})
+    assert str(exc.value) == (f"{path}: malformed field: 'arities' must map "
+                              f"names to arities, got key 0")
+
+
 @pytest.mark.parametrize("arity", [3.9, True, "3"])
 def test_load_dataset_refuses_a_non_integer_arity(tmp_path, arity):
     # int() would read 3.9 as 3 and True as 1, and accept "3"
@@ -254,15 +263,26 @@ def test_load_dataset_matches_reference(csv_dir, case):
     assert np.array_equal(got.counts, want.counts)
 
 
-@pytest.mark.parametrize("t", [1, 4095, 4096, 4097, 8195])
-def test_dump_dataset_writes_chunks_as_one_pass(tmp_path, t):
-    # t rows of two outcome vectors: at t=8195 each is written over 4,096 times
+def _alternating(t):
+    """t rows of two outcome vectors: at t=8195 each is written over 4,096
+    times."""
     half = np.arange(t) % 2
-    d = tally((2, 3), np.column_stack([half, 2 * half]))
+    return np.column_stack([half, 2 * half])
+
+
+@pytest.mark.parametrize("arities, rows", [
+    *(pytest.param((2, 3), _alternating(t), id=str(t))
+      for t in (1, 4095, 4096, 4097, 8195)),
+    pytest.param((3,), np.array([[2], [0], [2], [2]]), id="one-column"),
+    pytest.param((12, 12), np.array([[11, 3], [10, 0], [11, 3], [0, 11]]),
+                 id="two-digit-codes"),
+])
+def test_dump_dataset_writes_chunks_as_one_pass(tmp_path, arities, rows):
+    d = tally(arities, rows)
     want = io.StringIO()
     dump_dataset(d, tmp_path / "got.csv")
     writer = csv.writer(want)
-    writer.writerow(["x0", "x1"])
+    writer.writerow([f"x{i}" for i in range(d.n_vars)])
     writer.writerows(np.repeat(d.rows, d.counts, axis=0).tolist())
     assert (tmp_path / "got.csv").read_bytes() == want.getvalue().encode()
 

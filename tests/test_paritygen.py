@@ -314,7 +314,12 @@ def _reverse_parity_biases():
     TargetBiases(k=2, n=5, q=4, entries={(0, 1, 2): 3, (1, 3, 4): 1}),
     TargetBiases(k=3, n=6, q=3, entries={(0, 2, 3, 5): 2}),
     _reverse_parity_biases(),
-], ids=["pair", "no-biases", "triples", "quads", "reverse-parity"])
+    # a biases spec may list a zero numerator: that subset emits cubes only
+    TargetBiases(k=2, n=4, q=3, entries={(0, 1, 2): 0, (1, 2, 3): 2}),
+    TargetBiases(k=2, n=5, q=4, entries={
+        h: i % 4 for i, h in enumerate(itertools.combinations(range(5), 3))}),
+], ids=["pair", "no-biases", "triples", "quads", "reverse-parity",
+        "zero-numerator", "every-subset"])
 def test_generate_matches_block_concatenation(tb):
     s = generate(tb)
     rows, log = generate_reference(tb)

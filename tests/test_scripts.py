@@ -14,6 +14,11 @@ ROOT = Path(__file__).resolve().parent.parent
 GAP_SUMMARY = (r"greedy/exact: .*\nlocal/exact: .*\nlocal < exact on \d+ of "
                r"{} instances(; largest gap \d+\.\d{{4}} nats "
                r"\(instance \d+, n=\d+\))?\n$")
+# each instance's greedy, local and exact scores, then the structure verdict
+REVERSE_SCORES = (r"\nintended scores:  greedy \d+\.\d{4}, local \d+\.\d{4}, "
+                  r"exact \d+\.\d{4}\n[\s\S]*\ninduced scores:   greedy "
+                  r"\d+\.\d{6}, local \d+\.\d{6}, exact \d+\.\d{6}\n"
+                  r"[\s\S]*\nstructure preserved\n$")
 
 
 @pytest.mark.parametrize("script, args, expect", [
@@ -23,7 +28,7 @@ GAP_SUMMARY = (r"greedy/exact: .*\nlocal/exact: .*\nlocal < exact on \d+ of "
     ("heuristic_gap.py", ["--instances", "12", "--n-max", "10", "--k", "2",
                           "--seed", "0"], GAP_SUMMARY.format(12)),
     ("reverse_pipeline.py", ["--n", "5", "--k", "2", "--q-grid", "16"],
-     "structure preserved"),
+     REVERSE_SCORES),
 ], ids=["heuristic_gap", "heuristic_gap_n_max_10", "reverse_pipeline"])
 def test_script_runs(script, args, expect):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
