@@ -3,9 +3,9 @@ and entropies.
 
 A ``Dataset`` is the one representation of a target distribution: its
 distinct outcome vectors, in lexicographic order, and a positive weight for
-each. The constructor checks them and tallies nothing. ``load_dataset``
-tallies a CSV sample into integer counts that total the sample size T, so
-the target is the empirical distribution; a joint-table document gives its
+each; its constructor is the one tally, which sums equal rows' weights.
+``load_dataset`` gives it a CSV sample's rows, each of count 1, so the
+target is the empirical distribution; a joint-table document gives its
 nonzero cells, each weighted by its probability. All information
 quantities are in nats, with the convention 0*ln(0) = 0. Marginals are
 weighted counts divided by the total weight; no smoothing is applied.
@@ -63,14 +63,15 @@ def declared_arities(arities) -> dict[str, int]:
 class Dataset:
     """A target distribution: distinct outcome vectors with positive weights.
 
-    ``arities[i]`` is the outcome count of variable i, at least 2. ``rows``
-    has shape (D, n); entry (d, i) is the outcome code of variable i in
-    distinct row d, an integer in [0, arities[i]). The rows must be distinct
-    and in lexicographic order, and ``counts[d]`` is the positive weight of
-    row d. The constructor only checks them: it tallies nothing and stores
-    the arrays it is given, so a table of observations is tallied first, as
-    ``load_dataset`` does. ``n_rows`` is the total weight: the sample size T
-    for counts of observations, 1 for a probability table.
+    ``arities`` names at least one variable; ``arities[i]`` is the outcome
+    count of variable i, at least 2. The constructor takes rows of shape
+    (T, n) in any order, repeats included, each code of variable i an
+    integer in [0, arities[i]), and a positive integer or float weight per
+    row. It tallies them and leaves the caller's arrays as they are:
+    ``rows`` holds each distinct row once, in lexicographic order, and
+    ``counts[d]`` the summed weight of row d. ``n_rows`` is the total
+    weight: the sample size T for counts of observations, 1 for a
+    probability table.
     """
 
     arities: tuple[int, ...]
@@ -81,6 +82,8 @@ class Dataset:
     def __post_init__(self):
         arities = tuple(self.arities)
         object.__setattr__(self, "arities", arities)
+        if not arities:  # np.lexsort needs a key
+            raise ValueError("dataset must have at least one variable")
         rows = np.asarray(self.rows)
         if rows.ndim != 2 or rows.shape[1] != len(arities):
             raise ValueError(f"rows must be a (D, {len(arities)}) table, "
@@ -102,30 +105,26 @@ class Dataset:
         if counts.shape != (len(rows),):
             raise ValueError(f"counts must have shape ({len(rows)},), "
                              f"got {counts.shape}")
+        if counts.dtype.kind not in "iuf":  # no bool, complex or object
+            raise ValueError(
+                f"counts must be integers or floats, got {counts.dtype}")
         if not np.all((counts > 0) & np.isfinite(counts)):
             raise ValueError("counts must be finite and positive")
-        if not _ascending(rows):
-            raise ValueError("weighted rows must be distinct and in "
-                             "lexicographic order")
-        object.__setattr__(self, "rows", rows)
+        order = np.lexsort(rows.T[::-1])  # column 0 is the primary key
+        first = np.zeros(len(rows), bool)  # differs from the row before it
+        first[0] = True
+        for col in rows.T:  # one column at a time, not a sorted copy of all
+            col = col[order]
+            first[1:] |= col[1:] != col[:-1]
+        starts = np.flatnonzero(first)
+        counts = np.add.reduceat(counts[order], starts)
+        object.__setattr__(self, "rows", rows[order[starts]])
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "n_rows", counts.sum().item())
 
     @property
     def n_vars(self) -> int:
         return len(self.arities)
-
-
-def _ascending(rows: np.ndarray) -> bool:
-    """Whether each row exceeds the row before it at the first column where
-    the two differ: one pass that compares codes and never subtracts them,
-    so unsigned columns are safe."""
-    if not rows.shape[1]:  # rows without columns are all equal
-        return len(rows) == 1
-    earlier, later = rows[:-1], rows[1:]
-    first = np.argmax(earlier != later, axis=1)[:, None]  # 0 if rows equal
-    return bool(np.all(np.take_along_axis(later, first, 1)
-                       > np.take_along_axis(earlier, first, 1)))
 
 
 def _bad_cell(rec, names, lineno) -> ValueError:
@@ -157,8 +156,8 @@ def load_dataset(path, arities: dict[str, int] | None = None) -> Dataset:
     be a column of the header. Errors, a malformed CSV record included, name
     the 1-based physical line as the CSV reader counts it: blank lines
     count, and a record whose quoted cell spans lines is named by its last
-    line. This is where observations are tallied: each distinct row once,
-    in lexicographic order, with the number of times it was observed.
+    line. The ``Dataset`` constructor tallies the rows: each distinct row
+    once, in lexicographic order, with the number of times it was observed.
     """
     return read_input(path, _parse_csv, arities)
 
@@ -202,7 +201,7 @@ def _parse_csv(fh, declared) -> Dataset:
                 f"line {lines[row]}, column {name!r}: outcome {code} {why}")
         arities.append(arity)
     del lines  # only the errors above need it: free it before the tally
-    return Dataset(tuple(arities), *np.unique(data, axis=0, return_counts=True))
+    return Dataset(tuple(arities), data, np.ones(len(data), np.int64))
 
 
 def dump_dataset(data: Dataset, path) -> None:

@@ -11,6 +11,7 @@ import sys
 
 DEFAULT_EXACT_LIMIT = 9  # vertices: at most 10,584 DP states, for any k
 WEIGHT_DOMAIN_GUARD = 2 ** 22  # subsets; about 1.1 GiB of dict entries
+COUNT_WORK_GUARD = 2 ** 33  # distinct rows x subsets: 29-43 s at 3.4-5 ns each
 
 
 class GuardLimitError(RuntimeError):
@@ -18,9 +19,9 @@ class GuardLimitError(RuntimeError):
 
     Guards protect against exponential blowups: exact search on too many
     vertices, a weight domain of too many subsets, a count table of too many
-    cells, a parity sample of too many variables or cells, and a clique
-    family of too many subsets. Only the exact-search limit can be raised,
-    by the caller.
+    cells, counting work of too many distinct rows times subsets, a parity
+    sample of too many variables or cells, and a clique family of too many
+    subsets. Only the exact-search limit can be raised, by the caller.
     """
 
 

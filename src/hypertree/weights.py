@@ -24,8 +24,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .errors import (WEIGHT_DOMAIN_GUARD, GuardLimitError, attached,
-                     json_float, json_int, json_subsets, read_json,
+from .errors import (COUNT_WORK_GUARD, WEIGHT_DOMAIN_GUARD, GuardLimitError,
+                     attached, json_float, json_int, json_subsets, read_json,
                      subset_key, vertex_subset)
 
 __all__ = [
@@ -109,11 +109,17 @@ def family_weights(k: int, n: int, entropies) -> WeightFunction:
 
 def compute_weights(provider, k: int) -> WeightFunction:
     """``family_weights`` over every subset of size 1..k+1 of the n vertices,
-    each counted by ``count_tables`` as the recursion reaches it."""
+    each counted by ``count_tables`` as the recursion reaches it. The work,
+    D distinct rows times the domain's subsets, is refused over
+    COUNT_WORK_GUARD before the first table is counted."""
     from . import dataset as ds  # NumPy, needed only to compute entropies
 
-    n = provider.n_vars
-    domain_size(n, k)
+    n, distinct = provider.n_vars, len(provider.rows)
+    subsets = domain_size(n, k)
+    if distinct * subsets > COUNT_WORK_GUARD:
+        raise GuardLimitError(
+            f"counting work too large: {distinct} distinct rows x {subsets} "
+            f"subsets = {distinct * subsets}, over {COUNT_WORK_GUARD}")
     domain = (h for size in range(1, min(k + 1, n) + 1)
               for h in itertools.combinations(range(n), size))
     return family_weights(k, n, ((h, ds.entropy(c / provider.n_rows)) for h, c

@@ -14,6 +14,8 @@ read one scope through the library's ``count_tables``, whose scopes
 ``record_counted_scopes`` lists. ``weight_inclusion_exclusion`` and
 ``mutual_information`` are: they read each entropy through
 ``entropy_reference``, which counts with ``count_table_reference``.
+``tally`` sorts and counts rows with ``np.unique``, the reference for the
+``Dataset`` constructor's own tally.
 """
 
 import csv
@@ -185,7 +187,8 @@ def load_dataset_reference(source, arities=None) -> Dataset:
 
 def tally(arities, rows) -> Dataset:
     """The Dataset of a (T, n) table of observations: its distinct rows in
-    lexicographic order, each counted, as ``load_dataset`` tallies a CSV."""
+    lexicographic order, each counted by ``np.unique`` before the
+    constructor sees them: a tally independent of the constructor's."""
     return Dataset(arities, *np.unique(rows, axis=0, return_counts=True))
 
 
@@ -421,6 +424,19 @@ def random_weight_function(rng, n, k, lo=-0.3, hi=1.0):
          for size in range(2, k + 2)
          for h in itertools.combinations(range(n), size)}
     return WeightFunction(k=k, n=n, weights=w)
+
+
+def reverse_targets_wf(n, seed, k=2, density=0.4) -> WeightFunction:
+    """The paper's hard family, drawn as ``scripts/reverse_pipeline.py``
+    draws its targets: each (k+1)-subset, in lexicographic order, gets a
+    target in eighths from 1/8 to 7/8 with probability ``density``, from
+    default_rng(seed), and the targets are the weights. Pair weights are 0,
+    which is where the heuristics fail most."""
+    rng = np.random.default_rng(seed)
+    subsets = list(itertools.combinations(range(n), k + 1))
+    targets = {h: float(rng.integers(1, 8)) / 8.0
+               for h in subsets if rng.random() < density}
+    return WeightFunction(k=k, n=n, weights=targets or {subsets[0]: 0.5})
 
 
 def clique_total_reference(maximal_cliques, wf) -> float:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypertree
+from hypertree import weights
 from hypertree.cli import main
 from hypertree.dataset import dump_dataset, load_dataset
 from hypertree.paritygen import TargetBiases, biases_to_dict
@@ -1015,6 +1016,17 @@ def test_marginal_table_guard(run, tmp_path):
     res = run(["weights", str(data), "--k", "1"])
     assert res.exit_code == 3, res.output
     assert ("scope (0,) has 20000001 cells, over 16777216" in res.output)
+
+
+def test_count_work_guard(run, tmp_path, monkeypatch):
+    # 2 distinct rows times the 3 singletons and 3 pairs are 12 row visits
+    monkeypatch.setattr(weights, "COUNT_WORK_GUARD", 11)
+    data, out = tmp_path / "rows.csv", tmp_path / "w.json"
+    data.write_text("a,b,c\n0,1,0\n1,0,1\n0,1,0\n")
+    res = run(["weights", str(data), "--k", "1", "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert "2 distinct rows x 6 subsets = 12, over 11" in res.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args, option", [

@@ -551,24 +551,35 @@ def test_joint_table_refuses_an_arity_below_two(arities, probs, message):
     assert str(exc.value) == message
 
 
-def test_weighted_rows_must_be_distinct_and_sorted():
+def test_weighted_rows_are_sorted_and_repeats_summed():
     arities = (2, 2)
     d = Dataset(arities, np.array([[0, 1], [1, 0]]), np.array([3, 1]))
     assert d.n_rows == 4 and d.counts.tolist() == [3, 1]
-    for rows in ([[1, 0], [0, 1]], [[0, 1], [0, 1]]):
-        with pytest.raises(ValueError, match="distinct and in lexicographic"):
-            Dataset(arities, np.array(rows), np.array([1, 1]))
-    # rows over no variables are all equal: one is distinct, two are not
-    assert Dataset((), np.zeros((1, 0), dtype=int), np.array([2])).n_rows == 2
-    with pytest.raises(ValueError, match="distinct and in lexicographic"):
-        Dataset((), np.zeros((2, 0), dtype=int), np.array([1, 1]))
+    d = Dataset(arities, np.array([[1, 0], [0, 1]]), np.array([1, 2]))
+    assert d.rows.tolist() == [[0, 1], [1, 0]] and d.counts.tolist() == [2, 1]
+    d = Dataset(arities, np.array([[0, 1], [0, 1]]), np.array([1, 1]))
+    assert d.rows.tolist() == [[0, 1]] and d.counts.tolist() == [2]
+    assert d.n_rows == 2
+    with pytest.raises(ValueError) as exc:  # np.lexsort needs a key
+        Dataset((), np.zeros((1, 0), dtype=int), np.array([2]))
+    assert str(exc.value) == "dataset must have at least one variable"
     for counts in ([1, 0], [1.0, math.nan], [1]):
         with pytest.raises(ValueError, match="counts must"):
             Dataset(arities, np.array([[0, 1], [1, 0]]), np.array(counts))
 
 
+@pytest.mark.parametrize("counts, dtype", [
+    ([2 ** 70], "object"), (["1"], "<U1"), ([None], "object"),
+    ([1 + 0j], "complex128"), ([True], "bool"),
+], ids=["over-int64", "string", "none", "complex", "bool"])
+def test_counts_that_are_not_numbers_are_refused(counts, dtype):
+    with pytest.raises(ValueError) as exc:
+        Dataset((2,), np.array([[0]]), np.array(counts))
+    assert str(exc.value) == f"counts must be integers or floats, got {dtype}"
+
+
 def test_repeated_rows_collapse_into_counts(tmp_path):
-    # load_dataset tallies observations; the constructor only checks them
+    # load_dataset gives each observation count 1; the constructor tallies
     d = load_dataset(text_file(tmp_path, "a,b\n1,2\n0,1\n1,2\n0,0\n1,2\n"))
     assert d.arities == (2, 3)
     assert d.rows.tolist() == [[0, 0], [0, 1], [1, 2]]
@@ -602,16 +613,20 @@ def near_ordered_tables(draw):
     return np.array(rows, dtype=dtype)
 
 
-@given(rows=near_ordered_tables())
+@given(rows=near_ordered_tables(), data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_order_check_accepts_exactly_the_sorted_distinct_tables(rows):
-    ordered = np.array_equal(np.unique(rows, axis=0), rows)
-    counts = np.ones(len(rows), dtype=np.int64)
-    try:
-        d = Dataset((256,) * rows.shape[1], rows, counts)
-    except ValueError as exc:
-        assert not ordered and str(exc) == ("weighted rows must be distinct "
-                                            "and in lexicographic order")
-    else:
-        assert ordered
-        assert d.rows is rows and d.counts is counts  # stored, not copied
+def test_tally_matches_unique_on_near_ordered_tables(rows, data):
+    # float counts are eighths, so every sum is exact in any order
+    counts = np.array(data.draw(st.one_of(
+        st.lists(st.integers(1, 5), min_size=len(rows), max_size=len(rows)),
+        st.lists(st.integers(1, 32).map(lambda e: e / 8), min_size=len(rows),
+                 max_size=len(rows)))))
+    given_rows, given_counts = rows.copy(), counts.copy()
+    d = Dataset((256,) * rows.shape[1], rows, counts)
+    want, inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert d.rows.dtype == rows.dtype and np.array_equal(d.rows, want)
+    sums = np.bincount(inverse.ravel(), weights=counts)
+    assert d.counts.dtype == counts.dtype and np.array_equal(d.counts, sums)
+    assert d.n_rows == counts.sum()
+    assert np.array_equal(rows, given_rows)  # the caller's arrays are kept
+    assert np.array_equal(counts, given_counts)

@@ -4,7 +4,8 @@ same answer, with no reference implementation to trust.
 A CSV with its rows shuffled, or with every row written twice, is the same
 empirical distribution. Counts are integers, and doubling both a count and
 the row total T scales their quotient by a power of 2, so every weight is
-bit-identical, and so is every solver's result.
+bit-identical, and so is every solver's result and every byte of ``eval``'s
+report and model.
 
 Renaming the vertices renames the answer. A CSV with its columns permuted
 has its weights permuted, up to the order in which floats are summed. On
@@ -75,6 +76,31 @@ def test_rows_shuffled_or_doubled_give_the_same_weights_and_learn(
     doubled = [row for row in rows for _ in range(2)]
     assert _learn(_write(tmp / "shuffled.csv", shuffled), k) == want
     assert _learn(_write(tmp / "doubled.csv", doubled), k) == want
+
+
+def _eval(directory, csv_path, structure):
+    """The bytes of ``eval``'s report and ``--model-out`` model for the CSV
+    at csv_path, scored against the structure file."""
+    report, model = directory / "report.json", directory / "model.json"
+    assert main(["eval", str(csv_path), str(structure), "--out", str(report),
+                 "--model-out", str(model)]) == 0
+    return report.read_bytes(), model.read_bytes()
+
+
+@given(case=small_csvs())
+@settings(max_examples=60, deadline=None)
+def test_rows_shuffled_or_doubled_give_the_same_eval(tmp_path_factory, case):
+    rows, k, order = case
+    tmp = tmp_path_factory.mktemp("metamorphic")
+    original = _write(tmp / "rows.csv", rows)
+    structure = tmp / "structure.json"
+    assert main(["learn", str(original), "--k", str(k),
+                 "--out", str(structure)]) == 0
+    want = _eval(tmp, original, structure)
+    shuffled = [rows[i] for i in order]
+    doubled = [row for row in rows for _ in range(2)]
+    assert _eval(tmp, _write(tmp / "shuffled.csv", shuffled), structure) == want
+    assert _eval(tmp, _write(tmp / "doubled.csv", doubled), structure) == want
 
 
 @given(case=small_csvs(), data=st.data())

@@ -30,6 +30,7 @@ from oracles import (
     random_dataset,
     random_ktree,
     random_weight_function,
+    reverse_targets_wf,
 )
 
 
@@ -478,6 +479,35 @@ def test_heuristic_gaps_do_not_widen(seed, n, gap):
     assert ex >= loc.score >= g.score
     assert ex - loc.score <= gap + 1e-6
     assert_same_result(loc, local_search_reference(wf, g.tree))
+
+
+# exact's optimum on each instance of the paper's hard family (k=2, seeds
+# 0-39) where greedy plus local search falls short of it
+REVERSE_FAMILY_MISSES = {
+    8: {0: "0x1.28p+2", 1: "0x1.2p+2", 6: "0x1.4p+2", 11: "0x1.48p+2",
+        15: "0x1.ep+1", 17: "0x1.fp+1", 18: "0x1.38p+2", 19: "0x1.2p+2",
+        24: "0x1.3p+2", 28: "0x1.08p+2", 29: "0x1.2p+2", 30: "0x1.18p+2",
+        35: "0x1.38p+2", 37: "0x1.08p+2", 38: "0x1.1p+2"},
+    9: {3: "0x1.58p+2", 6: "0x1.6p+2", 10: "0x1.58p+2", 11: "0x1.8p+2",
+        16: "0x1.68p+2", 17: "0x1.28p+2", 18: "0x1.6p+2", 19: "0x1.3p+2",
+        20: "0x1.48p+2", 23: "0x1.58p+2", 24: "0x1.6p+2", 26: "0x1.68p+2",
+        27: "0x1.78p+2", 28: "0x1.5p+2", 30: "0x1.58p+2", 32: "0x1.68p+2",
+        33: "0x1.4p+2", 35: "0x1.58p+2", 36: "0x1.5p+2", 38: "0x1.48p+2",
+        39: "0x1.4p+2"},
+}
+
+
+@pytest.mark.parametrize("n", sorted(REVERSE_FAMILY_MISSES))
+def test_reverse_family_keeps_exact_above_local_above_greedy(n):
+    # exact's optimum is pinned where the heuristics miss it; that they keep
+    # missing is not asserted, so that better heuristics may close the gaps
+    for seed in range(40):
+        wf = reverse_targets_wf(n, seed)
+        ex = exact_search(wf, exact_limit=n).score
+        g = greedy(wf)
+        assert ex >= local_search(wf, g.tree).score >= g.score, seed
+        if seed in REVERSE_FAMILY_MISSES[n]:
+            assert ex == float.fromhex(REVERSE_FAMILY_MISSES[n][seed]), seed
 
 
 def test_scale_invariance_of_argmax():

@@ -222,6 +222,23 @@ def test_domain_guard_at_its_bound(monkeypatch):
         weights.domain_size(4, 1)
 
 
+def test_count_work_guard_at_its_bound(monkeypatch):
+    # 5 distinct rows times the 4 singletons and 6 pairs of 4 vertices are
+    # 50 row visits: a guard of exactly 50 passes them, one less refuses
+    # them before the first table is counted
+    data = tally((2,) * 4, np.array([[0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 0, 1],
+                                     [1, 1, 1, 0], [0, 1, 0, 1], [1, 1, 1, 1]]))
+    scopes = record_counted_scopes(monkeypatch)
+    monkeypatch.setattr(weights, "COUNT_WORK_GUARD", 50)
+    assert len(compute_weights(data, 1).weights) == 10
+    monkeypatch.setattr(weights, "COUNT_WORK_GUARD", 49)
+    scopes.clear()
+    with pytest.raises(GuardLimitError, match=r"5 distinct rows x 10 subsets "
+                                              r"= 50, over 49$"):
+        compute_weights(data, 1)
+    assert scopes == []
+
+
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
 def test_attachment_gain_is_mutual_information(seed):
