@@ -17,7 +17,7 @@ import itertools
 import numpy as np
 
 from hypertree.solvers import exact_search, greedy, local_search
-from hypertree.weights import WeightFunction
+from hypertree.weights import from_subset_weights
 
 
 def random_instance(rng, n, k, neg):
@@ -25,7 +25,7 @@ def random_instance(rng, n, k, neg):
     w = {h: float(rng.uniform(lo, 1.0))
          for size in range(2, k + 2)
          for h in itertools.combinations(range(n), size)}
-    return WeightFunction(k=k, n=n, weights=w)
+    return from_subset_weights(k, n, w)
 
 
 def main():

@@ -19,7 +19,7 @@ import numpy as np
 from hypertree.paritygen import generate, realize_weights
 from hypertree.solvers import exact_search, greedy, local_search
 from hypertree.structure import ktree_edges
-from hypertree.weights import WeightFunction, compute_weights
+from hypertree.weights import compute_weights, from_subset_weights
 
 
 def scores(wf, best, digits):
@@ -50,7 +50,7 @@ def main():
         targets = {subsets[0]: 0.5}
     print(f"targets on {len(targets)}/{len(subsets)} subsets of size {k + 1}")
 
-    intended = WeightFunction(k=k, n=n, weights=targets)
+    intended = from_subset_weights(k, n, targets)
     want = exact_search(intended)
     print(f"intended optimum: score {want.score:.4f}, "
           f"edges {sorted(ktree_edges(want.tree))}")

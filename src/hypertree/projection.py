@@ -8,7 +8,7 @@ over the product of the factors of its proper subsets. The model keeps the
 log tables of all cliques' factors, not folded into maximal cliques, so a
 factor depends only on the marginal inside it and is reusable across
 structures; only the model dump forms a factor itself. The same marginals
-give the clique weights: w(h) is the expected log of h's factor.
+give the clique totals; w(h), the expected log of h's factor, is dumped.
 
 Divergence from the target is available through two routes: the decomposed
 form (baseline divergence, its singleton entropies read from the weights,
@@ -27,7 +27,7 @@ import numpy as np
 from . import dataset as ds
 from .errors import write_json
 from .structure import KTree, clique_family, ktree_to_dict, score
-from .weights import WeightFunction, family_weights
+from .weights import WeightFunction, weights_from_entropies
 
 __all__ = [
     "ProjectedModel",
@@ -79,7 +79,7 @@ def project(provider, tree: KTree) -> ProjectedModel:
                         [m if v in sub else 1 for v, m in zip(h, probs.shape)])
         factors[h] = np.where(probs > 0, log, -np.inf)  # not -inf - -inf: NaN
     return ProjectedModel(tree, tuple(provider.arities), factors,
-                          family_weights(tree.k, n, entropies))
+                          weights_from_entropies(tree.k, n, entropies))
 
 
 def _row_log_probs(model: ProjectedModel, data: ds.Dataset) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Solvers for the maximum-weight k-tree problem.
 
-Given a weight function on vertex subsets, find a k-tree whose cliques of
-size >= 2 have maximum total weight. ``exact_search`` is an exponential-in-n
-oracle for small n; ``greedy`` and ``local_search`` are heuristics, but at
-k=1 greedy builds a maximum-weight spanning tree, and ``chow_liu`` is greedy
-under that name. All solvers are deterministic under fixed tie-breaking.
-All but ``local_search`` rank every seed through ``clique_totals``.
+Find a k-tree whose cliques of size >= 2 have maximum total weight,
+reading only clique totals: a seed is one read, an attachment gain two
+(I(X_v; X_anchor) for data). ``exact_search`` is an exponential-in-n oracle
+for small n; ``greedy`` and ``local_search`` are heuristics, but at k=1
+greedy builds a maximum-weight spanning tree, and ``chow_liu`` is greedy
+under that name. All are deterministic under fixed tie-breaking.
 """
 
 from __future__ import annotations
@@ -155,11 +155,10 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
 def greedy(wf) -> SolverResult:
     """Best-seed greedy construction.
 
-    Seeds with the first seed of maximum ``clique_totals`` total,
-    then repeatedly attaches the (vertex, anchor) pair of maximum gain over
-    all current k-cliques. Ties break to the smallest vertex, then the
-    smallest anchor. Negative-gain attachments are still made: a k-tree
-    must span every vertex.
+    Seeds with the first seed of maximum total, then repeatedly attaches
+    the (vertex, anchor) pair of maximum gain over all current k-cliques.
+    Ties break to the smallest vertex, then the smallest anchor; negative
+    gains are still taken, since a k-tree must span every vertex.
 
     A gain never changes, so each unplaced vertex keeps its best
     (gain, anchor) and is offered only new anchors: the seed's k-subsets,
@@ -194,35 +193,25 @@ def greedy(wf) -> SolverResult:
 def local_search(wf, start: KTree) -> SolverResult:
     """Hill climbing over two moves, first-improvement, deterministic order.
 
-    Move (a) re-anchors a removable vertex (one whose maximal clique is a
-    leaf of the clique tree, i.e. a simplicial vertex) to any other k-clique
-    of the remaining graph. Move (b) swaps the labels of a removable vertex
-    and another vertex, exchanging their structural roles. The move set is
-    this library's own design.
+    Move (a) re-anchors a removable (simplicial) vertex to any other
+    k-clique of the remaining graph; move (b) swaps the labels of a
+    removable vertex and another vertex, a move set of this library's own
+    design. Each iteration scans the re-anchors of each removable vertex to
+    each k-clique, sorted, that neither holds it nor is its anchor; then the
+    swaps of each removable vertex v with every other vertex u, u
+    ascending. The first move that improves the score by more than 1e-12 is
+    accepted; ``nodes_explored`` counts the moves scanned. The search stops
+    when no move improves, or after DEFAULT_MAX_ITERS iterations.
 
-    Each iteration scans the moves in one fixed order: the re-anchors of
-    each removable vertex to each k-clique, sorted and listed once per scan,
-    that neither holds it nor is its anchor; then the swaps of each
-    removable vertex v with every other vertex u, u ascending. The
-    first move that improves the score by more than 1e-12 is accepted, so
-    the final score never drops below the start; ``nodes_explored`` counts
-    the moves scanned, up to and including each accepted one. The search
-    stops when no move improves, or after DEFAULT_MAX_ITERS iterations.
-
-    The search state is the list of maximal cliques. In a k-tree with
-    n >= k+2 a vertex is removable exactly when it lies in one maximal
-    clique, and its anchor is the rest of that clique, so both are read off
-    the list. Attachment gains are cached. A changed clique list is encoded
-    as a k-tree once, by ``ktree_from_cliques``, when the search ends.
-
-    Each move is scored by the cliques it changes. A re-anchor of v gains
-    ``attachment_gain`` at the new anchor and loses it at the old one. A
-    swap of u and v relabels only the maximal cliques that hold u or v,
-    and compares their ``clique_total`` before and after: every sub-clique
-    without u or v counts the same on both sides. A move's new clique list
-    is built only when it improves. ``tests/oracles.py`` keeps the original
-    search, which rescores the whole list for every swap, as
-    ``local_search_reference``; both return the same result.
+    The state is the list of maximal cliques: with n >= k+2 a vertex is
+    removable exactly when it lies in one, the rest of which is its anchor.
+    A re-anchor of v gains its cached ``attachment_gain`` at the new anchor
+    and loses it at the old one. A swap compares ``clique_total`` over the
+    cliques that hold u or v, before and after: no other clique, and no
+    separator without u or v, changes. A move's clique list is built only
+    when it improves, and encoded by ``ktree_from_cliques`` once, at the
+    end. ``tests/oracles.py`` keeps the original search, which rescores the
+    whole list for every swap, as ``local_search_reference``.
     """
     t0 = time.perf_counter()
     n, k = start.n, start.k

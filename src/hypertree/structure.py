@@ -5,8 +5,8 @@ remaining vertices one at a time, each to a k-subset of an existing clique.
 Every graph built this way is chordal with maximum clique size k+1, and every
 maximal triangulated graph of tree-width k arises this way. The solvers build
 their k-trees clique by clique, and ``ktree_from_cliques`` encodes a list of
-maximal cliques, in any order, as a construction sequence. ``score`` reads
-a tree's weight through ``weights.clique_total``.
+maximal cliques, in any order, as a construction sequence. ``score`` is
+``weights.clique_total``: its cliques' totals less its separators'.
 """
 
 from __future__ import annotations

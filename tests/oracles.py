@@ -9,6 +9,10 @@ did before a Dataset held distinct weighted rows. The solver references,
 original full-rescan solvers, ``chow_liu_reference`` its original Kruskal
 merge for width 1, and ``compute_weights_reference`` counts each
 subset on its own with ``np.ravel_multi_index``, as the library once did.
+These, the clique and gain references and ``brute_ktree_scores`` read the
+subset weights w through ``subset_weights``, the weight dump's entries,
+never the library's clique totals; ``family_weights_reference`` is the
+recursion that defines w.
 ``count_table``, ``marginal`` and ``scope_entropy`` are not references: they
 read one scope through the library's ``count_tables``, whose scopes
 ``record_counted_scopes`` lists. ``weight_inclusion_exclusion`` and
@@ -36,8 +40,7 @@ from hypertree.dataset import (
     joint_table_from_dict,
 )
 from hypertree.structure import KTree, ktree_from_cliques
-from hypertree.weights import (WeightFunction, attachment_gain, clique_total,
-                               family_weights)
+from hypertree.weights import WeightFunction, from_subset_weights, weights_to_dict
 
 MI_ZERO_TOL = 1e-12
 
@@ -262,15 +265,37 @@ def entropy_reference(data: Dataset, scope) -> float:
                                          data.counts) / data.n_rows)
 
 
-def compute_weights_reference(provider, k) -> WeightFunction:
-    """compute_weights as it was before ``count_tables``: each subset of the
-    domain counted on its own, in (size, vertices) order, with
-    ``count_table_reference``; then its entropy and ``family_weights``."""
+def family_weights_reference(entropies) -> dict:
+    """The subset weights of the (h, H(h)) pairs, and of no other, in their
+    order: w(h) = -H(h) - sum of w over h's proper nonempty subsets, by size
+    and then in order. Each h comes after all of its own subsets."""
+    w: dict[tuple[int, ...], float] = {}
+    for h, ent in entropies:
+        acc = -ent
+        for sub_size in range(1, len(h)):
+            for hp in itertools.combinations(h, sub_size):
+                acc -= w[hp]
+        w[h] = acc
+    return w
+
+
+def compute_weights_reference(provider, k) -> dict:
+    """The subset weights compute_weights dumps, as it formed them before
+    ``count_tables``: each subset of the domain counted on its own, in
+    (size, vertices) order, with ``count_table_reference``; then its entropy
+    and ``family_weights_reference``."""
     n = provider.n_vars
-    return family_weights(k, n, (
+    return family_weights_reference(
         (h, entropy_reference(provider, h))
         for size in range(1, k + 2)
-        for h in itertools.combinations(range(n), size)))
+        for h in itertools.combinations(range(n), size))
+
+
+@functools.lru_cache(maxsize=8)
+def subset_weights(wf) -> dict:
+    """The subset weights w of a weight function, as its dump lists them; a
+    subset absent from the dict weighs 0."""
+    return {tuple(e["vars"]): e["w"] for e in weights_to_dict(wf)["weights"]}
 
 
 def marginal_reference(rows, arities, scope) -> np.ndarray:
@@ -418,12 +443,16 @@ def ktree_from_graph(edges, k, n):
     return KTree(k=k, n=n, seed=seed, attachments=tuple(attachments))
 
 
-def random_weight_function(rng, n, k, lo=-0.3, hi=1.0):
+def random_subset_weights(rng, n, k, lo=-0.3, hi=1.0) -> dict:
     """Arbitrary weights on sizes >= 2; singletons absent, so zero."""
-    w = {h: float(rng.uniform(lo, hi))
-         for size in range(2, k + 2)
-         for h in itertools.combinations(range(n), size)}
-    return WeightFunction(k=k, n=n, weights=w)
+    return {h: float(rng.uniform(lo, hi))
+            for size in range(2, k + 2)
+            for h in itertools.combinations(range(n), size)}
+
+
+def random_weight_function(rng, n, k, lo=-0.3, hi=1.0):
+    """The weight function of ``random_subset_weights``."""
+    return from_subset_weights(k, n, random_subset_weights(rng, n, k, lo, hi))
 
 
 def reverse_targets_wf(n, seed, k=2, density=0.4) -> WeightFunction:
@@ -436,26 +465,30 @@ def reverse_targets_wf(n, seed, k=2, density=0.4) -> WeightFunction:
     subsets = list(itertools.combinations(range(n), k + 1))
     targets = {h: float(rng.integers(1, 8)) / 8.0
                for h in subsets if rng.random() < density}
-    return WeightFunction(k=k, n=n, weights=targets or {subsets[0]: 0.5})
+    return from_subset_weights(k, n, targets or {subsets[0]: 0.5})
 
 
 def clique_total_reference(maximal_cliques, wf) -> float:
-    """``weights.clique_total`` read through ``wf[...]``, which sorts and
-    checks every key it is given."""
+    """``weights.clique_total`` as the library once summed it: the w of
+    every subset of two or more vertices inside the given cliques, each
+    once, in lexicographic order."""
+    w = subset_weights(wf)
     subs = {h for mc in maximal_cliques
             for size in range(2, len(mc) + 1)
             for h in itertools.combinations(sorted(mc), size)}
-    return float(sum(wf[h] for h in sorted(subs)))
+    return float(sum(w.get(h, 0.0) for h in sorted(subs)))
 
 
 def attachment_gain_reference(wf, v, anchor) -> float:
-    """``weights.attachment_gain`` read through ``wf[...]``: S + {v} for each
-    nonempty S inside the sorted anchor, by size, then S in order."""
+    """``weights.attachment_gain`` as the library once summed it: the w of
+    S + {v} for each nonempty S inside the sorted anchor, by size, then S
+    in order."""
+    w = subset_weights(wf)
     anchor = tuple(sorted(anchor))
     total = 0.0
     for size in range(1, len(anchor) + 1):
         for sub in itertools.combinations(anchor, size):
-            total += wf[sub + (v,)]
+            total += w.get(tuple(sorted(sub + (v,))), 0.0)
     return total
 
 
@@ -463,17 +496,16 @@ def chow_liu_reference(wf) -> KTree:
     """The maximum-weight spanning tree of a k=1 weight function, by
     Kruskal's merge: the library's original ``chow_liu``.
 
-    Every pair is read through ``wf[...]`` and scanned by descending
-    weight, ties to the lexicographically smallest edge. Each vertex
-    carries a component label, and an accepted edge relabels one of the two
-    components. Zero- or negative-weight edges are still used where needed
-    to span. This is the independent oracle for ``chow_liu`` and greedy at
-    width 1.
+    Every pair's w is scanned by descending weight, ties to the
+    lexicographically smallest edge. Each vertex carries a component label,
+    and an accepted edge relabels one of the two components. Zero- or
+    negative-weight edges are still used where needed to span. This is the
+    independent oracle for ``chow_liu`` and greedy at width 1.
     """
-    n = wf.n
+    n, w = wf.n, subset_weights(wf)
     component = list(range(n))
     chosen = []
-    for _, (u, v) in sorted((-wf[e], e)
+    for _, (u, v) in sorted((-w.get(e, 0.0), e)
                             for e in itertools.combinations(range(n), 2)):
         cu, cv = component[u], component[v]
         if cu != cv:
@@ -487,9 +519,9 @@ def greedy_reference(wf):
 
     Every step scores each (unplaced vertex, current anchor) pair, vertices
     ascending and anchors sorted, and takes the first strict maximum. Seeds
-    are ranked by ``clique_total_reference``, which reads through
-    ``wf[...]``. This is the library's original greedy, kept as the
-    differential oracle for the incremental one.
+    are ranked by ``clique_total_reference`` and moves by
+    ``attachment_gain_reference``. This is the library's original greedy,
+    kept as the differential oracle for the incremental one.
     """
     n, k = wf.n, wf.k
     if n <= k + 1:
@@ -511,7 +543,7 @@ def greedy_reference(wf):
             if v in placed:
                 continue
             for a in sorted(anchors):
-                g = attachment_gain(wf, v, a)
+                g = attachment_gain_reference(wf, v, a)
                 if best_gain is None or g > best_gain:
                     best_gain = g
                     best_move = (v, a)
@@ -528,8 +560,9 @@ def greedy_reference(wf):
 def local_search_reference(wf, start: KTree):
     """The result ``solvers.local_search`` must return, by a full rescore.
 
-    Every swap is scored by ``clique_total`` of the whole relabeled clique
-    list against a baseline rescored once per iteration. This is the
+    Every swap is scored by ``clique_total_reference`` of the whole
+    relabeled clique list against a baseline rescored once per iteration,
+    and every re-anchor by ``attachment_gain_reference``. This is the
     library's original local search, kept as the differential oracle for
     the one that scores each swap by the cliques it changes.
 
@@ -559,14 +592,14 @@ def local_search_reference(wf, start: KTree):
                          f"function's width {wf.k}")
     if n <= k + 1:
         return solvers._result(start, wf, "local_search", t0, 0, 0)
-    gain = functools.cache(functools.partial(attachment_gain, wf))
+    gain = functools.cache(functools.partial(attachment_gain_reference, wf))
     maximal = list(start.maximal_cliques())
     changed = False
     iterations = 0
     moves_evaluated = 0
     while iterations < solvers.DEFAULT_MAX_ITERS:
         iterations += 1
-        cur_score = clique_total(maximal, wf)  # drift-free baseline
+        cur_score = clique_total_reference(maximal, wf)  # drift-free baseline
         home: dict[int, tuple[int, ...] | None] = {}
         for mc in maximal:
             for x in mc:
@@ -602,7 +635,7 @@ def local_search_reference(wf, start: KTree):
                     relabel = {u: v, v: u}
                     swapped = [tuple(sorted(relabel.get(x, x) for x in mc))
                                for mc in maximal]
-                    if (clique_total(swapped, wf) - cur_score
+                    if (clique_total_reference(swapped, wf) - cur_score
                             > solvers.IMPROVE_EPS):
                         improved = swapped
                         break
@@ -626,7 +659,7 @@ def brute_ktree_scores(wf):
     edge set (the score of a partial k-tree is a function of its graph, so
     any one path through a partial graph stands for all of them).
     """
-    n, k = wf.n, wf.k
+    n, k, w = wf.n, wf.k, subset_weights(wf)
 
     def edge_bits(clique):
         m = 0
@@ -636,7 +669,7 @@ def brute_ktree_scores(wf):
 
     def gain(v, anchor):
         return sum(
-            wf[tuple(sorted(s + (v,)))]
+            w.get(tuple(sorted(s + (v,))), 0.0)
             for r in range(1, k + 1)
             for s in itertools.combinations(anchor, r)
         )
@@ -662,7 +695,7 @@ def brute_ktree_scores(wf):
 
     for seed in itertools.combinations(range(n), min(k + 1, n)):
         s0 = sum(
-            wf[h]
+            w.get(h, 0.0)
             for size in range(2, len(seed) + 1)
             for h in itertools.combinations(seed, size)
         )

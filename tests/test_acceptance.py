@@ -25,7 +25,7 @@ from hypertree.projection import (
 )
 from hypertree.solvers import chow_liu, exact_search, greedy, local_search
 from hypertree.structure import KTree, cliques_of, ktree_edges, score
-from hypertree.weights import WeightFunction, compute_weights
+from hypertree.weights import compute_weights, from_subset_weights
 
 from oracles import (
     brute_ktree_scores,
@@ -39,6 +39,7 @@ from oracles import (
     random_joint,
     random_ktree,
     scope_entropy,
+    subset_weights,
     top_two_scores,
     xor_triple_joint,
 )
@@ -74,9 +75,9 @@ def _entropy_table(d, max_size):
 def test_criterion_1_weight_formula_agreement():
     with criterion(1, "weight recursion vs inclusion-exclusion (1e-10)"):
         for d in _mixed_datasets():
-            wf = compute_weights(d, 3)
+            w_of = subset_weights(compute_weights(d, 3))
             ent = _entropy_table(d, 4)
-            for h, w in wf.weights.items():
+            for h, w in w_of.items():
                 alt = 0.0
                 for size in range(1, len(h) + 1):
                     sign = (-1) ** (len(h) - size)
@@ -148,13 +149,13 @@ def test_criterion_4_projection_correctness():
 def test_criterion_5_monotonicity():
     with criterion(5, "attachment gains are mutual informations, >= -1e-9"):
         for d in _mixed_datasets():
-            wf = compute_weights(d, 3)
+            w = subset_weights(compute_weights(d, 3))
             ent = _entropy_table(d, 4)
             for size in range(2, 5):
                 for h in itertools.combinations(range(8), size):
                     for v in h:
                         gain = sum(
-                            wf[hp]
+                            w[hp]
                             for s in range(2, size + 1)
                             for hp in itertools.combinations(h, s)
                             if v in hp
@@ -168,20 +169,20 @@ def test_criterion_5_monotonicity():
 def test_criterion_6_markov_chain_sign():
     with criterion(6, "chain triple weight = -I(ends) < 0 (1e-9)"):
         jt = markov_chain_joint(flip=0.2)
-        wf = compute_weights(jt, 2)
+        w = subset_weights(compute_weights(jt, 2))
         i02 = (scope_entropy(jt, (0,)) + scope_entropy(jt, (2,))
                - scope_entropy(jt, (0, 2)))
-        assert abs(wf[(0, 1, 2)] - (-i02)) <= 1e-9
-        assert wf[(0, 1, 2)] < 0
+        assert abs(w[(0, 1, 2)] - (-i02)) <= 1e-9
+        assert w[(0, 1, 2)] < 0
 
 
 def test_criterion_7_xor_triple():
     with criterion(7, "XOR triple: w = ln2, pairs 0, exact keeps the triangle"):
         xor = xor_triple_joint()
-        wf3 = compute_weights(xor, 2)
-        assert abs(wf3[(0, 1, 2)] - math.log(2)) <= 1e-12
+        w3 = subset_weights(compute_weights(xor, 2))
+        assert abs(w3[(0, 1, 2)] - math.log(2)) <= 1e-12
         for pair in itertools.combinations(range(3), 2):
-            assert abs(wf3[pair]) <= 1e-12
+            assert abs(w3[pair]) <= 1e-12
         # add an independent fourth variable so the search is not forced
         p4 = np.stack([dense(xor) / 2, dense(xor) / 2], axis=-1)
         jt4 = joint_table(p4)
@@ -216,8 +217,7 @@ def test_criterion_8_parity_generator():
                 p = entries.get(h, 0)
                 assert diff * q * n_sets == p * d.n_rows, (h, diff, p)
             # recomputed weights: bias formula on k+1 sets, zero below
-            wf = compute_weights(d, k)
-            for h, w in wf.weights.items():
+            for h, w in subset_weights(compute_weights(d, k)).items():
                 if len(h) == k + 1:
                     b = (entries.get(h, 0) / q) / n_sets
                     assert abs(w - bias_to_weight(b)) <= 1e-9, (h, w)
@@ -238,7 +238,7 @@ def test_criterion_9_solver_dominance():
             w = {h: float(rng.uniform(lo, 1.0))
                  for size in (2, 3)
                  for h in itertools.combinations(range(n), size)}
-            wf = WeightFunction(k=2, n=n, weights=w)
+            wf = from_subset_weights(2, n, w)
             ex = exact_search(wf)
             g = greedy(wf)
             loc = local_search(wf, g.tree)
@@ -268,7 +268,7 @@ def test_criterion_10_reverse_reduction_preserves_structure():
             }
             if not targets:
                 targets = {triples[0]: 0.5}
-            intended = WeightFunction(k=2, n=n, weights=targets)
+            intended = from_subset_weights(2, n, targets)
             want = exact_search(intended)
             best, second = top_two_scores(brute_ktree_scores(intended))
             gap = best - second if second is not None else math.inf

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import hypertree
-from hypertree.weights import WeightFunction, weights_to_dict
+from hypertree.weights import from_subset_weights, weights_to_dict
 
 SRC = Path(hypertree.__file__).resolve().parent.parent
 
@@ -58,7 +58,7 @@ def _weight_file(tmp_path, k):
         for h in itertools.combinations(range(n), size):
             w[h] = -float(rng.random()) if size == 1 else float(rng.normal())
     path = tmp_path / f"w{k}.json"
-    path.write_text(json.dumps(weights_to_dict(WeightFunction(k, n, w))))
+    path.write_text(json.dumps(weights_to_dict(from_subset_weights(k, n, w))))
     return path
 
 

@@ -24,9 +24,9 @@ from hypertree.paritygen import (
 )
 from hypertree.solvers import exact_search
 from hypertree.structure import ktree_edges
-from hypertree.weights import WeightFunction, compute_weights
+from hypertree.weights import compute_weights, from_subset_weights
 
-from oracles import count_table, generate_reference
+from oracles import count_table, generate_reference, subset_weights
 
 
 class TestBiasWeight:
@@ -180,31 +180,31 @@ class TestRealizeWeights:
     def test_single_target_induces_single_weight(self):
         rep = realize_weights({(0, 1, 2): 0.75}, n=4, k=2, q_grid=64)
         s = generate(rep.biases)
-        wf = compute_weights(s.dataset, 2)
+        w = subset_weights(compute_weights(s.dataset, 2))
         for h in itertools.combinations(range(4), 3):
             if h == (0, 1, 2):
-                assert wf[h] > 1e-6
+                assert w[h] > 1e-6
             else:
-                assert abs(wf[h]) <= 1e-12
-        for h, w in wf.weights.items():
+                assert abs(w[h]) <= 1e-12
+        for h, x in w.items():
             if len(h) == 2:
-                assert abs(w) <= 1e-12
+                assert abs(x) <= 1e-12
 
     def test_induced_weights_proportional_up_to_reported_error(self):
         targets = {(0, 1, 2): 0.5, (0, 2, 3): 1.0, (1, 2, 3): 0.25}
         rep = realize_weights(targets, n=4, k=2, q_grid=128)
         s = generate(rep.biases)
-        wf = compute_weights(s.dataset, 2)
+        w = subset_weights(compute_weights(s.dataset, 2))
         for h in itertools.combinations(range(4), 3):
             intended = rep.scale * targets.get(h, 0.0)
-            assert wf[h] == pytest.approx(
+            assert w[h] == pytest.approx(
                 intended + rep.per_set_error.get(h, 0.0), abs=1e-9)
 
     def test_zero_one_instance_preserves_argmax(self):
         # weight 1 on two triples, 0 elsewhere; fine grid keeps the optimum
         targets = {(0, 1, 2): 1.0, (0, 1, 3): 1.0}
         n, k = 5, 2
-        intended = WeightFunction(k=k, n=n, weights=targets)
+        intended = from_subset_weights(k, n, targets)
         want = exact_search(intended)
         rep = realize_weights(targets, n=n, k=k, q_grid=1000)
         s = generate(rep.biases)

@@ -17,7 +17,7 @@ from hypertree.solvers import (
 )
 from hypertree.structure import KTree, ktree_edges, score
 from hypertree.weights import (WeightFunction, clique_total, clique_totals,
-                               compute_weights)
+                               compute_weights, from_subset_weights)
 
 from oracles import (
     brute_ktree_scores,
@@ -29,31 +29,38 @@ from oracles import (
     product_joint,
     random_dataset,
     random_ktree,
+    random_subset_weights,
     random_weight_function,
     reverse_targets_wf,
+    subset_weights,
 )
 
 
 def zero_one_pairs_wf(n, k, ones):
     """External-style instance: weight 1 on listed pairs, 0 elsewhere."""
-    return WeightFunction(k=k, n=n,
-                          weights={tuple(sorted(p)): 1.0 for p in ones})
+    return from_subset_weights(k, n, {tuple(sorted(p)): 1.0 for p in ones})
 
 
-def mixed_instances(seed, count, n_max=14, widths=(1, 2, 3)):
-    """Random instances with k cycling through widths and n <= n_max; every
-    other one carries small integer weights, so gains tie often."""
+def mixed_weights(seed, count, n_max=14, widths=(1, 2, 3)):
+    """(rng, k, n, subset weights) of random instances with k cycling
+    through widths and n <= n_max; every other one carries small integer
+    weights, so gains tie often."""
     rng = np.random.default_rng(seed)
     for i in range(count):
         k = widths[i % len(widths)]
         n = int(rng.integers(k + 1, n_max + 1))
         if i % 2:
-            yield rng, random_weight_function(rng, n, k)
+            yield rng, k, n, random_subset_weights(rng, n, k)
         else:
-            w = {h: float(rng.integers(-1, 3))
-                 for size in range(2, k + 2)
-                 for h in itertools.combinations(range(n), size)}
-            yield rng, WeightFunction(k=k, n=n, weights=w)
+            yield rng, k, n, {h: float(rng.integers(-1, 3))
+                              for size in range(2, k + 2)
+                              for h in itertools.combinations(range(n), size)}
+
+
+def mixed_instances(seed, count, n_max=14, widths=(1, 2, 3)):
+    """The weight functions of ``mixed_weights``."""
+    for rng, k, n, w in mixed_weights(seed, count, n_max, widths):
+        yield rng, from_subset_weights(k, n, w)
 
 
 def assert_same_result(a, b):
@@ -73,7 +80,7 @@ def uniform_triples_wf(seed, n):
     for size in (2, 3):
         subsets = list(itertools.combinations(range(n), size))
         w.update(zip(subsets, rng.uniform(-0.2, 1.0, len(subsets)).tolist()))
-    return WeightFunction(k=2, n=n, weights=w)
+    return from_subset_weights(2, n, w)
 
 
 def assert_encodes_graph(res, wf):
@@ -85,8 +92,7 @@ def assert_encodes_graph(res, wf):
 
 
 def triples_wf(n, ones):
-    return WeightFunction(k=2, n=n,
-                          weights={tuple(sorted(t)): 1.0 for t in ones})
+    return from_subset_weights(2, n, {tuple(sorted(t)): 1.0 for t in ones})
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in (1, 2, 3)
@@ -96,7 +102,7 @@ def test_one_clique_is_the_one_seed(n, k):
     # scan lists it alone, every solver returns it with no attachment, and
     # the DP caches its one state, forest(seed, 0)
     rng = np.random.default_rng(n)
-    wf = WeightFunction(k=k, n=n, weights={
+    wf = from_subset_weights(k, n, {
         h: float(rng.uniform(-1, 1)) for size in range(2, n + 1)
         for h in itertools.combinations(range(n), size)})
     seed = tuple(range(n))
@@ -160,7 +166,8 @@ class TestExactSearch:
         wf = random_weight_function(rng, 3, 2)
         res = exact_search(wf)
         assert res.tree.seed == (0, 1, 2) and not res.tree.attachments
-        total = sum(wf[h] for s in range(2, 4)
+        w = subset_weights(wf)
+        total = sum(w[h] for s in range(2, 4)
                     for h in itertools.combinations(range(3), s))
         assert res.score == pytest.approx(total, abs=1e-12)
 
@@ -284,28 +291,31 @@ class TestGreedy:
         # first one wins; summed in clique_total's lexicographic order,
         # (1, 2, 3) is 2^-60
         tiny = 2.0 ** -60
-        wf = WeightFunction(k=2, n=4, weights={
+        wf = from_subset_weights(2, 4, {
             (1, 2): 1.0, (1, 2, 3): -1.0, (1, 3): tiny,
             (0, 1, 2): -1.0, (0, 1, 3): -tiny})
         assert clique_total([(1, 2, 3)], wf) == tiny
         assert greedy(wf).tree.seed == greedy_reference(wf).seed == (1, 2, 3)
 
-    def test_clique_totals_match_clique_total(self):
+    def test_seed_totals_sum_the_given_weights_in_order(self):
         # the seed scan yields every (k+1)-subset in lexicographic order with
-        # clique_total's float; each mixed instance is also read sparse, a
-        # random half of its entries dropped and so weighing 0
+        # the w given for its subsets of two or more vertices, summed in
+        # lexicographic order, bit for bit; each mixed instance is also
+        # given sparse, a random half of its entries dropped and so 0
         tiny = 2.0 ** -60
-        instances = [WeightFunction(k=2, n=4, weights={
-            (1, 2): 1.0, (1, 2, 3): -1.0, (1, 3): tiny,
-            (0, 1, 2): -1.0, (0, 1, 3): -tiny})]
-        for rng, wf in mixed_instances(22, 60):
-            kept = rng.random(len(wf.weights)) < 0.5
-            instances += [wf, WeightFunction(k=wf.k, n=wf.n, weights={
-                h: w for (h, w), keep in zip(wf.weights.items(), kept)
-                if keep})]
-        for wf in instances:
-            want = [(clique_total((s,), wf).hex(), s) for s in
-                    itertools.combinations(range(wf.n), wf.k + 1)]
+        given = [(2, 4, {(1, 2): 1.0, (1, 2, 3): -1.0, (1, 3): tiny,
+                         (0, 1, 2): -1.0, (0, 1, 3): -tiny})]
+        for rng, k, n, w in mixed_weights(22, 60):
+            kept = rng.random(len(w)) < 0.5
+            given += [(k, n, w), (k, n, {
+                h: x for (h, x), keep in zip(w.items(), kept) if keep})]
+        for k, n, w in given:
+            seeds = list(itertools.combinations(range(n), k + 1))
+            want = [(float(sum(w.get(h, 0.0) for h in sorted(
+                sub for m in range(2, k + 2)
+                for sub in itertools.combinations(s, m)))).hex(), s)
+                for s in seeds]
+            wf = from_subset_weights(k, n, w)
             assert [(t.hex(), s) for t, s in clique_totals(wf)] == want
 
     def test_matches_full_rescan_reference(self):
@@ -447,7 +457,7 @@ def test_greedy_matches_chow_liu_at_width_1(seed, n, tied):
     # sum. chow_liu is greedy's result under its own name.
     rng = np.random.default_rng(seed)
     if tied:
-        wf = WeightFunction(k=1, n=n, weights={
+        wf = from_subset_weights(1, n, {
             e: float(rng.integers(-2, 3))
             for e in itertools.combinations(range(n), 2)})
     else:
@@ -534,21 +544,20 @@ def test_sparse_store_matches_zero_filled():
     # Listing a 0.0 weight or leaving its subset out gives every solver the
     # same tree, score and counters.
     stripped = 0
-    for _, wf in mixed_instances(18, 60):
-        dense = {h: wf.weights.get(h, 0.0)
-                 for size in range(1, wf.k + 2)
-                 for h in itertools.combinations(range(wf.n), size)}
-        sparse = {h: w for h, w in dense.items() if w != 0.0}
+    for _, k, n, w in mixed_weights(18, 60):
+        dense = {h: w.get(h, 0.0)
+                 for size in range(1, k + 2)
+                 for h in itertools.combinations(range(n), size)}
+        sparse = {h: x for h, x in dense.items() if x != 0.0}
         stripped += len(dense) - len(sparse)
         runs = [greedy, lambda f: local_search(f, greedy(f).tree)]
-        if wf.k == 1:
+        if k == 1:
             runs.append(chow_liu)
-        if wf.n <= 7:
+        if n <= 7:
             runs.append(exact_search)
         for solve in runs:
-            assert_same_result(
-                solve(WeightFunction(k=wf.k, n=wf.n, weights=dense)),
-                solve(WeightFunction(k=wf.k, n=wf.n, weights=sparse)))
+            assert_same_result(solve(from_subset_weights(k, n, dense)),
+                               solve(from_subset_weights(k, n, sparse)))
     assert stripped > 1000
 
 

@@ -15,7 +15,8 @@ import pytest
 from hypertree.dataset import count_tables
 from hypertree.paritygen import TargetBiases, realize_weights
 from hypertree.structure import KTree
-from hypertree.weights import WeightFunction, attachment_gain, clique_total
+from hypertree.weights import (WeightFunction, attachment_gain, clique_total,
+                               from_subset_weights)
 
 from oracles import tally
 
@@ -57,6 +58,7 @@ READERS = {
 }
 STORES = {
     "weight-function": lambda s: WeightFunction(k=1, n=3, weights={s: 0.0}),
+    "subset-weights": lambda s: from_subset_weights(1, 3, {s: 0.0}),
     "count_tables": lambda s: list(count_tables(_data(), [s])),
     "target-biases": lambda s: TargetBiases(k=1, n=3, q=4, entries={s: 1}),
     "realize_weights": lambda s: realize_weights({s: 0.5}, n=3, k=1,

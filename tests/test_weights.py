@@ -1,4 +1,5 @@
 import codecs
+import functools
 import itertools
 import json
 import math
@@ -17,8 +18,9 @@ from hypertree.weights import (
     attachment_gain,
     clique_total,
     compute_weights,
-    family_weights,
+    from_subset_weights,
     load_weights,
+    weights_from_entropies,
     weights_from_dict,
     weights_to_dict,
 )
@@ -27,6 +29,7 @@ from oracles import (
     attachment_gain_reference,
     clique_total_reference,
     compute_weights_reference,
+    family_weights_reference,
     joint_table,
     markov_chain_joint,
     mutual_information,
@@ -37,6 +40,7 @@ from oracles import (
     random_weight_function,
     record_counted_scopes,
     scope_entropy,
+    subset_weights,
     tally,
     target_samples,
     text_file,
@@ -66,23 +70,23 @@ def test_pair_weight_is_mutual_information():
 
 def test_xor_triple_weights():
     jt = xor_triple_joint()
-    wf = compute_weights(jt, 2)
+    w = subset_weights(compute_weights(jt, 2))
     for pair in itertools.combinations(range(3), 2):
-        assert abs(wf[pair]) <= 1e-12
+        assert abs(w[pair]) <= 1e-12
     # three-way weight is the full dependence: sum of singleton entropies
     # minus the joint entropy, here 3*ln2 - 2*ln2 = ln2
     direct = sum(scope_entropy(jt, (v,)) for v in range(3)) - scope_entropy(
         jt, (0, 1, 2))
-    assert wf[(0, 1, 2)] == pytest.approx(direct, abs=1e-12)
-    assert wf[(0, 1, 2)] == pytest.approx(LN2, abs=1e-12)
+    assert w[(0, 1, 2)] == pytest.approx(direct, abs=1e-12)
+    assert w[(0, 1, 2)] == pytest.approx(LN2, abs=1e-12)
 
 
 def test_markov_chain_triple_weight_negative():
     jt = markov_chain_joint(flip=0.2)
-    wf = compute_weights(jt, 2)
+    w = subset_weights(compute_weights(jt, 2))
     i02 = mutual_information(jt, 0, 2)
-    assert wf[(0, 1, 2)] == pytest.approx(-i02, abs=1e-9)
-    assert wf[(0, 1, 2)] < 0
+    assert w[(0, 1, 2)] == pytest.approx(-i02, abs=1e-9)
+    assert w[(0, 1, 2)] < 0
     assert weight_inclusion_exclusion(jt, (0, 1, 2)) == pytest.approx(
         -i02, abs=1e-9)
 
@@ -105,10 +109,8 @@ def test_recursion_agrees_with_inclusion_exclusion(seed):
     n = int(rng.integers(3, 6))
     k = int(rng.integers(1, min(3, n - 1) + 1))
     d = random_dataset(rng, n, int(rng.integers(5, 80)))
-    wf = compute_weights(d, k)
-    for h in wf.weights:
-        assert wf[h] == pytest.approx(
-            weight_inclusion_exclusion(d, h), abs=1e-10)
+    for h, w in subset_weights(compute_weights(d, k)).items():
+        assert w == pytest.approx(weight_inclusion_exclusion(d, h), abs=1e-10)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -118,25 +120,35 @@ def test_telescoping_identity(seed):
     rng = np.random.default_rng(seed)
     d = random_dataset(rng, 4, int(rng.integers(5, 60)))
     wf = compute_weights(d, 3)
+    w = subset_weights(wf)
     for size in range(1, 5):
         for h in itertools.combinations(range(4), size):
             total = sum(
-                wf[hp]
+                w[hp]
                 for s in range(1, size + 1)
                 for hp in itertools.combinations(h, s)
             )
             assert total == pytest.approx(-scope_entropy(d, h), abs=1e-10)
+            # the store's total is the same sum without the singletons
+            if size > 1:
+                assert wf[h] == pytest.approx(
+                    total - sum(w[(v,)] for v in h), abs=1e-10)
 
 
-def test_family_weights_recursion_over_given_entropies():
-    # w(h) = -H(h) - the weights of h's proper subsets; no dataset involved
-    wf = family_weights(2, 3, [((0,), 1.0), ((1,), 0.5), ((2,), 0.25),
-                               ((0, 1), 1.25), ((0, 2), 1.0), ((1, 2), 0.75),
-                               ((0, 1, 2), 1.5)])
+def test_store_and_dump_over_given_entropies():
+    # the store keeps -H of a singleton and c(h) = -H(h) - each w(i) of a
+    # larger h; the dump ends the recursion w(h) = -H(h) - the weights of
+    # h's proper subsets; no dataset involved
+    wf = weights_from_entropies(2, 3, [
+        ((0,), 1.0), ((1,), 0.5), ((2,), 0.25), ((0, 1), 1.25),
+        ((0, 2), 1.0), ((1, 2), 0.75), ((0, 1, 2), 1.5)])
     assert (wf.k, wf.n) == (2, 3)
     assert wf.weights == {(0,): -1.0, (1,): -0.5, (2,): -0.25,
                           (0, 1): 0.25, (0, 2): 0.25, (1, 2): 0.0,
-                          (0, 1, 2): -0.25}
+                          (0, 1, 2): 0.25}
+    assert subset_weights(wf) == {(0,): -1.0, (1,): -0.5, (2,): -0.25,
+                                  (0, 1): 0.25, (0, 2): 0.25, (1, 2): 0.0,
+                                  (0, 1, 2): -0.25}
 
 
 @given(sample=target_samples(min_vars=2, max_vars=5),
@@ -162,11 +174,13 @@ def test_family_weights_match_compute_weights(sample, seed, k):
         assert score(tree, wf) == score(tree, full)
 
 
-def _assert_hex_equal(got, want):
-    assert (got.k, got.n) == (want.k, want.n)
-    assert list(got.weights) == list(want.weights)
-    for h, w in got.weights.items():
-        assert float(w).hex() == float(want.weights[h]).hex(), h
+def _assert_dump_hex_equal(wf, want):
+    """wf's dump lists the subset weights of the dict want, bit for bit and
+    in its order."""
+    got = subset_weights(wf)
+    assert list(got) == list(want)
+    for h, w in got.items():
+        assert float(w).hex() == float(want[h]).hex(), h
 
 
 @given(sample=target_samples(min_vars=4, max_vars=5),
@@ -177,8 +191,8 @@ def test_compute_weights_matches_per_scope_reference(sample, k):
     # rows and a joint table, some declared outcomes unseen
     arities, rows, probs = sample
     for data in (tally(arities, rows), joint_table(probs)):
-        _assert_hex_equal(compute_weights(data, k),
-                          compute_weights_reference(data, k))
+        _assert_dump_hex_equal(compute_weights(data, k),
+                               compute_weights_reference(data, k))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -186,8 +200,24 @@ def test_compute_weights_matches_per_scope_reference_on_wider_data(k):
     rng = np.random.default_rng(k)
     for data in (random_dataset(rng, 9, 500),
                  random_joint(rng, [2, 3, 2, 2, 3, 2, 2])):
-        _assert_hex_equal(compute_weights(data, k),
-                          compute_weights_reference(data, k))
+        _assert_dump_hex_equal(compute_weights(data, k),
+                               compute_weights_reference(data, k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dump_is_the_recursion_bit_for_bit(k):
+    # the store skips the recursion; the dump's inversion of its totals ends
+    # it, bit for bit as the recursion over the same entropies: random
+    # datasets, and a joint table with zero cells
+    rng = np.random.default_rng(10 + k)
+    probs = rng.random((2, 3, 2, 2))
+    probs[rng.random(probs.shape) < 0.4] = 0.0
+    for data in (random_dataset(rng, 5, 40), random_dataset(rng, 6, 300),
+                 joint_table(probs / probs.sum())):
+        domain = [h for size in range(1, k + 2)
+                  for h in itertools.combinations(range(data.n_vars), size)]
+        _assert_dump_hex_equal(compute_weights(data, k), family_weights_reference(
+            (h, scope_entropy(data, h)) for h in domain))
 
 
 def test_compute_weights_counts_its_domain_in_family_order(monkeypatch):
@@ -277,36 +307,78 @@ def _sparse_instances(seed, count, widths=(1, 2, 3)):
                     continue
                 x = float(rng.integers(-2, 3)) if i % 2 else float(rng.normal())
                 w[h] = -abs(x) if size == 1 else x
-        yield rng, WeightFunction(k=k, n=n, weights=w)
+        yield rng, from_subset_weights(k, n, w)
 
 
 def test_direct_reads_match_checked_reads():
+    # the clique/separator sum and the two-read gain against the sums of w
+    # the library once made; the two sum different floats, so within 1e-12
     instances = itertools.chain(_sparse_instances(21, 60),
                                 _sparse_instances(23, 12, widths=(4,)))
+    close = functools.partial(pytest.approx, abs=1e-12)
     for rng, wf in instances:
         k, n = wf.k, wf.n
         for clique in itertools.combinations(range(n), k + 1):
-            assert clique_total((clique,), wf) == clique_total_reference(
-                (clique,), wf)
+            assert clique_total((clique,), wf) == close(clique_total_reference(
+                (clique,), wf))
             for v in clique:
                 anchor = [x for x in clique if x != v]
                 rng.shuffle(anchor)  # any vertex order
-                assert attachment_gain(wf, v, anchor) == \
-                    attachment_gain_reference(wf, v, anchor)
+                assert attachment_gain(wf, v, anchor) == close(
+                    attachment_gain_reference(wf, v, anchor))
         for size in range(2, k + 2):
             # one clique of 2..k+1 vertices, listed in any order
             clique = rng.choice(n, size, replace=False).tolist()
-            assert clique_total((clique,), wf) == clique_total_reference(
-                (clique,), wf)
+            assert clique_total((clique,), wf) == close(clique_total_reference(
+                (clique,), wf))
         for _ in range(5):
             t = random_ktree(rng, n, k)
             cliques = list(t.maximal_cliques())
-            assert score(t, wf) == clique_total_reference(cliques, wf)
+            assert score(t, wf) == close(clique_total_reference(cliques, wf))
             # any clique order, any vertex order inside a clique
             cliques = [tuple(rng.permutation(mc).tolist())
                        for mc in reversed(cliques)]
-            assert clique_total(cliques, wf) == clique_total_reference(
-                cliques, wf)
+            assert clique_total(cliques, wf) == close(clique_total_reference(
+                cliques, wf))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_score_is_the_seed_total_plus_the_gains(k):
+    # a k-tree's clique/separator sum is its seed's total plus one two-read
+    # gain per attachment, and the sum of w over its cliques; for trees of
+    # width k and for narrower ones read through the same weights
+    rng = np.random.default_rng(30 + k)
+    for _ in range(20):
+        n = int(rng.integers(1, 10))
+        wf = random_weight_function(rng, n, k)
+        for width in range(1, k + 1):
+            t = random_ktree(rng, n, width)
+            total = clique_total((t.seed,), wf) + sum(
+                attachment_gain(wf, v, a) for v, a in t.attachments)
+            assert score(t, wf) == pytest.approx(total, abs=1e-12)
+            assert score(t, wf) == pytest.approx(clique_total_reference(
+                t.maximal_cliques(), wf), abs=1e-12)
+
+
+def test_swap_change_is_the_full_rescore_change():
+    # the cliques that hold u or v, before and after the two labels swap,
+    # change the clique/separator sum as much as the whole tree's w does
+    rng = np.random.default_rng(40)
+    for _ in range(30):
+        k = int(rng.integers(1, 4))
+        n = int(rng.integers(k + 2, 10))
+        wf = random_weight_function(rng, n, k)
+        cliques = random_ktree(rng, n, k).maximal_cliques()
+        for u, v in itertools.combinations(range(n), 2):
+            relabel = {u: v, v: u}
+            swapped = {mc: tuple(sorted(relabel.get(x, x) for x in mc))
+                       for mc in cliques if u in mc or v in mc}
+            part = (clique_total(swapped.values(), wf)
+                    - clique_total(swapped.keys(), wf))
+            full = [swapped.get(mc, mc) for mc in cliques]
+            assert part == pytest.approx(clique_total_reference(full, wf)
+                                         - clique_total_reference(cliques, wf),
+                                         abs=1e-12), (u, v)
 
 
 @pytest.mark.parametrize("call", [
@@ -326,7 +398,7 @@ def test_direct_reads_match_checked_reads():
         "gain-too-large", "gain-repeat", "gain-v-in-anchor",
         "clique-string-vertex", "gain-string-vertex"])
 def test_direct_reads_refuse_outside_domain(call):
-    wf = WeightFunction(k=2, n=4, weights={(0, 1): 0.5, (1, 2, 3): -0.25})
+    wf = from_subset_weights(2, 4, {(0, 1): 0.5, (1, 2, 3): -0.25})
     with pytest.raises(ValueError):
         call(wf)
 
@@ -370,9 +442,10 @@ def test_zero_law_on_product_distributions():
     rng = np.random.default_rng(7)
     jt = product_joint(rng, [2, 2, 3, 2])
     wf = compute_weights(jt, 3)
-    for h, w in wf.weights.items():
-        if len(h) >= 2:
-            assert abs(w) <= 1e-12
+    for store in (wf.weights, subset_weights(wf)):  # totals, then w
+        for h, w in store.items():
+            if len(h) >= 2:
+                assert abs(w) <= 1e-12
 
 
 def test_weight_function_validation():
@@ -384,8 +457,9 @@ def test_weight_function_validation():
 
 
 def test_absent_subset_weighs_zero():
-    wf = WeightFunction(k=2, n=4, weights={(0, 1): 0.5})
-    assert wf[(1, 0)] == 0.5
+    # (0, 1)'s weight is in the totals of its two triangles
+    wf = from_subset_weights(2, 4, {(0, 1): 0.5})
+    assert wf[(1, 0)] == 0.5 and wf[(0, 1, 2)] == 0.5 == wf[(0, 1, 3)]
     assert wf[(2,)] == 0.0 and wf[(0, 2)] == 0.0 and wf[(1, 2, 3)] == 0.0
     assert wf[(np.int64(1), np.int32(0))] == 0.5
     for key in [(0, 1, 2, 3), (0, 4), (-1, 2), (1, 1), (), (0.5, 1.9),
@@ -434,8 +508,11 @@ def test_weight_file_domain_is_refused_before_its_entries():
         weights_from_dict(doc)
     with pytest.raises(ValueError, match="need k >= 1"):
         weights_from_dict({"k": 0, "n": 10 ** 7, "weights": []})
-    # the guard bounds a scan of the domain, not holding a few of its weights
+    # the guard bounds a scan of the domain, not holding a few of its
+    # totals; summing a few subset weights into totals scans the domain
     assert WeightFunction(k=2, n=300, weights={(0, 1, 2): 0.5})[(0, 1, 2)] == 0.5
+    with pytest.raises(GuardLimitError, match="number 4500250"):
+        from_subset_weights(2, 300, {(0, 1, 2): 0.5})
 
 
 def test_weight_file_refuses_repeated_subset():
@@ -478,7 +555,7 @@ def test_load_external_sparse_weights(tmp_path):
                     '[{"vars": [0, 1], "w": 1.0}, {"vars": [2, 3], "w": 1.0}]}')
     wf = load_weights(doc)
     assert wf[(0, 1)] == 1.0 and wf[(2, 3)] == 1.0
-    assert wf[(0, 2)] == 0.0 and wf[(0, 1, 2)] == 0.0
+    assert wf[(0, 2)] == 0.0 and wf[(0, 1, 2)] == 1.0  # the total of (0, 1)
     assert wf[(0,)] == 0.0
 
 
