@@ -140,7 +140,7 @@ def learn_cmd(input_path, k, solver, exact_limit, arities_path, out_path):
 
 def eval_cmd(data_path, structure_path, arities_path, model_out, out_path):
     """Score a structure against data: divergences and log likelihood."""
-    from . import dataset, projection, structure
+    from . import projection, structure
 
     tree = structure.load_ktree(structure_path)
     provider = _load_input(data_path, arities_path)
@@ -160,7 +160,7 @@ def eval_cmd(data_path, structure_path, arities_path, model_out, out_path):
         "divergence_direct": direct,
         "identity_residual": abs(direct - decomposed),
         # on the training data, sum of p log q = -H(p) - KL(p || q)
-        "loglik_per_row": -dataset.joint_entropy(provider) - direct,
+        "loglik_per_row": -provider.joint_entropy - direct,
     }
     if model_out is not None:
         projection.dump_model(model, model_out)

@@ -14,6 +14,7 @@ weighted counts divided by the total weight; no smoothing is applied.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from array import array
@@ -32,7 +33,6 @@ __all__ = [
     "dump_dataset",
     "count_tables",
     "entropy",
-    "joint_entropy",
 ]
 
 MARGINAL_CELL_GUARD = 2 ** 24  # cells of one count table: 128 MiB of int64
@@ -125,6 +125,12 @@ class Dataset:
     @property
     def n_vars(self) -> int:
         return len(self.arities)
+
+    @functools.cached_property
+    def joint_entropy(self) -> float:
+        """Entropy of the full joint distribution, in nats: a sum over the
+        distinct rows, taken on the first read and kept."""
+        return entropy(self.counts / self.n_rows)
 
 
 def _bad_cell(rec, names, lineno) -> ValueError:
@@ -284,9 +290,3 @@ def entropy(probs: np.ndarray) -> float:
     """Shannon entropy of a probability array in nats (0*ln 0 = 0)."""
     p = probs[probs > 0]
     return float(-(p * np.log(p)).sum())
-
-
-def joint_entropy(data: Dataset) -> float:
-    """Entropy of the full joint distribution, in nats: a sum over the
-    distinct rows, exact and cheap for any number of variables."""
-    return entropy(data.counts / data.n_rows)

@@ -84,8 +84,13 @@ def read_json(path, convert):
 
 
 def write_json(doc: dict, path=None) -> None:
-    """Write doc as indented JSON and a newline to path, or to stdout."""
-    text = json.dumps(doc, indent=2) + "\n"
+    """Write doc as indented JSON and a newline to path, or to stdout. JSON
+    has no NaN or infinity, so a document that holds one opens no file."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError("a computed number left the float range; JSON "
+                         "holds no NaN or infinity") from None
     if path is None:
         sys.stdout.write(text)
     else:
@@ -180,9 +185,7 @@ def json_list(value, field: str) -> list:
 def json_subsets(doc: dict, name: str, field: str, convert) -> dict:
     """Map the sorted ``vars`` of each object in the list doc[name] to
     convert(entry[field], field), a reader such as json_int or json_float;
-    refuse repeats. Each vertex is tested here, not left to subset_key:
-    the repeat check hashes each subset first, and a list vertex is
-    unhashable."""
+    refuse repeats. The store that keeps them holds each to subset_key."""
     out = {}
     for entry in json_list(doc[name], name):
         if not isinstance(entry, dict):
@@ -191,11 +194,13 @@ def json_subsets(doc: dict, name: str, field: str, convert) -> dict:
         vs = entry["vars"]
         if type(vs) is not list:  # json_list's test, inlined for speed
             json_list(vs, "vars")
-        for v in vs:
-            if type(v) is not int:  # json_int's test, inlined for speed
+        try:
+            h = tuple(sorted(vs))
+            if h in out:
+                raise ValueError(f"subset {h} is listed more than once")
+        except TypeError:  # a vertex that does not sort or hash: named here
+            for v in vs:
                 json_int(v, "vars")
-        h = tuple(sorted(vs))
-        if h in out:
-            raise ValueError(f"subset {h} is listed more than once")
+            raise
         out[h] = convert(entry[field], field)
     return out

@@ -121,7 +121,7 @@ def divergence_decomposed(provider, wf, tree: KTree) -> float:
         raise ValueError(f"weights span {wf.n} vertices, provider has {n}")
     if tree.n > n:
         raise ValueError(f"tree spans {tree.n} vertices, provider has {n}")
-    base = sum(-wf[(v,)] for v in range(n)) - ds.joint_entropy(provider)
+    base = sum(-wf[(v,)] for v in range(n)) - provider.joint_entropy
     return float(base - score(tree, wf))
 
 

@@ -80,9 +80,9 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
     Two ``functools.cache`` functions hold the states, each caching its
     value together with its best choice; the optimum is reconstructed by
     replaying those choices, and ``nodes_explored`` counts the cached
-    states. Ties fall to the first optimum in a fixed scan order (seeds and
-    anchors lexicographic, vertices ascending). Without an exact_limit,
-    n > DEFAULT_EXACT_LIMIT is refused.
+    states. Ties within IMPROVE_EPS fall to the first optimum in a fixed scan
+    order (seeds and anchors lexicographic, vertices ascending). Without an
+    exact_limit, n > DEFAULT_EXACT_LIMIT is refused.
     """
     n, k = wf.n, wf.k
     refuse_exact(n, k, exact_limit)
@@ -108,7 +108,7 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
                 val = gain(v, s)
                 if rest:
                     val += forest(tuple(sorted(s + (v,))), rest)[0]
-                if best is None or val > best:
+                if best is None or val > best + IMPROVE_EPS:
                     best, choice = val, (v, s)
         return best, choice
 
@@ -125,7 +125,7 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
             val = subtree(clique, r1)[0]
             if r1 != rmask:
                 val += forest(clique, rmask ^ r1)[0]
-            if best is None or val > best:
+            if best is None or val > best + IMPROVE_EPS:
                 best, choice = val, r1
             if sub == 0:
                 break
@@ -133,9 +133,13 @@ def exact_search(wf, exact_limit: int | None = None) -> SolverResult:
         return best, choice
 
     full = (1 << n) - 1
-    _, best_seed, rmask = max(
-        ((t, seed, full ^ sum(1 << v for v in seed)) for t, seed in totals),
-        key=lambda ts: ts[0] + forest(ts[1], ts[2])[0])
+    best = None
+    for t, seed in totals:
+        rmask = full ^ sum(1 << v for v in seed)
+        val = t + forest(seed, rmask)[0]
+        if best is None or val > best[0] + IMPROVE_EPS:
+            best = val, seed, rmask
+    _, best_seed, rmask = best
 
     attachments: list[tuple[int, tuple[int, ...]]] = []
     stack = [(best_seed, rmask)]

@@ -125,13 +125,13 @@ def compute_weights(provider, k: int) -> WeightFunction:
 
 
 def from_subset_weights(k: int, n: int, w) -> WeightFunction:
-    """The store of the subset weights w, checked as a store is, the domain
-    guarded: each subset h of 3..k+1 vertices, the largest first, takes the
-    w of its subsets of two or more vertices summed in lexicographic order,
-    absent if that is 0 and w does not list h. A pair keeps its own w."""
+    """The store of the subset weights w, the domain guarded: each subset h
+    of 3..k+1 vertices, the largest first, takes the w of its subsets of two
+    or more vertices summed in lexicographic order (a pair keeps its own w),
+    absent if that is 0 and w does not list h; the totals are then checked."""
     w = dict(w)  # rebound: a dict that only the caller passed is freed
-    wf = WeightFunction(k=k, n=n, weights=w)
-    domain_size(n, k)
+    if k >= 1:  # WeightFunction refuses k < 1 itself
+        domain_size(n, k)
     for size in range(min(k + 1, n), 2, -1):
         subs = [operator.itemgetter(*p) if len(p) < size else tuple  # h itself
                 for p in sorted(q for m in range(2, size + 1)
@@ -142,7 +142,7 @@ def from_subset_weights(k: int, n: int, w) -> WeightFunction:
                  for sub, it in zip(subs, hs)]
         w.update((h, t) for h, t in zip(hs[-1], map(sum, zip(*reads)))
                  if t or h in w)
-    return wf
+    return WeightFunction(k=k, n=n, weights=w)  # checks the totals it holds
 
 
 def _total(get, h) -> float:  # c(h), 0 for fewer than two vertices

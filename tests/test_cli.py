@@ -732,13 +732,13 @@ def test_gen_parity_unknown_schema(run, tmp_path):
      ["learn", "{bad}"], "'k' must be an integer, got 1.8"),
     ("w.json", json.dumps({"k": 1, "n": 2,
                            "weights": [{"vars": [0, 1.9], "w": 0.5}]}),
-     ["learn", "{bad}"], "'vars' must be an integer, got 1.9"),
+     ["learn", "{bad}"], "subset (0, 1.9) has a non-integer vertex 1.9"),
     ("w.json", json.dumps({"k": 1, "n": True, "weights": []}),
      ["learn", "{bad}"], "'n' must be an integer, got True"),
     ("t.json", json.dumps({"k": 1, "n": 3, "q_grid": 8,
                            "targets": [{"vars": [0, 1.5], "w": 0.5}]}),
      ["gen-parity", "{bad}", "--out", "{out}"],
-     "'vars' must be an integer, got 1.5"),
+     "subset (0, 1.5) has a non-integer vertex 1.5"),
     ("t.json", json.dumps({"k": 1, "n": 3, "q_grid": 8.5,
                            "targets": [{"vars": [0, 1], "w": 0.5}]}),
      ["gen-parity", "{bad}", "--out", "{out}"],
@@ -824,6 +824,61 @@ def test_malformed_json_input_is_validation(run, tmp_path, filename, text,
     res = run(args)
     assert res.exit_code == 2, res.output
     assert str(bad) in res.output and field in res.output
+
+
+SUBSET_FILES = {
+    "weights": ({"k": 1, "n": 3, "weights": [{"vars": None, "w": 0.5}]},
+                ["learn", "{bad}", "--out", "{out}"]),
+    "biases": ({"k": 1, "n": 3, "Q": 4, "biases": [{"vars": None, "p": 1}]},
+               ["gen-parity", "{bad}", "--out", "{out}"]),
+    "targets": ({"k": 1, "n": 3, "q_grid": 8,
+                 "targets": [{"vars": None, "w": 0.5}]},
+                ["gen-parity", "{bad}", "--out", "{out}"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SUBSET_FILES))
+@pytest.mark.parametrize("vs, named", [
+    ([0, 1.9], "subset (0, 1.9) has a non-integer vertex 1.9"),
+    (["a", "b"], "subset ('a', 'b') has a non-integer vertex 'a'"),
+    ([True, 2], "subset (True, 2) has a non-integer vertex True"),
+    ([None, 1], "'vars' must be an integer, got None"),
+    ([[0], 1], "'vars' must be an integer, got [0]"),
+    ([[0], [1]], "'vars' must be an integer, got [0]"),
+    ([0, 0], "subset (0, 0) is not strictly ascending"),
+    ([0, 9], "subset (0, 9) has a vertex outside [0, 3)"),
+], ids=["float", "strings", "bool", "null", "list-and-int", "lists",
+        "repeat", "outside"])
+def test_each_file_subset_fault_names_its_vertex(run, tmp_path, kind, vs,
+                                                 named):
+    # the store that keeps the subsets names the fault; only a vertex that
+    # does not sort or hash is named while the file is parsed
+    doc, args = SUBSET_FILES[kind]
+    doc = json.loads(json.dumps(doc))
+    doc[kind][0]["vars"] = vs
+    bad, out = tmp_path / f"{kind}.json", tmp_path / "out"
+    bad.write_text(json.dumps(doc))
+    res = run([a.format(bad=bad, out=out) for a in args])
+    assert res.exit_code == 2, res.output
+    assert f"{bad}: " in res.output and named in res.output, res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k, message", [
+    (1, "a computed number left the float range"),
+    (2, "weight for subset (0, 1, 2) is not finite: inf"),
+])
+def test_score_past_the_float_range_is_refused(run, tmp_path, k, message):
+    # every weight is finite; at k=1 the score of two 1e308 edges is not,
+    # and at k=2 the triple's total of three is refused by the store
+    pairs = [[0, 1], [1, 2]] + [[0, 2]] * (k == 2)
+    path, out = tmp_path / "w.json", tmp_path / "s.json"
+    path.write_text(json.dumps({"k": k, "n": 3, "weights": [
+        {"vars": p, "w": 1e308} for p in pairs]}))
+    res = run(["learn", str(path), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert message in res.output, res.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind, args, count", [

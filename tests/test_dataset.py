@@ -16,7 +16,6 @@ from hypertree.dataset import (
     count_tables,
     dump_dataset,
     entropy,
-    joint_entropy,
     joint_table_from_dict,
     load_dataset,
 )
@@ -385,7 +384,7 @@ def test_joint_entropy_matches_small_table():
     rng = np.random.default_rng(0)
     d = random_dataset(rng, 3, 50, arities=[2, 2, 2])
     # plug-in over distinct rows must match the full-scope marginal entropy
-    assert joint_entropy(d) == pytest.approx(
+    assert d.joint_entropy == pytest.approx(
         scope_entropy(d, (0, 1, 2)), abs=1e-12)
 
 
@@ -405,8 +404,8 @@ def test_estimators_match_references(sample):
             # probability data: the dense-array marginal, up to summation order
             diff = marginal(table, scope) - marginal_dense(probs, scope)
             assert np.max(np.abs(diff)) <= 1e-12
-    assert joint_entropy(counted) == joint_entropy_reference(rows)
-    assert abs(joint_entropy(table) - entropy(probs)) <= 1e-12
+    assert counted.joint_entropy == joint_entropy_reference(rows)
+    assert abs(table.joint_entropy - entropy(probs)) <= 1e-12
 
 
 @given(sample=target_samples(), draw=st.data())

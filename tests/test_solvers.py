@@ -427,6 +427,21 @@ class TestLocalSearch:
                 assert_same_result(res, local_search_reference(wf, start))
 
 
+def test_exact_tree_does_not_depend_on_how_totals_are_summed():
+    # ties fall within IMPROVE_EPS, so totals of the same w summed in another
+    # order (math.fsum) pick the same seed and attachments
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(4, 8)), int(rng.integers(1, 4))
+        w = random_subset_weights(rng, n, k)
+        fsum = {h: math.fsum(w[g] for m in range(2, len(h) + 1)
+                             for g in itertools.combinations(h, m))
+                for h in w}
+        a = exact_search(from_subset_weights(k, n, w)).tree
+        b = exact_search(WeightFunction(k=k, n=n, weights=fsum)).tree
+        assert (a.seed, a.attachments) == (b.seed, b.attachments), seed
+
+
 def test_exact_dominates_heuristics():
     # widths 1 and 2 on n = 4..7, then width 3 on n = 4..9, inside the
     # default exact limit, every other one with tied integer weights

@@ -488,6 +488,21 @@ def test_weight_function_refuses_bad_entry(key, w, message):
         WeightFunction(k=1, n=3, weights={(0, 1): 1.0, key: w})
 
 
+def test_store_checks_the_totals_it_holds():
+    # each pair weight is finite, but the triple's total 3e308 is not: the
+    # store checks the value it would hold, not only the w it was given
+    pairs = {(0, 1): 1e308, (0, 2): 1e308, (1, 2): 1e308}
+    with pytest.raises(ValueError,
+                       match=r"subset \(0, 1, 2\) is not finite: inf"):
+        from_subset_weights(2, 3, pairs)
+    assert from_subset_weights(1, 3, pairs).weights == pairs
+    # a NaN pair makes its triples' totals NaN too; the check follows w's
+    # order, so the pair listed before its triples is the one named
+    w = {(0, 1): math.nan, (0, 1, 2): 0.5, (0, 1, 3): 0.25}
+    with pytest.raises(ValueError, match=r"subset \(0, 1\) is not finite: nan"):
+        from_subset_weights(2, 4, w)
+
+
 def test_weight_function_accepts_numpy_integer_vertices():
     wf = WeightFunction(k=1, n=3, weights={(np.int64(0), np.int64(2)): 0.2})
     assert wf[(0, 2)] == 0.2
