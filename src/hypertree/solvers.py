@@ -209,12 +209,14 @@ def local_search(wf, start: KTree) -> SolverResult:
 
     The state is the list of maximal cliques: with n >= k+2 a vertex is
     removable exactly when it lies in one, the rest of which is its anchor.
-    A re-anchor of v gains its cached ``attachment_gain`` at the new anchor
-    and loses it at the old one. A swap compares ``clique_total`` over the
-    cliques that hold u or v, before and after: no other clique, and no
-    separator without u or v, changes. A move's clique list is built only
-    when it improves, and encoded by ``ktree_from_cliques`` once, at the
-    end. ``tests/oracles.py`` keeps the original search, which rescores the
+    A move is its score change and a map from each clique it replaces to
+    its replacement: a re-anchor of v changes the score by its cached
+    ``attachment_gain`` at the new anchor less the old, and replaces v's
+    one clique; a swap, by ``clique_total`` over the cliques that hold u or
+    v, after less before, and replaces them, since no other clique, and no
+    separator without u or v, changes. An accepted move's map is applied
+    once, and the list is encoded by ``ktree_from_cliques`` at the end.
+    ``tests/oracles.py`` keeps the original search, which rescores the
     whole list for every swap, as ``local_search_reference``.
     """
     t0 = time.perf_counter()
@@ -225,13 +227,13 @@ def local_search(wf, start: KTree) -> SolverResult:
         raise ValueError(f"start tree has width {k}, over the weight "
                          f"function's width {wf.k}")
     if n <= k + 1:  # one clique: nothing to move, so 0 moves in 0 iterations
-        # (the scan would list its k-subsets and count its label swaps)
+        # (moves would list its k-subsets and count its label swaps)
         return _result(start, wf, "local_search", t0, 0, 0)
     gain = functools.cache(functools.partial(attachment_gain, wf))
 
-    def scan(maximal):
-        """Yield each move in scan order: its new clique list if it
-        improves by more than IMPROVE_EPS, else None."""
+    def moves(maximal):
+        """Yield each move in scan order as its score change and the map
+        from each clique it replaces to that clique's replacement."""
         held: dict[int, list[tuple[int, ...]]] = {x: [] for x in range(n)}
         for mc in maximal:
             for x in mc:
@@ -242,29 +244,21 @@ def local_search(wf, start: KTree) -> SolverResult:
         # (a) re-anchor a removable vertex elsewhere; v lies in exactly one
         # maximal clique, which the move replaces
         for v in removable:
-            old_anchor = tuple(x for x in held[v][0] if x != v)
+            (home,) = held[v]
+            old_anchor = tuple(x for x in home if x != v)
             loss = gain(v, old_anchor)
             for a in anchors:
-                if v in a or a == old_anchor:
-                    continue
-                if gain(v, a) - loss > IMPROVE_EPS:
-                    yield [tuple(sorted(a + (v,))) if v in mc else mc
-                           for mc in maximal]
-                else:
-                    yield None
+                if v not in a and a != old_anchor:
+                    yield gain(v, a) - loss, {home: a + (v,)}
         # (b) swap the labels of a removable vertex and another vertex
         for v in removable:
             for u in range(n):
-                if u == v:
-                    continue
-                relabel = {u: v, v: u}
-                swapped = {mc: tuple(sorted(relabel.get(x, x) for x in mc))
-                           for mc in held[u] + held[v]}
-                if (clique_total(swapped.values(), wf)
-                        - clique_total(swapped.keys(), wf) > IMPROVE_EPS):
-                    yield [swapped.get(mc, mc) for mc in maximal]
-                else:
-                    yield None
+                if u != v:
+                    relabel = {u: v, v: u}
+                    swapped = {mc: tuple(sorted(relabel.get(x, x) for x in mc))
+                               for mc in held[u] + held[v]}
+                    yield (clique_total(swapped.values(), wf)
+                           - clique_total(swapped.keys(), wf)), swapped
 
     maximal = list(start.maximal_cliques())
     changed = False
@@ -272,14 +266,15 @@ def local_search(wf, start: KTree) -> SolverResult:
     moves_evaluated = 0
     while iterations < DEFAULT_MAX_ITERS:
         iterations += 1
-        for improved in scan(maximal):
+        for delta, replaced in moves(maximal):
             moves_evaluated += 1
-            if improved is not None:
+            if delta > IMPROVE_EPS:
                 break
         else:
             break  # no move improves
-        # the accept point, where a trajectory would record the move
-        maximal = improved
+        # the accept point, where a trajectory would record delta
+        maximal = [tuple(sorted(replaced[mc])) if mc in replaced else mc
+                   for mc in maximal]
         changed = True
 
     tree = ktree_from_cliques(maximal, k, n) if changed else start

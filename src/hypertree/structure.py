@@ -12,6 +12,7 @@ maximal cliques, in any order, as a construction sequence. ``score`` is
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (WEIGHT_DOMAIN_GUARD, GuardLimitError, attached, json_int,
@@ -105,18 +106,11 @@ class CliqueSet:
     cliques: frozenset[tuple[int, ...]]
 
 
-def _sub_cliques(maximal_cliques, smallest=2):
-    """Each clique's subsets of at least `smallest` vertices, repeats kept."""
-    return itertools.chain.from_iterable(
-        itertools.combinations(mc, size)
-        for mc in maximal_cliques
-        for size in range(smallest, len(mc) + 1)
-    )
-
-
 def cliques_of(tree: KTree) -> CliqueSet:
-    """All subsets of size >= 2 of every maximal clique, deduplicated."""
-    return CliqueSet(frozenset(_sub_cliques(tree.maximal_cliques())))
+    """All subsets of size >= 2 of every maximal clique, deduplicated: the
+    ``clique_family`` without its singletons, so under its guard."""
+    family = clique_family(tree.maximal_cliques())
+    return CliqueSet(frozenset(h for h in family if len(h) >= 2))
 
 
 def clique_family(maximal_cliques) -> list[tuple[int, ...]]:
@@ -132,7 +126,9 @@ def clique_family(maximal_cliques) -> list[tuple[int, ...]]:
         raise GuardLimitError(
             f"clique family too large: the subsets of {len(cliques)} maximal "
             f"cliques number up to {bound}, over {WEIGHT_DOMAIN_GUARD}")
-    return sorted(set(_sub_cliques(cliques, 1)), key=lambda h: (len(h), h))
+    return sorted({h for mc in cliques for size in range(1, len(mc) + 1)
+                   for h in itertools.combinations(mc, size)},
+                  key=lambda h: (len(h), h))
 
 
 def ktree_edges(tree: KTree) -> frozenset[tuple[int, int]]:
@@ -144,8 +140,12 @@ def ktree_edges(tree: KTree) -> frozenset[tuple[int, int]]:
 
 
 def score(tree: KTree, wf) -> float:
-    """Total weight of all cliques of size >= 2 (singletons excluded)."""
-    return clique_total(tree.maximal_cliques(), wf)
+    """Total weight of all cliques of size >= 2; ValueError if not finite."""
+    total = clique_total(tree.maximal_cliques(), wf)
+    if not math.isfinite(total):
+        raise ValueError(f"k-tree score is not finite: {total}; its clique "
+                         "totals sum past the float range")
+    return total
 
 
 def ktree_from_cliques(maximal_cliques, k: int, n: int) -> KTree:
@@ -153,9 +153,11 @@ def ktree_from_cliques(maximal_cliques, k: int, n: int) -> KTree:
 
     The inverse of ``KTree.maximal_cliques``: the first clique is the seed,
     and every other clique attaches its one new vertex to the k-subset it
-    shares with a placed clique.
+    shares with a placed clique. One clique is the seed alone, whatever k.
     """
     seed, *rest = maximal_cliques
+    if not rest:  # k may pass the seed's size, with no k-subset to list
+        return KTree(k=k, n=n, seed=seed)
     holders: dict[frozenset[int], list[tuple[int, ...]]] = {}
     for c in rest:
         for s in itertools.combinations(c, k):

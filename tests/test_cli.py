@@ -865,7 +865,7 @@ def test_each_file_subset_fault_names_its_vertex(run, tmp_path, kind, vs,
 
 
 @pytest.mark.parametrize("k, message", [
-    (1, "a computed number left the float range"),
+    (1, "k-tree score is not finite: inf"),
     (2, "weight for subset (0, 1, 2) is not finite: inf"),
 ])
 def test_score_past_the_float_range_is_refused(run, tmp_path, k, message):

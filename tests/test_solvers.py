@@ -403,6 +403,13 @@ class TestLocalSearch:
             for start in (greedy(wf).tree, random_ktree(rng, wf.n, wf.k)):
                 assert_same_result(local_search(wf, start),
                                    local_search_reference(wf, start))
+        # the paper's hard family: weights in eighths, so many moves tie
+        # exactly and the first in scan order must be the one accepted
+        for n, seed in itertools.product((8, 9), range(40)):
+            wf = reverse_targets_wf(n, seed)
+            start = greedy(wf).tree
+            assert_same_result(local_search(wf, start),
+                               local_search_reference(wf, start))
 
     def test_respects_max_iters(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -425,6 +432,19 @@ class TestLocalSearch:
                 assert res.stats["iterations"] == cap
                 assert res.score > score(start, wf)
                 assert_same_result(res, local_search_reference(wf, start))
+
+
+def test_score_past_the_float_range_is_refused():
+    # every weight and stored total is finite, but the path's two edges of
+    # 1e308 sum to inf: score refuses it, and so does each solver that
+    # returns it
+    wf = from_subset_weights(1, 3, {(0, 1): 1e308, (1, 2): 1e308})
+    path = KTree(k=1, n=3, seed=(0, 1), attachments=((2, (1,)),))
+    for call in (lambda: score(path, wf), lambda: greedy(wf),
+                 lambda: exact_search(wf), lambda: local_search(wf, path)):
+        with pytest.raises(ValueError, match="^k-tree score is not finite: "
+                                             "inf; its clique totals sum"):
+            call()
 
 
 def test_exact_tree_does_not_depend_on_how_totals_are_summed():

@@ -242,6 +242,14 @@ def test_ktree_from_cliques_inverts_maximal_cliques(seed):
     assert set(rebuilt.maximal_cliques()) == set(oracle.maximal_cliques())
 
 
+def test_ktree_from_cliques_one_clique_is_the_seed():
+    # with no other clique there is no anchor to list, so k may pass the
+    # clique's size without listing its k-subsets
+    k = 2 ** 62
+    assert ktree_from_cliques([(0, 1, 2)], k, 3) == KTree(k=k, n=3,
+                                                           seed=(0, 1, 2))
+
+
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_cliques_match_brute_force(seed):
@@ -335,6 +343,17 @@ def test_clique_family_guard_at_its_bound(monkeypatch):
     monkeypatch.setattr(structure, "WEIGHT_DOMAIN_GUARD", 6)
     with pytest.raises(GuardLimitError, match="number up to 7, over 6"):
         clique_family([(0, 1, 2)])
+
+
+def test_cliques_of_is_under_the_family_guard(monkeypatch):
+    # one clique of 6 vertices has 63 nonempty subsets: listed under a guard
+    # of 63, refused unlisted under 62, as clique_family refuses them
+    tree = KTree(k=5, n=6, seed=tuple(range(6)))
+    monkeypatch.setattr(structure, "WEIGHT_DOMAIN_GUARD", 63)
+    assert len(cliques_of(tree).cliques) == 63 - 6
+    monkeypatch.setattr(structure, "WEIGHT_DOMAIN_GUARD", 62)
+    with pytest.raises(GuardLimitError, match="number up to 63, over 62"):
+        cliques_of(tree)
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 9), k=st.integers(1, 3))
