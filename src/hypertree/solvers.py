@@ -209,15 +209,15 @@ def local_search(wf, start: KTree) -> SolverResult:
 
     The state is the list of maximal cliques: with n >= k+2 a vertex is
     removable exactly when it lies in one, the rest of which is its anchor.
-    A move is its score change and a map from each clique it replaces to
-    its replacement: a re-anchor of v changes the score by its cached
-    ``attachment_gain`` at the new anchor less the old, and replaces v's
-    one clique; a swap, by ``clique_total`` over the cliques that hold u or
-    v, after less before, and replaces them, since no other clique, and no
-    separator without u or v, changes. An accepted move's map is applied
-    once, and the list is encoded by ``ktree_from_cliques`` at the end.
-    ``tests/oracles.py`` keeps the original search, which rescores the
-    whole list for every swap, as ``local_search_reference``.
+    A move is its score change and the relabelling, old to new, of the
+    cliques it changes: a re-anchor of v turns its old anchor into the new
+    in v's one clique, for the cached ``attachment_gain`` at the new anchor
+    less the old; a swap turns (u, v) into (v, u) in the cliques that hold
+    u or v, for their ``clique_total`` after less before, since no other
+    clique, and no separator without u or v, changes. Only an accepted
+    move is relabelled, in place; ``ktree_from_cliques`` encodes the list
+    at the end. ``tests/oracles.py`` keeps the original search, which
+    rescores the whole list for every swap, as ``local_search_reference``.
     """
     t0 = time.perf_counter()
     n, k = start.n, start.k
@@ -231,9 +231,13 @@ def local_search(wf, start: KTree) -> SolverResult:
         return _result(start, wf, "local_search", t0, 0, 0)
     gain = functools.cache(functools.partial(attachment_gain, wf))
 
+    def relabel(cliques, old, new):
+        """The cliques, old's vertices turned into new's at once, sorted."""
+        to = dict(zip(old, new))
+        return [tuple(sorted(to.get(x, x) for x in mc)) for mc in cliques]
+
     def moves(maximal):
-        """Yield each move in scan order as its score change and the map
-        from each clique it replaces to that clique's replacement."""
+        """Yield each move in scan order as (delta, cliques, old, new)."""
         held: dict[int, list[tuple[int, ...]]] = {x: [] for x in range(n)}
         for mc in maximal:
             for x in mc:
@@ -241,24 +245,20 @@ def local_search(wf, start: KTree) -> SolverResult:
         removable = [v for v in range(n) if len(held[v]) == 1]
         anchors = sorted({s for mc in maximal
                           for s in itertools.combinations(mc, k)})
-        # (a) re-anchor a removable vertex elsewhere; v lies in exactly one
-        # maximal clique, which the move replaces
+        # (a) re-anchor a removable vertex v: its one clique's anchor changes
         for v in removable:
-            (home,) = held[v]
-            old_anchor = tuple(x for x in home if x != v)
+            old_anchor = tuple(x for x in held[v][0] if x != v)
             loss = gain(v, old_anchor)
             for a in anchors:
                 if v not in a and a != old_anchor:
-                    yield gain(v, a) - loss, {home: a + (v,)}
+                    yield gain(v, a) - loss, held[v], old_anchor, a
         # (b) swap the labels of a removable vertex and another vertex
         for v in removable:
             for u in range(n):
-                if u != v:
-                    relabel = {u: v, v: u}
-                    swapped = {mc: tuple(sorted(relabel.get(x, x) for x in mc))
-                               for mc in held[u] + held[v]}
-                    yield (clique_total(swapped.values(), wf)
-                           - clique_total(swapped.keys(), wf)), swapped
+                if u != v:  # held[u] lists v's clique when u lies in it
+                    cliques = held[u] if u in held[v][0] else held[u] + held[v]
+                    yield (clique_total(relabel(cliques, (u, v), (v, u)), wf)
+                           - clique_total(cliques, wf)), cliques, (u, v), (v, u)
 
     maximal = list(start.maximal_cliques())
     changed = False
@@ -266,15 +266,17 @@ def local_search(wf, start: KTree) -> SolverResult:
     moves_evaluated = 0
     while iterations < DEFAULT_MAX_ITERS:
         iterations += 1
-        for delta, replaced in moves(maximal):
+        for delta, cliques, old, new in moves(maximal):
             moves_evaluated += 1
             if delta > IMPROVE_EPS:
                 break
         else:
             break  # no move improves
-        # the accept point, where a trajectory would record delta
-        maximal = [tuple(sorted(replaced[mc])) if mc in replaced else mc
-                   for mc in maximal]
+        # the accept point, where a trajectory would record delta; every spot
+        # is found first, since a swap may turn one clique into another
+        spots = [maximal.index(mc) for mc in cliques]
+        for i, after in zip(spots, relabel(cliques, old, new)):
+            maximal[i] = after
         changed = True
 
     tree = ktree_from_cliques(maximal, k, n) if changed else start

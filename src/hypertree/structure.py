@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (WEIGHT_DOMAIN_GUARD, GuardLimitError, attached, json_int,
                      json_list, read_json, vertex_subset)
@@ -47,6 +47,8 @@ class KTree:
     n: int
     seed: tuple[int, ...]
     attachments: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    _cliques: tuple[tuple[int, ...], ...] = field(
+        default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -60,7 +62,7 @@ class KTree:
         # inside an existing clique exactly when it lies inside the clique
         # made when its last-placed vertex was placed.
         step = dict.fromkeys(self.seed, 0)
-        made = [frozenset(self.seed)]
+        made = [self.seed]
         attachments = []
         size = range(self.k + 1, self.k + 2)
         for pair in self.attachments:
@@ -70,33 +72,31 @@ class KTree:
                 raise ValueError(f"attachment {pair!r} is not a (vertex, "
                                  "anchor) pair") from None
             anchor, clique = attached(v, anchor)
-            clique = vertex_subset(clique, self.n, size,
-                                   f"vertex {v!r} attached to {anchor}: ")
+            clique = tuple(map(int, vertex_subset(
+                clique, self.n, size, f"vertex {v!r} attached to {anchor}: ")))
             v = int(v)
-            anchor = tuple(int(a) for a in clique if a != v)
+            anchor = tuple(a for a in clique if a != v)
             if v in step:
                 raise ValueError(f"vertex {v} attached twice")
-            if not (all(a in step for a in anchor)
-                    and made[max(step[a] for a in anchor)].issuperset(anchor)):
+            if not (all(a in step for a in anchor) and set(anchor).issubset(
+                    made[max(step[a] for a in anchor)])):
                 raise ValueError(
                     f"anchor {anchor} for vertex {v} is not inside any "
                     "existing clique"
                 )
             step[v] = len(made)
-            made.append(frozenset(anchor + (v,)))
+            made.append(clique)
             attachments.append((v, anchor))
         object.__setattr__(self, "attachments", tuple(attachments))
+        object.__setattr__(self, "_cliques", tuple(made))
         if len(step) != self.n:
             first = next(v for v in range(self.n) if v not in step)
             raise ValueError(f"{self.n - len(step)} vertices not placed, "
                              f"the first is {first}")
 
     def maximal_cliques(self) -> tuple[tuple[int, ...], ...]:
-        """The seed plus one clique per attachment (anchor + vertex)."""
-        out = [self.seed]
-        for v, anchor in self.attachments:
-            out.append(tuple(sorted(anchor + (v,))))
-        return tuple(out)
+        """The seed, then each attachment's sorted clique, kept at init."""
+        return self._cliques
 
 
 @dataclass(frozen=True)

@@ -410,6 +410,57 @@ class TestLocalSearch:
             start = greedy(wf).tree
             assert_same_result(local_search(wf, start),
                                local_search_reference(wf, start))
+        # the shape of the benchmark's n=60 weight files
+        for seed in (1, 2, 3):
+            wf = uniform_triples_wf(seed, 60)
+            start = greedy(wf).tree
+            assert_same_result(local_search(wf, start),
+                               local_search_reference(wf, start))
+
+    def test_reanchor_onto_an_overlapping_anchor(self, monkeypatch):
+        # 0 hangs on (1, 2) and its first improving move, the second scanned,
+        # re-anchors it to (2, 3): the relabelling 1 -> 2, 2 -> 3 applies at
+        # once, turning (0, 1, 2) into (0, 2, 3)
+        wf = triples_wf(5, [(0, 2, 3)])
+        start = KTree(k=2, n=5, seed=(1, 2, 3),
+                      attachments=((0, (1, 2)), (4, (2, 3))))
+        assert_same_result(local_search(wf, start),
+                           local_search_reference(wf, start))
+        monkeypatch.setattr(solvers, "DEFAULT_MAX_ITERS", 1)
+        res = local_search(wf, start)
+        assert res.stats["nodes_explored"] == 2
+        assert set(res.tree.maximal_cliques()) == {
+            (1, 2, 3), (0, 2, 3), (2, 3, 4)}
+        assert_same_result(res, local_search_reference(wf, start))
+
+    def test_swap_inside_its_own_clique(self, monkeypatch):
+        # on the path (0, 1, 2), (1, 2, 3), (2, 3, 4) no re-anchor reaches
+        # 0's three weighted edges, but the first swap, 0 with 1, does; 1
+        # lies in 0's clique, so each swap's changed cliques are listed once
+        wf = from_subset_weights(2, 5, {(0, 1): 1.0, (0, 2): 1.0,
+                                        (0, 3): 1.0})
+        start = KTree(k=2, n=5, seed=(0, 1, 2),
+                      attachments=((3, (1, 2)), (4, (2, 3))))
+        scored = []
+
+        def listed_once(cliques, wf):
+            cliques = list(cliques)
+            scored.append(cliques)
+            assert len(set(cliques)) == len(cliques)
+            return clique_total(cliques, wf)
+
+        monkeypatch.setattr(solvers, "clique_total", listed_once)
+        assert_same_result(local_search(wf, start),
+                           local_search_reference(wf, start))
+        monkeypatch.setattr(solvers, "DEFAULT_MAX_ITERS", 1)
+        scored.clear()
+        res = local_search(wf, start)
+        # 4 re-anchors of 0 and 4 of 4, then the swap, scored after and before
+        assert res.stats["nodes_explored"] == 9
+        assert scored[-1] == [(0, 1, 2), (1, 2, 3)]
+        assert set(res.tree.maximal_cliques()) == {
+            (0, 1, 2), (0, 2, 3), (2, 3, 4)}
+        assert_same_result(res, local_search_reference(wf, start))
 
     def test_respects_max_iters(self, monkeypatch):
         rng = np.random.default_rng(12)

@@ -100,7 +100,17 @@ def test_ktree_turns_numpy_integers_into_ints():
     i = np.int64
     t = KTree(k=1, n=3, seed=(i(1), i(0)), attachments=((i(2), (i(1),)),))
     assert json.loads(json.dumps(ktree_to_dict(t))) == ktree_to_dict(t)
-    assert t == KTree(k=1, n=3, seed=(0, 1), attachments=((2, (1,)),))
+    plain = KTree(k=1, n=3, seed=(0, 1), attachments=((2, (1,)),))
+    # the cliques a KTree keeps are no part of its value or its repr
+    assert t == plain and hash(t) == hash(plain)
+    assert repr(t) == repr(plain) == (
+        "KTree(k=1, n=3, seed=(0, 1), attachments=((2, (1,)),))")
+    # a 2-tree's vertex attached below its anchor's vertices: each kept
+    # clique is sorted, of plain ints
+    t = KTree(k=2, n=4, seed=(i(3), i(1), i(2)), attachments=(
+        (i(0), (i(2), i(1))),))
+    assert t.maximal_cliques() == ((1, 2, 3), (0, 1, 2))
+    assert {type(v) for c in t.maximal_cliques() for v in c} == {int}
 
 
 def test_ktree_validation_cost_follows_document():
@@ -359,9 +369,11 @@ def test_cliques_of_is_under_the_family_guard(monkeypatch):
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 9), k=st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
 def test_clique_family_is_the_subset_closure(seed, n, k):
+    # every clique of the k-tree's graph, found by a subset scan of its
+    # edges, plus the singletons
     tree = random_ktree(np.random.default_rng(seed), n, k)
     family = clique_family(tree.maximal_cliques())
-    assert set(family) == set(cliques_of(tree).cliques) | {
+    assert set(family) == brute_cliques(ktree_edges(tree), n, k + 1) | {
         (v,) for v in range(n)}
     assert family == sorted(family, key=lambda h: (len(h), h))
     assert len(family) == len(set(family))
