@@ -21,8 +21,6 @@ imported: a bad header gets the loader's message and exit code whatever
 the solver. ``eval`` reads its structure before its data.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 

@@ -11,8 +11,6 @@ quantities are in nats, with the convention 0*ln(0) = 0. Marginals are
 weighted counts divided by the total weight; no smoothing is applied.
 """
 
-from __future__ import annotations
-
 import csv
 import functools
 import itertools

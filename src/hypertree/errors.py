@@ -3,10 +3,10 @@ read here, and every JSON output written), the CSV reader and its header
 rule, JSON field readers and the subset rule.
 
 Guard defaults live here, beside the error they raise, so the command line
-can show them without importing the modules that enforce them.
+can show them without importing the modules that enforce them; for the same
+reason ``csv`` and ``json`` are imported only by the functions that use them.
 """
 
-import json
 import sys
 
 DEFAULT_EXACT_LIMIT = 9  # vertices: at most 10,584 DP states, for any k
@@ -48,8 +48,7 @@ def csv_header(fh):
     first line, an empty name or a repeated name is refused with a
     ValueError that names its line, and the name's 1-based column; so is a
     header the CSV reader refuses."""
-    import csv  # here, so that --help loads no module it does not use
-
+    import csv
     reader = csv.reader(fh)
     try:
         header = next(reader, None)
@@ -72,6 +71,7 @@ def csv_header(fh):
 
 
 def _json_object(fh, convert):
+    import json
     doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
@@ -86,6 +86,7 @@ def read_json(path, convert):
 def write_json(doc: dict, path=None) -> None:
     """Write doc as indented JSON and a newline to path, or to stdout. JSON
     has no NaN or infinity, so a document that holds one opens no file."""
+    import json
     try:
         text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     except ValueError:

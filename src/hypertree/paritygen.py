@@ -17,8 +17,6 @@ subset's parity never disturbs the rest. The pooled sample is held as the
 2^n vectors of the cube with the number of times the blocks emit each one.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from dataclasses import dataclass

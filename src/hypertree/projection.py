@@ -17,8 +17,6 @@ target's distinct rows, which checks it. On the target itself, the log
 likelihood per unit weight is minus the joint entropy minus the direct sum.
 """
 
-from __future__ import annotations
-
 import itertools
 from dataclasses import dataclass
 

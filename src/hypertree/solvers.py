@@ -8,8 +8,6 @@ greedy builds a maximum-weight spanning tree, and ``chow_liu`` is greedy
 under that name. All are deterministic under fixed tie-breaking.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math

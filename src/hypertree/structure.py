@@ -9,8 +9,6 @@ maximal cliques, in any order, as a construction sequence. ``score`` is
 ``weights.clique_total``: its cliques' totals less its separators'.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -149,31 +147,31 @@ def score(tree: KTree, wf) -> float:
 
 
 def ktree_from_cliques(maximal_cliques, k: int, n: int) -> KTree:
-    """The k-tree with the given maximal cliques, listed in any order.
-
-    The inverse of ``KTree.maximal_cliques``: the first clique is the seed,
-    and every other clique attaches its one new vertex to the k-subset it
-    shares with a placed clique. One clique is the seed alone, whatever k.
+    """The inverse of ``KTree.maximal_cliques``: the k-tree with the given
+    maximal cliques, listed in any order, each clique sorted, as that method
+    gives them. The first clique is the seed, and every other clique
+    attaches its one new vertex to the k-subset it shares with a placed
+    clique. One clique is the seed alone, whatever k.
     """
     seed, *rest = maximal_cliques
     if not rest:  # k may pass the seed's size, with no k-subset to list
         return KTree(k=k, n=n, seed=seed)
-    holders: dict[frozenset[int], list[tuple[int, ...]]] = {}
+    holders: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for c in rest:
         for s in itertools.combinations(c, k):
-            holders.setdefault(frozenset(s), []).append(c)
+            holders.setdefault(s, []).append(c)
     placed = set(seed)
     attachments = []
-    anchors = [frozenset(s) for s in itertools.combinations(seed, k)]
+    anchors = list(itertools.combinations(seed, k))
     while anchors:
         anchor = anchors.pop()
         for c in holders.pop(anchor, ()):
             (v,) = set(c).difference(anchor)
             if v not in placed:
                 placed.add(v)
-                attachments.append((v, tuple(anchor)))
-                anchors.extend(frozenset(s)
-                               for s in itertools.combinations(c, k) if v in s)
+                attachments.append((v, anchor))
+                anchors.extend(s for s in itertools.combinations(c, k)
+                               if v in s)
     return KTree(k=k, n=n, seed=seed, attachments=tuple(attachments))
 
 

@@ -17,8 +17,6 @@ forms the store from entropies, ``from_subset_weights`` from given w; only
 ``weights_to_dict`` recovers w, so weight files keep their format and bytes.
 """
 
-from __future__ import annotations
-
 import collections
 import itertools
 import math

@@ -1,8 +1,9 @@
 """Import cost.
 
 Importing the package loads none of its modules, help text loads none of
-the library's computing modules, and learning from a weight file does not
-load NumPy. The installed console script is the CLI's entry point.
+the library's computing modules, no codec (``csv``, ``json``) and no
+``__future__``, and learning from a weight file does not load NumPy. The
+installed console script is the CLI's entry point.
 """
 
 import importlib
@@ -22,8 +23,8 @@ from hypertree.weights import from_subset_weights, weights_to_dict
 SRC = Path(hypertree.__file__).resolve().parent.parent
 
 # Modules whose import a cold start should not pay for unless it uses them.
-WATCHED = ("csv", "numpy", "hypertree.dataset", "hypertree.paritygen",
-           "hypertree.projection", "hypertree.solvers",
+WATCHED = ("__future__", "csv", "json", "numpy", "hypertree.dataset",
+           "hypertree.paritygen", "hypertree.projection", "hypertree.solvers",
            "hypertree.structure", "hypertree.weights")
 
 # Runs the CLI as ``python -m hypertree.cli`` does and reports, after the
