@@ -96,7 +96,7 @@ def triples_wf(n, ones):
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in (1, 2, 3)
-                                  for k in (n - 1, n, n + 3, 10 ** 9, 2 ** 62)
+                                  for k in (n - 1, n, n + 3, 2 ** 62)
                                   if k >= 1])
 def test_one_clique_is_the_one_seed(n, k):
     # a k-tree on n <= k+1 vertices is one clique of all of them: the seed
