@@ -10,6 +10,8 @@ printed summaries included, are in nats.
 
 The module keeps only the parser, dispatch, its two reports and the exit
 codes; each input is read and checked by the module whose format it is.
+A command returns (document, path or None for stdout, summary), and
+``main`` writes the document, then prints the summary if it wrote a file.
 Each command imports the modules it computes with when it runs: ``--help``
 loads no library module beyond ``errors``, and only the commands and
 branches that compute on arrays import ``dataset``, ``projection`` and
@@ -22,6 +24,7 @@ the solver. ``eval`` reads its structure before its data.
 """
 
 import argparse
+import os
 import sys
 
 from .errors import (DEFAULT_EXACT_LIMIT, GuardLimitError, csv_header,
@@ -69,15 +72,13 @@ def weights_cmd(data_path, k, arities_path, out_path):
 
     doc = weights.weights_to_dict(
         weights.compute_weights(_load_input(data_path, arities_path), k))
-    write_json(doc, out_path)
-    if out_path is not None:  # the first maximum in (size, vars) order
-        entries = doc["weights"]
-        top = max((e for e in entries if len(e["vars"]) >= 2),
-                  key=lambda e: e["w"], default=None)
-        note = "" if top is None else (f"; max non-singleton weight "
-                                       f"{top['vars']} = {top['w']:.6f} (base e)")
-        print(f"wrote {len(entries)} weights (n={doc['n']}, k={doc['k']}) "
-              f"to {out_path}{note}")
+    entries = doc["weights"]  # the first maximum in (size, vars) order
+    top = max((e for e in entries if len(e["vars"]) >= 2),
+              key=lambda e: e["w"], default=None)
+    note = "" if top is None else (f"; max non-singleton weight "
+                                   f"{top['vars']} = {top['w']:.6f} (base e)")
+    return doc, out_path, (f"wrote {len(entries)} weights (n={doc['n']}, "
+                           f"k={doc['k']}) to {out_path}{note}")
 
 
 def learn_cmd(input_path, k, solver, exact_limit, arities_path, out_path):
@@ -129,15 +130,15 @@ def learn_cmd(input_path, k, solver, exact_limit, arities_path, out_path):
             provider, wf, result.tree)
     else:
         doc["note"] = "divergence omitted: learned from a weight file, not data"
-    write_json(doc, out_path)
-    if out_path is not None:
-        print(
-            f"{result.method}: score {result.score:.6f} "
-            f"(base e, k={wf.k}) -> {out_path}")
+    return doc, out_path, (f"{result.method}: score {result.score:.6f} "
+                           f"(base e, k={wf.k}) -> {out_path}")
 
 
 def eval_cmd(data_path, structure_path, arities_path, model_out, out_path):
     """Score a structure against data: divergences and log likelihood."""
+    if model_out is not None and out_path is not None and (
+            os.path.realpath(model_out) == os.path.realpath(out_path)):
+        raise ValueError(f"--model-out and --out name the same file: {out_path}")
     from . import projection, structure
 
     tree = structure.load_ktree(structure_path)
@@ -162,11 +163,8 @@ def eval_cmd(data_path, structure_path, arities_path, model_out, out_path):
     }
     if model_out is not None:
         projection.dump_model(model, model_out)
-    write_json(report, out_path)
-    if out_path is not None:
-        print(
-            f"divergence {report['divergence_decomposed']:.6f} "
-            f"(base e, k={tree.k}) -> {out_path}")
+    return report, out_path, (f"divergence {decomposed:.6f} "
+                              f"(base e, k={tree.k}) -> {out_path}")
 
 
 def gen_parity_cmd(spec_path, out_path):
@@ -187,15 +185,10 @@ def gen_parity_cmd(spec_path, out_path):
             for h, e in sorted(realization.per_set_error.items())
         ]
         prov["total_abs_error"] = realization.total_abs_error
-    prov_path = _provenance_path(out_path)
-    write_json(prov, prov_path)
-    print(f"wrote {sample.dataset.n_rows} rows to {out_path}, "
-          f"provenance to {prov_path}")
-
-
-def _provenance_path(csv_path: str) -> str:
-    stem = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
-    return stem + ".provenance.json"
+    stem = out_path[:-4] if out_path.endswith(".csv") else out_path
+    prov_path = stem + ".provenance.json"
+    return prov, prov_path, (f"wrote {sample.dataset.n_rows} rows to "
+                             f"{out_path}, provenance to {prov_path}")
 
 
 def _positive(text: str) -> int:
@@ -276,7 +269,10 @@ def main(argv=None) -> int:
     if extra:  # show the usage of the command the arguments were given to
         command.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        args.pop("run")(**args)
+        doc, path, summary = args.pop("run")(**args)
+        write_json(doc, path)
+        if path is not None:
+            print(summary)
         return 0
     except GuardLimitError as exc:  # a RuntimeError, so matched first
         code, failure = EXIT_GUARD, exc

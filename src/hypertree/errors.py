@@ -2,9 +2,11 @@
 read here, and every JSON output written), the CSV reader and its header
 rule, JSON field readers and the subset rule.
 
-Guard defaults live here, beside the error they raise, so the command line
-can show them without importing the modules that enforce them; for the same
-reason ``csv`` and ``json`` are imported only by the functions that use them.
+``DEFAULT_EXACT_LIMIT`` lives here so that ``--help`` can show it without
+importing the solvers, and with it ``WEIGHT_DOMAIN_GUARD`` (enforced by
+``weights`` and ``structure``) and ``COUNT_WORK_GUARD``; every other guard
+sits beside its one enforcer. So that ``--help`` loads no codec either,
+``csv`` and ``json`` are imported only by the functions that use them.
 """
 
 import sys

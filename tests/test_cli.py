@@ -43,6 +43,7 @@ SRC = Path(hypertree.__file__).resolve().parent.parent  # holds the package
 class CliResult(NamedTuple):
     exit_code: int
     output: str  # stdout, then stderr
+    stdout: str
 
 
 @pytest.fixture
@@ -55,7 +56,7 @@ def run(capsys):
         except SystemExit as exc:
             code = exc.code
         out, err = capsys.readouterr()
-        return CliResult(code, out + err)
+        return CliResult(code, out + err, out)
 
     return invoke
 
@@ -122,6 +123,65 @@ def test_weights_out_prints_the_first_maximum(run, tmp_path, text, k, summary):
     res = run(["weights", str(csv_path), "--k", k, "--out", str(out)])
     assert res.exit_code == 0, res.output
     assert res.output == f"wrote {summary.format(out=out)}\n"
+
+
+TWO_TRIPLES = {"k": 2, "n": 4, "log_base": "e",
+               "weights": [{"vars": [0, 1, 2], "w": 1.0},
+                           {"vars": [0, 1, 3], "w": 1.0}]}
+CHAIN_K1 = {"k": 1, "n": 3, "seed": [0, 1],
+            "attachments": [{"v": 2, "anchor": [1]}]}
+
+
+def _summary_inputs(tmp_path):
+    """The XOR CSV, a weight file and a k=1 chain structure over the CSV."""
+    _write_xor_csv(tmp_path / "xor.csv")
+    (tmp_path / "w.json").write_text(json.dumps(TWO_TRIPLES))
+    (tmp_path / "chain.json").write_text(json.dumps(CHAIN_K1))
+    return {name: str(tmp_path / name)
+            for name in ("xor.csv", "w.json", "chain.json")}
+
+
+# on the XOR CSV the triple weighs ln 2 and every pair 0, and any k=1 tree
+# misses the triple's ln 2 of information
+@pytest.mark.parametrize("args, summary", [
+    (["learn", "xor.csv", "--k", "2"], "greedy: score 0.693147 (base e, "
+     "k=2) -> {out}"),
+    (["learn", "w.json", "--solver", "exact"], "exact: score 2.000000 (base "
+     "e, k=2) -> {out}"),
+    (["eval", "xor.csv", "chain.json"], "divergence 0.693147 (base e, k=1) "
+     "-> {out}"),
+], ids=["learn-csv", "learn-weights", "eval"])
+def test_out_prints_the_summary_and_stdout_is_the_document_alone(
+        run, tmp_path, args, summary):
+    files = _summary_inputs(tmp_path)
+    args = [files.get(a, a) for a in args]
+    out = tmp_path / "out.json"
+    res = run([*args, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert res.output == summary.format(out=out) + "\n"
+    written = json.loads(out.read_text())
+    res = run(args)
+    assert res.exit_code == 0, res.output
+    assert res.output.endswith("}\n")
+    printed = json.loads(res.output)  # a summary after it would not parse
+    for doc in (written, printed):
+        doc.get("stats", {}).pop("elapsed_s", None)
+    assert printed == written
+
+
+@pytest.mark.parametrize("args", [
+    ["weights", "xor.csv", "--k", "2"],
+    ["learn", "xor.csv", "--k", "2"],
+    ["eval", "xor.csv", "chain.json"],
+], ids=["weights", "learn", "eval"])
+def test_a_failed_write_prints_no_summary(run, tmp_path, args):
+    files = _summary_inputs(tmp_path)
+    out = tmp_path / "missing" / "out.json"
+    res = run([files.get(a, a) for a in args] + ["--out", str(out)])
+    assert res.exit_code == 4
+    assert res.stdout == ""
+    assert res.output.startswith("error: ") and "out.json" in res.output
+    assert not out.parent.exists()
 
 
 def test_weights_unreadable_file(run, tmp_path):
@@ -315,11 +375,8 @@ def test_learn_exact_leaves_a_bad_header_to_the_loader(run, tmp_path, content,
 
 
 def test_learn_from_weight_file(run, tmp_path):
-    doc = {"k": 2, "n": 4, "log_base": "e",
-           "weights": [{"vars": [0, 1, 2], "w": 1.0},
-                       {"vars": [0, 1, 3], "w": 1.0}]}
     wpath = tmp_path / "weights.json"
-    wpath.write_text(json.dumps(doc))
+    wpath.write_text(json.dumps(TWO_TRIPLES))
     res = run(["learn", str(wpath), "--solver", "exact"])
     assert res.exit_code == 0, res.output
     out = json.loads(res.output)
@@ -539,7 +596,10 @@ def test_gen_parity_roundtrip(run, tmp_path):
     out_csv = tmp_path / "sample.csv"
     res = run(["gen-parity", str(bpath), "--out", str(out_csv)])
     assert res.exit_code == 0, res.output
-    prov = json.loads((tmp_path / "sample.provenance.json").read_text())
+    prov_path = tmp_path / "sample.provenance.json"
+    assert res.output == (f"wrote 96 rows to {out_csv}, provenance to "
+                          f"{prov_path}\n")
+    prov = json.loads(prov_path.read_text())
     assert prov["Q"] == 4 and prov["rows"] == 3 * 4 * 8
     assert "block_log" not in prov  # the biases already fix every block
 
@@ -1127,6 +1187,19 @@ def test_learn_refuses_options_of_another_solver(run, tmp_path, options,
     assert res.exit_code == 2, res.output
     assert res.output == f"error: {refused}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model_out", ["{d}/r.json", "{d}/./r.json"],
+                         ids=["same", "respelled"])
+def test_eval_refuses_model_out_naming_the_report(run, tmp_path, model_out):
+    # refused before any input is read: the data path does not exist
+    out = f"{tmp_path}/r.json"
+    res = run(["eval", str(tmp_path / "nope.csv"), str(tmp_path / "nope.json"),
+               "--model-out", model_out.format(d=tmp_path), "--out", out])
+    assert res.exit_code == 2
+    assert res.output == ("error: --model-out and --out name the same file: "
+                          f"{out}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_marginal_table_guard(run, tmp_path):
