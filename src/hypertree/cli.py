@@ -10,17 +10,18 @@ printed summaries included, are in nats.
 
 The module keeps only the parser, dispatch, its two reports and the exit
 codes; each input is read and checked by the module whose format it is.
-A command returns (document, path or None for stdout, summary), and
-``main`` writes the document, then prints the summary if it wrote a file.
-Each command imports the modules it computes with when it runs: ``--help``
-loads no library module beyond ``errors``, and only the commands and
-branches that compute on arrays import ``dataset``, ``projection`` and
-``paritygen`` (and with them NumPy), so ``learn`` on a weight file starts
-without it. ``learn`` refuses CSV data without ``--k`` before reading it,
-and ``learn --solver exact`` refuses a CSV header over the exact limit,
-read by the loader's own ``errors.csv_header``, before any of them is
-imported: a bad header gets the loader's message and exit code whatever
-the solver. ``eval`` reads its structure before its data.
+Before a command runs, ``main`` refuses two file arguments that name one file
+(by real path), and ``gen-parity`` a spec at its provenance path. A command
+returns (document, path or None for stdout, summary), and ``main`` writes the
+document, then prints the summary if it wrote a file. Each command imports
+the modules it computes with when it runs: ``--help`` loads no library module
+beyond ``errors``, and only the commands and branches that compute on arrays
+import ``dataset``, ``projection`` and ``paritygen`` (and with them NumPy),
+so ``learn`` on a weight file starts without it. ``learn`` refuses CSV data
+without ``--k`` before reading it, and ``learn --solver exact`` refuses a CSV
+header over the exact limit, read by the loader's own ``errors.csv_header``,
+before any of them is imported: a bad header gets the loader's message and
+exit code whatever the solver. ``eval`` reads its structure before its data.
 """
 
 import argparse
@@ -136,9 +137,6 @@ def learn_cmd(input_path, k, solver, exact_limit, arities_path, out_path):
 
 def eval_cmd(data_path, structure_path, arities_path, model_out, out_path):
     """Score a structure against data: divergences and log likelihood."""
-    if model_out is not None and out_path is not None and (
-            os.path.realpath(model_out) == os.path.realpath(out_path)):
-        raise ValueError(f"--model-out and --out name the same file: {out_path}")
     from . import projection, structure
 
     tree = structure.load_ktree(structure_path)
@@ -169,6 +167,10 @@ def eval_cmd(data_path, structure_path, arities_path, model_out, out_path):
 
 def gen_parity_cmd(spec_path, out_path):
     """Generate a parity-biased sample from a bias or weight-target file."""
+    prov_path = out_path.removesuffix(".csv") + ".provenance.json"
+    if os.path.realpath(prov_path) == os.path.realpath(spec_path):
+        raise ValueError("BIASES_OR_TARGETS and the provenance of --out name "
+                         f"the same file: {prov_path}")
     from . import paritygen
     from .dataset import dump_dataset
 
@@ -185,8 +187,6 @@ def gen_parity_cmd(spec_path, out_path):
             for h, e in sorted(realization.per_set_error.items())
         ]
         prov["total_abs_error"] = realization.total_abs_error
-    stem = out_path[:-4] if out_path.endswith(".csv") else out_path
-    prov_path = stem + ".provenance.json"
     return prov, prov_path, (f"wrote {sample.dataset.n_rows} rows to "
                              f"{out_path}, provenance to {prov_path}")
 
@@ -269,6 +269,15 @@ def main(argv=None) -> int:
     if extra:  # show the usage of the command the arguments were given to
         command.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
+        seen = {}  # realpath of each file argument -> its --help spelling
+        for action in command._actions:
+            path = args.get(action.dest)
+            if path and action.dest.endswith(("_path", "model_out")):
+                name = (action.option_strings or [action.metavar])[0]
+                first = seen.setdefault(os.path.realpath(path), name)
+                if first != name:
+                    raise ValueError(f"{first} and {name} name the same "
+                                     f"file: {path}")
         doc, path, summary = args.pop("run")(**args)
         write_json(doc, path)
         if path is not None:

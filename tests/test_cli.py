@@ -1202,6 +1202,58 @@ def test_eval_refuses_model_out_naming_the_report(run, tmp_path, model_out):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args, names, path", [
+    ("weights d.csv --k 1 --out d.csv", "DATA and --out", "d.csv"),
+    ("learn d.csv --k 1 --out d.csv", "DATA_OR_WEIGHTS and --out", "d.csv"),
+    ("learn w.json --out w.json", "DATA_OR_WEIGHTS and --out", "w.json"),
+    ("learn d.csv --k 1 --arities a.json --out a.json",
+     "--arities and --out", "a.json"),
+    ("eval d.csv s.json --out s.json", "STRUCTURE and --out", "s.json"),
+    ("eval d.csv s.json --out d.csv", "DATA and --out", "d.csv"),
+    ("eval d.csv s.json --model-out s.json",
+     "STRUCTURE and --model-out", "s.json"),
+    ("gen-parity t.json --out t.json",
+     "BIASES_OR_TARGETS and --out", "t.json"),
+    ("gen-parity sample.csv", "BIASES_OR_TARGETS and --out", "sample.csv"),
+    ("gen-parity x.provenance.json --out x.csv",
+     "BIASES_OR_TARGETS and the provenance of --out", "x.provenance.json"),
+    ("learn d.csv --k 1 --out ./d.csv",
+     "DATA_OR_WEIGHTS and --out", "./d.csv"),
+    ("weights d.csv --k 1 --out link.csv", "DATA and --out", "link.csv"),
+], ids=["weights-data", "learn-data", "learn-weights", "learn-arities",
+        "eval-structure", "eval-data", "eval-model-structure",
+        "gen-parity-spec", "gen-parity-default-out", "gen-parity-provenance",
+        "respelled", "symlink"])
+def test_no_two_file_arguments_name_one_file(run, tmp_path, monkeypatch,
+                                             args, names, path):
+    # every input is valid, so only the rule keeps each command from
+    # replacing one
+    monkeypatch.chdir(tmp_path)
+    _write_xor_csv(tmp_path / "d.csv")
+    (tmp_path / "link.csv").symlink_to("d.csv")
+    (tmp_path / "w.json").write_text(json.dumps(TWO_TRIPLES))
+    (tmp_path / "s.json").write_text(json.dumps(CHAIN_K1))
+    (tmp_path / "a.json").write_text(
+        json.dumps({"arities": {"x0": 2, "x1": 2, "x2": 2}}))
+    spec = json.dumps({"k": 1, "n": 3, "Q": 1, "biases": []})
+    for name in ("t.json", "sample.csv", "x.provenance.json"):
+        (tmp_path / name).write_text(spec)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    res = run(args.split())
+    assert res.exit_code == 2, res.output
+    assert res.output == f"error: {names} name the same file: {path}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_a_refused_output_comes_before_reading_the_data(run, tmp_path):
+    missing = str(tmp_path / "missing.csv")
+    res = run(["learn", missing, "--k", "1", "--out", missing])
+    assert res.exit_code == 2, res.output
+    assert res.output == ("error: DATA_OR_WEIGHTS and --out name the same "
+                          f"file: {missing}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_marginal_table_guard(run, tmp_path):
     # one large code makes a 20,000,001-cell count table; refused unallocated
     data = tmp_path / "wide.csv"

@@ -2,8 +2,9 @@
 
 Importing the package loads none of its modules, help text loads none of
 the library's computing modules, no codec (``csv``, ``json``) and no
-``__future__``, and learning from a weight file does not load NumPy. The
-installed console script is the CLI's entry point.
+``__future__``, learning from a weight file does not load NumPy, and a
+command line that names one file twice is refused before the input is read.
+The installed console script is the CLI's entry point.
 """
 
 import importlib
@@ -119,6 +120,15 @@ def test_chow_liu_refused_at_k2_without_numpy(tmp_path):
     loaded = _run_cli(["learn", str(csv_path), "--k", "2", "--solver",
                        "chow_liu"], code=2)
     assert loaded.isdisjoint(ARRAY_FREE), loaded
+
+
+def test_an_output_naming_the_data_is_refused_before_any_import(tmp_path):
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text("a,b,c\n0,1,1\n1,0,1\n")
+    loaded = _run_cli(["learn", str(csv_path), "--k", "1", "--out",
+                       str(csv_path)], code=2)
+    assert loaded.isdisjoint(("numpy", "hypertree.dataset",
+                              "hypertree.weights", "hypertree.solvers")), loaded
 
 
 def test_learning_from_data_loads_numpy(tmp_path):
